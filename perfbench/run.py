@@ -7,15 +7,15 @@ without being installed::
 
 One process, one caller: each operation starts when the previous one has
 finished.  A run sets up (fresh-interpreter import, input generation,
-warm-up) five times, then runs whole rounds of operations until
-``--seconds`` have passed and at least six operations have run, checking
-every output against an exact oracle.
+warm-up) nine times, then runs whole rounds of operations until
+``--seconds`` have passed, checking every output against an exact oracle.
 
 ``--trace 0`` prints the end-to-end metrics.  Their times are calibrated
-against the CPU speed the run saw (see ``probe.py``); the raw times are
-printed beside them.  ``--trace 1`` runs each operation twice, untraced
-then traced, and prints the per-layer metrics; its spans are written to
-``perfbench/out``.
+against the CPU speed the run saw (see ``probe.py``); the uncalibrated
+throughput and median latency are printed after them.  ``--trace 1`` runs
+each operation twice, untraced then traced, and prints the per-layer
+metrics, the uncalibrated figures of the untraced copies among them; its
+spans are written to ``perfbench/out``.
 
 The last line of standard output is always one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  Lines before it
@@ -47,10 +47,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
-SETUP_REPS = 5
-# reduce-log's round is three operations of different sizes; two rounds
-# make its median the mean of two samples of the middle size
-MIN_OPS = 6
+SETUP_REPS = 9
 TAIL_BEYOND = 10  # samples a tail percentile must leave above it
 FAILURES_SHOWN = 5
 
@@ -120,10 +117,16 @@ def environment(nashreduce, args) -> dict:
 # set-up and the closed loop
 
 
-def fresh_import() -> None:
-    """A new interpreter imports the package, as every command-line call does."""
+def fresh_import() -> tuple[float, float]:
+    """A new interpreter imports the package, as every command-line call
+    does, and times the import against its own probe.  Returns (calibrated,
+    raw) seconds; the interpreter's start-up is not counted."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run([sys.executable, "-c", "import nashreduce"], env=env, cwd=ROOT, check=True)
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "probe.py"), "nashreduce"],
+        env=env, cwd=ROOT, check=True, capture_output=True, text=True,
+    )
+    return tuple(json.loads(proc.stdout))
 
 
 class Rounds:
@@ -146,20 +149,22 @@ class Rounds:
 
 def set_up(workload_cls, seed: int, work_dir: Path, probe):
     """Import, generate the input pool and warm up, SETUP_REPS times; the
-    last repetition's inputs are the ones measured.  Returns the rounds and
-    each set-up's (calibrated, raw) seconds."""
+    last repetition's inputs are the ones measured.  The warm-up inputs are
+    the same for every seed, so that set-up work does not vary with it.
+    Returns the rounds and each set-up's (calibrated, raw) seconds."""
     durations = []
     for _ in range(SETUP_REPS):
+        imported = fresh_import()
         start = perf_counter()
-        fresh_import()
         workload = workload_cls(work_dir)
         rounds = Rounds(workload, seed)
         rounds.fill(workload.pool_rounds)
-        for op in workload.warm_up_ops(random.Random(f"{seed}/warm-up")):
+        for op in workload.warm_up_ops(random.Random("warm-up")):
             outcome = op.run()
             if not outcome.ok:
                 raise RuntimeError(f"warm-up {op.name} failed: {outcome.detail}")
-        durations.append(probe.calibrated(start, perf_counter()))
+        rest = probe.calibrated(start, perf_counter())
+        durations.append((imported[0] + rest[0], imported[1] + rest[1]))
     return rounds, durations
 
 
@@ -213,11 +218,11 @@ def run_op(op, r: int, result: Pass, probe, tracer=None) -> None:
 
 
 def closed_loop(rounds: Rounds, seconds: float, probe) -> Pass:
-    """Whole rounds until ``seconds`` have passed and MIN_OPS operations have run."""
+    """Whole rounds until ``seconds`` have passed."""
     result = Pass()
     start = perf_counter()
     r = 0
-    while len(result.samples) < MIN_OPS or perf_counter() - start < seconds:
+    while r == 0 or perf_counter() - start < seconds:
         for op in rounds(r):
             run_op(op, r, result, probe)
         r += 1
@@ -281,23 +286,26 @@ def loglog_slope(points: list[tuple[float, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx if sxx else 0.0
 
 
+def uncalibrated(run: Pass) -> dict:
+    """Throughput and median latency in raw seconds.  Calibration divides
+    out a cost that slows the probe as much as the library, such as slower
+    ``Fraction`` arithmetic; these figures keep it."""
+    raw = [s.raw for s in run.samples]
+    n = len(raw)
+    return {
+        "uncalibrated.ops_per_s": (n / sum(raw), "op/s", f"{n} ops in {sum(raw):.3f} raw s"),
+        "uncalibrated.op_p50_s": (statistics.median(raw), "s", f"median of {n} samples, raw s"),
+    }
+
+
 def end_to_end(run: Pass, setup: list[tuple[float, float]]) -> dict:
     latencies = [s.seconds for s in run.samples]
-    raw = [s.raw for s in run.samples]
     n = len(latencies)
     tail_value, tail_label = tail(latencies)
     metrics = {
-        "ops_per_s": (
-            n / sum(latencies),
-            "op/s",
-            f"{n} ops in {sum(latencies):.3f} s of operations; raw {n / sum(raw):.4g} op/s",
-        ),
-        "op_p50_s": (
-            statistics.median(latencies),
-            "s",
-            f"median of {n} samples; raw {statistics.median(raw):.4g} s",
-        ),
-        "op_tail_s": (tail_value, "s", f"{tail_label}; raw {tail(raw)[0]:.4g} s"),
+        "ops_per_s": (n / sum(latencies), "op/s", f"{n} ops in {sum(latencies):.3f} s of operations"),
+        "op_p50_s": (statistics.median(latencies), "s", f"median of {n} samples"),
+        "op_tail_s": (tail_value, "s", tail_label),
         "setup_s": (
             statistics.median(c for c, _ in setup),
             "s",
@@ -315,13 +323,15 @@ def end_to_end(run: Pass, setup: list[tuple[float, float]]) -> dict:
             metrics[f"{phase}_p50_s"] = (statistics.median(values), "s", f"median of {len(values)} samples")
     failed = sum(not s.ok for s in run.samples)
     metrics["failed_frac"] = (failed / n, "ratio", f"{failed} failed of {n} attempted")
+    metrics.update(uncalibrated(run))
     return metrics
 
 
 def per_layer(untraced: Pass, traced: Pass, tracer, probe) -> tuple[dict, dict]:
     """Per-layer metrics from the traced pass; times are calibrated and per
     round, the median over the traced rounds.  Also returns the self-time
-    breakdown of the traced median operation."""
+    breakdown of the traced median operation (the mean of the middle two when
+    their number is even)."""
     from spans import END, NAME, OP, OP_SPAN, PARENT, START, self_times
 
     samples = traced.samples
@@ -381,16 +391,20 @@ def per_layer(untraced: Pass, traced: Pass, tracer, probe) -> tuple[dict, dict]:
         "ratio",
         f"traced vs untraced ops_per_s over {traced.rounds} paired rounds",
     )
+    metrics.update(uncalibrated(untraced))
 
-    median_op = sorted(range(len(samples)), key=lambda i: samples[i].seconds)[len(samples) // 2]
+    # the middle operation, or the mean of the middle two, as statistics.median
+    # takes the untraced op_p50_s
+    order = sorted(range(len(samples)), key=lambda i: samples[i].seconds)
+    middle = order[(len(order) - 1) // 2 : len(order) // 2 + 1]
     by_layer: Counter = Counter()
     for span, seconds in zip(spans, own):
-        if span[OP] == median_op:
+        if span[OP] in middle:
             layer = "bench" if span[NAME] == OP_SPAN else span[NAME].split(".")[0]
-            by_layer[layer] += seconds
+            by_layer[layer] += seconds / len(middle)
     untraced_p50 = statistics.median(s.seconds for s in untraced.samples)
     blocking = {
-        "op": samples[median_op].name,
+        "ops": [samples[i].name for i in middle],
         "self_s_by_layer": dict(by_layer),
         "self_s_sum": sum(by_layer.values()),
         "untraced_op_p50_s": untraced_p50,
@@ -421,7 +435,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--record", help="also write the full result (environment, every metric, counts) here as JSON")
     args = parser.parse_args(argv)
 
     nashreduce = import_library()
@@ -473,15 +486,6 @@ def main(argv=None) -> int:
     values = report(metrics, wanted)
     attempted = sum(len(p.samples) for p in passes)
     failed = sum(len(p.failures) for p in passes)
-    if args.record:
-        Path(args.record).write_text(json.dumps({
-            "env": env,
-            "metrics": {k: {"value": v[0], "unit": v[1], "note": v[2]} for k, v in metrics.items()},
-            "counts": counts,
-            "sha256": digests,
-            "attempted": attempted,
-            "failed": failed,
-        }, indent=1, sort_keys=True))
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": values}))
     return 0
 

@@ -1,17 +1,17 @@
 """Steadiness check for the benchmark, and comparison of two result sets.
 
-Run each workload once per seed and report each end-to-end metric's
-spread: the distance between the first and third quartile as a share of
-the median.  From the
-repository root::
+Run every workload once per seed, for SEEDS seeds, in SETS sets, and report
+each end-to-end metric's spread: the distance between the first and third
+quartile as a share of the median.  From the repository root::
 
-    python3 perfbench/steady.py run --seeds 10 --sets 2 --out perfbench/out/steady.json
+    python3 perfbench/steady.py run --out perfbench/out/steady.json
 
-With ``--sets 2`` every seed runs twice.  The check fails when a spread
-(except setup_s's) exceeds a third of the metric's bound, when the second
-set's median is worse than the first's by more than the bound, or when an
-exact-repeat count or a reduced game's sha256 differs between two runs of
-one seed.  Results taken under different rational backends are refused.
+The check fails when a spread exceeds a third of the metric's bound, when
+a later set's median is worse than the first's by more
+than the bound, or when an exact-repeat count or a reduced game's sha256
+differs between two runs of one seed.  Results taken under different rational backends are
+refused.  The uncalibrated figures are printed with their spreads but not
+checked: they carry the CPU's speed drift.
 
 To compare two saved result files (say, a parent commit and a change)::
 
@@ -22,30 +22,53 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BOUNDS = {m["name"]: m for m in SPEC["end_to_end"]}
+UNCALIBRATED = {"uncalibrated.ops_per_s": "higher", "uncalibrated.op_p50_s": "lower"}
+SEEDS = 10
+SETS = 2
+
+METRIC_LINE = re.compile(r"metric (\S+) = (\S+) ")
 
 
-def run_once(workload: str, seed: int, seconds: int) -> dict:
-    with tempfile.TemporaryDirectory(dir=HERE / "out") as tmp:
-        record = Path(tmp) / "record.json"
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0", "--record", str(record)],
-            cwd=ROOT, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        return {"result": result, "record": json.loads(record.read_text())}
+def run_once(workload: str, seed: int) -> dict:
+    """One untraced run; its result and what it printed before the result."""
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    wall = perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    run = {"result": json.loads(lines[-1]), "wall_s": wall, "sha256": {}, "printed": {}}
+    for line in lines[:-1]:
+        head, _, rest = line.partition(" ")
+        if head in ("env", "counts"):
+            run[head] = json.loads(rest)
+        elif head == "sha256":
+            label, digest = rest.split()
+            run["sha256"][label] = digest
+        elif match := METRIC_LINE.match(line):
+            run["printed"][match[1]] = float(match[2])
+    return run
+
+
+def values_of(runs: list[dict], metric: str) -> list[float]:
+    if metric in BOUNDS:
+        return [r["result"]["metrics"][metric]["value"] for r in runs]
+    return [r["printed"][metric] for r in runs]
 
 
 def spread(values: list[float]) -> tuple[float, float]:
@@ -54,14 +77,14 @@ def spread(values: list[float]) -> tuple[float, float]:
     return q2, (q3 - q1) / q2
 
 
-def worse_by(metric: str, before: float, after: float) -> float:
+def worse_by(better: str, before: float, after: float) -> float:
     """How much worse ``after`` is than ``before``, as a share of ``before``."""
     change = (after - before) / before
-    return -change if BOUNDS[metric]["better"] == "higher" else change
+    return -change if better == "higher" else change
 
 
 def backend_of(runs: list[dict]) -> str:
-    backends = {r["record"]["env"]["backend"] for r in runs}
+    backends = {r["env"]["backend"] for r in runs}
     if len(backends) != 1:
         raise SystemExit(f"refusing to compare results taken under different backends: {sorted(backends)}")
     return backends.pop()
@@ -70,11 +93,11 @@ def backend_of(runs: list[dict]) -> str:
 def summarize(runs: list[dict]) -> dict:
     """Per workload and metric: median and spread over the runs."""
     table: dict = {}
-    for workload in sorted({r["record"]["env"]["workload"] for r in runs}):
-        mine = [r for r in runs if r["record"]["env"]["workload"] == workload]
+    for workload in sorted({r["env"]["workload"] for r in runs}):
+        mine = [r for r in runs if r["env"]["workload"] == workload]
         table[workload] = {}
-        for metric in BOUNDS:
-            values = [r["result"]["metrics"][metric]["value"] for r in mine]
+        for metric in [*BOUNDS, *UNCALIBRATED]:
+            values = values_of(mine, metric)
             median, share = spread(values)
             table[workload][metric] = {"median": median, "spread": share, "values": values}
     return table
@@ -83,28 +106,26 @@ def summarize(runs: list[dict]) -> dict:
 def check_sets(sets: list[list[dict]]) -> list[str]:
     problems = []
     tables = [summarize(s) for s in sets]
-    for workload, metrics in tables[0].items():
-        for metric, row in metrics.items():
-            bound = BOUNDS[metric]["bound"]
+    for workload in tables[0]:
+        for metric, spec in BOUNDS.items():
+            bound = spec["bound"]
             for number, table in enumerate(tables, start=1):
                 share = table[workload][metric]["spread"]
-                if metric != "setup_s" and share > bound / 3:
+                if share > bound / 3:
                     problems.append(f"{workload} {metric}: set {number} spread {share:.3f} > bound/3 {bound / 3:.3f}")
+            first = tables[0][workload][metric]["median"]
             for table in tables[1:]:
-                worse = worse_by(metric, row["median"], table[workload][metric]["median"])
+                worse = worse_by(spec["better"], first, table[workload][metric]["median"])
                 if worse > bound:
                     problems.append(f"{workload} {metric}: a later set's median is worse by {worse:.3f} > {bound}")
     by_key: dict = {}
     for run in (r for s in sets for r in s):
-        env = run["record"]["env"]
-        key = (env["workload"], env["seed"])
-        seen = (run["record"]["counts"], run["record"]["sha256"])
+        key = (run["env"]["workload"], run["env"]["seed"])
+        seen = (run["counts"], run["sha256"])
         if by_key.setdefault(key, seen) != seen:
             problems.append(f"{key[0]} seed {key[1]}: exact-repeat counts or sha256 differ between runs")
-    for run in (r for s in sets for r in s):
         if not run["result"]["correct"]:
-            env = run["record"]["env"]
-            problems.append(f"{env['workload']} seed {env['seed']}: {run['result']['failed']} failed operations")
+            problems.append(f"{key[0]} seed {key[1]}: {run['result']['failed']} failed operations")
     return problems
 
 
@@ -115,26 +136,26 @@ def print_table(tables: list[dict]) -> None:
                 f"median {t[workload][metric]['median']:.6g} spread {t[workload][metric]['spread']:.3f}"
                 for t in tables
             )
-            print(f"{workload:16} {metric:12} {cells}  (bound {BOUNDS[metric]['bound']})")
+            bound = f"bound {BOUNDS[metric]['bound']}" if metric in BOUNDS else "not checked"
+            print(f"{workload:16} {metric:23} {cells}  ({bound})")
 
 
 def cmd_run(args) -> int:
-    (HERE / "out").mkdir(exist_ok=True)
-    workloads = args.workloads or [w["name"] for w in SPEC["workloads"]]
-    seconds = args.seconds or SPEC["run_seconds"]
     sets = []
-    for number in range(args.sets):
+    for number in range(SETS):
         runs = []
-        for workload in workloads:
-            for seed in range(args.first_seed, args.first_seed + args.seeds):
-                run = run_once(workload, seed, seconds)
+        for workload in (w["name"] for w in SPEC["workloads"]):
+            for seed in range(SEEDS):
+                run = run_once(workload, seed)
                 runs.append(run)
                 values = {k: round(v["value"], 6) for k, v in run["result"]["metrics"].items()}
-                print(f"set {number + 1} {workload} seed {seed}: {values}", flush=True)
+                print(f"set {number + 1} {workload} seed {seed} ({run['wall_s']:.1f} s): {values}", flush=True)
         sets.append(runs)
     backend_of([r for s in sets for r in s])
     if args.out:
         Path(args.out).write_text(json.dumps(sets, indent=1))
+    walls = [r["wall_s"] for s in sets for r in s]
+    print(f"{len(walls)} runs took {sum(walls):.0f} s; the longest {max(walls):.1f} s")
     print_table([summarize(s) for s in sets])
     problems = check_sets(sets)
     for line in problems:
@@ -149,12 +170,15 @@ def cmd_compare(args) -> int:
     old, new = summarize(before), summarize(after)
     worse = []
     for workload in sorted(set(old) & set(new)):
-        for metric in BOUNDS:
+        for metric in [*BOUNDS, *UNCALIBRATED]:
             a, b = old[workload][metric]["median"], new[workload][metric]["median"]
-            change = worse_by(metric, a, b)
-            verdict = "WORSE" if change > BOUNDS[metric]["bound"] else "ok"
-            print(f"{workload:16} {metric:12} {a:.6g} -> {b:.6g}  worse by {change:+.3f}  {verdict}")
-            if verdict != "ok":
+            if metric in BOUNDS:
+                change = worse_by(BOUNDS[metric]["better"], a, b)
+                verdict = "WORSE" if change > BOUNDS[metric]["bound"] else "ok"
+            else:
+                change, verdict = worse_by(UNCALIBRATED[metric], a, b), "not checked"
+            print(f"{workload:16} {metric:23} {a:.6g} -> {b:.6g}  worse by {change:+.3f}  {verdict}")
+            if verdict == "WORSE":
                 worse.append((workload, metric))
     return 1 if worse else 0
 
@@ -162,12 +186,7 @@ def cmd_compare(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run every workload once per seed and check the spreads")
-    run.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
-    run.add_argument("--seeds", type=int, default=10)
-    run.add_argument("--first-seed", type=int, default=0)
-    run.add_argument("--sets", type=int, default=1)
-    run.add_argument("--seconds", type=int, help="default: run_seconds from BENCHMARK.json")
+    run = sub.add_parser("run", help=f"run every workload for {SEEDS} seeds in {SETS} sets and check the spreads")
     run.add_argument("--out", help="save every run's result here")
     run.set_defaults(func=cmd_run)
     compare = sub.add_parser("compare", help="compare two files saved by run --out")

@@ -84,7 +84,9 @@ def _flat(vectors):
 # reduce-log: 3-player sources with a planted strict pure equilibrium
 
 EPS_K = R(9, 10)
-SOURCE_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 3, 3))
+# four (3,2,2) sources to the round, spread through it, so that the median
+# operation is the mean of two of four samples of one size, not of two
+ROUND_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 2, 2), (3, 3, 3), (3, 2, 2), (3, 2, 2))
 PLANTED_RIVAL_CAP = R(99, 100)
 
 
@@ -115,17 +117,17 @@ def planted_source(rng: random.Random, counts) -> tuple[model.NormalFormGame, tu
 class ReduceLog(Workload):
     """Reduce a planted 3-player source with the log construction, write and
     read back the reduced game, then lift, verify and recover the planted
-    equilibrium.  One round is one source of each shape in SOURCE_SHAPES."""
+    equilibrium.  One round is one source of each shape in ROUND_SHAPES."""
 
     name = "reduce-log"
     pool_rounds = 2
 
     def make_round(self, rng: random.Random) -> list[Op]:
         ops = []
-        for counts in SOURCE_SHAPES:
+        for k, counts in enumerate(ROUND_SHAPES):
             game, planted = planted_source(rng, counts)
-            label = "x".join(map(str, counts))
-            ops.append(Op(f"reduce[{label}]", self._op(game, planted, label)))
+            shape = "x".join(map(str, counts))
+            ops.append(Op(f"reduce[{shape}]", self._op(game, planted, f"{k}-{shape}")))
         return ops
 
     def warm_up_ops(self, rng: random.Random) -> list[Op]:
