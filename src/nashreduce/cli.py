@@ -20,11 +20,9 @@ Exit codes are stable:
 
 All tolerances and grid steps are exact rationals written ``a/b``.  No
 command prints floating point unless ``--approx`` is passed.  The
-commands are deterministic; ``--seed`` seeds the stdlib RNG for any
-randomized method and is recorded in the output for provenance.
+commands are deterministic.
 """
 
-import random
 import sys
 from functools import wraps
 
@@ -169,23 +167,18 @@ def main():
     help="linearize: stop at the polymatrix game; full: continue to bimatrix.",
 )
 @click.option("--out", "prefix", required=True, help="Output path prefix.")
-@click.option("--seed", type=int, default=None, help="Recorded in the ledger.")
 @guarded
-def reduce(input_file, eps_k, construction, stage, prefix, seed):
+def reduce(input_file, eps_k, construction, stage, prefix):
     """Reduce a normal-form game file.
 
     Writes PREFIX.game.json, PREFIX.mapping.json, and PREFIX.ledger.txt;
     the full stage also writes PREFIX.normalized.json with all payoffs
     mapped into [0, 1].
     """
-    if seed is not None:
-        random.seed(seed)
     game = read_game(input_file)
     if not isinstance(game, NormalFormGame):
         raise ParameterError("reduce expects a normal-form game file")
     lines = [f"stage = {stage}", f"source players = {game.k}"]
-    if seed is not None:
-        lines.append(f"seed = {seed}")
     if stage == "linearize":
         out_game, mapping, params = linearize(game, eps_k, construction)
         lines += params.ledger_lines()
@@ -312,18 +305,14 @@ def verify(game_file, profile_file, eps, approx):
 @click.option("--limit", type=int, default=1, show_default=True, help="Profiles to print (grid method).")
 @click.option("--out", "out_path", default=None, help="Write the (first) profile here.")
 @click.option("--approx", is_flag=True, help="Also show values as floats.")
-@click.option("--seed", type=int, default=None, help="Seed for randomized methods; recorded.")
 @guarded
-def solve(game_file, method, eps, step, cap, limit, out_path, approx, seed):
+def solve(game_file, method, eps, step, cap, limit, out_path, approx):
     """Find an equilibrium of a game file.
 
     support-enum: exact Nash of a bimatrix game.  grid: all profiles on
     a grid that pass the eps verifier.  brute-force: best profile of a
     normal-form game on a grid (exact if one exists on it).
     """
-    if seed is not None:
-        random.seed(seed)
-        click.echo(f"seed = {seed}")
     game = read_game(game_file)
     if method == "support-enum":
         if not isinstance(game, BimatrixGame):
@@ -418,17 +407,13 @@ def gadget_list(as_json):
 @click.option("--construction", type=click.Choice(["unary", "log"]), required=True)
 @click.option("--eps", type=RAT, required=True, help="Accuracy of the multiplier.")
 @click.option("--out", "out_path", required=True, help="Game file to write.")
-@click.option("--seed", type=int, default=None, help="Recorded for provenance.")
 @guarded
-def gadget_build_mult(construction, eps, out_path, seed):
+def gadget_build_mult(construction, eps, out_path):
     """Build a two-input multiplication gadget as a polymatrix game.
 
     The game's first two players are the clamped factor inputs; the
     last-added output player carries the product.
     """
-    if seed is not None:
-        random.seed(seed)
-        click.echo(f"seed = {seed}")
     circuit = GadgetCircuit()
     in1 = circuit.add_input(label="factor[0]")
     in2 = circuit.add_input(label="factor[1]")

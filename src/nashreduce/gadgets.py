@@ -28,6 +28,12 @@ and four are composites of those: ``max`` (error 4 eps), ``min`` (8 eps),
 ``median`` (20 eps), and ``bit_extract`` (beta binary digits of v1, correct
 whenever v1 is far enough from a multiple of 2^-beta).
 
+Each primitive's payoffs are written once, in :data:`PRIMITIVES`: whether
+it is a decision gadget or an output/aux two-cycle, and the tap pairs its
+deciding player reads.  The builder writes its matrices from that table,
+and :func:`primitive_gap` derives from it the affine payoff gap that the
+lift here and the closed-form sweep in :mod:`nashreduce.sweep` evaluate.
+
 Every builder also has an exact *lift*: given exact values for the clamped
 inputs, :meth:`GadgetCircuit.lift` completes them to a profile in which every
 non-input player is exactly best-responding (a 0-WSNE relative to the
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._rational import rational
 from .errors import (
@@ -58,13 +65,30 @@ __all__ = [
     "GADGET_KINDS",
     "GADGET_INFO",
     "GadgetInfo",
+    "PRIMITIVES",
+    "primitive_gap",
     "spec_player_count",
     "DEFAULT_PLAYER_BUDGET",
     "PLAYER_BUDGET_ENV",
+    "resolve_player_budget",
 ]
 
 PLAYER_BUDGET_ENV = "NASHREDUCE_PLAYER_BUDGET"
 DEFAULT_PLAYER_BUDGET = 10_000_000
+
+
+def resolve_player_budget(explicit: int | None = None) -> int:
+    """``explicit`` if given, else ``NASHREDUCE_PLAYER_BUDGET`` (an empty
+    value counts as unset), else :data:`DEFAULT_PLAYER_BUDGET`."""
+    if explicit is not None:
+        return explicit
+    raw = os.environ.get(PLAYER_BUDGET_ENV, "")
+    if not raw:
+        return DEFAULT_PLAYER_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(f"{PLAYER_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 class Tap(NamedTuple):
@@ -138,6 +162,74 @@ GADGET_INFO: dict[str, GadgetInfo] = {
 
 GADGET_KINDS: tuple[str, ...] = tuple(GADGET_INFO)
 
+# (col0, col1) as taken by GadgetCircuit._add_tap_matrix
+TapPair = tuple[tuple[Rat, Rat], tuple[Rat, Rat]]
+
+
+class Primitive(NamedTuple):
+    """How a primitive gadget pays the player that decides its output.
+
+    A decision gadget's output player reads each input itself.  A
+    two-cycle's output P imitates an aux player W, and W reads the output
+    (first pair) and then each input.  ``reads(zeta, m)`` gives the pairs
+    for a gadget with ``m`` inputs (zeta is None for kinds without one).
+    """
+
+    two_cycle: bool
+    reads: Callable[[Rat | None, int], Sequence[TapPair]]
+
+
+_W_READS_OUTPUT: TapPair = ((0, 0), (1, 0))  # W's strategy 0 earns the output value
+_3_8, _1_2 = rational(3, 8), rational(1, 2)
+
+#: The one source of every primitive's payoffs: the builder writes these
+#: matrices, and the lift and the sweep read the gap they imply.
+PRIMITIVES: dict[str, Primitive] = {
+    "threshold": Primitive(False, lambda z, m: [((z, 0), (z, 1))]),
+    "and": Primitive(False, lambda z, m: [((_3_8, 0), (_3_8, _1_2))] * m),
+    "scaled_sum": Primitive(True, lambda z, m: [_W_READS_OUTPUT] + [((0, 0), (0, z))] * m),
+    "compare": Primitive(False, lambda z, m: [((0, 0), (1, 0)), ((0, 0), (0, 1))]),
+    "minus": Primitive(True, lambda z, m: [_W_READS_OUTPUT, ((0, 0), (0, -1)), ((0, 0), (0, 1))]),
+    "complement": Primitive(True, lambda z, m: [_W_READS_OUTPUT, ((0, 1), (0, 0))]),
+    # the constant rides on W's read of the output
+    "assign": Primitive(True, lambda z, m: [((0, z), (1, z))]),
+    "scale": Primitive(True, lambda z, m: [_W_READS_OUTPUT, ((0, 0), (0, z))]),
+    "mask": Primitive(True, lambda z, m: [_W_READS_OUTPUT, ((2, 0), (0, 0)), ((0, 0), (0, 1))]),
+}
+
+
+class AffineGap(NamedTuple):
+    """The deciding player's payoff gap ``u1 - u0 = const + sum(coef * v_i)``."""
+
+    decision: bool
+    const: Rat
+    coefs: tuple[Rat, ...]
+
+
+@lru_cache(maxsize=1024)
+def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
+    """Derive a primitive's affine gap from its :data:`PRIMITIVES` tap pairs.
+
+    Reading tap value v with pair (col0, col1) adds ``col0[1] - col0[0]``
+    plus ``(col1[1] - col1[0]) - (col0[1] - col0[0])`` per unit of v.  A
+    decision gadget's output best-responds to the gap's sign.  For a
+    two-cycle the gap is W's at output value 0 (its read of the output
+    costs exactly 1 per unit), so the output is forced to the gap clamped
+    to [0, 1].
+    """
+    primitive = PRIMITIVES[kind]
+    const = rational(0)
+    coefs = []
+    for col0, col1 in primitive.reads(zeta, arity):
+        base = col0[1] - col0[0]
+        const += base
+        # as rationals, so the lift's products stay on Fraction's fast path
+        coefs.append(rational(col1[1] - col1[0] - base))
+    if primitive.two_cycle:
+        assert coefs[0] == -1, kind
+        del coefs[0]
+    return AffineGap(not primitive.two_cycle, const, tuple(coefs))
+
 
 def _check_zeta(zeta: Rat) -> Rat:
     if zeta < 0 or zeta > 1:
@@ -156,8 +248,7 @@ class GadgetCircuit:
     """
 
     def __init__(self, player_budget: int | None = None):
-        if player_budget is None:
-            player_budget = int(os.environ.get(PLAYER_BUDGET_ENV, DEFAULT_PLAYER_BUDGET))
+        player_budget = resolve_player_budget(player_budget)
         if player_budget < 1:
             raise ParameterError("player budget must be positive")
         self.player_budget = player_budget
@@ -324,111 +415,65 @@ class GadgetCircuit:
 
     # -- primitive builders ----------------------------------------------------
 
+    def _build_primitive(
+        self, kind: str, inputs: Sequence[Tap], zeta: Rat | None, out: Tap | None
+    ) -> Tap:
+        """Wire one primitive gadget from its :data:`PRIMITIVES` entry."""
+        params: tuple[tuple[str, Any], ...] = ()
+        if GADGET_INFO[kind].takes_zeta:
+            zeta = _check_zeta(zeta)
+            params = (("zeta", zeta),)
+        taps = self._resolve_taps(inputs)
+        if not taps and GADGET_INFO[kind].arity is None:
+            raise ParameterError(f"{kind} needs at least one input")
+        p, created = self._claim_output(out, kind)
+        primitive = PRIMITIVES[kind]
+        reads = primitive.reads(zeta, len(taps))
+        if primitive.two_cycle:
+            w = self._aux(kind)
+            self._add_tap_matrix(w, p, *reads[0])
+            self.add_edge_matrix(p.player, w, [[1, 0], [0, 1]])  # P imitates W
+            reader, aux, reads = w, (w,), reads[1:]
+        else:
+            reader, aux = p.player, ()
+        for tap, (col0, col1) in zip(taps, reads):
+            self._add_tap_matrix(reader, tap, col0, col1)
+        self._record(GadgetSpec(kind, taps, (p,), params, aux=aux, created=created + aux))
+        return p
+
     def build_threshold(self, in1: Tap, zeta: Rat, out: Tap | None = None) -> Tap:
         """Output 1 when value(in1) > zeta + eps, 0 when below zeta - eps."""
-        zeta = _check_zeta(zeta)
-        (in1,) = self._resolve_taps([in1])
-        p, created = self._claim_output(out, "threshold")
-        self._add_tap_matrix(p.player, in1, (zeta, 0), (zeta, 1))
-        self._record(
-            GadgetSpec("threshold", (in1,), (p,), (("zeta", zeta),), created=created)
-        )
-        return p
+        return self._build_primitive("threshold", [in1], zeta, out)
 
     def build_and(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output 1 when both values are 1, 0 when either is 0 (for eps < 1/4)."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        p, created = self._claim_output(out, "and")
-        for tap in (in1, in2):
-            self._add_tap_matrix(
-                p.player, tap, (rational(3, 8), 0), (rational(3, 8), rational(1, 2))
-            )
-        self._record(GadgetSpec("and", (in1, in2), (p,), created=created))
-        return p
+        return self._build_primitive("and", [in1, in2], None, out)
 
     def build_compare(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output 1 when value(in1) < value(in2) - eps, 0 when > value(in2) + eps."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        p, created = self._claim_output(out, "compare")
-        self._add_tap_matrix(p.player, in1, (0, 0), (1, 0))
-        self._add_tap_matrix(p.player, in2, (0, 0), (0, 1))
-        self._record(GadgetSpec("compare", (in1, in2), (p,), created=created))
-        return p
-
-    def _two_cycle(self, kind: str, p: Tap, w: int) -> None:
-        # W strategy 0 earns the output value; P imitates W.
-        self._add_tap_matrix(w, p, (0, 0), (1, 0))
-        self.add_edge_matrix(p.player, w, [[1, 0], [0, 1]])
+        return self._build_primitive("compare", [in1, in2], None, out)
 
     def build_scaled_sum(
         self, inputs: Sequence[Tap], zeta: Rat, out: Tap | None = None
     ) -> Tap:
         """Output min(zeta * sum(values), 1), within eps."""
-        zeta = _check_zeta(zeta)
-        taps = self._resolve_taps(inputs)
-        if not taps:
-            raise ParameterError("scaled_sum needs at least one input")
-        p, created = self._claim_output(out, "scaled_sum")
-        w = self._aux("scaled_sum")
-        self._two_cycle("scaled_sum", p, w)
-        for tap in taps:
-            self._add_tap_matrix(w, tap, (0, 0), (0, zeta))
-        self._record(
-            GadgetSpec(
-                "scaled_sum", taps, (p,), (("zeta", zeta),), aux=(w,), created=created + (w,)
-            )
-        )
-        return p
+        return self._build_primitive("scaled_sum", inputs, zeta, out)
 
     def build_minus(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output max(0, value(in2) - value(in1)), within eps."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        p, created = self._claim_output(out, "minus")
-        w = self._aux("minus")
-        self._two_cycle("minus", p, w)
-        self._add_tap_matrix(w, in1, (0, 0), (0, -1))
-        self._add_tap_matrix(w, in2, (0, 0), (0, 1))
-        self._record(
-            GadgetSpec("minus", (in1, in2), (p,), aux=(w,), created=created + (w,))
-        )
-        return p
+        return self._build_primitive("minus", [in1, in2], None, out)
 
     def build_complement(self, in1: Tap, out: Tap | None = None) -> Tap:
         """Output 1 - value(in1), within eps."""
-        (in1,) = self._resolve_taps([in1])
-        p, created = self._claim_output(out, "complement")
-        w = self._aux("complement")
-        self._two_cycle("complement", p, w)
-        self._add_tap_matrix(w, in1, (0, 1), (0, 0))
-        self._record(
-            GadgetSpec("complement", (in1,), (p,), aux=(w,), created=created + (w,))
-        )
-        return p
+        return self._build_primitive("complement", [in1], None, out)
 
     def build_assign(self, zeta: Rat, out: Tap | None = None) -> Tap:
         """Output the constant zeta, within eps."""
-        zeta = _check_zeta(zeta)
-        p, created = self._claim_output(out, "assign")
-        w = self._aux("assign")
-        self.add_edge_matrix(w, p.player, [[0, 1], [zeta, zeta]])
-        self.add_edge_matrix(p.player, w, [[1, 0], [0, 1]])
-        self._record(
-            GadgetSpec("assign", (), (p,), (("zeta", zeta),), aux=(w,), created=created + (w,))
-        )
-        return p
+        return self._build_primitive("assign", [], zeta, out)
 
     def build_scale(self, in1: Tap, zeta: Rat, out: Tap | None = None) -> Tap:
         """Output zeta * value(in1), within eps."""
-        zeta = _check_zeta(zeta)
-        (in1,) = self._resolve_taps([in1])
-        p, created = self._claim_output(out, "scale")
-        w = self._aux("scale")
-        self._two_cycle("scale", p, w)
-        self._add_tap_matrix(w, in1, (0, 0), (0, zeta))
-        self._record(
-            GadgetSpec("scale", (in1,), (p,), (("zeta", zeta),), aux=(w,), created=created + (w,))
-        )
-        return p
+        return self._build_primitive("scale", [in1], zeta, out)
 
     def build_copy(self, in1: Tap, out: Tap | None = None) -> Tap:
         """Output value(in1) itself (a scale by 1), within eps."""
@@ -437,16 +482,7 @@ class GadgetCircuit:
     def build_mask(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output value(in2) when value(in1) = 1 and 0 when value(in1) = 0;
         also forced within 3 eps of 0 whenever value(in2) is within 2 eps of 0."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        p, created = self._claim_output(out, "mask")
-        w = self._aux("mask")
-        self._two_cycle("mask", p, w)
-        self._add_tap_matrix(w, in1, (2, 0), (0, 0))
-        self._add_tap_matrix(w, in2, (0, 0), (0, 1))
-        self._record(
-            GadgetSpec("mask", (in1, in2), (p,), aux=(w,), created=created + (w,))
-        )
-        return p
+        return self._build_primitive("mask", [in1, in2], None, out)
 
     # -- composite builders ------------------------------------------------------
 
@@ -565,36 +601,17 @@ class GadgetCircuit:
                 for sub in spec.internal:
                     evaluate(sub)
                 return
-            vals = [tap_value(t) for t in spec.inputs]
             kind = spec.kind
-            if kind == "threshold":
-                set_binary(spec.output, rational(int(vals[0] >= spec.param("zeta"))))
+            zeta = spec.param("zeta") if GADGET_INFO[kind].takes_zeta else None
+            form = primitive_gap(kind, zeta, len(spec.inputs))
+            gap = form.const
+            for coef, tap in zip(form.coefs, spec.inputs):
+                gap += coef * tap_value(tap)
+            if form.decision:
+                set_binary(spec.output, rational(int(gap >= 0)))
                 return
-            if kind == "and":
-                set_binary(spec.output, rational(int(vals[0] + vals[1] >= rational(3, 2))))
-                return
-            if kind == "compare":
-                set_binary(spec.output, rational(int(vals[0] <= vals[1])))
-                return
-            # the remaining primitives are two-cycle gadgets: the aux player
-            # weighs the output value (plus a constant C) against a target K
-            shift = 0
-            if kind == "scaled_sum":
-                target = spec.param("zeta") * sum(vals)
-            elif kind == "minus":
-                target = vals[1] - vals[0]
-            elif kind == "complement":
-                target = 1 - vals[0]
-            elif kind == "assign":
-                target = spec.param("zeta")
-            elif kind == "scale":
-                target = spec.param("zeta") * vals[0]
-            elif kind == "mask":
-                target = vals[1]
-                shift = 2 * (1 - vals[0])
-            else:  # pragma: no cover - registry and builders stay in sync
-                raise ParameterError(f"unknown gadget kind {kind!r}")
-            gap = target - shift
+            # two-cycle: W is indifferent exactly when the output equals the
+            # gap, and the output imitates W
             if gap <= 0:
                 w = value = rational(0)
             elif gap >= 1:

@@ -605,13 +605,9 @@ class BimatrixGame:
             u1.extend(base)
         u2 = tuple(x)  # follower payoff is B^T x = x for the identity B
         if self.normalized:
-            u1 = [self._norm_payoff(v) for v in u1]
-            u2 = tuple(self._norm_payoff(v) for v in u2)
+            u1 = [self._norm(v) for v in u1]
+            u2 = tuple(self._norm(v) for v in u2)
         return tuple(u1), u2
-
-    def _norm_payoff(self, value: Rat) -> Rat:
-        # expected payoff of the affine-mapped game: (v + alpha * 1) / divisor
-        return (value + self.alpha) / self.divisor
 
     def verify_wsne(
         self,

@@ -24,7 +24,6 @@ landed, plus what is needed to reverse the trip) and a
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -36,12 +35,7 @@ from .errors import (
     SizeBudgetExceeded,
     ZeroBlockMass,
 )
-from .gadgets import (
-    DEFAULT_PLAYER_BUDGET,
-    PLAYER_BUDGET_ENV,
-    GadgetCircuit,
-    Tap,
-)
+from .gadgets import GadgetCircuit, Tap, resolve_player_budget
 from .model import (
     BimatrixGame,
     NormalFormGame,
@@ -176,13 +170,6 @@ class GameMapping:
                 raise ParameterError(f"{self.stage} mappings need block_sizes and alpha")
 
 
-def _resolve_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(PLAYER_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_PLAYER_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # stage one: k-player -> polymatrix
 
@@ -244,7 +231,7 @@ def linearize(
     eps_m = compute_eps_m(game, eps_k, construction)
     if eps_m <= 0:  # unreachable with exact rationals; guards a bad backend
         raise ParameterError("eps_m collapsed to zero")
-    budget = _resolve_budget(player_budget)
+    budget = resolve_player_budget(player_budget)
     predicted = estimate_linearized_players(game, eps_m, construction)
     if predicted > budget:
         raise SizeBudgetExceeded(

@@ -18,6 +18,11 @@ Enumerating internal profiles directly is hopeless (a median gadget has
   ``K - C <= eps``, ``1`` iff ``K - C >= 1 - eps``, and the interior
   grid points within ``eps`` of ``K - C`` provided some interior grid
   value falls in the auxiliary's indifference window ``(1 ± eps)/2``.
+* Both affine forms -- ``d`` and ``K - C`` -- come from
+  :func:`nashreduce.gadgets.primitive_gap`, which derives them from the
+  gadget table :data:`nashreduce.gadgets.PRIMITIVES`, the one source of
+  each primitive's payoffs; the composites below name the primitives
+  they are built from.
 * ``K - C`` is affine in the upstream values, so when an upstream value
   ranges over a contiguous run of grid points the union of acceptance
   windows is a single interval -- exact as long as one grid step moves
@@ -41,7 +46,7 @@ from typing import Iterator, Sequence
 
 from ._rational import iceil, ifloor, rational
 from .errors import ParameterError
-from .gadgets import GADGET_KINDS
+from .gadgets import GADGET_INFO, GADGET_KINDS, PRIMITIVES, primitive_gap
 from .model import Rat
 
 Source = object  # a rational input value or an int bitmask of grid values
@@ -181,6 +186,15 @@ def _two_cycle_mask(g: int, eps: Rat, const: Rat, terms: Sequence[Term]) -> int:
     return accepted
 
 
+def _primitive_mask(
+    kind: str, g: int, eps: Rat, inputs: Sequence[Source], zeta: Rat | None = None
+) -> int:
+    """Accepted outputs of one primitive, from its gap in the gadget table."""
+    form = primitive_gap(kind, zeta, len(inputs))
+    accept = _decision_mask if form.decision else _two_cycle_mask
+    return accept(g, eps, form.const, list(zip(form.coefs, inputs)))
+
+
 def _max_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
     """Accepted outputs of the max composite over all input value pairs.
 
@@ -195,24 +209,20 @@ def _max_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
             key = (a, b)
             hit = memo.get(key)
             if hit is None:
-                is_less = _decision_mask(g, eps, rational(0), [(-1, a), (1, b)])
-                excess = _two_cycle_mask(g, eps, rational(0), [(-1, a), (1, b)])
-                gated = _two_cycle_mask(g, eps, rational(-2), [(2, is_less), (1, excess)])
-                hit = _two_cycle_mask(g, eps, rational(0), [(1, gated), (1, a)])
+                is_less = _primitive_mask("compare", g, eps, (a, b))
+                excess = _primitive_mask("minus", g, eps, (a, b))
+                gated = _primitive_mask("mask", g, eps, (is_less, excess))
+                hit = _primitive_mask("scaled_sum", g, eps, (gated, a), rational(1))
                 memo[key] = hit
             accepted |= hit
     return accepted
 
 
-def _complement_mask(g: int, eps: Rat, source: Source) -> int:
-    return _two_cycle_mask(g, eps, rational(1), [(-1, source)])
-
-
 def _min_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
-    not1 = _complement_mask(g, eps, in1)
-    not2 = _complement_mask(g, eps, in2)
+    not1 = _primitive_mask("complement", g, eps, (in1,))
+    not2 = _primitive_mask("complement", g, eps, (in2,))
     biggest = _max_mask(g, eps, not1, not2, memo)
-    return _complement_mask(g, eps, biggest)
+    return _primitive_mask("complement", g, eps, (biggest,))
 
 
 def _median_mask(g: int, eps: Rat, in1: Rat, in2: Rat, in3: Rat, memo: dict) -> int:
@@ -224,8 +234,8 @@ def _median_mask(g: int, eps: Rat, in1: Rat, in2: Rat, in3: Rat, memo: dict) -> 
 
 def _bit_extract_mask(g: int, eps: Rat, value: Rat) -> int:
     """Accepted values of the single bit at beta = 1 (a copy into a threshold)."""
-    copied = _two_cycle_mask(g, eps, rational(0), [(1, value)])
-    return _decision_mask(g, eps, rational(-1, 2), [(1, copied)])
+    copied = _primitive_mask("scale", g, eps, (value,), rational(1))
+    return _primitive_mask("threshold", g, eps, (copied,), rational(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +349,8 @@ def _unit_denominator(step, what: str) -> int:
 def _accepted_mask(
     kind: str, g: int, eps: Rat, inputs: Sequence[Rat], zeta: Rat | None, memo: dict
 ) -> int:
-    zero = rational(0)
-    if kind == "threshold":
-        return _decision_mask(g, eps, -zeta, [(1, inputs[0])])
-    if kind == "and":
-        half = rational(1, 2)
-        return _decision_mask(
-            g, eps, rational(-3, 4), [(half, inputs[0]), (half, inputs[1])]
-        )
-    if kind == "compare":
-        return _decision_mask(g, eps, zero, [(-1, inputs[0]), (1, inputs[1])])
-    if kind == "scaled_sum":
-        return _two_cycle_mask(g, eps, zero, [(zeta, v) for v in inputs])
-    if kind == "minus":
-        return _two_cycle_mask(g, eps, zero, [(-1, inputs[0]), (1, inputs[1])])
-    if kind == "complement":
-        return _complement_mask(g, eps, inputs[0])
-    if kind == "assign":
-        return _two_cycle_mask(g, eps, zeta, [])
-    if kind == "scale":
-        return _two_cycle_mask(g, eps, zero, [(zeta, inputs[0])])
-    if kind == "mask":
-        return _two_cycle_mask(g, eps, rational(-2), [(2, inputs[0]), (1, inputs[1])])
+    if kind in PRIMITIVES:
+        return _primitive_mask(kind, g, eps, inputs, zeta)
     if kind == "max":
         return _max_mask(g, eps, inputs[0], inputs[1], memo)
     if kind == "min":
@@ -373,33 +363,14 @@ def _accepted_mask(
 
 
 def _case_stream(kind: str, values: list[Rat]) -> Iterator[tuple[tuple[Rat, ...], Rat | None]]:
-    if kind in ("threshold", "scale"):
-        for zeta in values:
-            for v in values:
-                yield (v,), zeta
-    elif kind == "scaled_sum":
-        for zeta in values:
-            for v1 in values:
-                for v2 in values:
-                    yield (v1, v2), zeta
-    elif kind == "assign":
-        for zeta in values:
-            yield (), zeta
-    elif kind in ("complement", "bit_extract"):
-        for v in values:
-            yield (v,), None
-    elif kind == "median":
-        # the construction is symmetric in its first two arguments
-        for i, v1 in enumerate(values):
-            for v2 in values[i:]:
-                for v3 in values:
-                    yield (v1, v2, v3), None
-    elif kind in ("and", "compare", "minus", "mask", "max", "min"):
-        for v1 in values:
-            for v2 in values:
-                yield (v1, v2), None
-    else:
-        raise ParameterError(f"unknown gadget kind {kind!r}")
+    info = GADGET_INFO[kind]
+    arity = 2 if info.arity is None else info.arity  # scaled_sum: two inputs
+    for zeta in values if info.takes_zeta else [None]:
+        for inputs in product(values, repeat=arity):
+            # the median construction is symmetric in its first two arguments
+            if kind == "median" and inputs[1] < inputs[0]:
+                continue
+            yield inputs, zeta
 
 
 def sweep_gadget(
@@ -407,7 +378,6 @@ def sweep_gadget(
     eps: Rat = rational(1, 20),
     input_step=rational(1, 20),
     internal_step=rational(1, 100),
-    max_failures: int = 20,
 ) -> SweepReport:
     """Check one gadget kind's guarantee over every grid input combination.
 
@@ -415,8 +385,8 @@ def sweep_gadget(
     gadget takes one) on the ``input_step`` grid, the exact set of
     verifier-accepted output values over the ``internal_step`` grid is
     compared against the guarantee envelope.  A case fails when some
-    accepted output value falls outside the envelope; up to
-    ``max_failures`` failing cases are kept for diagnosis.
+    accepted output value falls outside the envelope; every failing case
+    is kept for diagnosis.
     """
     if kind not in GADGET_KINDS:
         raise ParameterError(f"unknown gadget kind {kind!r}")
@@ -436,7 +406,7 @@ def sweep_gadget(
         cases += 1
         if accepted == 0:
             empty += 1
-        if accepted & ~allowed and len(failures) < max_failures:
+        if accepted & ~allowed:
             failures.append(SweepCase(kind, tuple(inputs), zeta, accepted, allowed))
     return SweepReport(
         kind=kind,

@@ -118,12 +118,6 @@ def test_solve_wrong_game_class(runner, dominant_file):
     assert result.exit_code == 3
 
 
-def test_solve_seed_recorded(runner, pennies_file):
-    result = invoke(runner, "solve", pennies_file, "--seed", "7")
-    assert result.exit_code == 0
-    assert "seed = 7" in result.output
-
-
 def test_malformed_rational_flag_is_a_usage_error(runner, pennies_file):
     result = invoke(runner, "solve", pennies_file, "--method", "grid", "--eps", "abc")
     assert result.exit_code == 2
@@ -227,6 +221,20 @@ def test_reduce_respects_player_budget_env(runner, dominant_file, tmp_path, monk
     monkeypatch.setenv("NASHREDUCE_PLAYER_BUDGET", "10")
     result = invoke(runner, "reduce", dominant_file, "--eps-k", "9/10", "--out", tmp_path / "x")
     assert result.exit_code == 4
+
+
+BUILD_MULT = ("gadget", "build-mult", "--construction", "unary", "--eps", "1/4")
+
+
+@pytest.mark.parametrize("budget,code", [("abc", 3), ("", 0)])
+def test_player_budget_env_parsing(runner, dominant_file, tmp_path, monkeypatch, budget, code):
+    # an empty value means the default; a non-integer is a parameter error
+    monkeypatch.setenv("NASHREDUCE_PLAYER_BUDGET", budget)
+    args = ["--eps-k", "9/10", "--construction", "log", "--stage", "linearize"]
+    result = invoke(runner, "reduce", dominant_file, *args, "--out", tmp_path / "x")
+    assert result.exit_code == code, result.output
+    result = invoke(runner, *BUILD_MULT, "--out", tmp_path / "mult.json")
+    assert result.exit_code == code, result.output
 
 
 def test_reduce_missing_file(runner, tmp_path):
@@ -357,6 +365,14 @@ def test_gadget_test_threshold(runner):
     )
     assert result.exit_code == 0
     assert re.search(r"threshold\s+441\s+0\s+0 PASS", result.output)
+
+
+def test_gadget_test_counts_every_failure(runner, monkeypatch):
+    monkeypatch.setattr("nashreduce.sweep._envelope", lambda *args: 0)
+    result = invoke(runner, "gadget", "test", "threshold")
+    assert result.exit_code == 1
+    assert re.search(r"threshold\s+441\s+441\s+0 FAIL", result.output)
+    assert "441 failing case(s)" in result.output
 
 
 def test_gadget_test_unknown_kind(runner):
