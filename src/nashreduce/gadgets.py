@@ -79,16 +79,20 @@ DEFAULT_PLAYER_BUDGET = 10_000_000
 
 def resolve_player_budget(explicit: int | None = None) -> int:
     """``explicit`` if given, else ``NASHREDUCE_PLAYER_BUDGET`` (an empty
-    value counts as unset), else :data:`DEFAULT_PLAYER_BUDGET`."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(PLAYER_BUDGET_ENV, "")
-    if not raw:
-        return DEFAULT_PLAYER_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{PLAYER_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    value counts as unset), else :data:`DEFAULT_PLAYER_BUDGET`.  A budget
+    that is not a positive integer raises :class:`ParameterError`."""
+    budget = explicit
+    if budget is None:
+        raw = os.environ.get(PLAYER_BUDGET_ENV, "")
+        if not raw:
+            return DEFAULT_PLAYER_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ParameterError(f"{PLAYER_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ParameterError("player budget must be positive")
+    return budget
 
 
 class Tap(NamedTuple):
@@ -248,10 +252,7 @@ class GadgetCircuit:
     """
 
     def __init__(self, player_budget: int | None = None):
-        player_budget = resolve_player_budget(player_budget)
-        if player_budget < 1:
-            raise ParameterError("player budget must be positive")
-        self.player_budget = player_budget
+        self.player_budget = resolve_player_budget(player_budget)
         self._counts: list[int] = []
         self._players: list[PlayerInfo] = []
         self._edges: dict[tuple[int, int], list[list[Rat]]] = {}
@@ -593,8 +594,10 @@ class GadgetCircuit:
                 raise CycleDetected(f"player {tap.player} evaluated before it was driven")
             return vec[tap.strategy]
 
+        one = rational(1)
+
         def set_binary(tap: Tap, value: Rat) -> None:
-            profile[tap.player] = (1 - value, value)
+            profile[tap.player] = (one - value, value)
 
         def evaluate(spec: GadgetSpec) -> None:
             if spec.internal:

@@ -19,14 +19,21 @@ A profile is an *epsilon-well-supported Nash equilibrium* (eps-WSNE) when
 every pure strategy played with positive probability earns within ``eps`` of
 that player's best pure response.  ``verify_*`` methods check this exactly
 and return the violations found.
+
+Polymatrix and structured bimatrix payoffs both come from
+:func:`edge_payoffs`, one pass over the edge matrices: verifying costs
+O(players + total edge entries), linear in the edges rather than in
+players x edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ._rational import rational
@@ -46,6 +53,7 @@ __all__ = [
     "BimatrixGame",
     "make_matrix",
     "mat_vec",
+    "edge_payoffs",
     "validate_mixed",
     "profile_index",
     "profile_unindex",
@@ -95,6 +103,29 @@ def mat_vec(matrix: Matrix, vec: Sequence[Rat]) -> Vector:
             f"matrix width {len(matrix[0])} != vector length {len(vec)}"
         )
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix)
+
+
+def edge_payoffs(
+    strategy_counts: Sequence[int],
+    edges: Mapping[tuple[int, int], Matrix],
+    vectors: Sequence[Sequence[Rat]],
+) -> list[list[Rat]]:
+    """``sum_j M^{ij} v_j`` for every player ``i``, exactly.
+
+    ``edges[(i, j)]`` is an ``n_i x n_j`` matrix and ``vectors[j]`` player
+    ``j``'s mixed strategy.  One pass over ``edges`` reads each matrix once,
+    so the cost is O(players + total edge entries).  Every sum starts from
+    ``rational(0)``: a player without out-edges gets rational zeros.
+    Shapes are the caller's to check.
+    """
+    zero = rational(0)
+    out = [[zero] * n for n in strategy_counts]
+    for (i, j), mat in edges.items():
+        v = vectors[j]
+        u = out[i]
+        for r, row in enumerate(mat):
+            u[r] = sum(map(mul, row, v), u[r])
+    return out
 
 
 def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
@@ -360,18 +391,18 @@ class PolymatrixGame:
         return f"PolymatrixGame(m={self.m}, edges={len(self.edges)})"
 
     def out_edges(self, i: int) -> list[tuple[int, Matrix]]:
+        """Player ``i``'s edges as ``(opponent, matrix)`` pairs.
+
+        O(edges): it scans every edge, so no hot path calls it; payoffs go
+        through :func:`edge_payoffs` instead.
+        """
         return [(j, mat) for (a, j), mat in self.edges.items() if a == i]
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
+        """Expected payoff of each pure strategy of each player, exactly,
+        in O(players + total edge entries)."""
         prof = self._checked_profile(profile)
-        out = []
-        for i, n in enumerate(self.strategy_counts):
-            u = [0] * n
-            for j, mat in self.out_edges(i):
-                contrib = mat_vec(mat, prof[j])
-                u = [a + b for a, b in zip(u, contrib)]
-            out.append(tuple(u))
-        return out
+        return [tuple(u) for u in edge_payoffs(self.strategy_counts, self.edges, prof)]
 
     def verify_wsne(
         self,
@@ -451,6 +482,7 @@ class BimatrixGame:
         self.b = b
         self.n = len(a)
         self.block_sizes = None
+        self._offsets = None
         self.alpha = None
         self.edges = None
         self.normalized = False
@@ -496,6 +528,8 @@ class BimatrixGame:
         self.b = None
         self.n = sum(sizes)
         self.block_sizes = sizes
+        # _offsets[i] is block i's first strategy; _offsets[-1] == n
+        self._offsets = tuple(itertools.accumulate(sizes, initial=0))
         self.alpha = alpha
         self.edges = kept
         self.normalized = bool(normalized)
@@ -511,22 +545,23 @@ class BimatrixGame:
         return len(self.block_sizes)
 
     def block_offset(self, i: int) -> int:
-        return sum(self.block_sizes[:i])
+        """Index in ``[N]`` of block ``i``'s first strategy."""
+        return self._offsets[i]
 
     def strategy_index(self, i: int, j: int) -> int:
         """Map pure strategy ``j`` of polymatrix player ``i`` into ``[N]``."""
+        if not 0 <= i < self.num_blocks:
+            raise ParameterError(f"block {i} outside range(0, {self.num_blocks})")
         if not 0 <= j < self.block_sizes[i]:
             raise ParameterError(f"strategy {j} outside block {i}")
-        return self.block_offset(i) + j
+        return self._offsets[i] + j
 
     def block_of(self, s: int) -> tuple[int, int]:
-        """Inverse of :meth:`strategy_index`."""
-        off = 0
-        for i, n in enumerate(self.block_sizes):
-            if s < off + n:
-                return i, s - off
-            off += n
-        raise ParameterError(f"strategy {s} outside range(0, {self.n})")
+        """Inverse of :meth:`strategy_index`, in O(log blocks)."""
+        if not 0 <= s < self.n:
+            raise ParameterError(f"strategy {s} outside range(0, {self.n})")
+        i = bisect_right(self._offsets, s) - 1
+        return i, s - self._offsets[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BimatrixGame) or self.encoding != other.encoding:
@@ -567,7 +602,8 @@ class BimatrixGame:
         return self._norm(mat[ji][jj] if mat is not None else 0)
 
     def to_dense(self, max_entries: int = 4_000_000) -> "BimatrixGame":
-        """Materialize a dense copy (for small games and tests)."""
+        """Materialize a dense copy (for small games and tests), in
+        O(N^2 log blocks)."""
         if self.encoding == "dense":
             return self
         if self.n * self.n > max_entries:
@@ -579,7 +615,12 @@ class BimatrixGame:
         return BimatrixGame.dense(a, b)
 
     def expected_payoffs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Vector, Vector]:
-        """(leader payoff vector ``A y``, follower payoff vector ``B^T x``)."""
+        """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).
+
+        The structured form costs O(N + total edge entries): the edge blocks
+        go through :func:`edge_payoffs`, and each diagonal block adds
+        ``-alpha`` times the follower's mass on that block.
+        """
         x = validate_mixed(x, self.n, what="leader strategy")
         y = validate_mixed(y, self.n, what="follower strategy")
         if self.encoding == "dense":
@@ -588,21 +629,12 @@ class BimatrixGame:
                 sum(self.b[r][c] * x[r] for r in range(self.n)) for c in range(self.n)
             )
             return u1, u2
+        offsets = self._offsets
+        y_blocks = [y[a:b] for a, b in zip(offsets, offsets[1:])]
         u1: list[Rat] = []
-        offsets = [self.block_offset(i) for i in range(self.num_blocks)]
-        masses = [
-            sum(y[offsets[i] + j] for j in range(n))
-            for i, n in enumerate(self.block_sizes)
-        ]
-        for i, n in enumerate(self.block_sizes):
-            base = [-self.alpha * masses[i]] * n
-            for (a, b), mat in self.edges.items():
-                if a != i:
-                    continue
-                yb = y[offsets[b] : offsets[b] + self.block_sizes[b]]
-                contrib = mat_vec(mat, yb)
-                base = [p + q for p, q in zip(base, contrib)]
-            u1.extend(base)
+        for u, yb in zip(edge_payoffs(self.block_sizes, self.edges, y_blocks), y_blocks):
+            diagonal = -self.alpha * sum(yb)
+            u1.extend(diagonal + v for v in u)
         u2 = tuple(x)  # follower payoff is B^T x = x for the identity B
         if self.normalized:
             u1 = [self._norm(v) for v in u1]

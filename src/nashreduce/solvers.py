@@ -45,6 +45,7 @@ from .model import (
     PolymatrixGame,
     Rat,
     VerifyResult,
+    edge_payoffs,
     iter_profiles,
     pure_strategy,
     validate_mixed,
@@ -449,14 +450,7 @@ def lift_to_bimatrix(
         validate_mixed(p, n, what=f"block {i} strategy")
         for i, (p, n) in enumerate(zip(profile, blocks))
     ]
-    zero = rational(0)
-    payoff = [[zero] * n for n in blocks]
-    for (i, j), mat in g2.edges.items():
-        pj = profile[j]
-        ui = payoff[i]
-        for r in range(blocks[i]):
-            ui[r] += sum(mat[r][c] * pj[c] for c in range(blocks[j]))
-    block_best = [max(ui) for ui in payoff]
+    block_best = [max(ui) for ui in edge_payoffs(blocks, g2.edges, profile)]
     mean_best = sum(block_best) / m
     weights = [rational(1, m) + (u - mean_best) / (alpha * m) for u in block_best]
     if any(w <= 0 for w in weights):
@@ -466,7 +460,7 @@ def lift_to_bimatrix(
         y.extend(w * v for v in p)
     support = [r for r, v in enumerate(y) if v > 0]
     share = rational(1, len(support))
-    x = [zero] * len(y)
+    x = [rational(0)] * len(y)
     for r in support:
         x[r] = share
     return tuple(x), tuple(y)

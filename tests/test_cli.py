@@ -226,15 +226,19 @@ def test_reduce_respects_player_budget_env(runner, dominant_file, tmp_path, monk
 BUILD_MULT = ("gadget", "build-mult", "--construction", "unary", "--eps", "1/4")
 
 
-@pytest.mark.parametrize("budget,code", [("abc", 3), ("", 0)])
+@pytest.mark.parametrize("budget,code", [("abc", 3), ("", 0), ("0", 3), ("-5", 3)])
 def test_player_budget_env_parsing(runner, dominant_file, tmp_path, monkeypatch, budget, code):
-    # an empty value means the default; a non-integer is a parameter error
+    # an empty value means the default; a non-integer or a budget below one
+    # is a parameter error, before any size estimate
     monkeypatch.setenv("NASHREDUCE_PLAYER_BUDGET", budget)
     args = ["--eps-k", "9/10", "--construction", "log", "--stage", "linearize"]
-    result = invoke(runner, "reduce", dominant_file, *args, "--out", tmp_path / "x")
-    assert result.exit_code == code, result.output
-    result = invoke(runner, *BUILD_MULT, "--out", tmp_path / "mult.json")
-    assert result.exit_code == code, result.output
+    for result in (
+        invoke(runner, "reduce", dominant_file, *args, "--out", tmp_path / "x"),
+        invoke(runner, *BUILD_MULT, "--out", tmp_path / "mult.json"),
+    ):
+        assert result.exit_code == code, result.output
+        if budget in ("0", "-5"):
+            assert "player budget must be positive" in result.output
 
 
 def test_reduce_missing_file(runner, tmp_path):

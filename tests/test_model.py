@@ -1,5 +1,7 @@
 """Core model tests: indexing, payoffs, verification, encodings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,9 @@ from nashreduce import (
     uniform_strategy,
     validate_mixed,
 )
+from nashreduce.model import edge_payoffs
+from nashreduce.reductions import bimatrixify
+from nashreduce.solvers import lift_to_bimatrix
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,120 @@ def test_block_index_helpers():
     assert g.block_of(3) == (1, 1)
     with pytest.raises(ParameterError):
         g.strategy_index(0, 2)
+
+
+def test_block_index_round_trip_uneven_blocks():
+    sizes = (1, 3, 2, 5)
+    g = BimatrixGame.structured(sizes, R(4), {})
+    assert [g.block_offset(i) for i in range(len(sizes))] == [0, 1, 4, 6]
+    pairs = [(i, j) for i, n in enumerate(sizes) for j in range(n)]
+    assert [g.strategy_index(i, j) for i, j in pairs] == list(range(g.n))
+    assert [g.block_of(s) for s in range(g.n)] == pairs
+    for i, j in ((0, 1), (1, -1), (3, 5), (4, 0), (-1, 0)):
+        with pytest.raises(ParameterError):
+            g.strategy_index(i, j)
+    for s in (-1, g.n, g.n + 7):
+        with pytest.raises(ParameterError):
+            g.block_of(s)
+
+
+# ---------------------------------------------------------------------------
+# the edge-payoff kernel against a naive reference
+
+
+def random_mixed(rng, n):
+    weights = [rng.randrange(4) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    total = sum(weights)
+    return tuple(R(w, total) for w in weights)
+
+
+def random_matrix(rng, rows, cols):
+    return [[R(rng.randrange(-4, 9), 4) for _ in range(cols)] for _ in range(rows)]
+
+
+def naive_edge_payoffs(counts, edges, vectors):
+    out = []
+    for i, n in enumerate(counts):
+        u = []
+        for r in range(n):
+            total = 0
+            for j in range(len(counts)):
+                mat = edges.get((i, j))
+                if mat is not None:
+                    for c in range(counts[j]):
+                        total += mat[r][c] * vectors[j][c]
+            u.append(total)
+        out.append(tuple(u))
+    return out
+
+
+def sparse_polymatrix(seed):
+    """Uneven strategy counts; player 0 has no out-edges and the last
+    player is isolated; other edges appear with probability 1/3."""
+    rng = random.Random(seed)
+    m = rng.randrange(4, 8)
+    counts = tuple(rng.randrange(2, 5) for _ in range(m))
+    edges = {(1, 0): random_matrix(rng, counts[1], counts[0])}
+    for i in range(1, m - 1):
+        for j in range(m - 1):
+            if i != j and rng.random() < 1 / 3:
+                edges[(i, j)] = random_matrix(rng, counts[i], counts[j])
+    return rng, PolymatrixGame(counts, edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polymatrix_payoffs_match_naive_reference(seed):
+    rng, g = sparse_polymatrix(seed)
+    prof = [random_mixed(rng, n) for n in g.strategy_counts]
+    expected = naive_edge_payoffs(g.strategy_counts, g.edges, prof)
+    u = g.expected_payoffs(prof)
+    assert u == expected
+    assert [tuple(v) for v in edge_payoffs(g.strategy_counts, g.edges, prof)] == expected
+    assert {type(v) for vec in u for v in vec} == {type(R(0))}
+    assert u[0] == (0,) * g.strategy_counts[0]
+    assert u[-1] == (0,) * g.strategy_counts[-1]
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_structured_payoffs_match_dense(seed, normalized):
+    rng = random.Random(seed)
+    sizes = (1, 3, 2, 4, 2)
+    edgeless = 2  # block 2 has no edges in or out
+    edges = {
+        (i, j): random_matrix(rng, sizes[i], sizes[j])
+        for i in range(len(sizes))
+        for j in range(len(sizes))
+        if i != j and edgeless not in (i, j) and rng.random() < 1 / 2
+    }
+    alpha = R(rng.randrange(5, 20))
+    divisor = alpha + 3 if normalized else None
+    g = BimatrixGame.structured(sizes, alpha, edges, normalized=normalized, divisor=divisor)
+    d = g.to_dense()
+    x = random_mixed(rng, g.n)
+    y = random_mixed(rng, g.n)
+    assert g.expected_payoffs(x, y) == d.expected_payoffs(x, y)
+    for eps in (R(0), R(1, 10), R(1)):
+        assert g.verify_wsne(x, y, eps) == d.verify_wsne(x, y, eps)
+
+
+@pytest.mark.parametrize("edge_free", [{1}, {0, 1, 2}])
+def test_lift_to_bimatrix_with_edgeless_block_stays_rational(edge_free):
+    rng = random.Random(5)
+    counts = (2, 3, 2)
+    edges = {
+        (i, j): random_matrix(rng, counts[i], counts[j])
+        for i in range(3)
+        for j in range(3)
+        if i != j and not {i, j} & edge_free
+    }
+    gm = PolymatrixGame(counts, edges)
+    g2, mapping, _ = bimatrixify(gm, R(1, 2))
+    prof = [pure_strategy(n, 0) for n in counts]
+    x, y = lift_to_bimatrix(g2, prof, mapping)
+    assert {type(v) for v in x + y} == {type(R(0))}
+    assert sum(x) == 1 and sum(y) == 1
 
 
 # ---------------------------------------------------------------------------
