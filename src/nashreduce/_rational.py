@@ -13,8 +13,14 @@ side as :data:`GMPY2` and :data:`FRACTIONS`, which is how the benchmark and
 the test suite exercise the pure fallback without re-importing the package.
 
 Code elsewhere in the package is backend-agnostic: it does arithmetic on
-whatever rational objects it is handed, uses plain ints ``0``/``1`` as
-neutral elements, and only calls :func:`rational` to construct new values.
+whatever rational objects it is handed and uses plain ints ``0``/``1`` as
+neutral elements.  It builds new values with :func:`rational`, or, where a
+hot loop has summed int numerators over a known int denominator (see
+:func:`common_denominator` and :func:`exact_sum`), with
+``ACTIVE.make(numerator, denominator)``, the active backend's constructor
+without the argument checks.  Either way only ``.numerator``,
+``.denominator`` and :mod:`math` look inside a value, so the two backends
+stay interchangeable.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import fractions
 import os
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Any, Callable
 
 __all__ = [
@@ -35,6 +42,8 @@ __all__ = [
     "ifloor",
     "iceil",
     "is_rational",
+    "common_denominator",
+    "exact_sum",
 ]
 
 _INEXACT = (float, complex)
@@ -143,3 +152,39 @@ def iceil(value) -> int:
     if isinstance(value, int):
         return value
     return -int((-value.numerator) // value.denominator)
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """``(L, nums)`` with ``values[c] == nums[c] / L`` exactly, where ``L``
+    is the lcm of the values' own denominators (1 when there are none).
+
+    Sums and sign checks over ``nums`` are plain int arithmetic.
+    """
+    scale = lcm(*{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def exact_sum(values) -> tuple[int, int]:
+    """``sum(values)`` in lowest terms, as an int pair ``(total, den)``.
+
+    Numerators that share a denominator are added as plain ints first;
+    then the per-denominator sums are combined as in Knuth's fraction
+    addition, which keeps the running sum in lowest terms so that its
+    denominator grows no faster than the true sum's.
+    """
+    groups: dict = {}
+    for x in values:
+        d = x.denominator
+        groups[d] = groups.get(d, 0) + x.numerator
+    total, den = 0, 1
+    for d, n in groups.items():
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        g = gcd(den, d)
+        s = den // g
+        total = total * (d // g) + n * s
+        den = s * d
+        g = gcd(total, g)
+        if g > 1:
+            total, den = total // g, den // g
+    return total, den

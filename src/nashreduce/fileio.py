@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from ._rational import rational, rational_str
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .model import (
     BimatrixGame,
     NormalFormGame,
@@ -137,38 +137,39 @@ def _edges_in(data: Any) -> dict[tuple[int, int], list[tuple]]:
 # games
 
 
-def game_to_dict(game) -> dict:
+def _header(game) -> dict:
+    """The header fields of a game file, all derived from the game itself:
+    format tag, class, player count, strategy counts and payoff range."""
     if isinstance(game, NormalFormGame):
         entries = [x for mat in game.payoffs for row in mat for x in row]
-        return {
-            "format": GAME_FORMAT,
-            "class": "normal_form",
-            "players": game.k,
-            "strategy_counts": list(game.strategy_counts),
-            "payoff_range": [_rat_out(min(entries)), _rat_out(max(entries))],
-            "payoffs": [_matrix_out(mat) for mat in game.payoffs],
-        }
-    if isinstance(game, PolymatrixGame):
+        cls, players, counts = "normal_form", game.k, game.strategy_counts
+        lo, hi = min(entries), max(entries)
+    elif isinstance(game, PolymatrixGame):
+        cls, players, counts = "polymatrix", game.m, game.strategy_counts
         lo, hi = game.payoff_range()
-        return {
-            "format": GAME_FORMAT,
-            "class": "polymatrix",
-            "players": game.m,
-            "strategy_counts": list(game.strategy_counts),
-            "payoff_range": [_rat_out(lo), _rat_out(hi)],
-            "roles": [[info.role.value, info.scope] for info in game.players],
-            "edges": _edges_out(game.edges),
-        }
-    if isinstance(game, BimatrixGame):
+    elif isinstance(game, BimatrixGame):
+        cls, players, counts = "bimatrix", 2, (game.n, game.n)
         lo, hi = game.payoff_range()
-        data = {
-            "format": GAME_FORMAT,
-            "class": "bimatrix",
-            "players": 2,
-            "strategy_counts": [game.n, game.n],
-            "payoff_range": [_rat_out(lo), _rat_out(hi)],
-            "encoding": game.encoding,
-        }
+    else:
+        raise TypeError(f"not a serializable game: {type(game).__name__}")
+    return {
+        "format": GAME_FORMAT,
+        "class": cls,
+        "players": players,
+        "strategy_counts": list(counts),
+        "payoff_range": [_rat_out(lo), _rat_out(hi)],
+    }
+
+
+def game_to_dict(game) -> dict:
+    data = _header(game)
+    if isinstance(game, NormalFormGame):
+        data["payoffs"] = [_matrix_out(mat) for mat in game.payoffs]
+    elif isinstance(game, PolymatrixGame):
+        data["roles"] = [[info.role.value, info.scope] for info in game.players]
+        data["edges"] = _edges_out(game.edges)
+    else:
+        data["encoding"] = game.encoding
         if game.encoding == "dense":
             data["a"] = _matrix_out(game.a)
             data["b"] = _matrix_out(game.b)
@@ -178,8 +179,7 @@ def game_to_dict(game) -> dict:
             data["normalized"] = game.normalized
             data["divisor"] = _opt_rat_out(game.divisor)
             data["edges"] = _edges_out(game.edges)
-        return data
-    raise TypeError(f"not a serializable game: {type(game).__name__}")
+    return data
 
 
 def _normal_form_from(data: dict) -> NormalFormGame:
@@ -241,17 +241,15 @@ def game_from_dict(data: Any):
         raise ParseError(f"unknown game class {data.get('class')!r}")
     try:
         game = builder(data)
-        header = {
-            key: data[key] for key in ("players", "strategy_counts", "payoff_range")
-        }
+        for key, implied in _header(game).items():
+            if data[key] != implied:
+                raise ParseError(
+                    f"header field {key!r} is {data[key]!r} but the body implies {implied!r}"
+                )
     except KeyError as err:
         raise ParseError(f"game file is missing field {err.args[0]!r}") from None
-    fresh = game_to_dict(game)
-    for key, value in header.items():
-        if fresh[key] != value:
-            raise ParseError(
-                f"header field {key!r} is {value!r} but the body implies {fresh[key]!r}"
-            )
+    except DimensionMismatch as err:  # the builders size the body by the header's counts
+        raise ParseError(f"game body contradicts its header: {err}") from None
     return game
 
 

@@ -23,7 +23,12 @@ and return the violations found.
 Polymatrix and structured bimatrix payoffs both come from
 :func:`edge_payoffs`, one pass over the edge matrices: verifying costs
 O(players + total edge entries), linear in the edges rather than in
-players x edges.
+players x edges.  Inside, the sums are int arithmetic: each strategy vector
+is scaled once to int numerators over the lcm of its own denominators, each
+payoff is accumulated as an int numerator over an int denominator, and only
+the finished payoff becomes a rational.  That costs one lcm per vector and
+one rational per payoff entry, instead of one rational multiply and add per
+edge entry; :func:`validate_mixed` checks unit sums with int sums too.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
+from math import gcd
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ._rational import rational
+from ._rational import ACTIVE, common_denominator, exact_sum, rational
 from .errors import DegenerateGame, DimensionMismatch, ParameterError, SizeBudgetExceeded
 
 Rat = Any  # rational of either backend
@@ -108,24 +113,60 @@ def mat_vec(matrix: Matrix, vec: Sequence[Rat]) -> Vector:
 def edge_payoffs(
     strategy_counts: Sequence[int],
     edges: Mapping[tuple[int, int], Matrix],
-    vectors: Sequence[Sequence[Rat]],
+    vectors: Iterable[Sequence[Rat]],
+    diagonal: Rat = 0,
 ) -> list[list[Rat]]:
-    """``sum_j M^{ij} v_j`` for every player ``i``, exactly.
+    """``diagonal * sum(v_i) + sum_j M^{ij} v_j`` for every player ``i``,
+    exactly.
 
-    ``edges[(i, j)]`` is an ``n_i x n_j`` matrix and ``vectors[j]`` player
-    ``j``'s mixed strategy.  One pass over ``edges`` reads each matrix once,
-    so the cost is O(players + total edge entries).  Every sum starts from
-    ``rational(0)``: a player without out-edges gets rational zeros.
+    ``edges[(i, j)]`` is an ``n_i x n_j`` matrix and ``v_j``, the ``j``-th
+    of ``vectors``, player ``j``'s mixed strategy; ``diagonal`` is the
+    structured bimatrix game's ``-alpha`` and 0 for polymatrix games.  One
+    pass over ``edges`` reads each matrix once, so the cost is
+    O(players + total edge entries).
+
+    The sums are int arithmetic.  Each vector is scaled once to
+    ``(L_j, nums)`` over the lcm of its own denominators (one lcm over all
+    vectors would multiply every term by a huge number when players'
+    denominators are distinct primes).  Each output entry is an int
+    numerator ``total`` over an int denominator ``den``; a term
+    ``a * n / (b * L_j)`` costs one int add when ``b * L_j == den`` and one
+    :func:`math.gcd` otherwise.  Only the final ``total / den`` becomes a
+    rational of the active backend, zero for a player without out-edges.
     Shapes are the caller's to check.
     """
-    zero = rational(0)
-    out = [[zero] * n for n in strategy_counts]
+    diag_num, diag_den = diagonal.numerator, diagonal.denominator
+    # flat int lists, few live containers: the garbage collector's cost grows
+    # with the containers a call keeps alive, and large games hold many
+    scales, units, totals, dens = [], [], [], []
+    for v, count in zip(vectors, strategy_counts):
+        scale, nums = common_denominator(v)
+        scales.append(scale)
+        units += nums
+        start = diag_num * sum(nums)  # diagonal * sum(v) == start / (diag_den * scale)
+        totals += [start] * count
+        dens += [diag_den * scale if start else 1] * count
+    offsets = list(itertools.accumulate(strategy_counts, initial=0))
     for (i, j), mat in edges.items():
-        v = vectors[j]
-        u = out[i]
-        for r, row in enumerate(mat):
-            u[r] = sum(map(mul, row, v), u[r])
-    return out
+        scale, nums = scales[j], units[offsets[j] : offsets[j + 1]]
+        for r, row in enumerate(mat, offsets[i]):
+            total, den = totals[r], dens[r]
+            for a, n in zip(row, nums):
+                if not n:
+                    continue
+                p = a.numerator
+                if not p:
+                    continue
+                d = a.denominator * scale
+                if d == den:
+                    total += p * n
+                else:
+                    g = gcd(den, d)
+                    total = total * (d // g) + p * n * (den // g)
+                    den = den // g * d
+            totals[r], dens[r] = total, den
+    make = ACTIVE.make
+    return [list(map(make, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
 
 def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
@@ -135,13 +176,22 @@ def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
 
 
 def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "mixed strategy") -> Vector:
-    """Check nonnegativity and unit sum; return the frozen tuple."""
+    """Check exactness, nonnegativity and unit sum; return the frozen tuple.
+
+    The sum is int arithmetic over the lcm of the entries' own denominators
+    (:func:`exact_sum`), not a chain of rational additions.
+    """
     v = tuple(vec)
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"{what} has length {len(v)}, expected {length}")
-    if any(x < 0 for x in v):
+    try:
+        negative = any(x.numerator < 0 for x in v)
+        total, den = exact_sum(v)
+    except AttributeError:
+        raise ParameterError(f"{what} has an entry that is not an exact rational") from None
+    if negative:
         raise ParameterError(f"{what} has a negative entry")
-    if sum(v) != 1:
+    if total != den:
         raise ParameterError(f"{what} does not sum to 1")
     return v
 
@@ -617,9 +667,10 @@ class BimatrixGame:
     def expected_payoffs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Vector, Vector]:
         """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).
 
-        The structured form costs O(N + total edge entries): the edge blocks
-        go through :func:`edge_payoffs`, and each diagonal block adds
-        ``-alpha`` times the follower's mass on that block.
+        The structured form costs O(N + total edge entries): one
+        :func:`edge_payoffs` call sums the edge blocks and, in the same int
+        accumulators, each diagonal block's ``-alpha`` times the follower's
+        mass on that block.
         """
         x = validate_mixed(x, self.n, what="leader strategy")
         y = validate_mixed(y, self.n, what="follower strategy")
@@ -630,11 +681,12 @@ class BimatrixGame:
             )
             return u1, u2
         offsets = self._offsets
-        y_blocks = [y[a:b] for a, b in zip(offsets, offsets[1:])]
-        u1: list[Rat] = []
-        for u, yb in zip(edge_payoffs(self.block_sizes, self.edges, y_blocks), y_blocks):
-            diagonal = -self.alpha * sum(yb)
-            u1.extend(diagonal + v for v in u)
+        y_blocks = (y[a:b] for a, b in zip(offsets, offsets[1:]))
+        u1 = [
+            v
+            for u in edge_payoffs(self.block_sizes, self.edges, y_blocks, -self.alpha)
+            for v in u
+        ]
         u2 = tuple(x)  # follower payoff is B^T x = x for the identity B
         if self.normalized:
             u1 = [self._norm(v) for v in u1]

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ._rational import rational, rational_str
+from ._rational import ACTIVE, common_denominator, rational, rational_str
 from .errors import (
     DegenerateGame,
     DimensionMismatch,
@@ -387,14 +387,16 @@ def recover_from_bimatrix(
         )
     validate_mixed(x, big_n)
     y = validate_mixed(y, big_n)
+    make = ACTIVE.make
     recovered = []
     offset = 0
     for i, n in enumerate(blocks):
-        segment = y[offset : offset + n]
-        mass = sum(segment)
+        # over the block's own common denominator L, v / mass is num / sum(nums)
+        _, nums = common_denominator(y[offset : offset + n])
+        mass = sum(nums)
         if mass == 0:
             raise ZeroBlockMass(i)
-        recovered.append(tuple(v / mass for v in segment))
+        recovered.append(tuple(make(num, mass) for num in nums))
         offset += n
     return recovered
 

@@ -189,6 +189,23 @@ def test_parse_rejects_structural_damage():
         game_from_dict(mutate(payoff_range=["0", "7"]))
     with pytest.raises(ParseError):  # counts must be ints, not bools
         game_from_dict(mutate(strategy_counts=[True]))
+    gm = random_polymatrix(2, (2, 3), lo=R(-1), hi=R(2))
+    g2, _, _ = bimatrixify(gm, R(1, 4))
+    for game in (gm, g2):
+        data = game_to_dict(game)
+        assert game_from_dict(data) == game
+        lo, hi = data["payoff_range"]
+        n = data["strategy_counts"][0]
+        for field, wrong in (
+            ("players", data["players"] + 1),
+            ("strategy_counts", [n + 1] + data["strategy_counts"][1:]),
+            ("payoff_range", [lo, "7"]),
+            ("payoff_range", ["-7", hi]),
+        ):
+            with pytest.raises(ParseError, match="header"):
+                game_from_dict(dict(data, **{field: wrong}))
+        with pytest.raises(ParseError, match="missing field"):
+            game_from_dict({k: v for k, v in data.items() if k != "payoff_range"})
 
 
 def test_parse_rejects_bad_edges_and_roles():

@@ -22,8 +22,9 @@ from nashreduce import (
     uniform_strategy,
     validate_mixed,
 )
+from nashreduce.errors import ZeroBlockMass
 from nashreduce.model import edge_payoffs
-from nashreduce.reductions import bimatrixify
+from nashreduce.reductions import bimatrixify, recover_from_bimatrix
 from nashreduce.solvers import lift_to_bimatrix
 
 
@@ -80,6 +81,38 @@ def test_validate_mixed():
         validate_mixed((R(-1, 3), R(4, 3)))
     with pytest.raises(DimensionMismatch):
         validate_mixed((R(1),), length=2)
+
+
+def test_validate_mixed_checks_the_exact_sum():
+    tiny = R(1, 2**200)
+    with pytest.raises(ParameterError, match="sum to 1"):
+        validate_mixed((R(1, 2), R(1, 2) + tiny))
+    with pytest.raises(ParameterError, match="sum to 1"):
+        validate_mixed((R(1, 3), R(2, 3) - tiny))
+    with pytest.raises(ParameterError, match="negative"):
+        validate_mixed((-tiny, R(1) + tiny))
+    assert validate_mixed((R(1, 3), R(1, 5), R(7, 15))) == (R(1, 3), R(1, 5), R(7, 15))
+    mixed_types = [1, 0, R(0)]  # ints are exact rationals too, and are kept
+    assert validate_mixed(mixed_types) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("vec", [(0.5, 0.5), (R(1, 2), 0.5), (1.0, 0), (complex(1), 0)])
+def test_validate_mixed_rejects_inexact_entries(vec):
+    with pytest.raises(ParameterError, match="exact rational"):
+        validate_mixed(vec)
+
+
+def test_verifiers_reject_float_profiles():
+    g = three_player_poly()
+    floats = [(0.5, 0.5)] * 3
+    with pytest.raises(ParameterError, match="exact rational"):
+        g.verify_wsne(floats, R(1, 10))
+    exact = (R(1, 4),) * 4
+    for game in (small_structured(), small_structured().to_dense()):
+        with pytest.raises(ParameterError, match="exact rational"):
+            game.verify_wsne((0.25,) * 4, exact, R(1, 10))
+        with pytest.raises(ParameterError, match="exact rational"):
+            game.verify_wsne(exact, (0.25,) * 4, R(1, 10))
 
 
 def test_strategy_helpers():
@@ -417,6 +450,115 @@ def test_structured_payoffs_match_dense(seed, normalized):
     assert g.expected_payoffs(x, y) == d.expected_payoffs(x, y)
     for eps in (R(0), R(1, 10), R(1)):
         assert g.verify_wsne(x, y, eps) == d.verify_wsne(x, y, eps)
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def kernel_case(kind, seed):
+    """A sparse polymatrix game (player 0 without out-edges, the last
+    player isolated) and strategy vectors of one kind:
+
+    * ``primes`` -- player ``j``'s vector has the prime denominator
+      ``PRIMES[j]``, so no two vectors share a denominator;
+    * ``negative`` -- every edge entry lies in [-1, 0);
+    * ``ints`` -- plain int entries next to rationals, in matrices and vectors;
+    * ``pure`` -- pure vectors, 0 and 1 only.
+    """
+    rng, g = sparse_polymatrix(seed)
+    counts, edges = g.strategy_counts, g.edges
+    if kind == "negative":
+        edges = {
+            e: [[R(-rng.randrange(1, 61), 60) for _ in row] for row in mat]
+            for e, mat in edges.items()
+        }
+    elif kind == "ints":
+        edges = {
+            e: [[rng.choice((0, 1, 2, -1, x)) for x in row] for row in mat]
+            for e, mat in edges.items()
+        }
+    g = PolymatrixGame(counts, edges)
+    if kind == "primes":
+        vectors = []
+        for j, n in enumerate(counts):
+            p = PRIMES[j]
+            cuts = sorted(rng.randrange(p + 1) for _ in range(n - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [p])]
+            vectors.append(tuple(R(k, p) for k in parts))
+    elif kind == "ints":
+        vectors = [
+            (0,) * (n - 1) + (1,) if j % 2 else (0,) * (n - 2) + (R(1, 3), R(2, 3))
+            for j, n in enumerate(counts)
+        ]
+    elif kind == "pure":
+        vectors = [pure_strategy(n, rng.randrange(n)) for n in counts]
+    else:
+        vectors = [random_mixed(rng, n) for n in counts]
+    return g, vectors
+
+
+KERNEL_KINDS = ("primes", "negative", "ints", "pure")
+
+
+def assert_backend_rationals(vectors):
+    assert {type(v) for vec in vectors for v in vec} == {type(R(0))}
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_payoffs_differential(kind, seed):
+    g, vectors = kernel_case(kind, seed)
+    expected = naive_edge_payoffs(g.strategy_counts, g.edges, vectors)
+    got = edge_payoffs(g.strategy_counts, g.edges, vectors)
+    assert [tuple(u) for u in got] == expected
+    assert_backend_rationals(got)
+    assert g.expected_payoffs(vectors) == expected
+    assert got[0] == [0] * g.strategy_counts[0]  # no out-edges
+    assert got[-1] == [0] * g.strategy_counts[-1]  # isolated
+    zeros = [(0,) * n for n in g.strategy_counts]  # not a mixed strategy
+    silent = edge_payoffs(g.strategy_counts, g.edges, zeros)
+    assert all(v == 0 for u in silent for v in u)
+    assert_backend_rationals(silent)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_structured_payoffs_differential(kind, seed, normalized):
+    gm, vectors = kernel_case(kind, seed)
+    alpha = R(PRIMES[-1] * 8, 7)  # no denominator shared with any vector
+    divisor = alpha + 3 if normalized else None
+    g = BimatrixGame.structured(
+        gm.strategy_counts, alpha, gm.edges, normalized=normalized, divisor=divisor
+    )
+    m = gm.m
+    y = tuple(v * R(1, m) for vec in vectors for v in vec)
+    x = tuple(reversed(y))
+    u1, u2 = g.expected_payoffs(x, y)
+    assert (u1, u2) == g.to_dense().expected_payoffs(x, y)
+    blocks = [tuple(v * R(1, m) for v in vec) for vec in vectors]
+    naive = naive_edge_payoffs(gm.strategy_counts, gm.edges, blocks)
+    expected = [v - alpha * sum(b) for u, b in zip(naive, blocks) for v in u]
+    if normalized:
+        expected = [(v + alpha) / divisor for v in expected]
+    assert list(u1) == expected
+    assert_backend_rationals([u1])
+
+
+def test_recover_from_bimatrix_keeps_values_and_types():
+    gm = PolymatrixGame((2, 3, 2), {(0, 1): [[R(1), R(0), R(1, 2)], [R(0), R(1), R(1)]]})
+    g2, mapping, _ = bimatrixify(gm, R(1, 4))
+    x = (R(1, 7),) * 7
+    y = (R(1, 6), R(1, 12), R(0), R(3, 20), R(1, 5), R(1, 9), R(13, 45))
+    got = recover_from_bimatrix(g2, (x, y), mapping)
+    assert got == [
+        (R(2, 3), R(1, 3)),
+        (R(0), R(3, 7), R(4, 7)),
+        (R(5, 18), R(13, 18)),
+    ]
+    assert_backend_rationals(got)
+    with pytest.raises(ZeroBlockMass):
+        recover_from_bimatrix(g2, (x, (R(1, 5),) * 5 + (R(0),) * 2), mapping)
 
 
 @pytest.mark.parametrize("edge_free", [{1}, {0, 1, 2}])

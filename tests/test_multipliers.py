@@ -1,10 +1,10 @@
 """Multiplication gadget tests.
 
 Each construction has an independent closed-form oracle for the value its
-lifted output carries (``*_lift_value``); circuits are checked against the
-oracle *and* verified to be exact (eps = 0) equilibria, and the closed form
-is separately checked against the advertised error band around the true
-product.  Player counts are pinned to their closed forms.
+lifted output carries (``*_lift_value``, in ``lift_oracles.py``); circuits
+are checked against the oracle *and* verified to be exact (eps = 0)
+equilibria, and the closed form is separately checked against the
+advertised error band around the true product.  Player counts are pinned to their closed forms.
 """
 
 import pytest
@@ -18,17 +18,20 @@ from nashreduce.multipliers import (
     MULT_PARAMS,
     UNARY_POLY,
     beta_for_eps,
-    brittle_lift_value,
     build_brittle_multiplier,
     build_multiplication_chain,
     build_multiplier,
     build_robust_multiplier,
     build_unary_multiplier,
-    chain_lift_value,
     get_params,
     predicted_player_count,
-    robust_lift_value,
     unary_cells,
+)
+
+from lift_oracles import (
+    brittle_lift_value,
+    chain_lift_value,
+    robust_lift_value,
     unary_lift_value,
 )
 

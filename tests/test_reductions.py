@@ -20,7 +20,7 @@ from nashreduce import (
     ZeroBlockMass,
 )
 from nashreduce.model import BimatrixGame, NormalFormGame, PolymatrixGame, random_normal_form
-from nashreduce.multipliers import BINARY_LOG, UNARY_POLY, robust_lift_value
+from nashreduce.multipliers import BINARY_LOG, UNARY_POLY
 from nashreduce.reductions import (
     GameMapping,
     ReductionParams,
@@ -35,6 +35,8 @@ from nashreduce.reductions import (
     recover_full,
     reduce_full,
 )
+
+from lift_oracles import robust_lift_value
 
 
 def crossing_game():
