@@ -158,7 +158,9 @@ def common_denominator(values) -> tuple[int, list[int]]:
     """``(L, nums)`` with ``values[c] == nums[c] / L`` exactly, where ``L``
     is the lcm of the values' own denominators (1 when there are none).
 
-    Sums and sign checks over ``nums`` are plain int arithmetic.
+    Sums over ``nums`` are plain int arithmetic.  Meant for short vectors:
+    with many distinct denominators ``L`` gets huge, and :func:`exact_sum`
+    is the cheaper way to add them.
     """
     scale = lcm(*{x.denominator for x in values})
     return scale, [x.numerator * (scale // x.denominator) for x in values]
