@@ -10,7 +10,7 @@ game projects back to one of the input game.
 Everything is computed over exact rationals; no floats enter the core.
 """
 
-from ._rational import FRACTIONS, GMPY2, ACTIVE, R, rational, rational_str
+from ._rational import ACTIVE, R, rational, rational_str
 from .errors import (
     CapExceeded,
     CycleDetected,

@@ -28,7 +28,7 @@ from functools import wraps
 
 import click
 
-from ._rational import rational, rational_str
+from ._rational import rational, rational_str, unit_denominator
 from .errors import (
     CapExceeded,
     NashreduceError,
@@ -187,10 +187,7 @@ def reduce(input_file, eps_k, construction, stage, prefix):
         out_game, mapping, params = reduce_full(game, eps_k, construction)
         lines += params.ledger_lines()
         lines.append(f"bimatrix size = {out_game.n} x {out_game.n}")
-        write_game(
-            f"{prefix}.normalized.json",
-            normalize_bimatrix(out_game, mapping.divisor),
-        )
+        write_game(f"{prefix}.normalized.json", normalize_bimatrix(out_game))
     write_game(f"{prefix}.game.json", out_game)
     write_mapping(f"{prefix}.mapping.json", mapping, params)
     ledger = "\n".join(lines) + "\n"
@@ -350,11 +347,9 @@ def solve(game_file, method, eps, step, cap, limit, out_path, approx):
         return
     if not isinstance(game, NormalFormGame):
         raise ParameterError("brute-force needs a normal-form game")
-    if step is not None and step.numerator != 1:
-        raise ParameterError(f"--step must be a unit fraction 1/D, got {rational_str(step)}")
     kwargs = {}
     if step is not None:
-        kwargs["grid_denominator"] = step.denominator
+        kwargs["grid_denominator"] = unit_denominator(step, "--step")
     if cap is not None:
         kwargs["cap"] = cap
     result = brute_force_normal_nash(game, **kwargs)

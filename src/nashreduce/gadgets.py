@@ -227,7 +227,7 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
     for col0, col1 in primitive.reads(zeta, arity):
         base = col0[1] - col0[0]
         const += base
-        # as rationals, so the lift's products stay on Fraction's fast path
+        # a Fraction even where the difference is an int, like const
         coefs.append(rational(col1[1] - col1[0] - base))
     if primitive.two_cycle:
         assert coefs[0] == -1, kind

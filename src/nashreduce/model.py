@@ -38,13 +38,14 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import gcd
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ._rational import ACTIVE, common_denominator, exact_sum, rational
+from ._rational import common_denominator, exact_sum, rational
 from .errors import DegenerateGame, DimensionMismatch, ParameterError, SizeBudgetExceeded
 
-Rat = Any  # rational of either backend
+Rat = Any  # a Fraction, or an int
 Vector = tuple  # tuple[Rat, ...]
 Matrix = tuple  # tuple[tuple[Rat, ...], ...]
 
@@ -91,13 +92,18 @@ class PlayerInfo:
 # vectors, matrices, mixed strategies
 
 
+def _check_exact(values: Iterable, what: str) -> None:
+    """Raise :class:`ParameterError` unless every value is an int or a Fraction."""
+    if not all(map(isinstance, values, itertools.repeat((int, Fraction)))):
+        raise ParameterError(f"{what} has an entry that is not an exact rational")
+
+
 def make_matrix(rows: Iterable[Iterable[Rat]]) -> Matrix:
-    """Freeze rows into a rectangular tuple-of-tuples matrix."""
-    mat = tuple(tuple(row) for row in rows)
-    if mat:
-        width = len(mat[0])
-        if any(len(row) != width for row in mat):
-            raise DimensionMismatch("matrix rows have unequal lengths")
+    """Freeze rows into a rectangular tuple-of-tuples matrix of exact entries."""
+    mat = tuple(map(tuple, rows))
+    if len(set(map(len, mat))) > 1:
+        raise DimensionMismatch("matrix rows have unequal lengths")
+    _check_exact(itertools.chain.from_iterable(mat), "matrix")
     return mat
 
 
@@ -132,7 +138,7 @@ def edge_payoffs(
     numerator ``total`` over an int denominator ``den``; a term
     ``a * n / (b * L_j)`` costs one int add when ``b * L_j == den`` and one
     :func:`math.gcd` otherwise.  Only the final ``total / den`` becomes a
-    rational of the active backend, zero for a player without out-edges.
+    ``Fraction``, zero for a player without out-edges.
     Shapes are the caller's to check.
     """
     diag_num, diag_den = diagonal.numerator, diagonal.denominator
@@ -165,8 +171,7 @@ def edge_payoffs(
                     total = total * (d // g) + p * n * (den // g)
                     den = den // g * d
             totals[r], dens[r] = total, den
-    make = ACTIVE.make
-    return [list(map(make, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
+    return [list(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
 
 def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
@@ -178,19 +183,17 @@ def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
 def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "mixed strategy") -> Vector:
     """Check exactness, nonnegativity and unit sum; return the frozen tuple.
 
-    The sum is int arithmetic over the lcm of the entries' own denominators
-    (:func:`exact_sum`), not a chain of rational additions.
+    Entries must be ints or Fractions.  The sum is int arithmetic over the
+    lcm of the entries' own denominators (:func:`exact_sum`), not a chain
+    of rational additions.
     """
     v = tuple(vec)
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"{what} has length {len(v)}, expected {length}")
-    try:
-        negative = any(x.numerator < 0 for x in v)
-        total, den = exact_sum(v)
-    except AttributeError:
-        raise ParameterError(f"{what} has an entry that is not an exact rational") from None
-    if negative:
+    _check_exact(v, what)
+    if any(x.numerator < 0 for x in v):
         raise ParameterError(f"{what} has a negative entry")
+    total, den = exact_sum(v)
     if total != den:
         raise ParameterError(f"{what} does not sum to 1")
     return v

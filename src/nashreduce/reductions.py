@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Sequence
 
-from ._rational import ACTIVE, common_denominator, rational, rational_str
+from ._rational import common_denominator, rational, rational_str
 from .errors import (
     DegenerateGame,
     DimensionMismatch,
@@ -229,7 +230,7 @@ def linearize(
         raise ParameterError(f"eps_k must lie in (0, 1), got {eps_k}")
     get_params(construction)
     eps_m = compute_eps_m(game, eps_k, construction)
-    if eps_m <= 0:  # unreachable with exact rationals; guards a bad backend
+    if eps_m <= 0:  # unreachable with exact arithmetic; guards rounding to zero
         raise ParameterError("eps_m collapsed to zero")
     budget = resolve_player_budget(player_budget)
     predicted = estimate_linearized_players(game, eps_m, construction)
@@ -332,7 +333,7 @@ def bimatrixify(
     eps_2 = eps_m / big_n
     alpha = rational(8) * m * m / eps_2
     game = BimatrixGame.structured(block_sizes=counts, alpha=alpha, edges=gm.edges)
-    divisor = alpha + (2 if gm.payoff_range()[1] > 1 else 1)
+    divisor = _divisor(alpha, gm)
     h = []
     offset = 0
     for n in counts:
@@ -353,16 +354,24 @@ def bimatrixify(
     return game, mapping, params
 
 
-def normalize_bimatrix(game: BimatrixGame, divisor: Rat | None = None) -> BimatrixGame:
+def _divisor(alpha: Rat, game: PolymatrixGame | BimatrixGame) -> Rat:
+    """The divisor that maps an imitation game's payoffs into [0, 1] by
+    (v + alpha) / divisor: alpha plus 1, or plus 2 when an edge pays more
+    than 1.  ``game`` is the polymatrix game or its unnormalized imitation
+    game; both hold the same edge matrices."""
+    return alpha + (2 if game.payoff_range()[1] > 1 else 1)
+
+
+def normalize_bimatrix(game: BimatrixGame) -> BimatrixGame:
     """The same game with every payoff mapped affinely into [0, 1] by
-    (v + alpha) / divisor; an eps-equilibrium here is an (eps * divisor)-
-    equilibrium of the unnormalized game and vice versa."""
+    (v + alpha) / divisor, with the divisor :func:`bimatrixify` records;
+    an eps-equilibrium here is an (eps * divisor)-equilibrium of the
+    unnormalized game and vice versa."""
     if game.encoding != "structured":
         raise ParameterError("only structured imitation games can be normalized")
     if game.normalized:
         raise ParameterError("the game is already normalized")
-    if divisor is None:
-        divisor = game.alpha + (2 if game.payoff_range()[1] > 1 else 1)
+    divisor = _divisor(game.alpha, game)
     return BimatrixGame.structured(
         game.block_sizes, game.alpha, game.edges, normalized=True, divisor=divisor
     )
@@ -387,7 +396,6 @@ def recover_from_bimatrix(
         )
     validate_mixed(x, big_n)
     y = validate_mixed(y, big_n)
-    make = ACTIVE.make
     recovered = []
     offset = 0
     for i, n in enumerate(blocks):
@@ -396,7 +404,7 @@ def recover_from_bimatrix(
         mass = sum(nums)
         if mass == 0:
             raise ZeroBlockMass(i)
-        recovered.append(tuple(make(num, mass) for num in nums))
+        recovered.append(tuple(Fraction(num, mass) for num in nums))
         offset += n
     return recovered
 

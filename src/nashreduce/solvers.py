@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Iterable, Iterator, Sequence
 
-from ._rational import rational
+from ._rational import rational, unit_denominator
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -329,13 +329,6 @@ def _simplex_grid(n: int, denominator: int) -> list[Vector]:
     ]
 
 
-def _grid_denominator(step) -> int:
-    step = rational(step)
-    if not 0 < step <= 1 or step.numerator != 1:
-        raise ParameterError(f"grid step must be 1/D for a positive integer D, got {step}")
-    return int(step.denominator)
-
-
 def grid_enumerate_wsne(
     game,
     eps: Rat,
@@ -352,7 +345,7 @@ def grid_enumerate_wsne(
     Raises :class:`CapExceeded` up front when the full grid would have
     more than ``cap`` profiles.
     """
-    denominator = _grid_denominator(step)
+    denominator = unit_denominator(step)
     eps = rational(eps)
     clamped = tuple(clamped)
     if clamped and not isinstance(game, (BimatrixGame, PolymatrixGame)):
@@ -390,8 +383,13 @@ def brute_force_normal_nash(
     one exists.  Otherwise scans the mixed grid with the given denominator
     (skipped if it would exceed ``cap`` profiles) and returns the best
     profile seen anywhere, certified at its *realized* tolerance -- the
-    smallest eps the verifier actually accepts.
+    smallest eps the verifier actually accepts.  The grid step is
+    ``1/grid_denominator``.
     """
+    if not isinstance(grid_denominator, int) or grid_denominator < 1:
+        raise ParameterError(
+            f"grid_denominator must be a positive integer D, got {grid_denominator!r}"
+        )
     counts = tuple(game.strategy_counts)
     best_profile = None
     best_eps = None

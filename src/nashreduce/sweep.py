@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from ._rational import iceil, ifloor, rational
+from ._rational import iceil, ifloor, rational, unit_denominator
 from .errors import ParameterError
 from .gadgets import GADGET_INFO, GADGET_KINDS, PRIMITIVES, primitive_gap
 from .model import Rat
@@ -339,13 +339,6 @@ class SweepReport:
         return not self.failures
 
 
-def _unit_denominator(step, what: str) -> int:
-    step = rational(step)
-    if not 0 < step <= 1 or step.numerator != 1:
-        raise ParameterError(f"{what} must be 1/D for a positive integer D, got {step}")
-    return int(step.denominator)
-
-
 def _accepted_mask(
     kind: str, g: int, eps: Rat, inputs: Sequence[Rat], zeta: Rat | None, memo: dict
 ) -> int:
@@ -393,8 +386,8 @@ def sweep_gadget(
     eps = rational(eps)
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    g_in = _unit_denominator(input_step, "input grid step")
-    g = _unit_denominator(internal_step, "internal grid step")
+    g_in = unit_denominator(input_step, "input grid step")
+    g = unit_denominator(internal_step, "internal grid step")
     values = [rational(i, g_in) for i in range(g_in + 1)]
     memo: dict = {}
     cases = 0

@@ -36,7 +36,7 @@ from nashreduce.reductions import (
     recover_full,
     reduce_full,
 )
-from nashreduce.solvers import lift_to_bimatrix, support_enumeration_bimatrix
+from nashreduce.solvers import _simplex_grid, lift_to_bimatrix, support_enumeration_bimatrix
 from nashreduce.sweep import sweep_all
 
 
@@ -150,20 +150,6 @@ def test_criterion_4_bimatrixify_round_trip():
 # 5. imitation-game WSNE structure on a grid
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _grid_vectors(n, denominator):
-    for combo in _compositions(denominator, n):
-        yield tuple(R(c, denominator) for c in combo)
-
-
 def _near_argmax(vector, eps):
     best = max(vector)
     return {j for j, v in enumerate(vector) if v >= best - eps}
@@ -187,13 +173,13 @@ def _scan_imitation_game(a_matrix, eps_2, denominator, block_sizes=None, alpha=N
     Returns the number of WSNE-completable y vectors.
     """
     n = len(a_matrix)
-    for x in _grid_vectors(n, denominator):
+    for x in _simplex_grid(n, denominator):
         allowed = _near_argmax(x, eps_2)
         support = {j for j, v in enumerate(x) if v > 0}
         assert allowed <= support, f"support violation at x = {x}"
 
     completable = 0
-    for y in _grid_vectors(n, denominator):
+    for y in _simplex_grid(n, denominator):
         leader = [sum(row[j] * y[j] for j in range(n)) for row in a_matrix]
         t_set = _near_argmax(leader, eps_2)
         support = {j for j, v in enumerate(y) if v > 0}

@@ -17,6 +17,7 @@ from nashreduce import R
 from nashreduce.cli import main
 from nashreduce.fileio import (
     read_game,
+    read_mapping,
     read_profile,
     write_game,
     write_mapping,
@@ -113,6 +114,13 @@ def test_solve_brute_force(runner, dominant_file):
     assert "method = pure-search" in result.output
 
 
+@pytest.mark.parametrize("step", ["2/3", "0", "-1/2", "2"])
+def test_solve_brute_force_bad_step(runner, dominant_file, step):
+    result = invoke(runner, "solve", dominant_file, "--method", "brute-force", "--step", step)
+    assert result.exit_code == 3
+    assert "--step must be 1/D" in result.output
+
+
 def test_solve_wrong_game_class(runner, dominant_file):
     result = invoke(runner, "solve", dominant_file, "--method", "support-enum")
     assert result.exit_code == 3
@@ -199,8 +207,9 @@ def test_reduce_full_writes_normalized(runner, tmp_path):
     assert result.exit_code == 0
     game = read_game(tmp_path / "full.game.json")
     normalized = read_game(tmp_path / "full.normalized.json")
+    mapping, _ = read_mapping(tmp_path / "full.mapping.json")
     assert isinstance(game, BimatrixGame) and not game.normalized
-    assert normalized.normalized
+    assert normalized.normalized and normalized.divisor == mapping.divisor
     assert f"bimatrix size = {game.n} x {game.n}" in result.output
 
 

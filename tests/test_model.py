@@ -1,6 +1,7 @@
 """Core model tests: indexing, payoffs, verification, encodings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,28 @@ def test_verifiers_reject_float_profiles():
             game.verify_wsne((0.25,) * 4, exact, R(1, 10))
         with pytest.raises(ParameterError, match="exact rational"):
             game.verify_wsne(exact, (0.25,) * 4, R(1, 10))
+
+
+INEXACT_MATRICES = {
+    "float": [[0.5, 0], [0, 0]],
+    "float-one": [[R(1, 2), 1.0], [0, 0]],
+    "complex": [[complex(1), 0], [0, 0]],
+    "string": [["1/2", 0], [0, 0]],
+}
+GAME_BUILDERS = {
+    "normal-form": lambda mat: NormalFormGame((2, 2), [mat, [[R(0)] * 2] * 2]),
+    "polymatrix": lambda mat: PolymatrixGame((2, 2), {(0, 1): mat}),
+    "dense": lambda mat: BimatrixGame.dense(mat, [[R(0)] * 2] * 2),
+    "structured": lambda mat: BimatrixGame.structured((2, 2), R(4), {(0, 1): mat}),
+}
+
+
+@pytest.mark.parametrize("entries", INEXACT_MATRICES.values(), ids=INEXACT_MATRICES)
+@pytest.mark.parametrize("build", GAME_BUILDERS.values(), ids=GAME_BUILDERS)
+def test_game_constructors_reject_inexact_entries(build, entries):
+    with pytest.raises(ParameterError, match="exact rational"):
+        build(entries)
+    build([[R(1, 2), 1], [0, 0]])  # exact entries of the same shape build
 
 
 def test_strategy_helpers():
@@ -500,8 +523,8 @@ def kernel_case(kind, seed):
 KERNEL_KINDS = ("primes", "negative", "ints", "pure")
 
 
-def assert_backend_rationals(vectors):
-    assert {type(v) for vec in vectors for v in vec} == {type(R(0))}
+def assert_fractions(vectors):
+    assert {type(v) for vec in vectors for v in vec} == {Fraction}
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -511,14 +534,14 @@ def test_edge_payoffs_differential(kind, seed):
     expected = naive_edge_payoffs(g.strategy_counts, g.edges, vectors)
     got = edge_payoffs(g.strategy_counts, g.edges, vectors)
     assert [tuple(u) for u in got] == expected
-    assert_backend_rationals(got)
+    assert_fractions(got)
     assert g.expected_payoffs(vectors) == expected
     assert got[0] == [0] * g.strategy_counts[0]  # no out-edges
     assert got[-1] == [0] * g.strategy_counts[-1]  # isolated
     zeros = [(0,) * n for n in g.strategy_counts]  # not a mixed strategy
     silent = edge_payoffs(g.strategy_counts, g.edges, zeros)
     assert all(v == 0 for u in silent for v in u)
-    assert_backend_rationals(silent)
+    assert_fractions(silent)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -542,7 +565,7 @@ def test_structured_payoffs_differential(kind, seed, normalized):
     if normalized:
         expected = [(v + alpha) / divisor for v in expected]
     assert list(u1) == expected
-    assert_backend_rationals([u1])
+    assert_fractions([u1])
 
 
 def test_recover_from_bimatrix_keeps_values_and_types():
@@ -556,7 +579,7 @@ def test_recover_from_bimatrix_keeps_values_and_types():
         (R(0), R(3, 7), R(4, 7)),
         (R(5, 18), R(13, 18)),
     ]
-    assert_backend_rationals(got)
+    assert_fractions(got)
     with pytest.raises(ZeroBlockMass):
         recover_from_bimatrix(g2, (x, (R(1, 5),) * 5 + (R(0),) * 2), mapping)
 
@@ -575,7 +598,7 @@ def test_lift_to_bimatrix_with_edgeless_block_stays_rational(edge_free):
     g2, mapping, _ = bimatrixify(gm, R(1, 2))
     prof = [pure_strategy(n, 0) for n in counts]
     x, y = lift_to_bimatrix(g2, prof, mapping)
-    assert {type(v) for v in x + y} == {type(R(0))}
+    assert_fractions([x, y])
     assert sum(x) == 1 and sum(y) == 1
 
 

@@ -222,6 +222,12 @@ def test_grid_step_must_be_a_unit_fraction(step):
         grid_enumerate_wsne(pennies_bimatrix(), R(1, 10), step)
 
 
+@pytest.mark.parametrize("denominator", [0, -1, R(1, 2)], ids=["0", "-1", "1/2"])
+def test_grid_denominator_must_be_a_positive_integer(denominator):
+    with pytest.raises(ParameterError, match="positive integer D"):
+        brute_force_normal_nash(pennies_normal_form(), grid_denominator=denominator)
+
+
 def test_grid_bimatrix_clamped_player():
     hits = list(grid_enumerate_wsne(pennies_bimatrix(), R(0), HALF, clamped=[0]))
     assert len(hits) == 5
