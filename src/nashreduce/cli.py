@@ -446,12 +446,16 @@ def gadget_test(name, eps, grid, input_grid):
     guarantee band.  Prints one pass/fail row per guarantee.
     """
     kinds = GADGET_KINDS if name == "all" else (name,)
+    # sweep first, so that a bad argument exits before anything is printed
+    reports = [
+        sweep_gadget(kind, eps=eps, input_step=input_grid, internal_step=grid)
+        for kind in kinds
+    ]
     header = f"{'kind':<12} {'cases':>7} {'failures':>9} {'empty':>6} result"
     click.echo(header)
     click.echo("-" * len(header))
     failed = []
-    for kind in kinds:
-        report = sweep_gadget(kind, eps=eps, input_step=input_grid, internal_step=grid)
+    for kind, report in zip(kinds, reports):
         status = "PASS" if report.ok else "FAIL"
         click.echo(
             f"{kind:<12} {report.cases:>7} {len(report.failures):>9} "

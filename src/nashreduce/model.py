@@ -555,6 +555,9 @@ class BimatrixGame:
         sizes = tuple(int(n) for n in block_sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise ParameterError("block sizes must be positive")
+        _check_exact((alpha,), "alpha")
+        if divisor is not None:
+            _check_exact((divisor,), "divisor")
         if alpha <= 0:
             raise ParameterError("alpha must be positive")
         if normalized:

@@ -42,6 +42,7 @@ from .model import (
     NormalFormGame,
     PolymatrixGame,
     Role,
+    _check_exact,
     profile_unindex,
     validate_mixed,
 )
@@ -226,6 +227,7 @@ def linearize(
         raise DegenerateGame(
             "single-strategy players have no deviations; drop them first"
         )
+    _check_exact((eps_k,), "eps_k")
     if not 0 < eps_k < 1:
         raise ParameterError(f"eps_k must lie in (0, 1), got {eps_k}")
     get_params(construction)
@@ -323,6 +325,7 @@ def bimatrixify(
     and -alpha on the diagonal blocks; the column player's is the identity
     (it is paid to match the row player exactly).
     """
+    _check_exact((eps_m,), "eps_m")
     if not 0 < eps_m < 1:
         raise ParameterError(f"eps_m must lie in (0, 1), got {eps_m}")
     m = gm.m

@@ -33,24 +33,47 @@ Enumerating internal profiles directly is hopeless (a median gadget has
   sweep); min and median are compositions of complements and maxes over
   distinct players and reuse the same machinery.
 
-Accepted sets are bitmasks over grid indices ``0..g`` (bit ``i`` means
-value ``i/g``), making unions cheap and the envelope check a single
-``accepted & ~allowed == 0``.
+Accepted sets are bitmasks over grid indices ``0..g``, making unions cheap
+and the envelope check a single ``accepted & ~allowed == 0``.
+
+The closed forms run on ints.  Every value the sweep touches lies on a
+known grid, so one scale serves the whole sweep:
+
+* ``L = lcm(g, g_in)`` for internal grid step ``1/g`` and input grid step
+  ``1/g_in`` (:func:`_accepted_mask` takes the lcm of ``g`` and its
+  inputs' denominators instead).  Every value is an int ``x`` standing for
+  ``x / L``, and grid index ``i`` of a mask stands for the value
+  ``i * (L // g)``.
+* Each primitive's gap is scaled once per sweep to ints over
+  ``T = L * D``, where ``D`` is the lcm of the denominators of its
+  constant, its coefficients and eps: a value ``x`` contributes
+  ``coef * D * x``, and eps becomes ``eps * T``.  Rectangles and gap
+  comparisons are int sums and comparisons, window bounds are floor
+  divisions by ``T``, and the contiguity condition reads
+  ``|coef * D| <= 2 * (eps * D) * g``.
+* The max memo is keyed by pairs of int values.
+
+Only the guarantee envelopes, one per case, are computed on rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterator, NamedTuple, Sequence
 
 from ._rational import iceil, ifloor, rational, unit_denominator
 from .errors import ParameterError
 from .gadgets import GADGET_INFO, GADGET_KINDS, PRIMITIVES, primitive_gap
 from .model import Rat
 
-Source = object  # a rational input value or an int bitmask of grid values
-Term = tuple  # (coefficient, Source)
+# A source is the set of values a player may carry, as value intervals
+# ``(low, high)`` in units of 1/L whose points are one grid step apart: an
+# input is one point ``((x, x),)``, an internal output the runs of its mask.
+Spans = tuple[tuple[int, int], ...]
+
+_HALF = rational(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,72 +118,20 @@ def _mask_spans(mask: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _spans_of(g: int, source: Source) -> list[tuple[Rat, Rat, bool]]:
-    """Value intervals a source covers, as ``(low, high, more_than_one_point)``."""
-    if is_mask(source):
-        return [
-            (rational(lo, g), rational(hi, g), hi > lo) for lo, hi in _mask_spans(source)
-        ]
-    return [(source, source, False)]
-
-
-def is_mask(source: Source) -> bool:
-    return type(source) is int
-
-
-def _points_of(g: int, source: Source) -> list[Rat]:
-    if is_mask(source):
-        return mask_values(g, source)
-    return [source]
-
-
 # ---------------------------------------------------------------------------
-# closed-form acceptance
+# integer units
 
 
-def _rectangles(
-    g: int, eps: Rat, terms: Sequence[Term]
-) -> Iterator[tuple[Rat, Rat]]:
-    """Ranges of ``sum(coef * value)`` over each combination of source spans.
+class _Gap(NamedTuple):
+    """A primitive's affine gap scaled to ints over ``T = L * D``."""
 
-    Asserts the contiguity condition: within a multi-point span, one grid
-    step may move the sum by at most ``2 eps``, otherwise the interval
-    union below would overshoot the true acceptance set.
-    """
-    span_lists = []
-    for coef, source in terms:
-        spans = _spans_of(g, source)
-        if any(multi for _, _, multi in spans) and abs(coef) > 2 * eps * g:
-            raise ParameterError(
-                f"internal grid step 1/{g} is too coarse for a gadget "
-                f"coefficient of {coef} at eps {eps}"
-            )
-        span_lists.append([(coef * lo, coef * hi) for lo, hi, _ in spans])
-    for choice in product(*span_lists):
-        lo = sum((min(a, b) for a, b in choice), rational(0))
-        hi = sum((max(a, b) for a, b in choice), rational(0))
-        yield lo, hi
-
-
-def _decision_mask(g: int, eps: Rat, const: Rat, terms: Sequence[Term]) -> int:
-    """Accepted values of a single player whose payoff gap is affine.
-
-    ``d = u1 - u0 = const + sum(coef * value)`` does not depend on the
-    player's own strategy, so ``0`` is accepted iff ``d <= eps`` is
-    achievable, ``1`` iff ``d >= -eps`` is achievable, and every interior
-    point iff some achievable ``d`` lies within ``eps`` of zero.
-    """
-    accepted = 0
-    interior = _range_mask(g, 1, g - 1)
-    for lo, hi in _rectangles(g, eps, terms):
-        lo, hi = const + lo, const + hi
-        if lo <= eps:
-            accepted |= 1
-        if hi >= -eps:
-            accepted |= 1 << g
-        if lo <= eps and hi >= -eps:
-            accepted |= interior
-    return accepted
+    decision: bool
+    const: int  # const * T
+    coefs: tuple[int, ...]  # coef * D, applied to values in units of 1/L
+    eps: int  # eps * T
+    T: int
+    D: int
+    limit: int  # 2 * (eps * D) * g: the largest |coef * D| a multi-point span allows
 
 
 def _aux_window_nonempty(g: int, eps: Rat) -> bool:
@@ -169,33 +140,136 @@ def _aux_window_nonempty(g: int, eps: Rat) -> bool:
     return lo <= hi
 
 
-def _two_cycle_mask(g: int, eps: Rat, const: Rat, terms: Sequence[Term]) -> int:
-    """Accepted values of a two-cycle output with ``K - C`` affine in inputs."""
+class _Units:
+    """One sweep's integer scale ``L`` with its scaled gaps and memos."""
+
+    def __init__(self, g: int, eps: Rat, scale: int):
+        self.g = g
+        self.eps = eps
+        self.scale = scale
+        self.step = scale // g  # the value of one internal grid index
+        self.has_window = _aux_window_nonempty(g, eps)
+        self.interior = _range_mask(g, 1, g - 1)
+        self._gaps: dict = {}
+        self._spans: dict[int, Spans] = {}
+        self.max_memo: dict[tuple[int, int], int] = {}
+
+    def gap(self, kind: str, zeta: Rat | None, arity: int) -> _Gap:
+        key = (kind, zeta, arity)
+        gap = self._gaps.get(key)
+        if gap is None:
+            form = primitive_gap(kind, zeta, arity)
+            d = lcm(
+                self.eps.denominator,
+                form.const.denominator,
+                *(c.denominator for c in form.coefs),
+            )
+            t = self.scale * d
+            eps_d = self.eps.numerator * (d // self.eps.denominator)
+            gap = self._gaps[key] = _Gap(
+                form.decision,
+                form.const.numerator * (t // form.const.denominator),
+                tuple(c.numerator * (d // c.denominator) for c in form.coefs),
+                eps_d * self.scale,
+                t,
+                d,
+                2 * eps_d * self.g,
+            )
+        return gap
+
+    def spans(self, mask: int) -> Spans:
+        """A mask's runs of grid indices as value intervals."""
+        spans = self._spans.get(mask)
+        if spans is None:
+            step = self.step
+            spans = self._spans[mask] = tuple(
+                (lo * step, hi * step) for lo, hi in _mask_spans(mask)
+            )
+        return spans
+
+    def points(self, source: Spans) -> list[int]:
+        step = self.step
+        return [x for lo, hi in source for x in range(lo, hi + 1, step)]
+
+
+# ---------------------------------------------------------------------------
+# closed-form acceptance
+
+
+def _rectangles(units: _Units, gap: _Gap, sources: Sequence[Spans]) -> Iterator[tuple[int, int]]:
+    """Ranges of the gap ``const + sum(coef * value)`` over each combination
+    of source spans, in units of 1/T.
+
+    Asserts the contiguity condition: within a multi-point span, one grid
+    step may move the sum by at most ``2 eps``, otherwise the interval
+    union below would overshoot the true acceptance set.
+    """
+    span_lists = []
+    for coef, source in zip(gap.coefs, sources):
+        if abs(coef) > gap.limit and any(lo < hi for lo, hi in source):
+            raise ParameterError(
+                f"internal grid step 1/{units.g} is too coarse for a gadget "
+                f"coefficient of {rational(coef, gap.D)} at eps {units.eps}"
+            )
+        if coef < 0:
+            span_lists.append([(coef * hi, coef * lo) for lo, hi in source])
+        else:
+            span_lists.append([(coef * lo, coef * hi) for lo, hi in source])
+    for choice in product(*span_lists):
+        lo = hi = gap.const
+        for a, b in choice:
+            lo += a
+            hi += b
+        yield lo, hi
+
+
+def _decision_mask(units: _Units, gap: _Gap, sources: Sequence[Spans]) -> int:
+    """Accepted values of a single player whose payoff gap is affine.
+
+    ``d = u1 - u0 = const + sum(coef * value)`` does not depend on the
+    player's own strategy, so ``0`` is accepted iff ``d <= eps`` is
+    achievable, ``1`` iff ``d >= -eps`` is achievable, and every interior
+    point iff some achievable ``d`` lies within ``eps`` of zero.
+    """
+    eps = gap.eps
     accepted = 0
-    has_window = _aux_window_nonempty(g, eps)
-    for lo, hi in _rectangles(g, eps, terms):
-        kc_lo, kc_hi = const + lo, const + hi
-        if kc_lo <= eps:
+    for lo, hi in _rectangles(units, gap, sources):
+        if lo <= eps:
             accepted |= 1
-        if kc_hi >= 1 - eps:
+        if hi >= -eps:
+            accepted |= 1 << units.g
+        if lo <= eps and hi >= -eps:
+            accepted |= units.interior
+    return accepted
+
+
+def _two_cycle_mask(units: _Units, gap: _Gap, sources: Sequence[Spans]) -> int:
+    """Accepted values of a two-cycle output with ``K - C`` affine in inputs."""
+    g, eps, t = units.g, gap.eps, gap.T
+    accepted = 0
+    for lo, hi in _rectangles(units, gap, sources):
+        if lo <= eps:
+            accepted |= 1
+        if hi >= t - eps:
             accepted |= 1 << g
-        if has_window:
+        if units.has_window:
+            # indices i with lo - eps <= i * T / g <= hi + eps
             accepted |= _range_mask(
-                g, max(1, iceil((kc_lo - eps) * g)), min(g - 1, ifloor((kc_hi + eps) * g))
+                g, max(1, -((eps - lo) * g // t)), min(g - 1, (hi + eps) * g // t)
             )
     return accepted
 
 
 def _primitive_mask(
-    kind: str, g: int, eps: Rat, inputs: Sequence[Source], zeta: Rat | None = None
+    units: _Units, kind: str, sources: Sequence[Spans], zeta: Rat | None = None
 ) -> int:
     """Accepted outputs of one primitive, from its gap in the gadget table."""
-    form = primitive_gap(kind, zeta, len(inputs))
-    accept = _decision_mask if form.decision else _two_cycle_mask
-    return accept(g, eps, form.const, list(zip(form.coefs, inputs)))
+    gap = units.gap(kind, zeta, len(sources))
+    accept = _decision_mask if gap.decision else _two_cycle_mask
+    return accept(units, gap, sources)
 
 
-def _max_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
+def _max_mask(units: _Units, in1: Spans, in2: Spans) -> int:
     """Accepted outputs of the max composite over all input value pairs.
 
     Compare, minus and the final sum all read the same input players, so
@@ -203,39 +277,69 @@ def _max_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
     across a sweep because min/median call this on heavily overlapping
     value sets.
     """
+    memo = units.max_memo
     accepted = 0
-    for a in _points_of(g, in1):
-        for b in _points_of(g, in2):
-            key = (a, b)
-            hit = memo.get(key)
+    points2 = units.points(in2)
+    for a in units.points(in1):
+        for b in points2:
+            hit = memo.get((a, b))
             if hit is None:
-                is_less = _primitive_mask("compare", g, eps, (a, b))
-                excess = _primitive_mask("minus", g, eps, (a, b))
-                gated = _primitive_mask("mask", g, eps, (is_less, excess))
-                hit = _primitive_mask("scaled_sum", g, eps, (gated, a), rational(1))
-                memo[key] = hit
+                pa, pb = ((a, a),), ((b, b),)
+                is_less = _primitive_mask(units, "compare", (pa, pb))
+                excess = _primitive_mask(units, "minus", (pa, pb))
+                gated = _primitive_mask(
+                    units, "mask", (units.spans(is_less), units.spans(excess))
+                )
+                hit = memo[a, b] = _primitive_mask(
+                    units, "scaled_sum", (units.spans(gated), pa), 1
+                )
             accepted |= hit
     return accepted
 
 
-def _min_mask(g: int, eps: Rat, in1: Source, in2: Source, memo: dict) -> int:
-    not1 = _primitive_mask("complement", g, eps, (in1,))
-    not2 = _primitive_mask("complement", g, eps, (in2,))
-    biggest = _max_mask(g, eps, not1, not2, memo)
-    return _primitive_mask("complement", g, eps, (biggest,))
+def _min_mask(units: _Units, in1: Spans, in2: Spans) -> int:
+    not1 = _primitive_mask(units, "complement", (in1,))
+    not2 = _primitive_mask(units, "complement", (in2,))
+    biggest = _max_mask(units, units.spans(not1), units.spans(not2))
+    return _primitive_mask(units, "complement", (units.spans(biggest),))
 
 
-def _median_mask(g: int, eps: Rat, in1: Rat, in2: Rat, in3: Rat, memo: dict) -> int:
-    hi12 = _max_mask(g, eps, in1, in2, memo)
-    lo12 = _min_mask(g, eps, in1, in2, memo)
-    capped = _min_mask(g, eps, in3, hi12, memo)
-    return _max_mask(g, eps, lo12, capped, memo)
+def _median_mask(units: _Units, in1: Spans, in2: Spans, in3: Spans) -> int:
+    hi12 = _max_mask(units, in1, in2)
+    lo12 = _min_mask(units, in1, in2)
+    capped = _min_mask(units, in3, units.spans(hi12))
+    return _max_mask(units, units.spans(lo12), units.spans(capped))
 
 
-def _bit_extract_mask(g: int, eps: Rat, value: Rat) -> int:
+def _bit_extract_mask(units: _Units, value: Spans) -> int:
     """Accepted values of the single bit at beta = 1 (a copy into a threshold)."""
-    copied = _primitive_mask("scale", g, eps, (value,), rational(1))
-    return _primitive_mask("threshold", g, eps, (copied,), rational(1, 2))
+    copied = _primitive_mask(units, "scale", (value,), 1)
+    return _primitive_mask(units, "threshold", (units.spans(copied),), _HALF)
+
+
+def _accepted(units: _Units, kind: str, inputs: Sequence[Spans], zeta: Rat | None) -> int:
+    if kind in PRIMITIVES:
+        return _primitive_mask(units, kind, inputs, zeta)
+    if kind == "max":
+        return _max_mask(units, *inputs)
+    if kind == "min":
+        return _min_mask(units, *inputs)
+    if kind == "median":
+        return _median_mask(units, *inputs)
+    if kind == "bit_extract":
+        return _bit_extract_mask(units, *inputs)
+    raise ParameterError(f"unknown gadget kind {kind!r}")
+
+
+def _accepted_mask(
+    kind: str, g: int, eps: Rat, inputs: Sequence[Rat], zeta: Rat | None = None
+) -> int:
+    """Accepted outputs of one gadget at rational input values, on the
+    ``1/g`` internal grid; the inputs need not lie on that grid."""
+    scale = lcm(g, *(v.denominator for v in inputs))
+    points = [v.numerator * (scale // v.denominator) for v in inputs]
+    units = _Units(g, rational(eps), scale)
+    return _accepted(units, kind, [((x, x),) for x in points], zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -339,31 +443,16 @@ class SweepReport:
         return not self.failures
 
 
-def _accepted_mask(
-    kind: str, g: int, eps: Rat, inputs: Sequence[Rat], zeta: Rat | None, memo: dict
-) -> int:
-    if kind in PRIMITIVES:
-        return _primitive_mask(kind, g, eps, inputs, zeta)
-    if kind == "max":
-        return _max_mask(g, eps, inputs[0], inputs[1], memo)
-    if kind == "min":
-        return _min_mask(g, eps, inputs[0], inputs[1], memo)
-    if kind == "median":
-        return _median_mask(g, eps, inputs[0], inputs[1], inputs[2], memo)
-    if kind == "bit_extract":
-        return _bit_extract_mask(g, eps, inputs[0])
-    raise ParameterError(f"unknown gadget kind {kind!r}")
-
-
-def _case_stream(kind: str, values: list[Rat]) -> Iterator[tuple[tuple[Rat, ...], Rat | None]]:
+def _case_stream(kind: str, values: list[Rat]) -> Iterator[tuple[tuple[int, ...], Rat | None]]:
+    """Input index tuples with zeta, in the order the sweep reports them."""
     info = GADGET_INFO[kind]
     arity = 2 if info.arity is None else info.arity  # scaled_sum: two inputs
     for zeta in values if info.takes_zeta else [None]:
-        for inputs in product(values, repeat=arity):
+        for index in product(range(len(values)), repeat=arity):
             # the median construction is symmetric in its first two arguments
-            if kind == "median" and inputs[1] < inputs[0]:
+            if kind == "median" and index[1] < index[0]:
                 continue
-            yield inputs, zeta
+            yield index, zeta
 
 
 def sweep_gadget(
@@ -388,19 +477,22 @@ def sweep_gadget(
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     g_in = unit_denominator(input_step, "input grid step")
     g = unit_denominator(internal_step, "internal grid step")
+    scale = lcm(g, g_in)
+    units = _Units(g, eps, scale)
     values = [rational(i, g_in) for i in range(g_in + 1)]
-    memo: dict = {}
+    points = [((x, x),) for x in range(0, scale + 1, scale // g_in)]
     cases = 0
     empty = 0
     failures: list[SweepCase] = []
-    for inputs, zeta in _case_stream(kind, values):
-        accepted = _accepted_mask(kind, g, eps, inputs, zeta, memo)
+    for index, zeta in _case_stream(kind, values):
+        inputs = tuple(values[i] for i in index)
+        accepted = _accepted(units, kind, [points[i] for i in index], zeta)
         allowed = _envelope(kind, g, eps, inputs, zeta)
         cases += 1
         if accepted == 0:
             empty += 1
         if accepted & ~allowed:
-            failures.append(SweepCase(kind, tuple(inputs), zeta, accepted, allowed))
+            failures.append(SweepCase(kind, inputs, zeta, accepted, allowed))
     return SweepReport(
         kind=kind,
         eps=eps,

@@ -391,8 +391,27 @@ def test_gadget_test_counts_every_failure(runner, monkeypatch):
 def test_gadget_test_unknown_kind(runner):
     result = invoke(runner, "gadget", "test", "xor")
     assert result.exit_code == 3
+    assert result.output == "error: unknown gadget kind 'xor'\n"
 
 
 def test_gadget_test_bad_eps(runner):
     result = invoke(runner, "gadget", "test", "threshold", "--eps", "1")
     assert result.exit_code == 3
+    assert result.output == "error: eps must be in (0, 1), got 1\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("threshold", "--grid", "2/3"),
+        ("threshold", "--input-grid", "3/2"),
+        # one internal step of 1/10 moves the mask stage by 4 eps
+        ("max", "--grid", "1/10"),
+        ("all", "--grid", "1/10"),
+    ],
+)
+def test_gadget_test_bad_grid(runner, args):
+    result = invoke(runner, "gadget", "test", *args)
+    assert result.exit_code == 3
+    assert result.output.startswith("error: ")
+    assert "cases" not in result.output

@@ -130,6 +130,17 @@ GAME_BUILDERS = {
 }
 
 
+@pytest.mark.parametrize(
+    "alpha,divisor,what",
+    [(4.0, None, "alpha"), (R(4), 5.0, "divisor"), (complex(4), R(5), "alpha")],
+)
+def test_structured_rejects_inexact_scalars(alpha, divisor, what):
+    normalized = divisor is not None
+    with pytest.raises(ParameterError, match=f"{what} .*exact rational"):
+        BimatrixGame.structured((2, 2), alpha, {}, normalized=normalized, divisor=divisor)
+    BimatrixGame.structured((2, 2), 4, {}, normalized=normalized, divisor=R(5) if normalized else None)
+
+
 @pytest.mark.parametrize("entries", INEXACT_MATRICES.values(), ids=INEXACT_MATRICES)
 @pytest.mark.parametrize("build", GAME_BUILDERS.values(), ids=GAME_BUILDERS)
 def test_game_constructors_reject_inexact_entries(build, entries):

@@ -258,6 +258,12 @@ def test_linearize_rejects_bad_inputs():
         linearize(game, R(1, 2), "ternary")
 
 
+@pytest.mark.parametrize("eps_k", [0.9, 0.5, complex(1, 0)])
+def test_linearize_rejects_inexact_eps(eps_k):
+    with pytest.raises(ParameterError, match="eps_k .*exact rational"):
+        linearize(crossing_game(), eps_k, "log")
+
+
 def test_linearize_player_budget():
     game = pure_nash_game()
     with pytest.raises(SizeBudgetExceeded):
@@ -326,6 +332,12 @@ def test_bimatrixify_rejects_bad_eps():
         bimatrixify(small_polymatrix(), R(1))
     with pytest.raises(ParameterError):
         bimatrixify(small_polymatrix(), R(0))
+
+
+@pytest.mark.parametrize("eps_m", [0.5, 0.3, complex(1, 0)])
+def test_bimatrixify_rejects_inexact_eps(eps_m):
+    with pytest.raises(ParameterError, match="eps_m .*exact rational"):
+        bimatrixify(small_polymatrix(), eps_m)
 
 
 def test_normalize_bimatrix_divisor_rules():

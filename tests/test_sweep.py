@@ -9,12 +9,14 @@ layer with explicit loops, and against frozen envelope expectations at
 the guarantee grids.
 """
 
+import hashlib
 import itertools
 from functools import lru_cache
 
 import pytest
 
-from nashreduce import ParameterError, R
+from nashreduce import ParameterError, R, sweep
+from nashreduce._rational import rational_str
 from nashreduce.gadgets import GADGET_KINDS, GadgetCircuit
 from nashreduce.sweep import (
     SweepCase,
@@ -33,7 +35,7 @@ EPS = R(1, 20)
 
 
 def accepted_values(kind, g, eps, inputs, zeta=None):
-    return set(mask_values(g, _accepted_mask(kind, g, eps, inputs, zeta, {})))
+    return set(mask_values(g, _accepted_mask(kind, g, eps, inputs, zeta)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +330,50 @@ def test_sweep_all_covers_every_kind():
     reports = sweep_all(input_step=R(1, 2), internal_step=R(1, 20), eps=R(1, 10))
     assert set(reports) == set(GADGET_KINDS)
     assert all(r.ok for r in reports.values())
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: every case of every kind, at two grids
+
+
+def sweep_digest(monkeypatch, eps, input_step, internal_step):
+    """sha256 over ``(kind, inputs, zeta, accepted, allowed)`` of every case.
+
+    The envelope is wrapped to record each case with its allowed mask and
+    to allow nothing, so that every case with an accepted value comes
+    back as a failure carrying its accepted mask.
+    """
+    envelope = sweep._envelope
+    calls = []
+
+    def capture(kind, g, eps, inputs, zeta):
+        calls.append((kind, tuple(inputs), zeta, envelope(kind, g, eps, inputs, zeta)))
+        return 0
+
+    monkeypatch.setattr(sweep, "_envelope", capture)
+    accepted = {}
+    for kind in GADGET_KINDS:
+        for case in sweep_gadget(kind, eps, input_step, internal_step).failures:
+            accepted[case.kind, case.inputs, case.zeta] = case.accepted
+    digest = hashlib.sha256()
+    for kind, inputs, zeta, allowed in calls:
+        shown_zeta = "-" if zeta is None else rational_str(zeta)
+        shown_inputs = ",".join(map(rational_str, inputs))
+        mask = accepted.get((kind, inputs, zeta), 0)
+        digest.update(f"{kind} {shown_inputs} {shown_zeta} {mask:x} {allowed:x}\n".encode())
+    return len(calls), digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "eps,input_step,internal_step,cases,expected",
+    [
+        # the gadget-check benchmark's grid
+        (R(1, 20), R(1, 10), R(1, 50), 3058,
+         "edd34bdb6da9f19b975b8dde500fcdf6a2cb8ee216fd7eb20e1c393a6bf5e794"),
+        # an input step that does not divide the internal step
+        (R(1, 20), R(1, 6), R(1, 100), 952,
+         "1eaf0ae53a49693fa255d1be0dc11d7140ebdcce82e6538ae529c6c1a6101d5f"),
+    ],
+)
+def test_sweep_outputs_pinned(monkeypatch, eps, input_step, internal_step, cases, expected):
+    assert sweep_digest(monkeypatch, eps, input_step, internal_step) == (cases, expected)
