@@ -73,8 +73,6 @@ from .model import Rat
 # input is one point ``((x, x),)``, an internal output the runs of its mask.
 Spans = tuple[tuple[int, int], ...]
 
-_HALF = rational(1, 2)
-
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
@@ -130,7 +128,6 @@ class _Gap(NamedTuple):
     coefs: tuple[int, ...]  # coef * D, applied to values in units of 1/L
     eps: int  # eps * T
     T: int
-    D: int
     limit: int  # 2 * (eps * D) * g: the largest |coef * D| a multi-point span allows
 
 
@@ -159,21 +156,15 @@ class _Units:
         gap = self._gaps.get(key)
         if gap is None:
             form = primitive_gap(kind, zeta, arity)
-            d = lcm(
-                self.eps.denominator,
-                form.const.denominator,
-                *(c.denominator for c in form.coefs),
-            )
+            d = lcm(self.eps.denominator, *(x.denominator for x in (form.const, *form.coefs)))
             t = self.scale * d
-            eps_d = self.eps.numerator * (d // self.eps.denominator)
             gap = self._gaps[key] = _Gap(
                 form.decision,
-                form.const.numerator * (t // form.const.denominator),
-                tuple(c.numerator * (d // c.denominator) for c in form.coefs),
-                eps_d * self.scale,
+                int(form.const * t),
+                tuple(int(c * d) for c in form.coefs),
+                int(self.eps * t),
                 t,
-                d,
-                2 * eps_d * self.g,
+                int(2 * self.eps * d * self.g),
             )
         return gap
 
@@ -188,8 +179,7 @@ class _Units:
         return spans
 
     def points(self, source: Spans) -> list[int]:
-        step = self.step
-        return [x for lo, hi in source for x in range(lo, hi + 1, step)]
+        return [x for lo, hi in source for x in range(lo, hi + 1, self.step)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def _rectangles(units: _Units, gap: _Gap, sources: Sequence[Spans]) -> Iterator[
         if abs(coef) > gap.limit and any(lo < hi for lo, hi in source):
             raise ParameterError(
                 f"internal grid step 1/{units.g} is too coarse for a gadget "
-                f"coefficient of {rational(coef, gap.D)} at eps {units.eps}"
+                f"coefficient of {rational(coef, gap.T // units.scale)} at eps {units.eps}"
             )
         if coef < 0:
             span_lists.append([(coef * hi, coef * lo) for lo, hi in source])
@@ -314,7 +304,7 @@ def _median_mask(units: _Units, in1: Spans, in2: Spans, in3: Spans) -> int:
 def _bit_extract_mask(units: _Units, value: Spans) -> int:
     """Accepted values of the single bit at beta = 1 (a copy into a threshold)."""
     copied = _primitive_mask(units, "scale", (value,), 1)
-    return _primitive_mask(units, "threshold", (units.spans(copied),), _HALF)
+    return _primitive_mask(units, "threshold", (units.spans(copied),), rational(1, 2))
 
 
 def _accepted(units: _Units, kind: str, inputs: Sequence[Spans], zeta: Rat | None) -> int:
