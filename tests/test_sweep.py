@@ -6,7 +6,8 @@ enumeration of all internal-player grid profiles on the *built* games
 grid, which anchors the composite factorization), against an
 independently written slow enumerator that walks the composite layer by
 layer with explicit loops, and against frozen envelope expectations at
-the guarantee grids.
+the guarantee grids.  A sha256 over every case of every kind pins the
+sweep's outputs at two grids.
 """
 
 import hashlib
