@@ -5,20 +5,32 @@ whitespace, a trailing newline, rationals as ``"numerator/denominator"``
 strings -- so equal objects serialize to identical bytes and every
 round trip is exact.  No floats ever appear on either side.
 
+A rational in a file must match ``-?[0-9]+(/[0-9]+)?`` exactly, with a
+nonzero denominator: no spaces, ``+`` signs, underscores or decimals.  One
+read parses each distinct string once: a per-read dict (``_Rationals``)
+maps every string it has parsed to its ``Fraction``, and each later cell
+with the same string gets that object.  A reduced game holds tens of
+thousands of cells but only dozens of distinct strings.  A failed parse
+raises and is never stored, so every malformed cell fails.
+
 Games carry a small header (format tag, class, player count, strategy
 counts, payoff range, per-player role tags where applicable) that readers
 re-derive from the body and check, so a corrupted file fails loudly as a
-:class:`ParseError` rather than loading skewed.
+:class:`ParseError` rather than loading skewed.  A body that breaks a
+game builder's rule (a nonpositive alpha, an edge to a missing player, an
+entry out of range) is a :class:`ParseError` too.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from ._rational import rational, rational_str
-from .errors import DimensionMismatch, ParseError
+from ._rational import rational_str
+from .errors import DimensionMismatch, ParameterError, ParseError
 from .model import (
     BimatrixGame,
     NormalFormGame,
@@ -67,21 +79,45 @@ def _rat_out(value: Rat) -> str:
     return rational_str(value)
 
 
-def _rat_in(value: Any) -> Rat:
-    if not isinstance(value, str):
-        raise ParseError(f"rationals must be strings like '3/4', got {value!r}")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _not_a_string(value: Any) -> ParseError:
+    return ParseError(f"rationals must be strings like '3/4', got {value!r}")
+
+
+class _Rationals(dict):
+    """The rationals of one file: each distinct string, parsed once, maps to
+    its ``Fraction``.  A lookup of a new key parses it in the strict grammar;
+    a key that fails raises :class:`ParseError` and is not stored."""
+
+    def __missing__(self, text: Any) -> Fraction:
+        if not isinstance(text, str):
+            raise _not_a_string(text)
+        if _RATIONAL.fullmatch(text) is None:
+            raise ParseError(f"invalid rational {text!r}")
+        num, _, den = text.partition("/")
+        try:
+            value = Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            raise ParseError(f"invalid rational {text!r}") from None
+        self[text] = value
+        return value
+
+
+def _rat_in(value: Any, rats: _Rationals) -> Rat:
     try:
-        return rational(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ParseError(f"invalid rational {value!r}") from None
+        return rats[value]
+    except TypeError:  # unhashable, so not a string
+        raise _not_a_string(value) from None
 
 
 def _opt_rat_out(value: Rat | None) -> str | None:
     return None if value is None else rational_str(value)
 
 
-def _opt_rat_in(value: Any) -> Rat | None:
-    return None if value is None else _rat_in(value)
+def _opt_rat_in(value: Any, rats: _Rationals) -> Rat | None:
+    return None if value is None else _rat_in(value, rats)
 
 
 def _int_in(value: Any, what: str) -> int:
@@ -96,20 +132,23 @@ def _ints_in(data: Any, what: str) -> list[int]:
     return [_int_in(x, what) for x in data]
 
 
-def _vector_in(data: Any) -> tuple:
+def _vector_in(data: Any, rats: _Rationals) -> tuple:
     if not isinstance(data, list):
         raise ParseError("expected a list of rationals")
-    return tuple(_rat_in(x) for x in data)
+    try:
+        return tuple(map(rats.__getitem__, data))
+    except TypeError:  # an unhashable entry; report the first bad entry in order
+        return tuple(_rat_in(x, rats) for x in data)
 
 
 def _matrix_out(mat) -> list[list[str]]:
     return [[_rat_out(x) for x in row] for row in mat]
 
 
-def _matrix_in(data: Any) -> list[tuple]:
+def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty matrix")
-    return [_vector_in(row) for row in data]
+    return [_vector_in(row, rats) for row in data]
 
 
 def _edges_out(edges) -> list:
@@ -118,7 +157,7 @@ def _edges_out(edges) -> list:
     ]
 
 
-def _edges_in(data: Any) -> dict[tuple[int, int], list[tuple]]:
+def _edges_in(data: Any, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]:
     if not isinstance(data, list):
         raise ParseError("edges must be a list of [i, j, matrix] entries")
     edges: dict[tuple[int, int], list[tuple]] = {}
@@ -129,7 +168,7 @@ def _edges_in(data: Any) -> dict[tuple[int, int], list[tuple]]:
         j = _int_in(entry[1], "edge endpoint")
         if (i, j) in edges:
             raise ParseError(f"duplicate edge ({i}, {j})")
-        edges[(i, j)] = _matrix_in(entry[2])
+        edges[(i, j)] = _matrix_in(entry[2], rats)
     return edges
 
 
@@ -182,15 +221,15 @@ def game_to_dict(game) -> dict:
     return data
 
 
-def _normal_form_from(data: dict) -> NormalFormGame:
+def _normal_form_from(data: dict, rats: _Rationals) -> NormalFormGame:
     counts = _ints_in(data["strategy_counts"], "strategy count")
     payoffs = data["payoffs"]
     if not isinstance(payoffs, list):
         raise ParseError("payoffs must be a list of matrices")
-    return NormalFormGame(counts, [_matrix_in(mat) for mat in payoffs])
+    return NormalFormGame(counts, [_matrix_in(mat, rats) for mat in payoffs])
 
 
-def _polymatrix_from(data: dict) -> PolymatrixGame:
+def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
     counts = _ints_in(data["strategy_counts"], "strategy count")
     roles = data["roles"]
     if not isinstance(roles, list) or len(roles) != len(counts):
@@ -204,23 +243,23 @@ def _polymatrix_from(data: dict) -> PolymatrixGame:
         except ValueError:
             raise ParseError(f"unknown role {entry[0]!r}") from None
         players.append(PlayerInfo(role, entry[1]))
-    return PolymatrixGame(counts, _edges_in(data["edges"]), players)
+    return PolymatrixGame(counts, _edges_in(data["edges"], rats), players)
 
 
-def _bimatrix_from(data: dict) -> BimatrixGame:
+def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
     encoding = data["encoding"]
     if encoding == "dense":
-        return BimatrixGame.dense(_matrix_in(data["a"]), _matrix_in(data["b"]))
+        return BimatrixGame.dense(_matrix_in(data["a"], rats), _matrix_in(data["b"], rats))
     if encoding == "structured":
         normalized = data["normalized"]
         if not isinstance(normalized, bool):
             raise ParseError("normalized must be a boolean")
         return BimatrixGame.structured(
             _ints_in(data["block_sizes"], "block size"),
-            _rat_in(data["alpha"]),
-            _edges_in(data["edges"]),
+            _rat_in(data["alpha"], rats),
+            _edges_in(data["edges"], rats),
             normalized=normalized,
-            divisor=_opt_rat_in(data["divisor"]),
+            divisor=_opt_rat_in(data["divisor"], rats),
         )
     raise ParseError(f"unknown bimatrix encoding {encoding!r}")
 
@@ -240,7 +279,7 @@ def game_from_dict(data: Any):
     if builder is None:
         raise ParseError(f"unknown game class {data.get('class')!r}")
     try:
-        game = builder(data)
+        game = builder(data, _Rationals())
         for key, implied in _header(game).items():
             if data[key] != implied:
                 raise ParseError(
@@ -250,6 +289,8 @@ def game_from_dict(data: Any):
         raise ParseError(f"game file is missing field {err.args[0]!r}") from None
     except DimensionMismatch as err:  # the builders size the body by the header's counts
         raise ParseError(f"game body contradicts its header: {err}") from None
+    except ParameterError as err:  # the body breaks a builder's rule
+        raise ParseError(str(err)) from None
     return game
 
 
@@ -274,7 +315,8 @@ def profile_from_dict(data: Any) -> list[tuple]:
         raise ParseError("profile file is missing field 'strategies'") from None
     if not isinstance(strategies, list):
         raise ParseError("strategies must be a list of vectors")
-    return [_vector_in(strategy) for strategy in strategies]
+    rats = _Rationals()
+    return [_vector_in(strategy, rats) for strategy in strategies]
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +359,28 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
         raw = data["params"]
         if not isinstance(raw_h, list) or not isinstance(raw, dict):
             raise ParseError("malformed mapping file")
+        rats = _Rationals()
         mapping = GameMapping(
             stage=stage,
             g=tuple(_ints_in(raw_g, "g entry")),
             h=tuple(tuple(_ints_in(hi, "h entry")) for hi in raw_h),
             source_counts=tuple(_ints_in(raw_counts, "source count")),
             block_sizes=None if raw_blocks is None else tuple(_ints_in(raw_blocks, "block size")),
-            alpha=_opt_rat_in(data["alpha"]),
-            divisor=_opt_rat_in(data["divisor"]),
+            alpha=_opt_rat_in(data["alpha"], rats),
+            divisor=_opt_rat_in(data["divisor"], rats),
         )
         construction = raw["construction"]
         if construction is not None and not isinstance(construction, str):
             raise ParseError("construction must be a string or null")
         params = ReductionParams(
-            eps_m=_rat_in(raw["eps_m"]),
-            eps_k=_opt_rat_in(raw["eps_k"]),
+            eps_m=_rat_in(raw["eps_m"], rats),
+            eps_k=_opt_rat_in(raw["eps_k"], rats),
             construction=construction,
-            eps_2=_opt_rat_in(raw["eps_2"]),
+            eps_2=_opt_rat_in(raw["eps_2"], rats),
             m=None if raw["m"] is None else _int_in(raw["m"], "m"),
             N=None if raw["N"] is None else _int_in(raw["N"], "N"),
-            alpha=_opt_rat_in(raw["alpha"]),
-            divisor=_opt_rat_in(raw["divisor"]),
+            alpha=_opt_rat_in(raw["alpha"], rats),
+            divisor=_opt_rat_in(raw["divisor"], rats),
         )
     except KeyError as err:
         raise ParseError(f"mapping file is missing field {err.args[0]!r}") from None

@@ -174,6 +174,26 @@ def edge_payoffs(
     return [list(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
 
+def _entry_range(mats: Iterable[Matrix], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
+    """``(min, max)`` of ``lo``, ``hi`` and every entry of ``mats``.
+
+    Each entry is compared as ints, ``n * lo_d < lo_n * d`` for an entry
+    ``n / d``, not through ``Fraction`` comparisons.  An extreme moves only
+    on a strict inequality, so ``lo``, ``hi`` or the first entry to reach
+    the extreme is the object returned.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    for mat in mats:
+        for row in mat:
+            for x in row:
+                n, d = x.as_integer_ratio()
+                if n * lo_d < lo_n * d:
+                    lo, lo_n, lo_d = x, n, d
+                if n * hi_d > hi_n * d:
+                    hi, hi_n, hi_d = x, n, d
+    return lo, hi
+
+
 def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
     for x in entries:
         if x < lo or x > hi:
@@ -279,14 +299,30 @@ def _wsne_violations(
     eps: Rat,
     skip: frozenset[int] = frozenset(),
 ) -> tuple[Violation, ...]:
+    """Each supported pure strategy of a player not in ``skip`` that earns
+    less than its player's best pure payoff minus ``eps``.
+
+    ``profile`` must already be validated: every entry an exact rational
+    and nonnegative.  The comparisons are int arithmetic.  Each payoff is
+    read once as ``(numerator, denominator)``.  The best response is the
+    first maximal index, and ``u[j] < u[best] - eps`` is a cross-product of
+    ints with ``u[best] - eps`` as one int fraction.  A strategy is
+    supported when its numerator is positive.
+    """
+    eps_n, eps_d = eps.as_integer_ratio()
     found = []
     for i, (u, p) in enumerate(zip(payoff_vectors, profile)):
         if i in skip:
             continue
-        best = max(range(len(u)), key=u.__getitem__)
-        floor = u[best] - eps
-        for j, pj in enumerate(p):
-            if pj > 0 and u[j] < floor:
+        pairs = [x.as_integer_ratio() for x in u]
+        best, (best_n, best_d) = 0, pairs[0]
+        for j, (n, d) in enumerate(pairs):
+            if n * best_d > best_n * d:
+                best, best_n, best_d = j, n, d
+        # floor_n / floor_d == u[best] - eps, with floor_d > 0
+        floor_n, floor_d = best_n * eps_d - eps_n * best_d, best_d * eps_d
+        for j, ((n, d), pj) in enumerate(zip(pairs, p)):
+            if n * floor_d < floor_n * d and pj.numerator > 0:
                 found.append(Violation(i, j, u[j], best, u[best]))
     return tuple(found)
 
@@ -474,16 +510,12 @@ class PolymatrixGame:
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
-        """(min, max) payoff entry over all edges; (0, 0) when there are none."""
-        lo, hi = 0, 0
-        for mat in self.edges.values():
-            for row in mat:
-                for x in row:
-                    if x < lo:
-                        lo = x
-                    if x > hi:
-                        hi = x
-        return lo, hi
+        """(min, max) payoff entry over all edges; (0, 0) when there are none.
+
+        The entries are compared on ints (:func:`_entry_range`), and the
+        first entry that sets a new extreme is the one returned.
+        """
+        return _entry_range(self.edges.values(), 0, 0)
 
     def _checked_profile(self, profile: Sequence[Vector]) -> list[Vector]:
         if len(profile) != self.m:
@@ -711,18 +743,21 @@ class BimatrixGame:
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
+        """(min, max) payoff over both matrices.
+
+        Structured games: the min is ``-alpha``, the diagonal blocks' entry,
+        and the max is the largest of 1 (the identity follower) and the
+        edge entries, compared on ints as in
+        :meth:`PolymatrixGame.payoff_range`.  Both are mapped through the
+        normalization when the game is normalized.
+        """
         if self.encoding == "dense":
             entries = [x for row in self.a for x in row] + [
                 x for row in self.b for x in row
             ]
             return min(entries), max(entries)
-        lo, hi = -self.alpha, 1
-        for mat in self.edges.values():
-            for row in mat:
-                for x in row:
-                    if x > hi:
-                        hi = x
-        return self._norm(lo), self._norm(hi)
+        _, hi = _entry_range(self.edges.values(), 0, 1)
+        return self._norm(-self.alpha), self._norm(hi)
 
 
 # ---------------------------------------------------------------------------

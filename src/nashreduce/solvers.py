@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterable, Iterator, Sequence
 
-from ._rational import rational, unit_denominator
+from ._rational import exact_sum, rational, unit_denominator
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -432,6 +433,12 @@ def lift_to_bimatrix(
     plays uniformly on the follower's support, which makes imitation
     exactly optimal.  For loose input profiles the witness may fail
     verification; callers are expected to verify at their eps.
+
+    Each weight ``w_i = (alpha m + m u_i - sum(u)) / (alpha m^2)`` is one
+    int numerator over one int denominator, with ``sum(u)`` from
+    :func:`exact_sum`; each entry ``w_i v`` of the follower's strategy is
+    built as one ``Fraction`` from those ints.  Raises
+    :class:`ParameterError` when some ``w_i <= 0``.
     """
     if mapping.stage not in ("bimatrixify", "full"):
         raise ParameterError(f"mapping stage {mapping.stage!r} does not target a bimatrix game")
@@ -449,14 +456,19 @@ def lift_to_bimatrix(
         for i, (p, n) in enumerate(zip(profile, blocks))
     ]
     block_best = [max(ui) for ui in edge_payoffs(blocks, g2.edges, profile)]
-    mean_best = sum(block_best) / m
-    weights = [rational(1, m) + (u - mean_best) / (alpha * m) for u in block_best]
-    if any(w <= 0 for w in weights):
-        raise ParameterError("alpha is too small to rebalance the block weights")
+    # w_i = (alpha m + m u_i - sum(u)) / (alpha m^2) == num / den, on ints,
+    # with alpha == a / b, u_i == n / d and sum(u) == total / scale
+    a, b = alpha.as_integer_ratio()
+    total, scale = exact_sum(block_best)
     y: list[Rat] = []
-    for w, p in zip(weights, profile):
-        y.extend(w * v for v in p)
-    support = [r for r, v in enumerate(y) if v > 0]
+    for u, p in zip(block_best, profile):
+        n, d = u.as_integer_ratio()
+        num = m * scale * (a * d + b * n) - total * b * d
+        if num * a <= 0:  # den has the sign of a
+            raise ParameterError("alpha is too small to rebalance the block weights")
+        den = a * m * m * d * scale
+        y += [Fraction(num * v.numerator, den * v.denominator) for v in p]
+    support = [r for r, v in enumerate(y) if v.numerator]
     share = rational(1, len(support))
     x = [rational(0)] * len(y)
     for r in support:
