@@ -142,6 +142,34 @@ def test_malformed_rational_in_file(runner, pennies_file, tmp_path):
     assert result.exit_code == 2
 
 
+def structured_file(tmp_path, edit) -> str:
+    """A reduced (2, 2) polymatrix game's file, changed by ``edit``."""
+    game = PolymatrixGame((2, 2), {(0, 1): [[R(1), R(0)], [R(0), R(1)]]})
+    g2, _, _ = bimatrixify(game, R(3, 10))
+    path = tmp_path / "structured.json"
+    write_game(path, g2)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_noncanonical_rational_in_file(runner, tmp_path):
+    def pad_first_entry(data):
+        row = data["edges"][0][2][0]
+        row[0] = " " + row[0]
+
+    result = invoke(runner, "solve", structured_file(tmp_path, pad_first_entry))
+    assert result.exit_code == 2
+    assert "invalid rational" in result.output
+
+
+def test_file_body_breaking_a_builder_rule_is_unreadable_input(runner, tmp_path):
+    result = invoke(runner, "solve", structured_file(tmp_path, lambda d: d.update(alpha="-5")))
+    assert result.exit_code == 2
+    assert result.output.strip() == "error: alpha must be positive"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -2,12 +2,14 @@
 loud failures on malformed input."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from nashreduce import ParseError, R
 from nashreduce.fileio import (
     GAME_FORMAT,
+    PROFILE_FORMAT,
     dumps_canonical,
     game_from_dict,
     game_to_dict,
@@ -29,7 +31,7 @@ from nashreduce.model import (
     random_normal_form,
     random_polymatrix,
 )
-from nashreduce.reductions import bimatrixify, linearize, reduce_full
+from nashreduce.reductions import bimatrixify, linearize, normalize_bimatrix, reduce_full
 
 
 def tiny_game():
@@ -240,3 +242,147 @@ def test_bimatrix_encoding_guard():
     data = game_to_dict(dense)
     with pytest.raises(ParseError):
         game_from_dict(dict(data, encoding="sparse"))
+
+
+# ---------------------------------------------------------------------------
+# the rational grammar
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" 1/3", "1/3 ", "1_0/3", "1/3_0", "+1", "+1/3", "1/-2", "", " ", "1/", "/3",
+     "1//3", "-", "0.5", "1e3", "١", "1/0"],
+)
+def test_rationals_in_files_use_the_strict_grammar(text):
+    message = f"invalid rational {text!r}"
+    with pytest.raises(ParseError) as err:
+        game_from_dict(mutate(payoffs=[[[text], ["0"]]]))
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        profile_from_dict({"format": PROFILE_FORMAT, "strategies": [["1/2", text]]})
+    assert str(err.value) == message
+    _, mapping, params = linearize(random_normal_form(5, (2, 2)), R(1, 2))
+    data = mapping_to_dict(mapping, params)
+    with pytest.raises(ParseError) as err:
+        mapping_from_dict(dict(data, params=dict(data["params"], eps_m=text)))
+    assert str(err.value) == message
+
+
+def test_canonical_rationals_parse_to_fractions():
+    strategies = [["3/4", "1/4"], ["-2/6", "4/3"], ["0", "-0", "007/7"]]
+    back = profile_from_dict({"format": PROFILE_FORMAT, "strategies": strategies})
+    assert back == [(R(3, 4), R(1, 4)), (R(-1, 3), R(4, 3)), (R(0), R(0), R(1))]
+    assert all(type(x) is Fraction for vec in back for x in vec)
+
+
+# ---------------------------------------------------------------------------
+# a body that breaks a builder's rule
+
+
+def structured_dict() -> dict:
+    g2, _, _ = bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))
+    return game_to_dict(g2)
+
+
+def with_edge(i, j, mat):
+    data = structured_dict()
+    return dict(data, edges=data["edges"] + [[i, j, mat]])
+
+
+def with_polymatrix_entry(text):
+    data = game_to_dict(random_polymatrix(4, (2, 2)))
+    data["edges"][0][2][0][0] = text
+    return data
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: dict(structured_dict(), alpha="-5"), "alpha must be positive"),
+        (lambda: with_edge(0, 5, [["1", "0"], ["0", "1"]]),
+         "edge (0, 5) references a missing block"),
+        (lambda: with_edge(1, 1, [["1", "0", "0"]] * 3),
+         "diagonal blocks are implied; do not pass them"),
+        (lambda: with_polymatrix_entry("-2"), "edge (0, 1) entry -2 outside [-1, 2]"),
+        (lambda: mutate(payoffs=[[["2"], ["0"]]]), "player 0 payoff entry 2 outside [0, 1]"),
+    ],
+    ids=["bad_alpha", "missing_block", "diagonal_edge", "polymatrix_range", "normal_form_range"],
+)
+def test_body_breaking_a_builder_rule_is_a_parse_error(make, message):
+    with pytest.raises(ParseError) as err:
+        game_from_dict(make())
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the codec on a reduced game
+
+
+@pytest.fixture(scope="module")
+def log_reduction():
+    gm, _, lin_params = linearize(random_normal_form(7, (3, 2, 2)), R(9, 10), "log")
+    return bimatrixify(gm, lin_params.eps_m)
+
+
+def test_log_reduction_round_trips_byte_identically(tmp_path, log_reduction):
+    g2, mapping, params = log_reduction
+    for game in (g2, normalize_bimatrix(g2)):
+        write_game(tmp_path / "a.json", game)
+        back = read_game(tmp_path / "a.json")
+        write_game(tmp_path / "b.json", back)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert back == game
+    write_mapping(tmp_path / "a.mapping.json", mapping, params)
+    write_mapping(tmp_path / "b.mapping.json", *read_mapping(tmp_path / "a.mapping.json"))
+    assert (tmp_path / "a.mapping.json").read_bytes() == (tmp_path / "b.mapping.json").read_bytes()
+
+
+def test_log_reduction_reads_back_equal_fractions(tmp_path, log_reduction):
+    g2, mapping, params = log_reduction
+    write_game(tmp_path / "g.json", g2)
+    back = read_game(tmp_path / "g.json")
+    assert back.edges.keys() == g2.edges.keys()
+    for key, mat in g2.edges.items():
+        read = [x for row in back.edges[key] for x in row]
+        assert all(type(x) is Fraction for x in read)
+        assert read == [x for row in mat for x in row]
+    assert type(back.alpha) is Fraction and back.alpha == g2.alpha
+    write_mapping(tmp_path / "m.json", mapping, params)
+    back_mapping, back_params = read_mapping(tmp_path / "m.json")
+    for value, want in (
+        (back_mapping.alpha, mapping.alpha),
+        (back_params.eps_m, params.eps_m),
+        (back_params.eps_2, params.eps_2),
+        (back_params.alpha, params.alpha),
+    ):
+        assert type(value) is Fraction and value == want
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "1/2/3", "0.5"])
+def test_a_repeated_malformed_string_fails_every_time(bad):
+    data = game_to_dict(random_polymatrix(3, (2, 2, 2)))
+    rows = [row for _, _, mat in data["edges"] for row in mat]
+    for row in rows[1::3]:
+        row[-1] = bad
+    for _ in range(3):
+        with pytest.raises(ParseError, match="invalid rational"):
+            game_from_dict(data)
+    strategies = [[bad, "1"], ["1", "0"], ["0", bad]]
+    for _ in range(2):
+        with pytest.raises(ParseError, match="invalid rational"):
+            profile_from_dict({"format": PROFILE_FORMAT, "strategies": strategies})
+
+
+@pytest.mark.parametrize("bad", [[1], 1, None, True, 0.5, {"n": 1}])
+def test_a_non_string_after_a_repeated_string_fails_as_before(bad):
+    data = game_to_dict(random_polymatrix(6, (2, 3)))
+    row = data["edges"][0][2][1]
+    row[:] = [row[0], row[0], bad]
+    data["edges"][0][2][0][0] = row[0]
+    with pytest.raises(ParseError) as err:
+        game_from_dict(data)
+    assert str(err.value) == f"rationals must be strings like '3/4', got {bad!r}"
+    strategies = [["1/2", "1/2"], ["1/2", "1/2", bad]]
+    with pytest.raises(ParseError) as err:
+        profile_from_dict({"format": PROFILE_FORMAT, "strategies": strategies})
+    assert str(err.value) == f"rationals must be strings like '3/4', got {bad!r}"

@@ -1,0 +1,261 @@
+"""Differential tests of the int kernels against their Fraction oracles.
+
+``model._wsne_violations``, the two ``payoff_range`` methods and
+``solvers.lift_to_bimatrix`` compare and weigh on int numerators and
+denominators; ``kernel_oracles.py`` keeps the Fraction formulas they
+replaced.  Every comparison checks types as well as values, so an int
+where the oracle returns a Fraction (or the reverse) fails.
+"""
+
+from dataclasses import fields, replace
+from fractions import Fraction as F
+
+import pytest
+
+import kernel_oracles as oracle
+from nashreduce import ParameterError, R
+from nashreduce.model import (
+    BimatrixGame,
+    NormalFormGame,
+    PolymatrixGame,
+    Violation,
+    _wsne_violations,
+    pure_strategy,
+    random_polymatrix,
+)
+from nashreduce.reductions import bimatrixify, lift_to_polymatrix, linearize, normalize_bimatrix
+from nashreduce.solvers import lift_to_bimatrix
+
+
+def typed(value):
+    """``value`` with every leaf paired with its type."""
+    if isinstance(value, Violation):
+        return typed(tuple(getattr(value, f.name) for f in fields(value)))
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    return (type(value), value)
+
+
+def assert_same(got, want):
+    assert typed(got) == typed(want)
+
+
+# ---------------------------------------------------------------------------
+# _wsne_violations
+
+WSNE_CASES = {
+    # (payoff vectors, profile, eps, number of violations without skip)
+    "ties": (
+        [(F(1, 2), F(2, 4), F(1, 3)), (F(1, 3), F(1, 3)), (F(1, 5), F(1, 5), F(1, 5))],
+        [(F(1, 3), F(1, 3), F(1, 3)), (F(1, 2), F(1, 2)), (F(0), F(1), F(0))],
+        F(1, 10),
+        1,
+    ),
+    "tie_int_before_fraction": (
+        [(1, F(1), F(1, 2)), (F(3, 4), 0, 1)],
+        [(F(1, 2), 0, F(1, 2)), (0, F(1, 2), F(1, 2))],
+        0,
+        2,
+    ),
+    "eps_zero": (
+        [(F(1, 3), F(1, 3), F(1, 3) - F(1, 10**12)), (F(0), F(0))],
+        [(F(1, 3), F(1, 3), F(1, 3)), (F(1, 2), F(1, 2))],
+        F(0),
+        1,
+    ),
+    "eps_boundary": (
+        [(F(1, 2), F(2, 5), F(2, 5) - F(1, 10**9))],
+        [(F(1, 3), F(1, 3), F(1, 3))],
+        F(1, 10),
+        1,
+    ),
+    "negative_payoffs": (
+        [(F(-1, 3), F(-1, 2), F(-7, 5)), (F(-2), F(-2, 3))],
+        [(F(1, 3), F(1, 3), F(1, 3)), (F(1, 7), F(6, 7))],
+        F(1, 6),
+        2,
+    ),
+    "int_entries": (
+        [(2, -1, 0), (F(3, 2), 1), (0, 0)],
+        [(0, 1, 0), (1, 0), (F(1, 2), F(1, 2))],
+        1,
+        1,
+    ),
+    "int_eps_large": (
+        [(F(-1), F(2), F(1, 7))],
+        [(F(1, 3), F(1, 3), F(1, 3))],
+        3,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WSNE_CASES))
+@pytest.mark.parametrize("skip", [frozenset(), frozenset({0}), frozenset({1, 2})])
+def test_wsne_violations_match_oracle(case, skip):
+    vectors, profile, eps, count = WSNE_CASES[case]
+    want = oracle.wsne_violations(vectors, profile, eps, skip)
+    assert_same(_wsne_violations(vectors, profile, eps, skip), want)
+    if not skip:
+        assert len(want) == count
+
+
+def dominant_source(k: int = 3) -> NormalFormGame:
+    """Strategy 0 strictly dominant for every player: a strict pure equilibrium."""
+    cols = 2 ** (k - 1)
+    return NormalFormGame((2,) * k, [[[R(1)] * cols, [R(0)] * cols]] * k)
+
+
+@pytest.fixture(scope="module")
+def reduced():
+    source = dominant_source()
+    gm, lin_map, lin_params = linearize(source, R(9, 10), "log")
+    g2, bi_map, bi_params = bimatrixify(gm, lin_params.eps_m)
+    poly = lift_to_polymatrix([pure_strategy(2, 0)] * 3, lin_map)
+    return gm, lin_params, g2, bi_map, bi_params, poly
+
+
+def test_wsne_violations_match_oracle_on_a_reduction(reduced):
+    gm, lin_params, g2, bi_map, bi_params, poly = reduced
+    assert gm.verify_wsne(poly, lin_params.eps_m).ok
+    # every seventh player flipped: many violations
+    flipped = [tuple(reversed(p)) if i % 7 == 0 else p for i, p in enumerate(poly)]
+    vectors = gm.expected_payoffs(flipped)
+    for eps in (0, R(0), lin_params.eps_m):
+        for skip in (frozenset(), frozenset(range(0, gm.m, 5))):
+            want = oracle.wsne_violations(vectors, flipped, eps, skip)
+            assert_same(_wsne_violations(vectors, flipped, eps, skip), want)
+    assert len(oracle.wsne_violations(vectors, flipped, lin_params.eps_m)) > gm.m // 20
+    x, y = lift_to_bimatrix(g2, poly, bi_map)
+    u1, u2 = g2.expected_payoffs(x, y)
+    for eps in (0, bi_params.eps_2):
+        for skip in (frozenset(), frozenset({1})):
+            want = oracle.wsne_violations([u1, u2], [x, y], eps, skip)
+            assert_same(_wsne_violations([u1, u2], [x, y], eps, skip), want)
+
+
+# ---------------------------------------------------------------------------
+# payoff_range
+
+
+def mixed_polymatrix() -> PolymatrixGame:
+    """Ints and Fractions side by side, with ties at both extremes."""
+    return PolymatrixGame(
+        (2, 3, 2),
+        {
+            (0, 1): [[2, F(2), F(-1, 2)], [-1, F(-1), 0]],
+            (1, 0): [[F(1, 3), 1], [0, 0], [F(2), 2]],
+            (2, 0): [[F(-1), F(5, 3)], [F(-1, 7), F(1, 11)]],
+        },
+    )
+
+
+POLYMATRIX_GAMES = {
+    "no_edges": lambda: PolymatrixGame((2, 2), {}),
+    "no_players": lambda: PolymatrixGame((), {}),
+    "ints_and_fractions": mixed_polymatrix,
+    "fractions_first": lambda: PolymatrixGame(
+        (2, 2), {(0, 1): [[F(2), 2], [F(-1), -1]], (1, 0): [[F(1, 2), 0], [0, 0]]}
+    ),
+    "nonnegative": lambda: PolymatrixGame((2, 2), {(0, 1): [[F(1, 3), 0], [1, F(1, 9)]]}),
+    "random_0": lambda: random_polymatrix(0, (2, 3, 4), lo=R(-1), hi=R(2)),
+    "random_1": lambda: random_polymatrix(1, (3, 3), denominator=7, lo=R(-1, 2), hi=R(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYMATRIX_GAMES))
+def test_polymatrix_payoff_range_matches_oracle(name):
+    game = POLYMATRIX_GAMES[name]()
+    assert_same(game.payoff_range(), oracle.polymatrix_payoff_range(game))
+
+
+def structured_games():
+    gm = random_polymatrix(3, (2, 3, 2), lo=R(-1), hi=R(2))
+    g2, _, _ = bimatrixify(gm, R(3, 10))
+    edges = {(0, 1): [[1, F(1)], [F(3, 2), 2]], (1, 0): [[F(2), 0], [F(-1), 2]]}
+    ints = BimatrixGame.structured((2, 2), 5, edges)
+    return {
+        "no_edges": BimatrixGame.structured((2, 2), R(5), {}),
+        "no_edges_normalized": BimatrixGame.structured(
+            (2, 2), R(5), {}, normalized=True, divisor=R(6)
+        ),
+        "reduced": g2,
+        "normalized": normalize_bimatrix(g2),
+        "ints_and_fractions": ints,
+        "ints_and_fractions_normalized": normalize_bimatrix(ints),
+        "max_below_one": BimatrixGame.structured(
+            (2, 2), R(7, 3), {(0, 1): [[F(1, 2), F(-1)], [0, F(9, 10)]]}
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(structured_games()))
+def test_structured_payoff_range_matches_oracle(name):
+    game = structured_games()[name]
+    assert_same(game.payoff_range(), oracle.structured_payoff_range(game))
+
+
+# ---------------------------------------------------------------------------
+# lift_to_bimatrix
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def prime_profile(counts, shift: int = 0) -> list[tuple]:
+    """Block ``i`` mixes over its strategies with denominator ``PRIMES[i]``."""
+    profile = []
+    for i, n in enumerate(counts):
+        p = PRIMES[i]
+        weights = [(i + shift + j) % 2 + 1 for j in range(n - 1)]
+        weights.append(p - sum(weights))
+        profile.append(tuple(F(w, p) for w in weights))
+    return profile
+
+
+def lift_outcome(lift, g2, profile, mapping):
+    try:
+        return typed(lift(g2, profile, mapping))
+    except ParameterError as err:
+        return ("ParameterError", str(err))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_matches_oracle_on_prime_denominators(seed):
+    counts = (2, 3, 2, 4, 2)
+    gm = random_polymatrix(seed, counts, lo=R(-1), hi=R(2))
+    g2, mapping, _ = bimatrixify(gm, R(3, 10))
+    profile = prime_profile(counts, seed)
+    assert len({q for p in profile for q in (v.denominator for v in p)}) == len(counts)
+    want = lift_outcome(oracle.lift_to_bimatrix, g2, profile, mapping)
+    assert lift_outcome(lift_to_bimatrix, g2, profile, mapping) == want
+    assert want[0] != "ParameterError"
+
+
+def test_lift_matches_oracle_with_an_edgeless_block():
+    # player 2 has no edges at all; block 1 earns ints
+    gm = PolymatrixGame(
+        (2, 2, 3),
+        {(0, 1): [[F(1, 3), F(2)], [F(-1), F(1, 2)]], (1, 0): [[1, 0], [0, 2]]},
+    )
+    g2, mapping, _ = bimatrixify(gm, R(1, 4))
+    for profile in (
+        prime_profile((2, 2, 3)),
+        [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(0), F(1, 2))],
+        [(1, 0), (F(1, 2), F(1, 2)), (0, 0, 1)],
+    ):
+        want = lift_outcome(oracle.lift_to_bimatrix, g2, profile, mapping)
+        assert lift_outcome(lift_to_bimatrix, g2, profile, mapping) == want
+        assert want[0] != "ParameterError"
+
+
+@pytest.mark.parametrize("alpha", [R(1, 50), R(1, 5), R(1, 2), R(3), 7])
+def test_lift_matches_oracle_on_small_alpha(alpha):
+    counts = (2, 3, 2)
+    gm = random_polymatrix(5, counts, lo=R(-1), hi=R(2))
+    g2, mapping, _ = bimatrixify(gm, R(3, 10))
+    small = replace(mapping, alpha=alpha)
+    profile = prime_profile(counts)
+    want = lift_outcome(oracle.lift_to_bimatrix, g2, profile, small)
+    assert lift_outcome(lift_to_bimatrix, g2, profile, small) == want
+    if alpha == R(1, 50):
+        assert want == ("ParameterError", "alpha is too small to rebalance the block weights")
