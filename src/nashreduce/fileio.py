@@ -14,11 +14,14 @@ thousands of cells but only dozens of distinct strings.  A failed parse
 raises and is never stored, so every malformed cell fails.
 
 Games carry a small header (format tag, class, player count, strategy
-counts, payoff range, per-player role tags where applicable) that readers
-re-derive from the body and check, so a corrupted file fails loudly as a
-:class:`ParseError` rather than loading skewed.  A body that breaks a
-game builder's rule (a nonpositive alpha, an edge to a missing player, an
-entry out of range) is a :class:`ParseError` too.
+counts, payoff range, and for a structured bimatrix game its divisor) that
+readers re-derive from the body and check, so a corrupted file fails loudly
+as a :class:`ParseError` rather than loading skewed.  The divisor is null
+unless the game is normalized.  A structured bimatrix body is read as the
+polymatrix game of its block sizes and edges, so it follows the polymatrix
+rules.  A body that breaks a game builder's rule (a nonpositive alpha, an
+edge to a missing player, an entry out of range) is a :class:`ParseError`
+too.
 """
 
 from __future__ import annotations
@@ -178,26 +181,27 @@ def _edges_in(data: Any, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]
 
 def _header(game) -> dict:
     """The header fields of a game file, all derived from the game itself:
-    format tag, class, player count, strategy counts and payoff range."""
+    format tag, class, player count, strategy counts and payoff range, and
+    for a structured bimatrix game its divisor (null unless normalized)."""
     if isinstance(game, NormalFormGame):
-        entries = [x for mat in game.payoffs for row in mat for x in row]
         cls, players, counts = "normal_form", game.k, game.strategy_counts
-        lo, hi = min(entries), max(entries)
     elif isinstance(game, PolymatrixGame):
         cls, players, counts = "polymatrix", game.m, game.strategy_counts
-        lo, hi = game.payoff_range()
     elif isinstance(game, BimatrixGame):
         cls, players, counts = "bimatrix", 2, (game.n, game.n)
-        lo, hi = game.payoff_range()
     else:
         raise TypeError(f"not a serializable game: {type(game).__name__}")
-    return {
+    lo, hi = game.payoff_range()
+    header = {
         "format": GAME_FORMAT,
         "class": cls,
         "players": players,
         "strategy_counts": list(counts),
         "payoff_range": [_rat_out(lo), _rat_out(hi)],
     }
+    if cls == "bimatrix" and game.encoding == "structured":
+        header["divisor"] = _rat_out(game.divisor) if game.normalized else None
+    return header
 
 
 def game_to_dict(game) -> dict:
@@ -216,7 +220,6 @@ def game_to_dict(game) -> dict:
             data["block_sizes"] = list(game.block_sizes)
             data["alpha"] = _rat_out(game.alpha)
             data["normalized"] = game.normalized
-            data["divisor"] = _opt_rat_out(game.divisor)
             data["edges"] = _edges_out(game.edges)
     return data
 
@@ -254,13 +257,10 @@ def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
         normalized = data["normalized"]
         if not isinstance(normalized, bool):
             raise ParseError("normalized must be a boolean")
-        return BimatrixGame.structured(
-            _ints_in(data["block_sizes"], "block size"),
-            _rat_in(data["alpha"], rats),
-            _edges_in(data["edges"], rats),
-            normalized=normalized,
-            divisor=_opt_rat_in(data["divisor"], rats),
+        polymatrix = PolymatrixGame(
+            _ints_in(data["block_sizes"], "block size"), _edges_in(data["edges"], rats)
         )
+        return BimatrixGame.structured(polymatrix, _rat_in(data["alpha"], rats), normalized)
     raise ParseError(f"unknown bimatrix encoding {encoding!r}")
 
 

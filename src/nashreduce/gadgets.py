@@ -277,9 +277,6 @@ class GadgetCircuit:
     def specs(self) -> tuple[GadgetSpec, ...]:
         return tuple(self._specs)
 
-    def input_players(self) -> tuple[int, ...]:
-        return tuple(sorted(self._inputs))
-
     def undriven_players(self) -> tuple[int, ...]:
         return tuple(
             i
@@ -550,13 +547,9 @@ class GadgetCircuit:
     # -- freezing and lifting ------------------------------------------------------
 
     def combine(self) -> PolymatrixGame:
-        """Freeze into a polymatrix game (validating the payoff range)."""
-        edges = {
-            key: mat
-            for key, mat in self._edges.items()
-            if any(x != 0 for row in mat for x in row)
-        }
-        return PolymatrixGame(self._counts, edges, self._players)
+        """Freeze into a polymatrix game, which checks the payoff range and
+        drops all-zero edge matrices."""
+        return PolymatrixGame(self._counts, self._edges, self._players)
 
     def lift(self, inputs: Mapping[int, Any]) -> list[tuple]:
         """Complete exact input values to an exact equilibrium profile.

@@ -7,10 +7,14 @@ Three game classes are modeled, mirroring the reduction pipeline:
   profiles), entries in ``[0, 1]``;
 * :class:`PolymatrixGame` -- pairwise interactions only; each directed edge
   ``(i, i')`` carries an ``n_i x n_i'`` matrix, entries in ``[-1, 2]``;
-* :class:`BimatrixGame` -- two players; either dense ``(A, B)`` matrices or a
-  structured block form (very negative diagonal blocks, polymatrix edge
-  matrices off the diagonal, identity follower payoff) that avoids
-  materializing huge matrices.
+* :class:`BimatrixGame` -- two players; either dense ``(A, B)`` matrices or
+  the structured imitation game of a :class:`PolymatrixGame` (very negative
+  diagonal blocks, the polymatrix game's own checked edge matrices off the
+  diagonal, identity follower payoff) that avoids materializing huge
+  matrices.  Its normalizing divisor is derived from alpha and the edges.
+
+Each constructor checks its entries once and keeps their range, so
+``payoff_range`` reads a stored value.
 
 All values are exact rationals; comparisons in the verifier are exact.  A
 mixed strategy is a tuple of rationals that are nonnegative and sum to one.
@@ -174,30 +178,22 @@ def edge_payoffs(
     return [list(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
 
-def _entry_range(mats: Iterable[Matrix], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
-    """``(min, max)`` of ``lo``, ``hi`` and every entry of ``mats``.
+def _entry_range(values: Iterable[Rat], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
+    """``(min, max)`` of ``lo``, ``hi`` and ``values``.
 
-    Each entry is compared as ints, ``n * lo_d < lo_n * d`` for an entry
+    Each value is compared as ints, ``n * lo_d < lo_n * d`` for a value
     ``n / d``, not through ``Fraction`` comparisons.  An extreme moves only
-    on a strict inequality, so ``lo``, ``hi`` or the first entry to reach
+    on a strict inequality, so ``lo``, ``hi`` or the first value to reach
     the extreme is the object returned.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    for mat in mats:
-        for row in mat:
-            for x in row:
-                n, d = x.as_integer_ratio()
-                if n * lo_d < lo_n * d:
-                    lo, lo_n, lo_d = x, n, d
-                if n * hi_d > hi_n * d:
-                    hi, hi_n, hi_d = x, n, d
+    for x in values:
+        n, d = x.as_integer_ratio()
+        if n * lo_d < lo_n * d:
+            lo, lo_n, lo_d = x, n, d
+        if n * hi_d > hi_n * d:
+            hi, hi_n, hi_d = x, n, d
     return lo, hi
-
-
-def _check_range(entries: Iterable[Rat], lo, hi, what: str) -> None:
-    for x in entries:
-        if x < lo or x > hi:
-            raise ParameterError(f"{what} entry {x} outside [{lo}, {hi}]")
 
 
 def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "mixed strategy") -> Vector:
@@ -217,6 +213,16 @@ def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "m
     if total != den:
         raise ParameterError(f"{what} does not sum to 1")
     return v
+
+
+def _checked_profile(profile: Sequence[Vector], counts: Sequence[int]) -> list[Vector]:
+    """One validated mixed strategy per player of a game with ``counts``."""
+    if len(profile) != len(counts):
+        raise DimensionMismatch("profile length != number of players")
+    return [
+        validate_mixed(p, n, what=f"player {i} strategy")
+        for i, (p, n) in enumerate(zip(profile, counts))
+    ]
 
 
 def uniform_strategy(n: int) -> Vector:
@@ -349,6 +355,7 @@ class NormalFormGame:
         mats = tuple(make_matrix(m) for m in payoffs)
         if len(mats) != len(counts):
             raise DimensionMismatch("need exactly one payoff matrix per player")
+        ranges = []
         for i, mat in enumerate(mats):
             rows = counts[i]
             cols = 1
@@ -359,9 +366,13 @@ class NormalFormGame:
                 raise DimensionMismatch(
                     f"player {i} payoff matrix must be {rows}x{cols}"
                 )
-            _check_range((x for row in mat for x in row), 0, 1, f"player {i} payoff")
+            lo, hi = _entry_range(itertools.chain.from_iterable(mat), mat[0][0], mat[0][0])
+            if lo < 0 or hi > 1:
+                raise ParameterError(f"player {i} payoff entry {lo if lo < 0 else hi} outside [0, 1]")
+            ranges += (lo, hi)
         self.strategy_counts = counts
         self.payoffs = mats
+        self._range = _entry_range(ranges, ranges[0], ranges[0])
 
     @property
     def k(self) -> int:
@@ -397,7 +408,7 @@ class NormalFormGame:
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly."""
-        prof = self._checked_profile(profile)
+        prof = _checked_profile(profile, self.strategy_counts)
         return [
             mat_vec(self.payoffs[i], self.joint_opponent_distribution(i, prof))
             for i in range(self.k)
@@ -408,13 +419,9 @@ class NormalFormGame:
         bad = _wsne_violations(vectors, profile, eps)
         return VerifyResult(not bad, bad)
 
-    def _checked_profile(self, profile: Sequence[Vector]) -> list[Vector]:
-        if len(profile) != self.k:
-            raise DimensionMismatch("profile length != number of players")
-        return [
-            validate_mixed(p, n, what=f"player {i} strategy")
-            for i, (p, n) in enumerate(zip(profile, self.strategy_counts))
-        ]
+    def payoff_range(self) -> tuple[Rat, Rat]:
+        """(min, max) payoff entry, as the constructor's range check found it."""
+        return self._range
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +435,8 @@ class PolymatrixGame:
     the interaction with player ``i'``.  Entries lie in ``[-1, 2]``.  Edges
     whose matrix is all zeros are never stored (the constructor drops them,
     keeping the representation canonical).  The empty game (zero players) is
-    allowed.
+    allowed.  Each edge's entries are compared once, on ints, for the range
+    check, the all-zero test and the game's payoff range.
     """
 
     def __init__(
@@ -441,10 +449,11 @@ class PolymatrixGame:
         if any(n < 2 for n in counts):
             raise ParameterError("every polymatrix player needs at least two pure strategies")
         m = len(counts)
-        infos = tuple(players) if players is not None else tuple(PlayerInfo() for _ in counts)
+        infos = tuple(players) if players is not None else (PlayerInfo(),) * m
         if len(infos) != m:
             raise DimensionMismatch("need exactly one PlayerInfo per player")
         kept: dict[tuple[int, int], Matrix] = {}
+        ranges = []
         for (i, j), mat in edges.items():
             if i == j:
                 raise ParameterError(f"self-edge ({i}, {j}) is not allowed")
@@ -455,14 +464,16 @@ class PolymatrixGame:
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) matrix must be {counts[i]}x{counts[j]}"
                 )
-            _check_range(
-                (x for row in frozen for x in row), -1, 2, f"edge ({i}, {j})"
-            )
-            if any(x != 0 for row in frozen for x in row):
+            lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
+            if lo < -1 or hi > 2:
+                raise ParameterError(f"edge ({i}, {j}) entry {lo if lo < -1 else hi} outside [-1, 2]")
+            if lo or hi:  # an all-zero matrix has the range (0, 0) and is dropped
                 kept[(i, j)] = frozen
+                ranges += (lo, hi)
         self.strategy_counts = counts
         self.edges = kept
         self.players = infos
+        self._range = _entry_range(ranges, 0, 0)
 
     @property
     def m(self) -> int:
@@ -490,7 +501,7 @@ class PolymatrixGame:
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly,
         in O(players + total edge entries)."""
-        prof = self._checked_profile(profile)
+        prof = _checked_profile(profile, self.strategy_counts)
         return [tuple(u) for u in edge_payoffs(self.strategy_counts, self.edges, prof)]
 
     def verify_wsne(
@@ -510,20 +521,12 @@ class PolymatrixGame:
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
-        """(min, max) payoff entry over all edges; (0, 0) when there are none.
+        """(min, max) of 0 and every edge entry, as the constructor found it.
 
         The entries are compared on ints (:func:`_entry_range`), and the
         first entry that sets a new extreme is the one returned.
         """
-        return _entry_range(self.edges.values(), 0, 0)
-
-    def _checked_profile(self, profile: Sequence[Vector]) -> list[Vector]:
-        if len(profile) != self.m:
-            raise DimensionMismatch("profile length != number of players")
-        return [
-            validate_mixed(p, n, what=f"player {i} strategy")
-            for i, (p, n) in enumerate(zip(profile, self.strategy_counts))
-        ]
+        return self._range
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +540,17 @@ class BimatrixGame:
     player / follower), both ``N x N`` here (square because the reduction
     produces square games).
 
-    Structured: the block imitation form produced by reducing a polymatrix
-    game.  The leader's matrix has ``-alpha`` on every entry of each diagonal
-    block and the polymatrix edge matrix ``M^{i,i'}`` as block ``(i, i')``;
-    the follower's matrix is the identity.  With ``normalized=True`` the game
-    instead stands for the affine image ``v -> (v + alpha) / divisor`` of
-    both matrices, which maps all payoffs into ``[0, 1]``.
+    Structured: the block imitation game of a :class:`PolymatrixGame`.  The
+    leader's matrix has ``-alpha`` on every entry of each diagonal block and
+    the polymatrix edge matrix ``M^{i,i'}`` as block ``(i, i')``; the
+    follower's matrix is the identity.  ``block_sizes`` and ``edges`` are
+    the polymatrix game's own strategy counts and checked edge matrices, so
+    blocks have at least two strategies and edge entries lie in ``[-1, 2]``.
+    ``divisor`` is derived: ``alpha + 1``, or ``alpha + 2`` when an edge pays
+    more than 1.  With ``normalized=True`` the game instead stands for the
+    affine image ``v -> (v + alpha) / divisor`` of both matrices, which maps
+    all payoffs into ``[0, 1]``; that needs every edge entry to be at least
+    ``-alpha``.
 
     The structured form never materializes ``N x N`` matrices: expected
     payoffs and single entries are computed from the blocks on demand.
@@ -566,6 +574,7 @@ class BimatrixGame:
         self.a = a
         self.b = b
         self.n = len(a)
+        self.polymatrix = None
         self.block_sizes = None
         self._offsets = None
         self.alpha = None
@@ -576,52 +585,33 @@ class BimatrixGame:
 
     @classmethod
     def structured(
-        cls,
-        block_sizes: Sequence[int],
-        alpha: Rat,
-        edges: Mapping[tuple[int, int], Matrix],
-        normalized: bool = False,
-        divisor: Rat | None = None,
+        cls, polymatrix: PolymatrixGame, alpha: Rat, normalized: bool = False
     ) -> "BimatrixGame":
         self = object.__new__(cls)
-        sizes = tuple(int(n) for n in block_sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ParameterError("block sizes must be positive")
         _check_exact((alpha,), "alpha")
-        if divisor is not None:
-            _check_exact((divisor,), "divisor")
         if alpha <= 0:
             raise ParameterError("alpha must be positive")
-        if normalized:
-            if divisor is None or divisor <= 0:
-                raise ParameterError("normalized games need a positive divisor")
-        elif divisor is not None:
-            raise ParameterError("divisor is only meaningful for normalized games")
-        m = len(sizes)
-        kept: dict[tuple[int, int], Matrix] = {}
-        for (i, j), mat in edges.items():
-            if i == j:
-                raise ParameterError("diagonal blocks are implied; do not pass them")
-            if not (0 <= i < m and 0 <= j < m):
-                raise ParameterError(f"edge ({i}, {j}) references a missing block")
-            frozen = make_matrix(mat)
-            if len(frozen) != sizes[i] or len(frozen[0]) != sizes[j]:
-                raise DimensionMismatch(
-                    f"edge ({i}, {j}) matrix must be {sizes[i]}x{sizes[j]}"
-                )
-            if any(x != 0 for row in frozen for x in row):
-                kept[(i, j)] = frozen
+        if not polymatrix.m:
+            raise ParameterError("an imitation game needs at least one block")
+        lo, hi = polymatrix.payoff_range()
+        if normalized and lo < -alpha:
+            raise ParameterError(
+                f"edge entry {lo} is below -alpha, so normalized payoffs would leave [0, 1]"
+            )
         self.encoding = "structured"
         self.a = None
         self.b = None
-        self.n = sum(sizes)
-        self.block_sizes = sizes
+        self.polymatrix = polymatrix
+        self.block_sizes = polymatrix.strategy_counts
+        self.n = sum(self.block_sizes)
         # _offsets[i] is block i's first strategy; _offsets[-1] == n
-        self._offsets = tuple(itertools.accumulate(sizes, initial=0))
+        self._offsets = tuple(itertools.accumulate(self.block_sizes, initial=0))
         self.alpha = alpha
-        self.edges = kept
+        self.edges = polymatrix.edges
         self.normalized = bool(normalized)
-        self.divisor = divisor
+        self.divisor = alpha + (2 if hi > 1 else 1)
+        # the unnormalized range: -alpha and 1 against the edge entries
+        self._range = _entry_range((lo, hi), -alpha, 1)
         return self
 
     # -- shared interface
@@ -661,7 +651,6 @@ class BimatrixGame:
             and self.alpha == other.alpha
             and self.edges == other.edges
             and self.normalized == other.normalized
-            and self.divisor == other.divisor
         )
 
     def __repr__(self) -> str:
@@ -745,19 +734,19 @@ class BimatrixGame:
     def payoff_range(self) -> tuple[Rat, Rat]:
         """(min, max) payoff over both matrices.
 
-        Structured games: the min is ``-alpha``, the diagonal blocks' entry,
-        and the max is the largest of 1 (the identity follower) and the
-        edge entries, compared on ints as in
-        :meth:`PolymatrixGame.payoff_range`.  Both are mapped through the
-        normalization when the game is normalized.
+        Structured games: the smaller of ``-alpha`` (the diagonal blocks)
+        and the edges' minimum, and the larger of 1 (the identity follower)
+        and the edges' maximum, from the range the polymatrix game stored.
+        Both are mapped through the normalization when the game is
+        normalized.
         """
         if self.encoding == "dense":
             entries = [x for row in self.a for x in row] + [
                 x for row in self.b for x in row
             ]
             return min(entries), max(entries)
-        _, hi = _entry_range(self.edges.values(), 0, 1)
-        return self._norm(-self.alpha), self._norm(hi)
+        lo, hi = self._range
+        return self._norm(lo), self._norm(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -335,8 +335,7 @@ def bimatrixify(
     big_n = sum(counts)
     eps_2 = eps_m / big_n
     alpha = rational(8) * m * m / eps_2
-    game = BimatrixGame.structured(block_sizes=counts, alpha=alpha, edges=gm.edges)
-    divisor = _divisor(alpha, gm)
+    game = BimatrixGame.structured(gm, alpha)
     h = []
     offset = 0
     for n in counts:
@@ -349,35 +348,27 @@ def bimatrixify(
         source_counts=counts,
         block_sizes=counts,
         alpha=alpha,
-        divisor=divisor,
+        divisor=game.divisor,
     )
     params = ReductionParams(
-        eps_m=eps_m, eps_2=eps_2, m=m, N=big_n, alpha=alpha, divisor=divisor
+        eps_m=eps_m, eps_2=eps_2, m=m, N=big_n, alpha=alpha, divisor=game.divisor
     )
     return game, mapping, params
 
 
-def _divisor(alpha: Rat, game: PolymatrixGame | BimatrixGame) -> Rat:
-    """The divisor that maps an imitation game's payoffs into [0, 1] by
-    (v + alpha) / divisor: alpha plus 1, or plus 2 when an edge pays more
-    than 1.  ``game`` is the polymatrix game or its unnormalized imitation
-    game; both hold the same edge matrices."""
-    return alpha + (2 if game.payoff_range()[1] > 1 else 1)
-
-
 def normalize_bimatrix(game: BimatrixGame) -> BimatrixGame:
     """The same game with every payoff mapped affinely into [0, 1] by
-    (v + alpha) / divisor, with the divisor :func:`bimatrixify` records;
+    (v + alpha) / divisor, where the game derives the divisor (alpha + 1,
+    or alpha + 2 when an edge pays more than 1) just as :func:`bimatrixify`
+    records it.  The result shares the game's polymatrix game and edges;
     an eps-equilibrium here is an (eps * divisor)-equilibrium of the
-    unnormalized game and vice versa."""
+    unnormalized game and vice versa.  An edge entry below -alpha would map
+    below 0, and raises :class:`ParameterError`."""
     if game.encoding != "structured":
         raise ParameterError("only structured imitation games can be normalized")
     if game.normalized:
         raise ParameterError("the game is already normalized")
-    divisor = _divisor(game.alpha, game)
-    return BimatrixGame.structured(
-        game.block_sizes, game.alpha, game.edges, normalized=True, divisor=divisor
-    )
+    return BimatrixGame.structured(game.polymatrix, game.alpha, normalized=True)
 
 
 def recover_from_bimatrix(

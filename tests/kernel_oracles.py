@@ -46,11 +46,14 @@ def polymatrix_payoff_range(game) -> tuple:
 
 
 def structured_payoff_range(game) -> tuple:
-    """(-alpha, max(1, edge entries)), normalized when the game is."""
+    """(min(-alpha, edge entries), max(1, edge entries)), normalized when
+    the game is."""
     lo, hi = -game.alpha, 1
     for mat in game.edges.values():
         for row in mat:
             for x in row:
+                if x < lo:
+                    lo = x
                 if x > hi:
                     hi = x
     return game._norm(lo), game._norm(hi)

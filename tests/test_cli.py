@@ -170,6 +170,35 @@ def test_file_body_breaking_a_builder_rule_is_unreadable_input(runner, tmp_path)
     assert result.output.strip() == "error: alpha must be positive"
 
 
+def set_first_edge_entry(text):
+    def edit(data):
+        data["edges"][0][2][0][0] = text
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(block_sizes=[1, 3]),
+         "every polymatrix player needs at least two pure strategies"),
+        (set_first_edge_entry("5/2"), "edge (0, 1) entry 5/2 outside [-1, 2]"),
+        (set_first_edge_entry("-3/2"), "edge (0, 1) entry -3/2 outside [-1, 2]"),
+        (lambda d: d.update(divisor="1283/3"),
+         "header field 'divisor' is '1283/3' but the body implies None"),
+        (lambda d: d.update(normalized=True),
+         "header field 'payoff_range' is ['-1280/3', '1'] but the body implies ['0', '1']"),
+    ],
+    ids=["size_one_block", "entry_above_2", "entry_below_minus_1", "stray_divisor", "unmarked_normalized"],
+)
+def test_verify_rejects_structured_file_breaking_polymatrix_rules(runner, tmp_path, edit, message):
+    prof = tmp_path / "prof.json"
+    write_profile(prof, [(R(1, 4),) * 4] * 2)
+    result = invoke(runner, "verify", structured_file(tmp_path, edit), prof)
+    assert result.exit_code == 2
+    assert result.output.strip() == f"error: {message}"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

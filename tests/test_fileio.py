@@ -289,6 +289,12 @@ def with_edge(i, j, mat):
     return dict(data, edges=data["edges"] + [[i, j, mat]])
 
 
+def with_structured_entry(text):
+    data = structured_dict()
+    data["edges"][0][2][0][0] = text
+    return data
+
+
 def with_polymatrix_entry(text):
     data = game_to_dict(random_polymatrix(4, (2, 2)))
     data["edges"][0][2][0][0] = text
@@ -300,15 +306,53 @@ def with_polymatrix_entry(text):
     [
         (lambda: dict(structured_dict(), alpha="-5"), "alpha must be positive"),
         (lambda: with_edge(0, 5, [["1", "0"], ["0", "1"]]),
-         "edge (0, 5) references a missing block"),
+         "edge (0, 5) references a missing player"),
         (lambda: with_edge(1, 1, [["1", "0", "0"]] * 3),
-         "diagonal blocks are implied; do not pass them"),
+         "self-edge (1, 1) is not allowed"),
         (lambda: with_polymatrix_entry("-2"), "edge (0, 1) entry -2 outside [-1, 2]"),
         (lambda: mutate(payoffs=[[["2"], ["0"]]]), "player 0 payoff entry 2 outside [0, 1]"),
+        (lambda: dict(structured_dict(), block_sizes=[1, 4]),
+         "every polymatrix player needs at least two pure strategies"),
+        (lambda: with_structured_entry("5/2"), "edge (0, 1) entry 5/2 outside [-1, 2]"),
+        (lambda: with_structured_entry("-3/2"), "edge (0, 1) entry -3/2 outside [-1, 2]"),
     ],
-    ids=["bad_alpha", "missing_block", "diagonal_edge", "polymatrix_range", "normal_form_range"],
+    ids=[
+        "bad_alpha",
+        "missing_block",
+        "diagonal_edge",
+        "polymatrix_range",
+        "normal_form_range",
+        "size_one_block",
+        "structured_entry_above_2",
+        "structured_entry_below_minus_1",
+    ],
 )
 def test_body_breaking_a_builder_rule_is_a_parse_error(make, message):
+    with pytest.raises(ParseError) as err:
+        game_from_dict(make())
+    assert str(err.value) == message
+
+
+def normalized_dict() -> dict:
+    g2, _, _ = bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))
+    return game_to_dict(normalize_bimatrix(g2))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: dict(normalized_dict(), divisor="642"),
+         "header field 'divisor' is '642' but the body implies '641'"),
+        (lambda: dict(normalized_dict(), divisor=None),
+         "header field 'divisor' is None but the body implies '641'"),
+        (lambda: dict(structured_dict(), divisor="641"),
+         "header field 'divisor' is '641' but the body implies None"),
+    ],
+    ids=["normalized_wrong", "normalized_null", "unnormalized_set"],
+)
+def test_structured_divisor_is_checked_like_a_header_field(make, message):
+    assert structured_dict()["divisor"] is None
+    assert normalized_dict()["divisor"] == "641"
     with pytest.raises(ParseError) as err:
         game_from_dict(make())
     assert str(err.value) == message

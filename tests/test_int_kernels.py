@@ -173,18 +173,17 @@ def structured_games():
     gm = random_polymatrix(3, (2, 3, 2), lo=R(-1), hi=R(2))
     g2, _, _ = bimatrixify(gm, R(3, 10))
     edges = {(0, 1): [[1, F(1)], [F(3, 2), 2]], (1, 0): [[F(2), 0], [F(-1), 2]]}
-    ints = BimatrixGame.structured((2, 2), 5, edges)
+    ints = BimatrixGame.structured(PolymatrixGame((2, 2), edges), 5)
+    no_edges = PolymatrixGame((2, 2), {})
     return {
-        "no_edges": BimatrixGame.structured((2, 2), R(5), {}),
-        "no_edges_normalized": BimatrixGame.structured(
-            (2, 2), R(5), {}, normalized=True, divisor=R(6)
-        ),
+        "no_edges": BimatrixGame.structured(no_edges, R(5)),
+        "no_edges_normalized": BimatrixGame.structured(no_edges, R(5), normalized=True),
         "reduced": g2,
         "normalized": normalize_bimatrix(g2),
         "ints_and_fractions": ints,
         "ints_and_fractions_normalized": normalize_bimatrix(ints),
         "max_below_one": BimatrixGame.structured(
-            (2, 2), R(7, 3), {(0, 1): [[F(1, 2), F(-1)], [0, F(9, 10)]]}
+            PolymatrixGame((2, 2), {(0, 1): [[F(1, 2), F(-1)], [0, F(9, 10)]]}), R(7, 3)
         ),
     }
 

@@ -25,7 +25,7 @@ from nashreduce import (
 )
 from nashreduce.errors import ZeroBlockMass
 from nashreduce.model import edge_payoffs
-from nashreduce.reductions import bimatrixify, recover_from_bimatrix
+from nashreduce.reductions import bimatrixify, normalize_bimatrix, recover_from_bimatrix
 from nashreduce.solvers import lift_to_bimatrix
 
 
@@ -126,19 +126,16 @@ GAME_BUILDERS = {
     "normal-form": lambda mat: NormalFormGame((2, 2), [mat, [[R(0)] * 2] * 2]),
     "polymatrix": lambda mat: PolymatrixGame((2, 2), {(0, 1): mat}),
     "dense": lambda mat: BimatrixGame.dense(mat, [[R(0)] * 2] * 2),
-    "structured": lambda mat: BimatrixGame.structured((2, 2), R(4), {(0, 1): mat}),
+    "structured": lambda mat: BimatrixGame.structured(PolymatrixGame((2, 2), {(0, 1): mat}), R(4)),
 }
 
 
-@pytest.mark.parametrize(
-    "alpha,divisor,what",
-    [(4.0, None, "alpha"), (R(4), 5.0, "divisor"), (complex(4), R(5), "alpha")],
-)
-def test_structured_rejects_inexact_scalars(alpha, divisor, what):
-    normalized = divisor is not None
-    with pytest.raises(ParameterError, match=f"{what} .*exact rational"):
-        BimatrixGame.structured((2, 2), alpha, {}, normalized=normalized, divisor=divisor)
-    BimatrixGame.structured((2, 2), 4, {}, normalized=normalized, divisor=R(5) if normalized else None)
+@pytest.mark.parametrize("alpha,normalized", [(4.0, False), (complex(4), True)])
+def test_structured_rejects_inexact_scalars(alpha, normalized):
+    gm = PolymatrixGame((2, 2), {})
+    with pytest.raises(ParameterError, match="alpha .*exact rational"):
+        BimatrixGame.structured(gm, alpha, normalized)
+    BimatrixGame.structured(gm, 4, normalized)
 
 
 @pytest.mark.parametrize("entries", INEXACT_MATRICES.values(), ids=INEXACT_MATRICES)
@@ -304,7 +301,7 @@ def small_structured():
         (0, 1): [[R(0), R(1)], [R(1), R(0)]],
         (1, 0): [[R(1), R(0)], [R(0), R(1)]],
     }
-    return BimatrixGame.structured((2, 2), R(10), edges)
+    return BimatrixGame.structured(PolymatrixGame((2, 2), edges), R(10))
 
 
 def test_structured_entries():
@@ -341,8 +338,10 @@ def test_normalized_structured_payoffs_affine():
     }
     alpha = R(10)
     div = alpha + 1
-    raw = BimatrixGame.structured((2, 2), alpha, edges)
-    norm = BimatrixGame.structured((2, 2), alpha, edges, normalized=True, divisor=div)
+    gm = PolymatrixGame((2, 2), edges)
+    raw = BimatrixGame.structured(gm, alpha)
+    norm = BimatrixGame.structured(gm, alpha, normalized=True)
+    assert raw.divisor == norm.divisor == div
     x = (R(1, 2), R(0), R(1, 4), R(1, 4))
     y = (R(1, 8), R(3, 8), R(1, 4), R(1, 4))
     u1, u2 = raw.expected_payoffs(x, y)
@@ -354,6 +353,49 @@ def test_normalized_structured_payoffs_affine():
     # tolerances scale with the same divisor
     eps = R(1, 5)
     assert raw.verify_wsne(x, y, eps).ok == norm.verify_wsne(x, y, eps / div).ok
+
+
+def test_structured_payoff_range_counts_edges_below_minus_alpha():
+    gm = PolymatrixGame((2, 2), {(0, 1): [[R(-1), R(0)], [R(0), R(0)]]})
+    g = BimatrixGame.structured(gm, R(1, 2))
+    assert g.payoff_range() == g.to_dense().payoff_range() == (R(-1), R(1))
+    with pytest.raises(ParameterError, match="below -alpha"):
+        normalize_bimatrix(g)
+    with pytest.raises(ParameterError, match="below -alpha"):
+        BimatrixGame.structured(gm, R(1, 2), normalized=True)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_structured_payoff_range_matches_dense(seed, normalized):
+    """Alphas below and above 1, edge minima below and above -alpha."""
+    rng = random.Random(seed)
+    alpha = (R(1, 2), R(3, 4), R(2), R(7, 2))[seed % 4]
+    lo = (R(-1), R(-1, 4), R(0))[seed % 3]
+    gm = random_polymatrix(rng, (2, 3, 2), denominator=4, lo=lo, hi=rng.choice((R(1), R(2))))
+    if normalized and gm.payoff_range()[0] < -alpha:
+        with pytest.raises(ParameterError, match="below -alpha"):
+            BimatrixGame.structured(gm, alpha, normalized)
+        return
+    g = BimatrixGame.structured(gm, alpha, normalized)
+    lo, hi = g.payoff_range()
+    assert (lo, hi) == g.to_dense().payoff_range()
+    if normalized:
+        assert 0 <= lo <= hi <= 1
+
+
+@pytest.mark.parametrize(
+    "sizes,edges",
+    [
+        ((1, 3), {}),
+        ((2, 2), {(0, 1): [[R(5, 2), R(0)], [R(0), R(0)]]}),
+        ((2, 2), {(1, 0): [[R(0), R(0)], [R(0), R(-3, 2)]]}),
+    ],
+    ids=["size_one_block", "entry_above_2", "entry_below_minus_1"],
+)
+def test_structured_games_follow_the_polymatrix_rules(sizes, edges):
+    with pytest.raises(ParameterError):
+        BimatrixGame.structured(PolymatrixGame(sizes, edges), R(4))
 
 
 def test_dense_verify_wsne():
@@ -372,11 +414,9 @@ def test_bimatrix_validation():
     with pytest.raises(DimensionMismatch):
         BimatrixGame.dense([[R(0), R(1)]], [[R(0), R(1)]])
     with pytest.raises(ParameterError):
-        BimatrixGame.structured((2, 2), R(0), {})
+        BimatrixGame.structured(PolymatrixGame((2, 2), {}), R(0))
     with pytest.raises(ParameterError):
-        BimatrixGame.structured((2, 2), R(4), {}, normalized=True)
-    with pytest.raises(ParameterError):
-        BimatrixGame.structured((2, 2), R(4), {}, divisor=R(5))
+        BimatrixGame.structured(PolymatrixGame((), {}), R(4))
     with pytest.raises(TypeError):
         BimatrixGame()
 
@@ -391,13 +431,13 @@ def test_block_index_helpers():
 
 
 def test_block_index_round_trip_uneven_blocks():
-    sizes = (1, 3, 2, 5)
-    g = BimatrixGame.structured(sizes, R(4), {})
-    assert [g.block_offset(i) for i in range(len(sizes))] == [0, 1, 4, 6]
+    sizes = (2, 3, 2, 5)
+    g = BimatrixGame.structured(PolymatrixGame(sizes, {}), R(4))
+    assert [g.block_offset(i) for i in range(len(sizes))] == [0, 2, 5, 7]
     pairs = [(i, j) for i, n in enumerate(sizes) for j in range(n)]
     assert [g.strategy_index(i, j) for i, j in pairs] == list(range(g.n))
     assert [g.block_of(s) for s in range(g.n)] == pairs
-    for i, j in ((0, 1), (1, -1), (3, 5), (4, 0), (-1, 0)):
+    for i, j in ((0, 2), (1, -1), (3, 5), (4, 0), (-1, 0)):
         with pytest.raises(ParameterError):
             g.strategy_index(i, j)
     for s in (-1, g.n, g.n + 7):
@@ -467,7 +507,7 @@ def test_polymatrix_payoffs_match_naive_reference(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_structured_payoffs_match_dense(seed, normalized):
     rng = random.Random(seed)
-    sizes = (1, 3, 2, 4, 2)
+    sizes = (2, 3, 2, 4, 2)
     edgeless = 2  # block 2 has no edges in or out
     edges = {
         (i, j): random_matrix(rng, sizes[i], sizes[j])
@@ -476,8 +516,7 @@ def test_structured_payoffs_match_dense(seed, normalized):
         if i != j and edgeless not in (i, j) and rng.random() < 1 / 2
     }
     alpha = R(rng.randrange(5, 20))
-    divisor = alpha + 3 if normalized else None
-    g = BimatrixGame.structured(sizes, alpha, edges, normalized=normalized, divisor=divisor)
+    g = BimatrixGame.structured(PolymatrixGame(sizes, edges), alpha, normalized)
     d = g.to_dense()
     x = random_mixed(rng, g.n)
     y = random_mixed(rng, g.n)
@@ -561,10 +600,7 @@ def test_edge_payoffs_differential(kind, seed):
 def test_structured_payoffs_differential(kind, seed, normalized):
     gm, vectors = kernel_case(kind, seed)
     alpha = R(PRIMES[-1] * 8, 7)  # no denominator shared with any vector
-    divisor = alpha + 3 if normalized else None
-    g = BimatrixGame.structured(
-        gm.strategy_counts, alpha, gm.edges, normalized=normalized, divisor=divisor
-    )
+    g = BimatrixGame.structured(gm, alpha, normalized)
     m = gm.m
     y = tuple(v * R(1, m) for vec in vectors for v in vec)
     x = tuple(reversed(y))
@@ -574,7 +610,7 @@ def test_structured_payoffs_differential(kind, seed, normalized):
     naive = naive_edge_payoffs(gm.strategy_counts, gm.edges, blocks)
     expected = [v - alpha * sum(b) for u, b in zip(naive, blocks) for v in u]
     if normalized:
-        expected = [(v + alpha) / divisor for v in expected]
+        expected = [(v + alpha) / g.divisor for v in expected]
     assert list(u1) == expected
     assert_fractions([u1])
 

@@ -306,6 +306,8 @@ def test_bimatrixify_parameters_and_blocks():
     assert mapping.g == (1, 1)
     assert mapping.h == ((0, 1), (2, 3))
     assert mapping.divisor == params.alpha + 1  # payoffs never exceed 1
+    # the imitation game shares the polymatrix game's checked edges
+    assert g2.polymatrix is gm and g2.edges is gm.edges
     # leader's matrix: -alpha on diagonal blocks, edge entries elsewhere
     assert g2.entry(0, 0, 0) == -params.alpha
     assert g2.entry(0, 0, 1) == -params.alpha
@@ -348,6 +350,7 @@ def test_normalize_bimatrix_divisor_rules():
     g2hot, maphot, _ = bimatrixify(hot, R(3, 10))
     assert maphot.divisor == g2hot.alpha + 2
     assert normalize_bimatrix(g2hot).divisor == g2hot.alpha + 2
+    assert normalize_bimatrix(g2hot).edges is hot.edges
     with pytest.raises(ParameterError):
         normalize_bimatrix(norm)
     dense = BimatrixGame.dense([[R(1)]], [[R(0)]])
