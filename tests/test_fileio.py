@@ -289,16 +289,13 @@ def with_edge(i, j, mat):
     return dict(data, edges=data["edges"] + [[i, j, mat]])
 
 
-def with_structured_entry(text):
-    data = structured_dict()
+def with_first_edge_entry(data, text):
     data["edges"][0][2][0][0] = text
     return data
 
 
 def with_polymatrix_entry(text):
-    data = game_to_dict(random_polymatrix(4, (2, 2)))
-    data["edges"][0][2][0][0] = text
-    return data
+    return with_first_edge_entry(game_to_dict(random_polymatrix(4, (2, 2))), text)
 
 
 @pytest.mark.parametrize(
@@ -313,8 +310,10 @@ def with_polymatrix_entry(text):
         (lambda: mutate(payoffs=[[["2"], ["0"]]]), "player 0 payoff entry 2 outside [0, 1]"),
         (lambda: dict(structured_dict(), block_sizes=[1, 4]),
          "every polymatrix player needs at least two pure strategies"),
-        (lambda: with_structured_entry("5/2"), "edge (0, 1) entry 5/2 outside [-1, 2]"),
-        (lambda: with_structured_entry("-3/2"), "edge (0, 1) entry -3/2 outside [-1, 2]"),
+        (lambda: with_first_edge_entry(structured_dict(), "5/2"),
+         "edge (0, 1) entry 5/2 outside [-1, 2]"),
+        (lambda: with_first_edge_entry(structured_dict(), "-3/2"),
+         "edge (0, 1) entry -3/2 outside [-1, 2]"),
     ],
     ids=[
         "bad_alpha",
