@@ -5,15 +5,15 @@ objects, or plain ints where an int is the natural value, never floats.
 New values are built with :func:`rational`, which checks its arguments
 more strictly than ``Fraction`` does: it rejects floats, complex numbers
 and decimal strings such as ``"0.5"`` or ``"1e3"``.  Where a hot loop has
-summed int numerators over a known int denominator (see
-:func:`common_denominator` and :func:`exact_sum`), it builds the result
+summed int numerators over a known int denominator (see :func:`exact_sum`
+and the payoff kernel in :mod:`nashreduce.model`), it builds the result
 with ``Fraction(numerator, denominator)`` directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 from types import SimpleNamespace
 
@@ -27,7 +27,6 @@ __all__ = [
     "unit_denominator",
     "ifloor",
     "iceil",
-    "common_denominator",
     "exact_sum",
 ]
 
@@ -106,20 +105,9 @@ def iceil(value) -> int:
     return -int((-value.numerator) // value.denominator)
 
 
-def common_denominator(values) -> tuple[int, list[int]]:
-    """``(L, nums)`` with ``values[c] == nums[c] / L`` exactly, where ``L``
-    is the lcm of the values' own denominators (1 when there are none).
-
-    Sums over ``nums`` are plain int arithmetic.  Meant for short vectors:
-    with many distinct denominators ``L`` gets huge, and :func:`exact_sum`
-    is the cheaper way to add them.
-    """
-    scale = lcm(*{x.denominator for x in values})
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
-def exact_sum(values) -> tuple[int, int]:
-    """``sum(values)`` in lowest terms, as an int pair ``(total, den)``.
+def exact_sum(pairs) -> tuple[int, int]:
+    """``sum(n / d for n, d in pairs)`` in lowest terms, as an int pair
+    ``(total, den)``; each ``d`` is a positive int.
 
     Numerators that share a denominator are added as plain ints first;
     then the per-denominator sums are combined as in Knuth's fraction
@@ -127,9 +115,8 @@ def exact_sum(values) -> tuple[int, int]:
     denominator grows no faster than the true sum's.
     """
     groups: dict = {}
-    for x in values:
-        d = x.denominator
-        groups[d] = groups.get(d, 0) + x.numerator
+    for n, d in pairs:
+        groups[d] = groups.get(d, 0) + n
     total, den = 0, 1
     for d, n in groups.items():
         g = gcd(n, d)

@@ -24,15 +24,19 @@ every pure strategy played with positive probability earns within ``eps`` of
 that player's best pure response.  ``verify_*`` methods check this exactly
 and return the violations found.
 
-Polymatrix and structured bimatrix payoffs both come from
-:func:`edge_payoffs`, one pass over the edge matrices: verifying costs
-O(players + total edge entries), linear in the edges rather than in
-players x edges.  Inside, the sums are int arithmetic: each strategy vector
-is scaled once to int numerators over the lcm of its own denominators, each
-payoff is accumulated as an int numerator over an int denominator, and only
-the finished payoff becomes a rational.  That costs one lcm per vector and
-one rational per payoff entry, instead of one rational multiply and add per
-edge entry; :func:`validate_mixed` checks unit sums with int sums too.
+Verification runs on ints.  Each strategy vector is validated and scaled in
+one pass to ``(L, nums)``, int numerators over the lcm ``L`` of its own
+entries' denominators: exactness and length are checked as the entries are
+read, nonnegativity is ``min(nums) >= 0`` and unit sum is ``sum(nums) == L``.
+A structured game's leader and follower strategies are scaled block by
+block, and their unit sum is an exact sum of the per-block pairs.  The
+scaled vectors feed :func:`edge_payoffs`, one pass over the edge matrices
+that costs O(players + total edge entries), linear in the edges rather than
+in players x edges, and returns every payoff as an int ``(numerator,
+denominator)`` pair.  The best-response comparisons and the support test
+(``nums[j] > 0``) read those ints directly.  A ``Fraction`` is built only
+at the API edge: by ``expected_payoffs``, in the fields of a
+:class:`Violation` and in the vectors handed back to callers.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from math import gcd, lcm
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._rational import common_denominator, exact_sum, rational
+from ._rational import exact_sum, rational
 from .errors import DegenerateGame, DimensionMismatch, ParameterError, SizeBudgetExceeded
 
 Rat = Any  # a Fraction, or an int
@@ -121,42 +125,38 @@ def mat_vec(matrix: Matrix, vec: Sequence[Rat]) -> Vector:
 
 
 def edge_payoffs(
-    strategy_counts: Sequence[int],
+    offsets: Sequence[int],
     edges: Mapping[tuple[int, int], Matrix],
-    vectors: Iterable[Sequence[Rat]],
+    scales: Sequence[int],
+    units: Sequence[int],
     diagonal: Rat = 0,
-) -> list[list[Rat]]:
+) -> tuple[list[int], list[int]]:
     """``diagonal * sum(v_i) + sum_j M^{ij} v_j`` for every player ``i``,
-    exactly.
+    exactly, as int pairs.
 
-    ``edges[(i, j)]`` is an ``n_i x n_j`` matrix and ``v_j``, the ``j``-th
-    of ``vectors``, player ``j``'s mixed strategy; ``diagonal`` is the
-    structured bimatrix game's ``-alpha`` and 0 for polymatrix games.  One
-    pass over ``edges`` reads each matrix once, so the cost is
+    Player ``j`` owns the flat indices ``offsets[j]:offsets[j + 1]``, and
+    its mixed strategy is ``v_j == units[offsets[j]:offsets[j + 1]] /
+    scales[j]``, as :func:`_scaled_profile` or :func:`_scaled_blocks`
+    return it.  ``edges[(i, j)]`` is an ``n_i x n_j`` matrix; ``diagonal``
+    is the structured bimatrix game's ``-alpha`` and 0 for polymatrix
+    games.  One pass over ``edges`` reads each matrix once, so the cost is
     O(players + total edge entries).
 
-    The sums are int arithmetic.  Each vector is scaled once to
-    ``(L_j, nums)`` over the lcm of its own denominators (one lcm over all
-    vectors would multiply every term by a huge number when players'
-    denominators are distinct primes).  Each output entry is an int
-    numerator ``total`` over an int denominator ``den``; a term
-    ``a * n / (b * L_j)`` costs one int add when ``b * L_j == den`` and one
-    :func:`math.gcd` otherwise.  Only the final ``total / den`` becomes a
-    ``Fraction``, zero for a player without out-edges.
-    Shapes are the caller's to check.
+    Returns flat lists ``(totals, dens)``, indexed like ``units``: strategy
+    ``r`` earns ``totals[r] / dens[r]``, with ``dens[r] > 0`` and the pair
+    not necessarily in lowest terms (``(0, 1)`` for a player without
+    out-edges).  A term ``a * n / (b * L_j)`` costs one int add when
+    ``b * L_j`` equals the running denominator and one :func:`math.gcd`
+    otherwise.  Shapes are the caller's to check.
     """
     diag_num, diag_den = diagonal.numerator, diagonal.denominator
     # flat int lists, few live containers: the garbage collector's cost grows
     # with the containers a call keeps alive, and large games hold many
-    scales, units, totals, dens = [], [], [], []
-    for v, count in zip(vectors, strategy_counts):
-        scale, nums = common_denominator(v)
-        scales.append(scale)
-        units += nums
-        start = diag_num * sum(nums)  # diagonal * sum(v) == start / (diag_den * scale)
-        totals += [start] * count
-        dens += [diag_den * scale if start else 1] * count
-    offsets = list(itertools.accumulate(strategy_counts, initial=0))
+    totals, dens = [], []
+    for scale, a, b in zip(scales, offsets, offsets[1:]):
+        start = diag_num * sum(units[a:b])  # diagonal * sum(v) == start / (diag_den * scale)
+        totals += [start] * (b - a)
+        dens += [diag_den * scale if start else 1] * (b - a)
     for (i, j), mat in edges.items():
         scale, nums = scales[j], units[offsets[j] : offsets[j + 1]]
         for r, row in enumerate(mat, offsets[i]):
@@ -175,7 +175,7 @@ def edge_payoffs(
                     total = total * (d // g) + p * n * (den // g)
                     den = den // g * d
             totals[r], dens[r] = total, den
-    return [list(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
+    return totals, dens
 
 
 def _entry_range(values: Iterable[Rat], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
@@ -196,33 +196,92 @@ def _entry_range(values: Iterable[Rat], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
     return lo, hi
 
 
+def _scaled(
+    v: Sequence[Rat], offsets: Sequence[int], name: Callable[[int], str]
+) -> tuple[list[int], list[int], list[int]]:
+    """Validate the entries of ``v`` and scale each block ``v[a:b]``, for
+    consecutive ``a, b`` in ``offsets``, to ints in one pass.
+
+    Returns ``(scales, units, masses)``: block ``i`` is ``units[a:b] /
+    scales[i]`` over the lcm ``scales[i]`` of its entries' own
+    denominators, and ``masses[i] == sum(units[a:b])``.  Every entry must
+    be an int or a Fraction, and nonnegative (``min(nums) >= 0``); an
+    error names the first block ``i`` at fault as ``name(i)``.
+    Scaling each block over its own denominators keeps the ints small when
+    blocks use distinct denominators.  Sums are the caller's to check.
+    """
+    if not all(map(isinstance, v, itertools.repeat((int, Fraction)))):
+        r = next(r for r, x in enumerate(v) if not isinstance(x, (int, Fraction)))
+        raise ParameterError(
+            f"{name(bisect_right(offsets, r) - 1)} has an entry that is not an exact rational"
+        )
+    nums = [x.numerator for x in v]
+    if min(nums, default=0) < 0:
+        r = next(r for r, n in enumerate(nums) if n < 0)
+        raise ParameterError(f"{name(bisect_right(offsets, r) - 1)} has a negative entry")
+    dens = [x.denominator for x in v]
+    bounds = list(zip(offsets, offsets[1:]))
+    scales = [lcm(*dens[a:b]) for a, b in bounds]
+    entry_scales = [scale for scale, (a, b) in zip(scales, bounds) for _ in range(a, b)]
+    units = [n * (scale // d) for n, d, scale in zip(nums, dens, entry_scales)]
+    return scales, units, [sum(units[a:b]) for a, b in bounds]
+
+
 def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "mixed strategy") -> Vector:
     """Check exactness, nonnegativity and unit sum; return the frozen tuple.
 
-    Entries must be ints or Fractions.  The sum is int arithmetic over the
-    lcm of the entries' own denominators (:func:`exact_sum`), not a chain
-    of rational additions.
+    Entries must be ints or Fractions.  The checks are int arithmetic over
+    the lcm ``L`` of the entries' own denominators: unit sum is
+    ``sum(nums) == L``, not a chain of rational additions.
     """
     v = tuple(vec)
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"{what} has length {len(v)}, expected {length}")
-    _check_exact(v, what)
-    if any(x.numerator < 0 for x in v):
-        raise ParameterError(f"{what} has a negative entry")
-    total, den = exact_sum(v)
-    if total != den:
+    (scale,), _, (mass,) = _scaled(v, (0, len(v)), lambda _: what)
+    if mass != scale:
         raise ParameterError(f"{what} does not sum to 1")
     return v
 
 
-def _checked_profile(profile: Sequence[Vector], counts: Sequence[int]) -> list[Vector]:
-    """One validated mixed strategy per player of a game with ``counts``."""
+def _scaled_profile(
+    profile: Sequence[Sequence[Rat]], counts: Sequence[int], what: str = "player"
+) -> tuple[list[int], list[int]]:
+    """One mixed strategy per player of a game with ``counts``, validated
+    and scaled in one pass (:func:`_scaled`): ``(scales, units)`` with
+    player ``i``'s strategy ``units[a:b] / scales[i]`` over its flat
+    indices ``a:b``.  Each player's unit sum is ``sum(nums) == L``."""
     if len(profile) != len(counts):
-        raise DimensionMismatch("profile length != number of players")
-    return [
-        validate_mixed(p, n, what=f"player {i} strategy")
-        for i, (p, n) in enumerate(zip(profile, counts))
-    ]
+        raise DimensionMismatch(f"profile has {len(profile)} strategies for {len(counts)} {what}s")
+    vectors = list(map(tuple, profile))
+    lengths = list(map(len, vectors))
+    if lengths != list(counts):
+        i = next(i for i, (k, n) in enumerate(zip(lengths, counts)) if k != n)
+        raise DimensionMismatch(f"{what} {i} strategy has length {lengths[i]}, expected {counts[i]}")
+    offsets = tuple(itertools.accumulate(lengths, initial=0))
+    scales, units, masses = _scaled(
+        [x for v in vectors for x in v], offsets, lambda i: f"{what} {i} strategy"
+    )
+    if masses != scales:
+        i = next(i for i, (mass, scale) in enumerate(zip(masses, scales)) if mass != scale)
+        raise ParameterError(f"{what} {i} strategy does not sum to 1")
+    return scales, units
+
+
+def _scaled_blocks(vec: Sequence[Rat], offsets: Sequence[int], what: str) -> tuple[Vector, list[int], list[int]]:
+    """One mixed strategy over the blocks ``offsets[i]:offsets[i + 1]``,
+    validated and scaled block by block in one pass (:func:`_scaled`):
+    ``(v, scales, units)`` with ``v`` the frozen tuple and block ``i``
+    equal to ``units[a:b] / scales[i]``.  The unit sum of the whole vector
+    is the exact sum of the per-block pairs ``(sum(nums), L)``.
+    """
+    v = tuple(vec)
+    if len(v) != offsets[-1]:
+        raise DimensionMismatch(f"{what} has length {len(v)}, expected {offsets[-1]}")
+    scales, units, masses = _scaled(v, offsets, lambda i: f"{what} block {i}")
+    total, den = exact_sum(zip(masses, scales))
+    if total != den:
+        raise ParameterError(f"{what} does not sum to 1")
+    return v, scales, units
 
 
 def uniform_strategy(n: int) -> Vector:
@@ -300,37 +359,68 @@ class VerifyResult:
 
 
 def _wsne_violations(
+    nums: Sequence[int],
+    dens: Sequence[int],
+    offsets: Sequence[int],
+    support: Sequence[int],
+    eps: Rat,
+    skip: frozenset[int] = frozenset(),
+    value=None,
+) -> tuple[Violation, ...]:
+    """Each supported pure strategy of a player not in ``skip`` that earns
+    less than its player's best pure payoff minus ``eps``.
+
+    Player ``i`` owns the flat indices ``offsets[i]:offsets[i + 1]``:
+    strategy ``r`` earns ``nums[r] / dens[r]`` with ``dens[r] > 0``, and it
+    is supported when ``support[r] > 0`` (a scaled strategy's numerator).
+    The comparisons are int arithmetic: the best response is the first
+    maximal index, and ``u[r] < u[best] - eps`` is a cross-product of ints
+    with ``u[best] - eps`` as one int fraction.  Only the payoffs of a
+    violation become values, ``value(r)``, by default ``Fraction(nums[r],
+    dens[r])``.
+    """
+    if value is None:
+        def value(r: int) -> Fraction:
+            return Fraction(nums[r], dens[r])
+
+    eps_n, eps_d = eps.as_integer_ratio()
+    found = []
+    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if i in skip:
+            continue
+        best, best_n, best_d = a, nums[a], dens[a]
+        for r in range(a + 1, b):
+            n, d = nums[r], dens[r]
+            if n * best_d > best_n * d:
+                best, best_n, best_d = r, n, d
+        # floor_n / floor_d == u[best] - eps, with floor_d > 0
+        floor_n, floor_d = best_n * eps_d - eps_n * best_d, best_d * eps_d
+        for r in range(a, b):
+            if support[r] > 0 and nums[r] * floor_d < floor_n * dens[r]:
+                found.append(Violation(i, r - a, value(r), best - a, value(best)))
+    return tuple(found)
+
+
+def _vector_violations(
     payoff_vectors: Sequence[Vector],
     profile: Sequence[Vector],
     eps: Rat,
     skip: frozenset[int] = frozenset(),
 ) -> tuple[Violation, ...]:
-    """Each supported pure strategy of a player not in ``skip`` that earns
-    less than its player's best pure payoff minus ``eps``.
-
-    ``profile`` must already be validated: every entry an exact rational
-    and nonnegative.  The comparisons are int arithmetic.  Each payoff is
-    read once as ``(numerator, denominator)``.  The best response is the
-    first maximal index, and ``u[j] < u[best] - eps`` is a cross-product of
-    ints with ``u[best] - eps`` as one int fraction.  A strategy is
-    supported when its numerator is positive.
-    """
-    eps_n, eps_d = eps.as_integer_ratio()
-    found = []
-    for i, (u, p) in enumerate(zip(payoff_vectors, profile)):
-        if i in skip:
-            continue
-        pairs = [x.as_integer_ratio() for x in u]
-        best, (best_n, best_d) = 0, pairs[0]
-        for j, (n, d) in enumerate(pairs):
-            if n * best_d > best_n * d:
-                best, best_n, best_d = j, n, d
-        # floor_n / floor_d == u[best] - eps, with floor_d > 0
-        floor_n, floor_d = best_n * eps_d - eps_n * best_d, best_d * eps_d
-        for j, ((n, d), pj) in enumerate(zip(pairs, p)):
-            if n * floor_d < floor_n * d and pj.numerator > 0:
-                found.append(Violation(i, j, u[j], best, u[best]))
-    return tuple(found)
+    """:func:`_wsne_violations` on payoff vectors of rationals, for the
+    games whose payoffs are not computed as int pairs (normal-form and
+    dense bimatrix games).  ``profile`` must already be validated; a
+    violation reports the payoff vectors' own entries."""
+    values = [x for u in payoff_vectors for x in u]
+    return _wsne_violations(
+        [x.numerator for x in values],
+        [x.denominator for x in values],
+        tuple(itertools.accumulate(map(len, payoff_vectors), initial=0)),
+        [x.numerator for p in profile for x in p],
+        eps,
+        skip,
+        values.__getitem__,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +498,8 @@ class NormalFormGame:
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly."""
-        prof = _checked_profile(profile, self.strategy_counts)
+        _scaled_profile(profile, self.strategy_counts)
+        prof = list(map(tuple, profile))
         return [
             mat_vec(self.payoffs[i], self.joint_opponent_distribution(i, prof))
             for i in range(self.k)
@@ -416,7 +507,7 @@ class NormalFormGame:
 
     def verify_wsne(self, profile: Sequence[Vector], eps: Rat) -> VerifyResult:
         vectors = self.expected_payoffs(profile)
-        bad = _wsne_violations(vectors, profile, eps)
+        bad = _vector_violations(vectors, profile, eps)
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
@@ -471,6 +562,8 @@ class PolymatrixGame:
                 kept[(i, j)] = frozen
                 ranges += (lo, hi)
         self.strategy_counts = counts
+        # _offsets[i] is player i's first flat index; _offsets[-1] == sum(counts)
+        self._offsets = tuple(itertools.accumulate(counts, initial=0))
         self.edges = kept
         self.players = infos
         self._range = _entry_range(ranges, 0, 0)
@@ -498,11 +591,18 @@ class PolymatrixGame:
         """
         return [(j, mat) for (a, j), mat in self.edges.items() if a == i]
 
+    def _payoff_pairs(self, profile: Sequence[Vector]) -> tuple[list[int], list[int], list[int]]:
+        """``(units, totals, dens)``: the validated profile scaled to ints
+        and every payoff as an int pair, from one :func:`edge_payoffs` call."""
+        scales, units = _scaled_profile(profile, self.strategy_counts)
+        return (units, *edge_payoffs(self._offsets, self.edges, scales, units))
+
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly,
         in O(players + total edge entries)."""
-        prof = _checked_profile(profile, self.strategy_counts)
-        return [tuple(u) for u in edge_payoffs(self.strategy_counts, self.edges, prof)]
+        _, totals, dens = self._payoff_pairs(profile)
+        offsets = self._offsets
+        return [tuple(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
     def verify_wsne(
         self,
@@ -514,10 +614,11 @@ class PolymatrixGame:
 
         Clamped players stand for gadget inputs: their strategies still feed
         everyone else's expected payoffs, but they are not required to be
-        best-responding themselves.
+        best-responding themselves.  Payoffs are compared as int pairs, and
+        a strategy is supported when its scaled numerator is positive.
         """
-        vectors = self.expected_payoffs(profile)
-        bad = _wsne_violations(vectors, profile, eps, skip=frozenset(clamped))
+        units, totals, dens = self._payoff_pairs(profile)
+        bad = _wsne_violations(totals, dens, self._offsets, units, eps, frozenset(clamped))
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
@@ -605,7 +706,7 @@ class BimatrixGame:
         self.block_sizes = polymatrix.strategy_counts
         self.n = sum(self.block_sizes)
         # _offsets[i] is block i's first strategy; _offsets[-1] == n
-        self._offsets = tuple(itertools.accumulate(self.block_sizes, initial=0))
+        self._offsets = polymatrix._offsets
         self.alpha = alpha
         self.edges = polymatrix.edges
         self.normalized = bool(normalized)
@@ -658,8 +759,13 @@ class BimatrixGame:
 
     def _norm(self, value: Rat) -> Rat:
         if self.normalized:
-            return (value + self.alpha) / self.divisor
+            return self._norm_pair(*value.as_integer_ratio())
         return value
+
+    def _norm_pair(self, n: int, d: int) -> Fraction:
+        """``(n / d + alpha) / divisor`` as a ``Fraction``, on ints."""
+        (a, b), (p, q) = self.alpha.as_integer_ratio(), self.divisor.as_integer_ratio()
+        return Fraction((n * b + a * d) * q, d * b * p)
 
     def entry(self, player: int, row: int, col: int) -> Rat:
         """Payoff matrix entry for ``player`` (0 = leader, 1 = follower)."""
@@ -691,34 +797,47 @@ class BimatrixGame:
         b = [[self.entry(1, r, c) for c in range(self.n)] for r in range(self.n)]
         return BimatrixGame.dense(a, b)
 
+    def _payoff_pairs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple:
+        """Structured games: both strategies validated and scaled block by
+        block, and both players' payoffs as int pairs over the flat indices
+        ``0:n`` (leader) and ``n:2n`` (follower), before normalization.
+
+        Returns ``(x, nums, dens, support)``.  The leader's payoffs come
+        from one :func:`edge_payoffs` call, which adds each diagonal block's
+        ``-alpha`` times the follower's mass on that block in the same int
+        accumulators; the follower's are ``x``'s own scaled entries, since
+        ``B^T x = x`` for the identity ``B``.  ``support`` holds ``x``'s
+        then ``y``'s scaled numerators.
+        """
+        offsets = self._offsets
+        x, x_scales, x_units = _scaled_blocks(x, offsets, "leader strategy")
+        _, y_scales, y_units = _scaled_blocks(y, offsets, "follower strategy")
+        totals, dens = edge_payoffs(offsets, self.edges, y_scales, y_units, -self.alpha)
+        for scale, a, b in zip(x_scales, offsets, offsets[1:]):
+            dens += [scale] * (b - a)
+        return x, totals + x_units, dens, x_units + y_units
+
     def expected_payoffs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Vector, Vector]:
         """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).
 
-        The structured form costs O(N + total edge entries): one
-        :func:`edge_payoffs` call sums the edge blocks and, in the same int
-        accumulators, each diagonal block's ``-alpha`` times the follower's
-        mass on that block.
+        The structured form costs O(N + total edge entries) and builds one
+        ``Fraction`` per leader payoff from its int pair; the follower's
+        vector is ``x`` itself, or its normalized image.
         """
-        x = validate_mixed(x, self.n, what="leader strategy")
-        y = validate_mixed(y, self.n, what="follower strategy")
         if self.encoding == "dense":
+            x = validate_mixed(x, self.n, what="leader strategy")
+            y = validate_mixed(y, self.n, what="follower strategy")
             u1 = mat_vec(self.a, y)
             u2 = tuple(
                 sum(self.b[r][c] * x[r] for r in range(self.n)) for c in range(self.n)
             )
             return u1, u2
-        offsets = self._offsets
-        y_blocks = (y[a:b] for a, b in zip(offsets, offsets[1:]))
-        u1 = [
-            v
-            for u in edge_payoffs(self.block_sizes, self.edges, y_blocks, -self.alpha)
-            for v in u
-        ]
-        u2 = tuple(x)  # follower payoff is B^T x = x for the identity B
+        x, nums, dens, _ = self._payoff_pairs(x, y)
+        n = self.n
         if self.normalized:
-            u1 = [self._norm(v) for v in u1]
-            u2 = tuple(self._norm(v) for v in u2)
-        return tuple(u1), u2
+            u = tuple(map(self._norm_pair, nums, dens))
+            return u[:n], u[n:]
+        return tuple(map(Fraction, nums[:n], dens[:n])), x
 
     def verify_wsne(
         self,
@@ -727,8 +846,33 @@ class BimatrixGame:
         eps: Rat,
         clamped: Iterable[int] = (),
     ) -> VerifyResult:
-        u1, u2 = self.expected_payoffs(x, y)
-        bad = _wsne_violations([u1, u2], [tuple(x), tuple(y)], eps, skip=frozenset(clamped))
+        """Check eps-well-supportedness of ``(x, y)``; ``clamped`` players
+        (0 = leader, 1 = follower) are exempt.
+
+        Structured games compare int payoff pairs.  A normalized game is
+        checked on its unnormalized payoffs at ``eps * divisor``, which is
+        the same test since the map ``v -> (v + alpha) / divisor`` is
+        increasing; only a violation's payoffs are mapped.  An unnormalized
+        follower violation reports ``x``'s own entries.
+        """
+        skip = frozenset(clamped)
+        if self.encoding == "dense":
+            u1, u2 = self.expected_payoffs(x, y)
+            bad = _vector_violations([u1, u2], [tuple(x), tuple(y)], eps, skip)
+            return VerifyResult(not bad, bad)
+        x, nums, dens, support = self._payoff_pairs(x, y)
+        n = self.n
+        if self.normalized:
+            eps = eps * self.divisor
+
+            def value(r: int) -> Fraction:
+                return self._norm_pair(nums[r], dens[r])
+        else:
+
+            def value(r: int) -> Rat:
+                return Fraction(nums[r], dens[r]) if r < n else x[r - n]
+
+        bad = _wsne_violations(nums, dens, (0, n, 2 * n), support, eps, skip, value)
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:

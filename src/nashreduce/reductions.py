@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from ._rational import common_denominator, rational, rational_str
+from ._rational import rational, rational_str
 from .errors import (
     DegenerateGame,
     DimensionMismatch,
@@ -43,6 +43,7 @@ from .model import (
     PolymatrixGame,
     Role,
     _check_exact,
+    _scaled_blocks,
     profile_unindex,
     validate_mixed,
 )
@@ -148,7 +149,10 @@ class GameMapping:
             raise ParameterError("source strategy counts must be positive")
         if len(self.g) != k or len(self.h) != k:
             raise DimensionMismatch("g and h need one entry per source player")
-        used_per_target: dict[int, set[int]] = {}
+        # the images of each target player, concatenated: one set per target
+        # tests injectivity and overlap together, and the source player at
+        # fault is looked for only when that test fails
+        images: dict[int, list[int]] = {}
         for i, (target, hi) in enumerate(zip(self.g, self.h)):
             if target < 0:
                 raise ParameterError(f"g[{i}] must be a player index, got {target}")
@@ -156,20 +160,25 @@ class GameMapping:
                 raise DimensionMismatch(
                     f"h[{i}] must map all {self.source_counts[i]} strategies"
                 )
-            image = set(hi)
-            if len(image) != len(hi):
-                raise ParameterError(f"h[{i}] is not injective")
-            if any(s < 0 for s in image):
-                raise ParameterError(f"h[{i}] must map into strategy indices")
-            used = used_per_target.setdefault(target, set())
-            if used & image:
-                raise ParameterError(
-                    f"strategy images overlap inside target player {target}"
-                )
-            used |= image
+            images.setdefault(target, []).extend(hi)
+        for target, image in images.items():
+            if len(set(image)) != len(image) or min(image) < 0:
+                self._explain_images(target)
         if self.stage in ("bimatrixify", "full"):
             if self.block_sizes is None or self.alpha is None:
                 raise ParameterError(f"{self.stage} mappings need block_sizes and alpha")
+
+    def _explain_images(self, target: int) -> None:
+        """Raise the error for the first source player whose images into
+        ``target`` repeat or go negative, or for an overlap between two."""
+        for i, (t, hi) in enumerate(zip(self.g, self.h)):
+            if t != target:
+                continue
+            if len(set(hi)) != len(hi):
+                raise ParameterError(f"h[{i}] is not injective")
+            if min(hi) < 0:
+                raise ParameterError(f"h[{i}] must map into strategy indices")
+        raise ParameterError(f"strategy images overlap inside target player {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +380,29 @@ def normalize_bimatrix(game: BimatrixGame) -> BimatrixGame:
     return BimatrixGame.structured(game.polymatrix, game.alpha, normalized=True)
 
 
+def _check_bimatrix_mapping(g2: BimatrixGame, mapping: GameMapping) -> None:
+    """Raise unless ``mapping`` is a bimatrixify or full mapping that agrees
+    with the structured game ``g2``.
+
+    The game's own block sizes and alpha are the ones used; a mapping that
+    records others was made for another game, and raises
+    :class:`DimensionMismatch`.
+    """
+    if mapping.stage not in ("bimatrixify", "full"):
+        raise ParameterError(f"expected a bimatrixify or full mapping, got {mapping.stage!r}")
+    if g2.encoding != "structured":
+        raise ParameterError("block recovery and witnesses need the structured (block) encoding")
+    if tuple(mapping.block_sizes) != g2.block_sizes:
+        raise DimensionMismatch(
+            f"mapping blocks {tuple(mapping.block_sizes)} do not match the game's {g2.block_sizes}"
+        )
+    if mapping.alpha != g2.alpha:
+        raise DimensionMismatch(
+            f"mapping alpha {rational_str(mapping.alpha)} differs from the game's "
+            f"{rational_str(g2.alpha)}"
+        )
+
+
 def recover_from_bimatrix(
     g2: BimatrixGame,
     profile: tuple[Sequence[Rat], Sequence[Rat]],
@@ -378,28 +410,25 @@ def recover_from_bimatrix(
 ) -> list[tuple]:
     """Renormalize the column player's block masses into a polymatrix
     profile, exactly.  Raises ZeroBlockMass for blocks the profile never
-    plays (a genuine eps_2-equilibrium gives every block positive mass)."""
-    if mapping.stage not in ("bimatrixify", "full"):
-        raise ParameterError(f"expected a bimatrixify or full mapping, got {mapping.stage!r}")
+    plays (a genuine eps_2-equilibrium gives every block positive mass).
+
+    ``g2`` must be structured, and ``mapping`` must agree with it
+    (:func:`_check_bimatrix_mapping`).  Both strategies are validated and
+    scaled block by block; over a block's own common denominator ``L``,
+    ``v / mass`` is ``num / sum(nums)``, one ``Fraction`` per entry.
+    """
+    _check_bimatrix_mapping(g2, mapping)
     x, y = profile
-    blocks = mapping.block_sizes
-    big_n = sum(blocks)
-    if big_n != g2.n:
-        raise DimensionMismatch(
-            f"mapping covers {big_n} strategies but the game has {g2.n}"
-        )
-    validate_mixed(x, big_n)
-    y = validate_mixed(y, big_n)
+    offsets = g2._offsets
+    _scaled_blocks(x, offsets, "leader strategy")
+    _, _, units = _scaled_blocks(y, offsets, "follower strategy")
     recovered = []
-    offset = 0
-    for i, n in enumerate(blocks):
-        # over the block's own common denominator L, v / mass is num / sum(nums)
-        _, nums = common_denominator(y[offset : offset + n])
+    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        nums = units[a:b]
         mass = sum(nums)
         if mass == 0:
             raise ZeroBlockMass(i)
         recovered.append(tuple(Fraction(num, mass) for num in nums))
-        offset += n
     return recovered
 
 

@@ -36,7 +36,6 @@ from typing import Any, Iterable, Iterator, Sequence
 from ._rational import exact_sum, rational, unit_denominator
 from .errors import (
     CapExceeded,
-    DimensionMismatch,
     NoEquilibriumFound,
     ParameterError,
 )
@@ -46,12 +45,12 @@ from .model import (
     PolymatrixGame,
     Rat,
     VerifyResult,
+    _scaled_profile,
     edge_payoffs,
     iter_profiles,
     pure_strategy,
-    validate_mixed,
 )
-from .reductions import GameMapping
+from .reductions import GameMapping, _check_bimatrix_mapping
 
 EXACT_NASH = "exact-nash"
 EPS_WSNE = "eps-wsne"
@@ -434,41 +433,40 @@ def lift_to_bimatrix(
     exactly optimal.  For loose input profiles the witness may fail
     verification; callers are expected to verify at their eps.
 
-    Each weight ``w_i = (alpha m + m u_i - sum(u)) / (alpha m^2)`` is one
-    int numerator over one int denominator, with ``sum(u)`` from
-    :func:`exact_sum`; each entry ``w_i v`` of the follower's strategy is
-    built as one ``Fraction`` from those ints.  Raises
-    :class:`ParameterError` when some ``w_i <= 0``.
+    ``g2`` must be structured, and ``mapping`` must agree with its block
+    sizes and alpha.  The profile is validated and scaled to ints in one
+    pass, and :func:`edge_payoffs` gives each block's payoffs as int pairs,
+    so the block-best payoffs ``u_i`` and ``sum(u)`` (:func:`exact_sum`)
+    stay int pairs.  Each weight ``w_i = (alpha m + m u_i - sum(u)) /
+    (alpha m^2)`` is one int numerator over one int denominator, and each
+    entry ``w_i v`` of the follower's strategy is built as one ``Fraction``
+    from those ints.  Raises :class:`ParameterError` when some ``w_i <= 0``.
     """
-    if mapping.stage not in ("bimatrixify", "full"):
-        raise ParameterError(f"mapping stage {mapping.stage!r} does not target a bimatrix game")
-    if g2.encoding != "structured":
-        raise ParameterError("witness generation needs the structured (block) encoding")
-    blocks = mapping.block_sizes
-    m = len(blocks)
-    alpha = mapping.alpha
-    if g2.n != sum(blocks):
-        raise DimensionMismatch("mapping blocks do not match the bimatrix game size")
-    if len(profile) != m:
-        raise DimensionMismatch(f"profile has {len(profile)} strategies, expected {m}")
-    profile = [
-        validate_mixed(p, n, what=f"block {i} strategy")
-        for i, (p, n) in enumerate(zip(profile, blocks))
-    ]
-    block_best = [max(ui) for ui in edge_payoffs(blocks, g2.edges, profile)]
+    _check_bimatrix_mapping(g2, mapping)
+    m = len(g2.block_sizes)
+    offsets = g2._offsets
+    scales, units = _scaled_profile(profile, g2.block_sizes, what="block")
+    totals, dens = edge_payoffs(offsets, g2.edges, scales, units)
+    block_best = []
+    for a, b in zip(offsets, offsets[1:]):
+        best_n, best_d = totals[a], dens[a]
+        for r in range(a + 1, b):
+            if totals[r] * best_d > best_n * dens[r]:
+                best_n, best_d = totals[r], dens[r]
+        block_best.append((best_n, best_d))
     # w_i = (alpha m + m u_i - sum(u)) / (alpha m^2) == num / den, on ints,
     # with alpha == a / b, u_i == n / d and sum(u) == total / scale
-    a, b = alpha.as_integer_ratio()
+    a, b = g2.alpha.as_integer_ratio()
     total, scale = exact_sum(block_best)
     y: list[Rat] = []
-    for u, p in zip(block_best, profile):
-        n, d = u.as_integer_ratio()
+    for (n, d), v_scale, start, stop in zip(block_best, scales, offsets, offsets[1:]):
         num = m * scale * (a * d + b * n) - total * b * d
         if num * a <= 0:  # den has the sign of a
             raise ParameterError("alpha is too small to rebalance the block weights")
-        den = a * m * m * d * scale
-        y += [Fraction(num * v.numerator, den * v.denominator) for v in p]
-    support = [r for r, v in enumerate(y) if v.numerator]
+        den = a * m * m * d * scale * v_scale
+        y += [Fraction(num * v, den) for v in units[start:stop]]
+    # w_i > 0, so y[r] > 0 exactly where the scaled profile is positive
+    support = [r for r, v in enumerate(units) if v > 0]
     share = rational(1, len(support))
     x = [rational(0)] * len(y)
     for r in support:

@@ -1,17 +1,18 @@
 """The Fraction formulas that the int kernels replaced: the test oracles.
 
 Each function restates, with one ``Fraction`` operation per entry, what
-:func:`nashreduce.model._wsne_violations`, the two ``payoff_range``
-methods and :func:`nashreduce.solvers.lift_to_bimatrix` compute on int
-numerators and denominators.  They live with the tests because only the
-tests call them.
+:func:`nashreduce.model._wsne_violations`, the polymatrix and structured
+``verify_wsne`` methods, the two ``payoff_range`` methods and
+:func:`nashreduce.solvers.lift_to_bimatrix` compute on int numerators and
+denominators.  They live with the tests because only the tests call them.
 """
 
+from fractions import Fraction
 from typing import Any, Sequence
 
 from nashreduce import ParameterError
 from nashreduce._rational import rational
-from nashreduce.model import Violation, edge_payoffs, validate_mixed
+from nashreduce.model import Violation
 
 Rat = Any
 
@@ -29,6 +30,47 @@ def wsne_violations(payoff_vectors, profile, eps: Rat, skip=frozenset()) -> tupl
             if pj > 0 and u[j] < floor:
                 found.append(Violation(i, j, u[j], best, u[best]))
     return tuple(found)
+
+
+def polymatrix_payoffs(game, profile) -> list[tuple]:
+    """``u_i[r] = sum_j M^{ij}[r] . p_j``, one Fraction per payoff."""
+    payoffs = [[Fraction(0)] * n for n in game.strategy_counts]
+    for (i, j), mat in game.edges.items():
+        for r, row in enumerate(mat):
+            for a, v in zip(row, profile[j]):
+                payoffs[i][r] += a * v
+    return [tuple(u) for u in payoffs]
+
+
+def polymatrix_verify(game, profile, eps: Rat, clamped=()) -> tuple:
+    """The violations of ``profile`` in a polymatrix game."""
+    return wsne_violations(polymatrix_payoffs(game, profile), profile, eps, frozenset(clamped))
+
+
+def structured_payoffs(game, x, y) -> tuple:
+    """``(A y, B^T x)`` of a structured imitation game: the leader earns
+    ``-alpha`` times the follower's mass on its own block plus the edge
+    blocks against the follower's blocks; the follower earns ``x``.  Both
+    are mapped by ``v -> (v + alpha) / divisor`` when the game is
+    normalized."""
+    offsets = [0]
+    for n in game.block_sizes:
+        offsets.append(offsets[-1] + n)
+    blocks = [tuple(y[a:b]) for a, b in zip(offsets, offsets[1:])]
+    u1 = []
+    for u, block in zip(polymatrix_payoffs(game.polymatrix, blocks), blocks):
+        mass = sum(block, Fraction(0))
+        u1 += [v - game.alpha * mass for v in u]
+    u2 = tuple(x)
+    if game.normalized:
+        u1 = [(v + game.alpha) / game.divisor for v in u1]
+        u2 = tuple((v + game.alpha) / game.divisor for v in u2)
+    return tuple(u1), u2
+
+
+def structured_verify(game, x, y, eps: Rat, clamped=()) -> tuple:
+    """The violations of ``(x, y)`` in a structured imitation game."""
+    return wsne_violations(structured_payoffs(game, x, y), [x, y], eps, frozenset(clamped))
 
 
 def polymatrix_payoff_range(game) -> tuple:
@@ -61,15 +103,12 @@ def structured_payoff_range(game) -> tuple:
 
 def lift_to_bimatrix(g2, profile: Sequence[Sequence[Rat]], mapping) -> tuple:
     """The witness of :func:`nashreduce.solvers.lift_to_bimatrix`, weighed
-    with Fraction arithmetic: ``w_i = 1/m + (u_i - mean(u)) / (alpha m)``."""
-    blocks = mapping.block_sizes
-    m = len(blocks)
-    alpha = mapping.alpha
-    profile = [
-        validate_mixed(p, n, what=f"block {i} strategy")
-        for i, (p, n) in enumerate(zip(profile, blocks))
-    ]
-    block_best = [max(ui) for ui in edge_payoffs(blocks, g2.edges, profile)]
+    with Fraction arithmetic: ``w_i = 1/m + (u_i - mean(u)) / (alpha m)``.
+    ``profile`` must be a valid profile of ``g2``'s polymatrix game, and
+    ``mapping`` must agree with ``g2``."""
+    m = len(g2.block_sizes)
+    alpha = g2.alpha
+    block_best = [max(ui) for ui in polymatrix_payoffs(g2.polymatrix, profile)]
     mean_best = sum(block_best) / m
     weights = [rational(1, m) + (u - mean_best) / (alpha * m) for u in block_best]
     if any(w <= 0 for w in weights):

@@ -367,6 +367,20 @@ def test_recover_zero_block_mass(runner, bimatrixified, tmp_path):
     assert "block 1" in result.output
 
 
+def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
+    # block sizes (2, 3) in the game, (3, 2) in the mapping: the same N
+    game_path, mapping_path, prof = (tmp_path / name for name in ("g.json", "m.json", "p.json"))
+    g23, _, _ = bimatrixify(PolymatrixGame((2, 3), {(0, 1): [[R(1), R(0), R(1)], [R(0), R(1), R(0)]]}), R(1, 2))
+    _, map32, params = bimatrixify(PolymatrixGame((3, 2), {(1, 0): [[R(1), R(0), R(1)], [R(0), R(1), R(0)]]}), R(1, 2))
+    write_game(game_path, g23)
+    write_mapping(mapping_path, map32, params)
+    write_profile(prof, [(R(1, 5),) * 5, (R(1, 5),) * 5])
+    result = invoke(runner, "recover", game_path, mapping_path, prof)
+    assert result.exit_code == 3
+    assert "do not match" in result.output
+    assert "Traceback" not in result.output
+
+
 BAD_BIMATRIX_PROFILE = [
     (R(1, 2), R(1, 2), R(0), R(0)),  # follower's supported zero-payoff strategies violate
     (R(1, 10), R(2, 5), R(1, 4), R(1, 4)),

@@ -1,12 +1,14 @@
 """Differential tests of the int kernels against their Fraction oracles.
 
-``model._wsne_violations``, the two ``payoff_range`` methods and
-``solvers.lift_to_bimatrix`` compare and weigh on int numerators and
-denominators; ``kernel_oracles.py`` keeps the Fraction formulas they
-replaced.  Every comparison checks types as well as values, so an int
-where the oracle returns a Fraction (or the reverse) fails.
+``model._wsne_violations``, the polymatrix and structured ``verify_wsne``
+methods, the two ``payoff_range`` methods and ``solvers.lift_to_bimatrix``
+compare and weigh on int numerators and denominators;
+``kernel_oracles.py`` keeps the Fraction formulas they replaced.  Every
+comparison checks types as well as values, so an int where the oracle
+returns a Fraction (or the reverse) fails.
 """
 
+import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
@@ -19,7 +21,7 @@ from nashreduce.model import (
     NormalFormGame,
     PolymatrixGame,
     Violation,
-    _wsne_violations,
+    _vector_violations,
     pure_strategy,
     random_polymatrix,
 )
@@ -41,7 +43,7 @@ def assert_same(got, want):
 
 
 # ---------------------------------------------------------------------------
-# _wsne_violations
+# _wsne_violations, through the adapter for payoff vectors of rationals
 
 WSNE_CASES = {
     # (payoff vectors, profile, eps, number of violations without skip)
@@ -95,7 +97,7 @@ WSNE_CASES = {
 def test_wsne_violations_match_oracle(case, skip):
     vectors, profile, eps, count = WSNE_CASES[case]
     want = oracle.wsne_violations(vectors, profile, eps, skip)
-    assert_same(_wsne_violations(vectors, profile, eps, skip), want)
+    assert_same(_vector_violations(vectors, profile, eps, skip), want)
     if not skip:
         assert len(want) == count
 
@@ -124,14 +126,124 @@ def test_wsne_violations_match_oracle_on_a_reduction(reduced):
     for eps in (0, R(0), lin_params.eps_m):
         for skip in (frozenset(), frozenset(range(0, gm.m, 5))):
             want = oracle.wsne_violations(vectors, flipped, eps, skip)
-            assert_same(_wsne_violations(vectors, flipped, eps, skip), want)
+            assert_same(_vector_violations(vectors, flipped, eps, skip), want)
     assert len(oracle.wsne_violations(vectors, flipped, lin_params.eps_m)) > gm.m // 20
     x, y = lift_to_bimatrix(g2, poly, bi_map)
     u1, u2 = g2.expected_payoffs(x, y)
     for eps in (0, bi_params.eps_2):
         for skip in (frozenset(), frozenset({1})):
             want = oracle.wsne_violations([u1, u2], [x, y], eps, skip)
-            assert_same(_wsne_violations([u1, u2], [x, y], eps, skip), want)
+            assert_same(_vector_violations([u1, u2], [x, y], eps, skip), want)
+
+
+# ---------------------------------------------------------------------------
+# polymatrix and structured verify_wsne, on int payoff pairs
+
+
+def tie_profile(seed: int, counts) -> list[tuple]:
+    """Pure strategies as plain ints, uniform strategies and strategies with
+    an int 0 beside Fractions, in turn; against the small denominators of
+    :func:`tie_game` their payoffs often tie."""
+    rng = random.Random(seed)
+    profile = []
+    for i, n in enumerate(counts):
+        kind = (i + seed) % 3
+        if kind == 0:
+            j = rng.randrange(n)
+            profile.append(tuple(int(c == j) for c in range(n)))
+        elif kind == 1:
+            profile.append((F(1, n),) * n)
+        else:
+            profile.append((0,) * (n - 2) + (F(1, 3), F(2, 3)))
+    return profile
+
+
+def tie_game(seed: int, counts) -> PolymatrixGame:
+    """A random polymatrix game over halves and thirds in [-1, 2]: many ties."""
+    return random_polymatrix(seed, counts, denominator=2 + seed % 2, lo=R(-1), hi=R(2))
+
+
+def flat(blocks) -> tuple:
+    return tuple(v for block in blocks for v in block)
+
+
+def verify_cases(g2, blocks):
+    """Bimatrix profiles of ``g2``: the lifted witness of ``blocks``, a pure
+    leader as plain ints against the follower spread over the blocks
+    (follower violations whose payoffs are ints), and a follower piled on
+    block 0 with the leader uniform on it (leader violations)."""
+    m, n = len(blocks), g2.n
+    x, y = lift_to_bimatrix(g2, blocks, bimatrix_mapping(g2))
+    spread = tuple(v * F(1, m) for v in flat(blocks))
+    pure_leader = tuple(int(r == 0) for r in range(n))
+    size = g2.block_sizes[0]
+    piled = (F(1, size),) * size + (0,) * (n - size)
+    return [(x, y), (pure_leader, spread), (piled, piled), (spread, pure_leader)]
+
+
+def bimatrix_mapping(g2):
+    _, mapping, _ = bimatrixify(g2.polymatrix, R(3, 10))
+    return replace(mapping, alpha=g2.alpha)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polymatrix_verify_matches_oracle(seed):
+    counts = ((2, 3, 2), (3, 3), (2, 2, 4, 2))[seed % 3]
+    game = tie_game(seed, counts)
+    profile = tie_profile(seed, counts)
+    found = 0
+    for eps in (0, F(0), F(1, 6), 1):
+        for clamped in ((), (0,), (1, 2)):
+            want = oracle.polymatrix_verify(game, profile, eps, clamped)
+            got = game.verify_wsne(profile, eps, clamped=clamped)
+            assert_same(got.violations, want)
+            assert got.ok is not want
+            found += len(want)
+    assert_same(game.expected_payoffs(profile), oracle.polymatrix_payoffs(game, profile))
+    assert found
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_verify_matches_oracle(seed, normalized):
+    counts = ((2, 3, 2), (2, 2, 4, 2))[seed % 2]
+    alpha = (R(5), R(7, 2))[seed // 2]
+    g2 = BimatrixGame.structured(tie_game(seed, counts), alpha, normalized)
+    found = set()
+    for x, y in verify_cases(g2, tie_profile(seed, counts)):
+        assert_same(g2.expected_payoffs(x, y), oracle.structured_payoffs(g2, x, y))
+        for eps in (0, F(1, 6), 1):
+            for clamped in ((), (0,), (1,)):
+                want = oracle.structured_verify(g2, x, y, eps, clamped)
+                got = g2.verify_wsne(x, y, eps, clamped=clamped)
+                assert_same(got.violations, want)
+                assert got.ok is not want
+                found |= {v.player for v in want}
+    assert found == {0, 1}
+
+
+def test_verify_matches_oracle_on_a_reduction(reduced):
+    gm, lin_params, g2, bi_map, bi_params, poly = reduced
+    # every seventh player flipped, and pure players given as plain ints
+    profile = [
+        tuple(reversed(p)) if i % 7 == 0 else tuple(int(v) if v in (0, 1) else v for v in p)
+        for i, p in enumerate(poly)
+    ]
+    assert {type(v) for p in profile for v in p} == {int, F}
+    payoffs = oracle.polymatrix_payoffs(gm, profile)
+    for eps in (0, lin_params.eps_m):
+        for clamped in (frozenset(), frozenset(range(0, gm.m, 5))):
+            want = oracle.wsne_violations(payoffs, profile, eps, clamped)
+            assert_same(gm.verify_wsne(profile, eps, clamped=clamped).violations, want)
+    assert len(want) > gm.m // 20
+    blocks = [tuple(p) for p in poly]
+    for game, eps in ((g2, bi_params.eps_2), (normalize_bimatrix(g2), bi_params.eps_2_normalized)):
+        for x, y in verify_cases(game, blocks):
+            payoffs = oracle.structured_payoffs(game, x, y)
+            for clamped in (frozenset(), frozenset({1})):
+                want = oracle.wsne_violations(payoffs, [x, y], eps, clamped)
+                assert_same(game.verify_wsne(x, y, eps, clamped=clamped).violations, want)
+        assert game.verify_wsne(*lift_to_bimatrix(game, blocks, bi_map), eps).ok
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +363,8 @@ def test_lift_matches_oracle_with_an_edgeless_block():
 def test_lift_matches_oracle_on_small_alpha(alpha):
     counts = (2, 3, 2)
     gm = random_polymatrix(5, counts, lo=R(-1), hi=R(2))
-    g2, mapping, _ = bimatrixify(gm, R(3, 10))
+    _, mapping, _ = bimatrixify(gm, R(3, 10))
+    g2 = BimatrixGame.structured(gm, alpha)
     small = replace(mapping, alpha=alpha)
     profile = prime_profile(counts)
     want = lift_outcome(oracle.lift_to_bimatrix, g2, profile, small)

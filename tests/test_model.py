@@ -1,5 +1,7 @@
 """Core model tests: indexing, payoffs, verification, encodings."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -476,6 +478,19 @@ def naive_edge_payoffs(counts, edges, vectors):
     return out
 
 
+def kernel_payoffs(counts, edges, vectors):
+    """:func:`edge_payoffs` on vectors scaled to ints by hand, read back as
+    one list of Fractions per player; every pair must be ints with a
+    positive denominator."""
+    offsets = tuple(itertools.accumulate(counts, initial=0))
+    scales = [math.lcm(*(v.denominator for v in vec)) for vec in vectors]
+    units = [v.numerator * (L // v.denominator) for vec, L in zip(vectors, scales) for v in vec]
+    totals, dens = edge_payoffs(offsets, edges, scales, units)
+    assert len(totals) == len(dens) == offsets[-1]
+    assert {type(v) for v in totals + dens} <= {int} and min(dens, default=1) > 0
+    return [list(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
+
+
 def sparse_polymatrix(seed):
     """Uneven strategy counts; player 0 has no out-edges and the last
     player is isolated; other edges appear with probability 1/3."""
@@ -497,7 +512,7 @@ def test_polymatrix_payoffs_match_naive_reference(seed):
     expected = naive_edge_payoffs(g.strategy_counts, g.edges, prof)
     u = g.expected_payoffs(prof)
     assert u == expected
-    assert [tuple(v) for v in edge_payoffs(g.strategy_counts, g.edges, prof)] == expected
+    assert [tuple(v) for v in kernel_payoffs(g.strategy_counts, g.edges, prof)] == expected
     assert {type(v) for vec in u for v in vec} == {type(R(0))}
     assert u[0] == (0,) * g.strategy_counts[0]
     assert u[-1] == (0,) * g.strategy_counts[-1]
@@ -582,14 +597,14 @@ def assert_fractions(vectors):
 def test_edge_payoffs_differential(kind, seed):
     g, vectors = kernel_case(kind, seed)
     expected = naive_edge_payoffs(g.strategy_counts, g.edges, vectors)
-    got = edge_payoffs(g.strategy_counts, g.edges, vectors)
+    got = kernel_payoffs(g.strategy_counts, g.edges, vectors)
     assert [tuple(u) for u in got] == expected
     assert_fractions(got)
     assert g.expected_payoffs(vectors) == expected
     assert got[0] == [0] * g.strategy_counts[0]  # no out-edges
     assert got[-1] == [0] * g.strategy_counts[-1]  # isolated
     zeros = [(0,) * n for n in g.strategy_counts]  # not a mixed strategy
-    silent = edge_payoffs(g.strategy_counts, g.edges, zeros)
+    silent = kernel_payoffs(g.strategy_counts, g.edges, zeros)
     assert all(v == 0 for u in silent for v in u)
     assert_fractions(silent)
 
@@ -613,6 +628,102 @@ def test_structured_payoffs_differential(kind, seed, normalized):
         expected = [(v + alpha) / g.divisor for v in expected]
     assert list(u1) == expected
     assert_fractions([u1])
+
+
+# ---------------------------------------------------------------------------
+# malformed profiles: the fused validate-and-scale pass raises what the
+# separate checks raised, naming the player or block at fault
+
+
+def malformed_setup():
+    gm = PolymatrixGame(
+        (2, 3, 2),
+        {(0, 1): [[R(1), R(0), R(1, 2)], [R(0), R(1), R(1)]], (2, 0): [[R(-1), 2], [R(1, 3), 0]]},
+    )
+    g2, mapping, _ = bimatrixify(gm, R(1, 4))
+    good = [(R(1, 2), R(1, 2)), (R(1, 3), R(1, 3), R(1, 3)), (1, 0)]
+    flat = tuple(R(v) / 3 for p in good for v in p)
+    return gm, g2, mapping, good, flat
+
+
+def replaced(vec, changes):
+    vec = list(vec)
+    for i, v in changes.items():
+        vec[i] = v
+    return tuple(vec)
+
+
+# name: (polymatrix profile from the good one, its error class and message,
+# bimatrix strategy from the good one, its error class and message); the
+# messages are patterns with "{who}" for "player" or "block" and "{side}"
+# for "leader" or "follower"
+MALFORMED = {
+    "wrong_length": (
+        lambda good: [good[0], good[1][:2], good[2]],
+        DimensionMismatch, r"^{who} 1 strategy has length 2, expected 3$",
+        lambda flat: flat[:-1],
+        DimensionMismatch, r"^{side} strategy has length 6, expected 7$",
+    ),
+    "negative_entry": (
+        lambda good: [good[0], (R(1, 2), R(-1, 2), 1), good[2]],
+        ParameterError, r"^{who} 1 strategy has a negative entry$",
+        lambda flat: replaced(flat, {2: -flat[2], 3: flat[3] + 2 * flat[2]}),
+        ParameterError, r"^{side} strategy block 1 has a negative entry$",
+    ),
+    "sum_not_one": (
+        lambda good: [good[0], good[1], (R(1, 2), R(1, 3))],
+        ParameterError, r"^{who} 2 strategy does not sum to 1$",
+        lambda flat: tuple(2 * v for v in flat),
+        ParameterError, r"^{side} strategy does not sum to 1$",
+    ),
+    "float_entry": (
+        lambda good: [(0.5, 0.5), good[1], good[2]],
+        ParameterError, r"^{who} 0 strategy has an entry that is not an exact rational$",
+        lambda flat: replaced(flat, {0: 0.5 / 3}),
+        ParameterError, r"^{side} strategy block 0 has an entry that is not an exact rational$",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_polymatrix_profiles_fail_as_before(name):
+    gm, g2, mapping, good, _ = malformed_setup()
+    make, cls, pattern, *_ = MALFORMED[name]
+    profile = make(good)
+    with pytest.raises(cls, match=pattern.format(who="player")):
+        gm.verify_wsne(profile, R(0))
+    with pytest.raises(cls, match=pattern.format(who="block")):
+        lift_to_bimatrix(g2, profile, mapping)
+
+
+@pytest.mark.parametrize("side", ["leader", "follower"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_bimatrix_strategies_fail_as_before(name, side):
+    _, g2, mapping, _, flat = malformed_setup()
+    *_, make, cls, pattern = MALFORMED[name]
+    bad = make(flat)
+    x, y = (bad, flat) if side == "leader" else (flat, bad)
+    for game in (g2, normalize_bimatrix(g2)):
+        with pytest.raises(cls, match=pattern.format(side=side)):
+            game.verify_wsne(x, y, R(0))
+        with pytest.raises(cls, match=pattern.format(side=side)):
+            game.expected_payoffs(x, y)
+    with pytest.raises(cls, match=pattern.format(side=side)):
+        recover_from_bimatrix(g2, (x, y), mapping)
+
+
+def test_profiles_with_a_wrong_player_count_fail_as_before():
+    gm, g2, mapping, good, flat = malformed_setup()
+    with pytest.raises(DimensionMismatch, match=r"^profile has 2 strategies for 3 players$"):
+        gm.verify_wsne(good[:2], R(0))
+    with pytest.raises(DimensionMismatch, match=r"^profile has 4 strategies for 3 blocks$"):
+        lift_to_bimatrix(g2, good + [good[0]], mapping)
+    # a bimatrix profile is unpacked as (leader, follower); verify_wsne takes
+    # the two strategies as separate arguments
+    with pytest.raises(ValueError):
+        recover_from_bimatrix(g2, (flat, flat, flat), mapping)
+    with pytest.raises(ValueError):
+        recover_from_bimatrix(g2, (flat,), mapping)
 
 
 def test_recover_from_bimatrix_keeps_values_and_types():

@@ -36,6 +36,7 @@ from nashreduce.reductions import (
     reduce_full,
 )
 
+from nashreduce.solvers import lift_to_bimatrix
 from lift_oracles import robust_lift_value
 
 
@@ -129,6 +130,40 @@ def test_mapping_validation():
                     block_sizes=(2, 2), alpha=R(10))
     with pytest.raises(ParameterError):  # bimatrixify needs block data
         GameMapping("bimatrixify", (1,), ((0, 1),), (2,))
+
+
+MAPPING_ERRORS = {
+    # name: (GameMapping arguments, error class, message pattern)
+    "unknown_stage": (("sideways", (0,), ((0, 1),), (2,)), ParameterError, "unknown reduction stage"),
+    "negative_target": (("linearize", (0, -1), ((0, 1), (0, 1)), (2, 2)), ParameterError,
+                        r"g\[1\] must be a player index, got -1"),
+    "negative_strategy": (("linearize", (0, 1), ((0, 1), (1, -1)), (2, 2)), ParameterError,
+                          r"h\[1\] must map into strategy indices"),
+    "short_image": (("linearize", (0, 1), ((0, 1), (0,)), (2, 2)), DimensionMismatch,
+                    r"h\[1\] must map all 2 strategies"),
+    "not_injective": (("linearize", (0, 1), ((0, 1), (1, 1)), (2, 2)), ParameterError,
+                      r"h\[1\] is not injective"),
+    "overlap": (("linearize", (1, 0, 1), ((0, 1), (0, 1), (2, 1)), (2, 2, 2)), ParameterError,
+                "strategy images overlap inside target player 1"),
+    "missing_block_sizes": (("bimatrixify", (1,), ((0, 1),), (2,), None, R(10)), ParameterError,
+                            "bimatrixify mappings need block_sizes and alpha"),
+    "missing_alpha": (("full", (1,), ((0, 1),), (2,), (2,)), ParameterError,
+                      "full mappings need block_sizes and alpha"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPPING_ERRORS))
+def test_mapping_validation_names_each_error(name):
+    args, cls, pattern = MAPPING_ERRORS[name]
+    with pytest.raises(cls, match=pattern):
+        GameMapping(*args)
+
+
+def test_mapping_validation_accepts_shared_targets():
+    # two source players in one target, disjoint images: a bimatrixify mapping
+    GameMapping("bimatrixify", (1, 1, 1), ((0, 1), (2, 3, 4), (5, 6)), (2, 3, 2),
+                block_sizes=(2, 3, 2), alpha=R(10))
+    GameMapping("linearize", (2, 0, 2), ((0, 1), (1, 0), (3, 2)), (2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +407,28 @@ def test_recover_from_bimatrix_renormalizes():
     assert err.value.block == 1
     with pytest.raises(ParameterError):
         recover_from_bimatrix(g2, (x, y), GameMapping("linearize", (0,), ((0, 1),), (2,)))
+
+
+def test_bimatrix_mapping_must_agree_with_its_game():
+    # a (2, 3) imitation game with the mapping of a (3, 2) one: the same N
+    g23, _, _ = bimatrixify(PolymatrixGame((2, 3), {(0, 1): [[R(1), R(0), R(1, 2)], [R(0), R(1), R(1)]]}), R(3, 10))
+    g32, map32, _ = bimatrixify(PolymatrixGame((3, 2), {(1, 0): [[R(1), R(0), R(1, 2)], [R(0), R(1), R(1)]]}), R(3, 10))
+    assert g23.n == g32.n and g23.alpha == g32.alpha
+    x = y = (R(1, 5),) * 5
+    with pytest.raises(DimensionMismatch, match="blocks"):
+        recover_from_bimatrix(g23, (x, y), map32)
+    with pytest.raises(DimensionMismatch, match="blocks"):
+        lift_to_bimatrix(g23, [(R(1), R(0)), (R(0), R(0), R(1))], map32)
+    # the right blocks but another game's alpha
+    _, map23, _ = bimatrixify(g23.polymatrix, R(1, 10))
+    with pytest.raises(DimensionMismatch, match="alpha"):
+        recover_from_bimatrix(g23, (x, y), map23)
+    with pytest.raises(DimensionMismatch, match="alpha"):
+        lift_to_bimatrix(g23, [(R(1), R(0)), (R(0), R(0), R(1))], map23)
+    # a dense game has no blocks to agree with
+    with pytest.raises(ParameterError, match="structured"):
+        recover_from_bimatrix(g32.to_dense(), (x, y), map32)
+    assert recover_from_bimatrix(g32, (x, y), map32) == [(R(1, 3),) * 3, (R(1, 2),) * 2]
 
 
 # ---------------------------------------------------------------------------
