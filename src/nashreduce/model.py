@@ -358,6 +358,17 @@ class VerifyResult:
         return self.ok
 
 
+def _best_index(nums: Sequence[int], dens: Sequence[int], a: int, b: int) -> int:
+    """The first index ``r`` in ``range(a, b)`` with the largest ``nums[r] /
+    dens[r]`` (every ``dens[r] > 0``), compared as int cross-products."""
+    best, best_n, best_d = a, nums[a], dens[a]
+    for r in range(a + 1, b):
+        n, d = nums[r], dens[r]
+        if n * best_d > best_n * d:
+            best, best_n, best_d = r, n, d
+    return best
+
+
 def _wsne_violations(
     nums: Sequence[int],
     dens: Sequence[int],
@@ -365,7 +376,7 @@ def _wsne_violations(
     support: Sequence[int],
     eps: Rat,
     skip: frozenset[int] = frozenset(),
-    value=None,
+    value: Callable[[int], Rat] | None = None,
 ) -> tuple[Violation, ...]:
     """Each supported pure strategy of a player not in ``skip`` that earns
     less than its player's best pure payoff minus ``eps``.
@@ -374,8 +385,8 @@ def _wsne_violations(
     strategy ``r`` earns ``nums[r] / dens[r]`` with ``dens[r] > 0``, and it
     is supported when ``support[r] > 0`` (a scaled strategy's numerator).
     The comparisons are int arithmetic: the best response is the first
-    maximal index, and ``u[r] < u[best] - eps`` is a cross-product of ints
-    with ``u[best] - eps`` as one int fraction.  Only the payoffs of a
+    maximal index (:func:`_best_index`), and ``u[r] < u[best] - eps`` is a
+    cross-product of ints with ``u[best] - eps`` as one int fraction.  Only the payoffs of a
     violation become values, ``value(r)``, by default ``Fraction(nums[r],
     dens[r])``.
     """
@@ -388,11 +399,8 @@ def _wsne_violations(
     for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
         if i in skip:
             continue
-        best, best_n, best_d = a, nums[a], dens[a]
-        for r in range(a + 1, b):
-            n, d = nums[r], dens[r]
-            if n * best_d > best_n * d:
-                best, best_n, best_d = r, n, d
+        best = _best_index(nums, dens, a, b)
+        best_n, best_d = nums[best], dens[best]
         # floor_n / floor_d == u[best] - eps, with floor_d > 0
         floor_n, floor_d = best_n * eps_d - eps_n * best_d, best_d * eps_d
         for r in range(a, b):

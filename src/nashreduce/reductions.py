@@ -412,9 +412,9 @@ def recover_from_bimatrix(
     profile, exactly.  Raises ZeroBlockMass for blocks the profile never
     plays (a genuine eps_2-equilibrium gives every block positive mass).
 
-    ``g2`` must be structured, and ``mapping`` must agree with it
-    (:func:`_check_bimatrix_mapping`).  Both strategies are validated and
-    scaled block by block; over a block's own common denominator ``L``,
+    ``g2`` must be structured, and ``mapping`` must agree with its block
+    sizes and alpha.  Both strategies are validated and scaled block by
+    block; over a block's own common denominator ``L``,
     ``v / mass`` is ``num / sum(nums)``, one ``Fraction`` per entry.
     """
     _check_bimatrix_mapping(g2, mapping)

@@ -45,6 +45,7 @@ from .model import (
     PolymatrixGame,
     Rat,
     VerifyResult,
+    _best_index,
     _scaled_profile,
     edge_payoffs,
     iter_profiles,
@@ -447,13 +448,10 @@ def lift_to_bimatrix(
     offsets = g2._offsets
     scales, units = _scaled_profile(profile, g2.block_sizes, what="block")
     totals, dens = edge_payoffs(offsets, g2.edges, scales, units)
-    block_best = []
-    for a, b in zip(offsets, offsets[1:]):
-        best_n, best_d = totals[a], dens[a]
-        for r in range(a + 1, b):
-            if totals[r] * best_d > best_n * dens[r]:
-                best_n, best_d = totals[r], dens[r]
-        block_best.append((best_n, best_d))
+    block_best = [
+        (totals[r], dens[r])
+        for r in (_best_index(totals, dens, a, b) for a, b in zip(offsets, offsets[1:]))
+    ]
     # w_i = (alpha m + m u_i - sum(u)) / (alpha m^2) == num / den, on ints,
     # with alpha == a / b, u_i == n / d and sum(u) == total / scale
     a, b = g2.alpha.as_integer_ratio()

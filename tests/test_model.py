@@ -630,6 +630,19 @@ def test_structured_payoffs_differential(kind, seed, normalized):
     assert_fractions([u1])
 
 
+def test_normalized_payoffs_with_an_int_alpha_stay_rational():
+    gm = PolymatrixGame((2, 2), {(0, 1): [[1, 0], [0, 1]]})
+    g = BimatrixGame.structured(gm, 5, normalized=True)
+    x, y = (1, 0, 0, 0), (R(1, 2), 0, R(1, 2), 0)
+    u1, u2 = g.expected_payoffs(x, y)
+    assert_fractions([u1, u2])
+    assert u2 == (1, R(5, 6), R(5, 6), R(5, 6))
+    assert_fractions([g.payoff_range(), (g.entry(1, 0, 0), g.entry(0, 0, 0))])
+    (bad,) = g.verify_wsne(x, y, 0).violations
+    assert (bad.player, bad.strategy, bad.best_strategy) == (1, 2, 0)
+    assert_fractions([(bad.payoff, bad.best_payoff)])
+
+
 # ---------------------------------------------------------------------------
 # malformed profiles: the fused validate-and-scale pass raises what the
 # separate checks raised, naming the player or block at fault
