@@ -168,10 +168,11 @@ def flat(blocks) -> tuple:
 
 
 def verify_cases(g2, blocks):
-    """Bimatrix profiles of ``g2``: the lifted witness of ``blocks``, a pure
-    leader as plain ints against the follower spread over the blocks
-    (follower violations whose payoffs are ints), and a follower piled on
-    block 0 with the leader uniform on it (leader violations)."""
+    """Bimatrix profiles of ``g2``: the lifted witness of ``blocks`` first,
+    then a pure leader as plain ints against the follower spread over the
+    blocks (follower violations whose payoffs are ints), both players
+    uniform on block 0 (leader violations), and the leader spread against
+    a pure follower as plain ints."""
     m, n = len(blocks), g2.n
     x, y = lift_to_bimatrix(g2, blocks, bimatrix_mapping(g2))
     spread = tuple(v * F(1, m) for v in flat(blocks))
@@ -238,12 +239,13 @@ def test_verify_matches_oracle_on_a_reduction(reduced):
     assert len(want) > gm.m // 20
     blocks = [tuple(p) for p in poly]
     for game, eps in ((g2, bi_params.eps_2), (normalize_bimatrix(g2), bi_params.eps_2_normalized)):
-        for x, y in verify_cases(game, blocks):
+        cases = verify_cases(game, blocks)
+        assert game.verify_wsne(*cases[0], eps).ok
+        for x, y in cases:
             payoffs = oracle.structured_payoffs(game, x, y)
             for clamped in (frozenset(), frozenset({1})):
                 want = oracle.wsne_violations(payoffs, [x, y], eps, clamped)
                 assert_same(game.verify_wsne(x, y, eps, clamped=clamped).violations, want)
-        assert game.verify_wsne(*lift_to_bimatrix(game, blocks, bi_map), eps).ok
 
 
 # ---------------------------------------------------------------------------
