@@ -155,15 +155,40 @@ def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
 
 
 def _edges_out(edges) -> list:
-    return [
-        [i, j, _matrix_out(mat)] for (i, j), mat in sorted(edges.items())
-    ]
+    """``[i, j, rows]`` per edge, sorted by endpoints.  Each distinct matrix
+    object is rendered once; every edge gets its own copy of the row lists,
+    so the result holds no shared lists."""
+    rendered: dict[int, list[list[str]]] = {}  # the edges hold every keyed matrix
+    out = []
+    for (i, j), mat in sorted(edges.items()):
+        rows = rendered.get(id(mat))
+        if rows is None:
+            rows = rendered[id(mat)] = _matrix_out(mat)
+        out.append([i, j, [*map(list, rows)]])
+    return out
+
+
+def _body_key(body: Any) -> tuple | None:
+    """The rows of a non-empty list of lists of strings, as a hashable key;
+    None for any other body.  Checking the shape first keeps the string
+    ``"10"`` and the body ``[["1"], ["0"]]`` apart."""
+    if not isinstance(body, list) or not body or not all(type(row) is list for row in body):
+        return None
+    key = tuple(map(tuple, body))
+    if not all(type(x) is str for row in key for x in row):
+        return None
+    return key
 
 
 def _edges_in(data: Any, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]:
+    """The edges of a file, ``{(i, j): rows}``.  Each distinct matrix text
+    is parsed once, and edges with equal texts share the parsed object.  A
+    body that is not a non-empty list of lists of strings is parsed on its
+    own and fails with the parser's own :class:`ParseError`."""
     if not isinstance(data, list):
         raise ParseError("edges must be a list of [i, j, matrix] entries")
     edges: dict[tuple[int, int], list[tuple]] = {}
+    parsed: dict[tuple, list[tuple]] = {}
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"malformed edge entry {entry!r}")
@@ -171,7 +196,13 @@ def _edges_in(data: Any, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]
         j = _int_in(entry[1], "edge endpoint")
         if (i, j) in edges:
             raise ParseError(f"duplicate edge ({i}, {j})")
-        edges[(i, j)] = _matrix_in(entry[2], rats)
+        key = _body_key(entry[2])
+        mat = None if key is None else parsed.get(key)
+        if mat is None:
+            mat = _matrix_in(entry[2], rats)
+            if key is not None:
+                parsed[key] = mat
+        edges[(i, j)] = mat
     return edges
 
 

@@ -54,7 +54,7 @@ from .errors import (
     ParameterError,
     SizeBudgetExceeded,
 )
-from .model import PlayerInfo, PolymatrixGame, Role, validate_mixed
+from .model import PlayerInfo, PolymatrixGame, Role, make_matrix, validate_mixed
 
 Rat = Any
 
@@ -548,8 +548,23 @@ class GadgetCircuit:
 
     def combine(self) -> PolymatrixGame:
         """Freeze into a polymatrix game, which checks the payoff range and
-        drops all-zero edge matrices."""
-        return PolymatrixGame(self._counts, self._edges, self._players)
+        drops all-zero edge matrices.
+
+        Equal edge matrices become one shared tuple, so the game checks,
+        stores and serializes each distinct matrix once.  Only exact
+        matrices are shared: ``1.0 == 1``, so a matrix with an inexact entry
+        keeps its own object, and the game rejects it in edge order.
+        """
+        shared: dict = {}
+        edges = {}
+        for key, acc in self._edges.items():
+            try:
+                mat = make_matrix(acc)
+            except ParameterError:
+                edges[key] = acc
+            else:
+                edges[key] = shared.setdefault(mat, mat)
+        return PolymatrixGame(self._counts, edges, self._players)
 
     def lift(self, inputs: Mapping[int, Any]) -> list[tuple]:
         """Complete exact input values to an exact equilibrium profile.

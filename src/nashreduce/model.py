@@ -534,8 +534,13 @@ class PolymatrixGame:
     the interaction with player ``i'``.  Entries lie in ``[-1, 2]``.  Edges
     whose matrix is all zeros are never stored (the constructor drops them,
     keeping the representation canonical).  The empty game (zero players) is
-    allowed.  Each edge's entries are compared once, on ints, for the range
-    check, the all-zero test and the game's payoff range.
+    allowed.
+
+    Edge matrices are immutable and may be shared: edges given the same
+    matrix object keep one frozen copy of it.  Each distinct object is
+    frozen, checked for exact entries and compared once, on ints, for the
+    range check, the all-zero test and the game's payoff range; the
+    endpoint, self-edge and shape checks stay per edge, in edge order.
     """
 
     def __init__(
@@ -553,22 +558,28 @@ class PolymatrixGame:
             raise DimensionMismatch("need exactly one PlayerInfo per player")
         kept: dict[tuple[int, int], Matrix] = {}
         ranges = []
+        # id(mat) -> (mat, frozen, lo, hi); holding mat keeps its id unique
+        checked: dict[int, tuple] = {}
         for (i, j), mat in edges.items():
             if i == j:
                 raise ParameterError(f"self-edge ({i}, {j}) is not allowed")
             if not (0 <= i < m and 0 <= j < m):
                 raise ParameterError(f"edge ({i}, {j}) references a missing player")
-            frozen = make_matrix(mat)
+            seen = checked.get(id(mat))
+            if seen is None:
+                frozen = make_matrix(mat)
+                lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
+                seen = checked[id(mat)] = (mat, frozen, lo, hi)
+                ranges += (lo, hi)  # an edge sharing the matrix adds no new extreme
+            _, frozen, lo, hi = seen
             if len(frozen) != counts[i] or len(frozen[0]) != counts[j]:
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) matrix must be {counts[i]}x{counts[j]}"
                 )
-            lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
             if lo < -1 or hi > 2:
                 raise ParameterError(f"edge ({i}, {j}) entry {lo if lo < -1 else hi} outside [-1, 2]")
             if lo or hi:  # an all-zero matrix has the range (0, 0) and is dropped
                 kept[(i, j)] = frozen
-                ranges += (lo, hi)
         self.strategy_counts = counts
         # _offsets[i] is player i's first flat index; _offsets[-1] == sum(counts)
         self._offsets = tuple(itertools.accumulate(counts, initial=0))

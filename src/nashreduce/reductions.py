@@ -384,8 +384,8 @@ def _check_bimatrix_mapping(g2: BimatrixGame, mapping: GameMapping) -> None:
     """Raise unless ``mapping`` is a bimatrixify or full mapping that agrees
     with the structured game ``g2``.
 
-    The game's own block sizes and alpha are the ones used; a mapping that
-    records others was made for another game, and raises
+    The game's own block sizes, alpha and divisor are the ones used; a
+    mapping that records others was made for another game, and raises
     :class:`DimensionMismatch`.
     """
     if mapping.stage not in ("bimatrixify", "full"):
@@ -401,6 +401,11 @@ def _check_bimatrix_mapping(g2: BimatrixGame, mapping: GameMapping) -> None:
             f"mapping alpha {rational_str(mapping.alpha)} differs from the game's "
             f"{rational_str(g2.alpha)}"
         )
+    if mapping.divisor is not None and mapping.divisor != g2.divisor:
+        raise DimensionMismatch(
+            f"mapping divisor {rational_str(mapping.divisor)} differs from the game's "
+            f"{rational_str(g2.divisor)}"
+        )
 
 
 def recover_from_bimatrix(
@@ -413,11 +418,14 @@ def recover_from_bimatrix(
     plays (a genuine eps_2-equilibrium gives every block positive mass).
 
     ``g2`` must be structured, and ``mapping`` must agree with its block
-    sizes and alpha.  Both strategies are validated and scaled block by
-    block; over a block's own common denominator ``L``,
-    ``v / mass`` is ``num / sum(nums)``, one ``Fraction`` per entry.
+    sizes, alpha and divisor; ``profile`` must hold two strategies.  Both
+    strategies are validated and scaled block by block; over a block's own
+    common denominator ``L``, ``v / mass`` is ``num / sum(nums)``, one
+    ``Fraction`` per entry.
     """
     _check_bimatrix_mapping(g2, mapping)
+    if len(profile) != 2:
+        raise DimensionMismatch(f"profile has {len(profile)} strategies for 2 players")
     x, y = profile
     offsets = g2._offsets
     _scaled_blocks(x, offsets, "leader strategy")

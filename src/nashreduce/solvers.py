@@ -435,10 +435,10 @@ def lift_to_bimatrix(
     verification; callers are expected to verify at their eps.
 
     ``g2`` must be structured, and ``mapping`` must agree with its block
-    sizes and alpha.  The profile is validated and scaled to ints in one
-    pass, and :func:`edge_payoffs` gives each block's payoffs as int pairs,
-    so the block-best payoffs ``u_i`` and ``sum(u)`` (:func:`exact_sum`)
-    stay int pairs.  Each weight ``w_i = (alpha m + m u_i - sum(u)) /
+    sizes, alpha and divisor.  The profile is validated and scaled to ints
+    in one pass, and :func:`edge_payoffs` gives each block's payoffs as int
+    pairs, so the block-best payoffs ``u_i`` and ``sum(u)``
+    (:func:`exact_sum`) stay int pairs.  Each weight ``w_i = (alpha m + m u_i - sum(u)) /
     (alpha m^2)`` is one int numerator over one int denominator, and each
     entry ``w_i v`` of the follower's strategy is built as one ``Fraction``
     from those ints.  Raises :class:`ParameterError` when some ``w_i <= 0``.

@@ -9,6 +9,7 @@ reduction outputs across runs.
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -378,6 +379,18 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
     result = invoke(runner, "recover", game_path, mapping_path, prof)
     assert result.exit_code == 3
     assert "do not match" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_recover_rejects_a_mapping_with_another_divisor(runner, tmp_path):
+    game_path, mapping_path, prof = (tmp_path / name for name in ("g.json", "m.json", "p.json"))
+    g2, mapping, params = bimatrixify(PolymatrixGame((2, 2), {(0, 1): [[R(1), R(0)], [R(0), R(1)]]}), R(1, 2))
+    write_game(game_path, g2)
+    write_mapping(mapping_path, replace(mapping, divisor=g2.divisor + 1), params)
+    write_profile(prof, [(R(1, 4),) * 4, (R(1, 4),) * 4])
+    result = invoke(runner, "recover", game_path, mapping_path, prof)
+    assert result.exit_code == 3
+    assert "mapping divisor 258 differs from the game's 257" in result.output
     assert "Traceback" not in result.output
 
 

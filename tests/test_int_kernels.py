@@ -184,7 +184,7 @@ def verify_cases(g2, blocks):
 
 def bimatrix_mapping(g2):
     _, mapping, _ = bimatrixify(g2.polymatrix, R(3, 10))
-    return replace(mapping, alpha=g2.alpha)
+    return replace(mapping, alpha=g2.alpha, divisor=g2.divisor)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -367,7 +367,7 @@ def test_lift_matches_oracle_on_small_alpha(alpha):
     gm = random_polymatrix(5, counts, lo=R(-1), hi=R(2))
     _, mapping, _ = bimatrixify(gm, R(3, 10))
     g2 = BimatrixGame.structured(gm, alpha)
-    small = replace(mapping, alpha=alpha)
+    small = replace(mapping, alpha=alpha, divisor=g2.divisor)
     profile = prime_profile(counts)
     want = lift_outcome(oracle.lift_to_bimatrix, g2, profile, small)
     assert lift_outcome(lift_to_bimatrix, g2, profile, small) == want

@@ -731,12 +731,11 @@ def test_profiles_with_a_wrong_player_count_fail_as_before():
         gm.verify_wsne(good[:2], R(0))
     with pytest.raises(DimensionMismatch, match=r"^profile has 4 strategies for 3 blocks$"):
         lift_to_bimatrix(g2, good + [good[0]], mapping)
-    # a bimatrix profile is unpacked as (leader, follower); verify_wsne takes
-    # the two strategies as separate arguments
-    with pytest.raises(ValueError):
-        recover_from_bimatrix(g2, (flat, flat, flat), mapping)
-    with pytest.raises(ValueError):
-        recover_from_bimatrix(g2, (flat,), mapping)
+    # a bimatrix profile is (leader, follower); verify_wsne takes the two
+    # strategies as separate arguments
+    for vectors in (3, 1):
+        with pytest.raises(DimensionMismatch, match=rf"^profile has {vectors} strategies for 2 players$"):
+            recover_from_bimatrix(g2, (flat,) * vectors, mapping)
 
 
 def test_recover_from_bimatrix_keeps_values_and_types():

@@ -8,6 +8,8 @@ normal-form ones, and round-trips through recovery.  Stage two is checked
 against hand-computed block matrices and the exact renormalization rule.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from nashreduce import (
@@ -429,6 +431,38 @@ def test_bimatrix_mapping_must_agree_with_its_game():
     with pytest.raises(ParameterError, match="structured"):
         recover_from_bimatrix(g32.to_dense(), (x, y), map32)
     assert recover_from_bimatrix(g32, (x, y), map32) == [(R(1, 3),) * 3, (R(1, 2),) * 2]
+
+
+def test_bimatrix_mapping_divisor_must_agree_with_its_game():
+    g2, mapping, _ = bimatrixify(small_polymatrix(), R(3, 10))
+    x = y = (R(1, 4),) * 4
+    poly = [(R(1), R(0)), (R(0), R(1))]
+    assert mapping.divisor == g2.divisor
+    other = replace(mapping, divisor=g2.divisor + 1)
+    message = "mapping divisor 1286/3 differs from the game's 1283/3"
+    with pytest.raises(DimensionMismatch) as err:
+        recover_from_bimatrix(g2, (x, y), other)
+    assert str(err.value) == message
+    with pytest.raises(DimensionMismatch, match="divisor"):
+        lift_to_bimatrix(g2, poly, other)
+    # the normalized game keeps the divisor; a mapping that records none is
+    # not checked against it
+    for game, mapped in ((normalize_bimatrix(g2), mapping), (g2, replace(mapping, divisor=None))):
+        assert recover_from_bimatrix(game, (x, y), mapped) == [(R(1, 2),) * 2] * 2
+        lift_to_bimatrix(game, poly, mapped)
+
+
+@pytest.mark.parametrize("vectors", [1, 3])
+def test_recover_needs_exactly_two_strategies(vectors):
+    g2, mapping, _ = reduce_full(crossing_game(), R(1, 2), "unary")
+    y = (R(1, g2.n),) * g2.n
+    message = f"profile has {vectors} strategies for 2 players"
+    with pytest.raises(DimensionMismatch) as err:
+        recover_from_bimatrix(g2, (y,) * vectors, mapping)
+    assert str(err.value) == message
+    with pytest.raises(DimensionMismatch) as err:
+        recover_full(g2, (y,) * vectors, mapping)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
