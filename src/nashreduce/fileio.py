@@ -26,6 +26,7 @@ too.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -172,10 +173,10 @@ def _body_key(body: Any) -> tuple | None:
     """The rows of a non-empty list of lists of strings, as a hashable key;
     None for any other body.  Checking the shape first keeps the string
     ``"10"`` and the body ``[["1"], ["0"]]`` apart."""
-    if not isinstance(body, list) or not body or not all(type(row) is list for row in body):
+    if not isinstance(body, list) or {*map(type, body)} != {list}:
         return None
     key = tuple(map(tuple, body))
-    if not all(type(x) is str for row in key for x in row):
+    if {*map(type, itertools.chain.from_iterable(key))} != {str}:
         return None
     return key
 

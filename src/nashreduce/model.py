@@ -558,7 +558,8 @@ class PolymatrixGame:
             raise DimensionMismatch("need exactly one PlayerInfo per player")
         kept: dict[tuple[int, int], Matrix] = {}
         ranges = []
-        # id(mat) -> (mat, frozen, lo, hi); holding mat keeps its id unique
+        # id(mat) -> (mat, frozen, entry outside [-1, 2] or None, nonzero);
+        # holding mat keeps its id from being reused during the loop
         checked: dict[int, tuple] = {}
         for (i, j), mat in edges.items():
             if i == j:
@@ -569,16 +570,18 @@ class PolymatrixGame:
             if seen is None:
                 frozen = make_matrix(mat)
                 lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
-                seen = checked[id(mat)] = (mat, frozen, lo, hi)
+                bad = lo if lo < -1 else hi if hi > 2 else None
+                # an all-zero matrix has the range (0, 0) and is dropped
+                seen = checked[id(mat)] = (mat, frozen, bad, bool(lo or hi))
                 ranges += (lo, hi)  # an edge sharing the matrix adds no new extreme
-            _, frozen, lo, hi = seen
+            _, frozen, bad, nonzero = seen
             if len(frozen) != counts[i] or len(frozen[0]) != counts[j]:
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) matrix must be {counts[i]}x{counts[j]}"
                 )
-            if lo < -1 or hi > 2:
-                raise ParameterError(f"edge ({i}, {j}) entry {lo if lo < -1 else hi} outside [-1, 2]")
-            if lo or hi:  # an all-zero matrix has the range (0, 0) and is dropped
+            if bad is not None:
+                raise ParameterError(f"edge ({i}, {j}) entry {bad} outside [-1, 2]")
+            if nonzero:
                 kept[(i, j)] = frozen
         self.strategy_counts = counts
         # _offsets[i] is player i's first flat index; _offsets[-1] == sum(counts)
