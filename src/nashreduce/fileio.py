@@ -11,7 +11,9 @@ read parses each distinct string once: a per-read dict (``_Rationals``)
 maps every string it has parsed to its ``Fraction``, and each later cell
 with the same string gets that object.  A reduced game holds tens of
 thousands of cells but only dozens of distinct strings.  A failed parse
-raises and is never stored, so every malformed cell fails.
+raises and is never stored, so every malformed cell fails.  Edge matrices
+repeat too: a read parses each distinct edge body once and a write renders
+each distinct matrix object once, so equal edges share one matrix.
 
 Games carry a small header (format tag, class, player count, strategy
 counts, payoff range, and for a structured bimatrix game its divisor) that

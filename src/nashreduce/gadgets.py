@@ -553,7 +553,10 @@ class GadgetCircuit:
         Equal edge matrices become one shared tuple, so the game checks,
         stores and serializes each distinct matrix once.  Only exact
         matrices are shared: ``1.0 == 1``, so a matrix with an inexact entry
-        keeps its own object, and the game rejects it in edge order.
+        keeps its own object, and the game rejects it in edge order.  A
+        matrix is looked up by its height and its entries' int
+        ``(numerator, denominator)`` pairs, which hash and compare in C,
+        where a ``Fraction``'s own hash and ``==`` are Python calls.
         """
         shared: dict = {}
         edges = {}
@@ -562,8 +565,9 @@ class GadgetCircuit:
                 mat = make_matrix(acc)
             except ParameterError:
                 edges[key] = acc
-            else:
-                edges[key] = shared.setdefault(mat, mat)
+                continue
+            value = (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
+            edges[key] = shared.setdefault(value, mat)
         return PolymatrixGame(self._counts, edges, self._players)
 
     def lift(self, inputs: Mapping[int, Any]) -> list[tuple]:

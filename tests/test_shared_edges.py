@@ -17,7 +17,7 @@ import pytest
 from nashreduce import DimensionMismatch, ParameterError, ParseError, R
 from nashreduce.fileio import game_from_dict, game_to_dict, read_game, write_game
 from nashreduce.gadgets import GadgetCircuit
-from nashreduce.model import PolymatrixGame, pure_strategy, random_normal_form
+from nashreduce.model import PolymatrixGame, make_matrix, pure_strategy, random_normal_form
 from nashreduce.reductions import bimatrixify, lift_to_polymatrix, linearize
 
 
@@ -110,6 +110,16 @@ def test_combine_rejects_a_float_next_to_an_equal_exact_matrix(inexact_first):
     c.add_edge_matrix(b, d, matrices[1])
     with pytest.raises(ParameterError, match="not an exact rational"):
         c.combine()
+
+
+def test_combine_keeps_apart_matrices_with_equal_entries_in_other_shapes():
+    c = GadgetCircuit()
+    two, three = c.add_player(2), c.add_player(3)
+    wide, tall = [[1, 0, 1], [0, 1, 0]], [[1, 0], [1, 0], [1, 0]]
+    c.add_edge_matrix(two, three, wide)
+    c.add_edge_matrix(three, two, tall)
+    game = c.combine()
+    assert game.edges == {(two, three): make_matrix(wide), (three, two): make_matrix(tall)}
 
 
 @pytest.mark.parametrize(
