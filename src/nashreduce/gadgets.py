@@ -42,6 +42,7 @@ clamped inputs).  Decision gadgets break payoff ties toward strategy 1.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -235,6 +236,34 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
     return AffineGap(not primitive.two_cycle, const, tuple(coefs))
 
 
+def _matrix_key(mat) -> tuple:
+    """An exact matrix's height and its entries' int ``(numerator,
+    denominator)`` pairs, which hash and compare in C, where a ``Fraction``'s
+    own hash and ``==`` are Python calls."""
+    return (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
+
+
+class _TapColumns(NamedTuple):
+    """A recorded edge that reads an input: its tapped column and the one
+    every other column repeats, so it fits an input of any size."""
+
+    tapped: tuple
+    other: tuple
+
+
+class _Recording(NamedTuple):
+    """What one build of a repeated gadget added, in that build's indices:
+    it created the players from ``base`` on and read or drove only those
+    and the players in ``slots`` (its two inputs, then ``out`` if given)."""
+
+    base: int
+    slots: tuple[int, ...]
+    counts: tuple[int, ...]
+    players: tuple[PlayerInfo, ...]
+    edges: tuple[tuple[tuple[int, int], Any], ...]  # frozen, shared matrices or _TapColumns
+    spec: GadgetSpec
+
+
 def _check_zeta(zeta: Rat) -> Rat:
     if zeta < 0 or zeta > 1:
         raise ParameterError(f"zeta must lie in [0, 1], got {zeta}")
@@ -249,19 +278,29 @@ class GadgetCircuit:
     gadgets), which keeps the wiring acyclic by construction.  Builders
     create their own output player unless ``out=`` hands them an existing
     undriven binary player to drive (each player can be driven only once).
+
+    A gadget that a circuit repeats, such as the multiplier behind every
+    mediator of a reduction, is built once and its later copies are stamped
+    from a recording of that build (:meth:`_build_repeated`): the same
+    players, edges and specs, with the stamped edges sharing frozen matrices.
     """
 
     def __init__(self, player_budget: int | None = None):
         self.player_budget = resolve_player_budget(player_budget)
         self._counts: list[int] = []
         self._players: list[PlayerInfo] = []
-        self._edges: dict[tuple[int, int], list[list[Rat]]] = {}
+        # an edge holds its accumulator list, or a frozen matrix that other
+        # edges may share until something is added to it
+        self._edges: dict[tuple[int, int], Any] = {}
         self._specs: list[GadgetSpec] = []
         self._spec_stack: list[list[GadgetSpec]] = [self._specs]
         self._scope_stack: list[str] = []
         self._inputs: set[int] = set()
         self._driven: set[int] = set()
         self._defined: set[int] = set()
+        self._recordings: dict[tuple, _Recording] = {}
+        # (input size, tapped strategy, id of recorded _TapColumns) -> matrix
+        self._tap_reads: dict[tuple[int, int, int], tuple] = {}
 
     # -- players and edges ---------------------------------------------------
 
@@ -288,13 +327,16 @@ class GadgetCircuit:
         """A raw player with no payoffs yet; drive it later via ``out=``."""
         if n < 2:
             raise ParameterError("players need at least two pure strategies")
-        if self.num_players + 1 > self.player_budget:
-            raise SizeBudgetExceeded(
-                f"player budget of {self.player_budget} players exhausted"
-            )
+        self._reserve(1)
         self._counts.append(n)
         self._players.append(PlayerInfo(role, scope))
         return self.num_players - 1
+
+    def _reserve(self, n: int) -> None:
+        if self.num_players + n > self.player_budget:
+            raise SizeBudgetExceeded(
+                f"player budget of {self.player_budget} players exhausted"
+            )
 
     def add_input(self, n: int = 2, label: str = "", role: Role = Role.PLAIN) -> Tap:
         """A clamped input player; its value is read at strategy 1."""
@@ -327,9 +369,20 @@ class GadgetCircuit:
 
     def _acc(self, i: int, j: int) -> list[list[Rat]]:
         key = (i, j)
+        acc = self._edges.get(key)
+        if acc is None:
+            acc = self._edges[key] = [[0] * self._counts[j] for _ in range(self._counts[i])]
+        elif type(acc) is tuple:  # a shared frozen matrix: add into a copy
+            acc = self._edges[key] = [list(row) for row in acc]
+        return acc
+
+    def _merge(self, key: tuple[int, int], mat) -> None:
+        """Add ``mat`` to edge ``key``; a new edge takes ``mat`` itself."""
         if key not in self._edges:
-            self._edges[key] = [[0] * self._counts[j] for _ in range(self._counts[i])]
-        return self._edges[key]
+            self._edges[key] = mat
+            return
+        for row, more in zip(self._acc(*key), mat):
+            row[:] = map(operator.add, row, more)
 
     def _add_tap_matrix(self, i: int, tap: Tap, col0: tuple[Rat, Rat], col1: tuple[Rat, Rat]) -> None:
         """Payoffs for binary player ``i`` reading ``tap``: the tap's column
@@ -410,6 +463,97 @@ class GadgetCircuit:
         spec = GadgetSpec(kind, inputs, outputs, params, internal=tuple(inner))
         self._record(spec)
         return spec
+
+    def _build_repeated(
+        self, key: tuple, build: Callable[[Tap, Tap, Tap | None], Tap], in1: Tap, in2: Tap, out: Tap | None
+    ) -> Tap:
+        """``build(in1, in2, out)``, a composite whose gadgets depend only on
+        ``key``, whether ``out`` is given and the scope, not on the taps.
+
+        The first such call per circuit runs ``build`` and records what it
+        added; every later one stamps that recording at its own players,
+        after the checks ``build`` would make.  A stamped edge that reads an
+        input gets the recorded columns laid out for that input's size and
+        tapped strategy.  Two inputs on one player are built directly.
+        """
+        key = (key, out is not None, tuple(self._scope_stack))
+        rec = self._recordings.get(key)
+        if rec is None:
+            base, outer, self._edges = self.num_players, self._edges, {}
+            try:
+                p = build(in1, in2, out)
+            finally:
+                delta, self._edges = self._edges, outer
+                for edge, acc in delta.items():
+                    self._merge(edge, acc)
+            spec = self._spec_stack[-1][-1]
+            strategy = {tap.player: tap.strategy for tap in spec.inputs}
+            if len(strategy) < 2:
+                return p
+            interned: dict = {}
+            edges = []
+            try:
+                for (i, j), acc in delta.items():
+                    mat = make_matrix(acc)
+                    if j in strategy:
+                        cols = tuple(zip(*mat))
+                        mat = _TapColumns(cols[strategy[j]], cols[strategy[j] - 1])
+                    else:
+                        mat = interned.setdefault(_matrix_key(mat), mat)
+                    edges.append(((i, j), mat))
+            except ParameterError:  # inexact entries are left for combine to reject
+                return p
+            slots = (*strategy, *(() if out is None else (Tap(*out).player,)))
+            self._recordings[key] = _Recording(
+                base, slots, tuple(self._counts[base:]), tuple(self._players[base:]), tuple(edges), spec
+            )
+            return p
+        in1, in2 = self._resolve_taps([in1, in2])
+        if in1.player == in2.player:
+            return build(in1, in2, out)
+        self._reserve(len(rec.counts))
+        if out is not None:
+            out, _ = self._claim_output(out, rec.spec.kind)
+        shift = self.num_players - rec.base
+        where = dict(zip(rec.slots, (in1, in2, out)))
+        self._counts += rec.counts
+        self._players += rec.players
+        created = range(rec.base + shift, self.num_players)
+        self._driven.update(created)
+        self._defined.update(created)
+        for (i, j), mat in rec.edges:
+            i = i + shift if i >= rec.base else where[i].player
+            if j >= rec.base:
+                j += shift
+            else:
+                tap = where[j]
+                j = tap.player
+                if type(mat) is _TapColumns:
+                    shape = (self._counts[j], tap.strategy, id(mat))
+                    if shape not in self._tap_reads:
+                        self._tap_reads[shape] = tuple(zip(*(
+                            mat.tapped if c == tap.strategy else mat.other for c in range(shape[0])
+                        )))
+                    mat = self._tap_reads[shape]
+            self._merge((i, j), mat)
+
+        def moved(tap: Tap) -> Tap:
+            return where[tap.player] if tap.player < rec.base else Tap(tap.player + shift, tap.strategy)
+
+        def stamped(spec: GadgetSpec) -> GadgetSpec:
+            return GadgetSpec(
+                spec.kind,
+                tuple(map(moved, spec.inputs)),
+                tuple(map(moved, spec.outputs)),
+                spec.params,
+                tuple(p + shift for p in spec.aux),
+                tuple(p + shift for p in spec.created),
+                tuple(map(stamped, spec.internal)),
+            )
+
+        spec = stamped(rec.spec)
+        self._record(spec)
+        return spec.output
 
     # -- primitive builders ----------------------------------------------------
 
@@ -551,23 +695,30 @@ class GadgetCircuit:
         drops all-zero edge matrices.
 
         Equal edge matrices become one shared tuple, so the game checks,
-        stores and serializes each distinct matrix once.  Only exact
-        matrices are shared: ``1.0 == 1``, so a matrix with an inexact entry
-        keeps its own object, and the game rejects it in edge order.  A
-        matrix is looked up by its height and its entries' int
-        ``(numerator, denominator)`` pairs, which hash and compare in C,
-        where a ``Fraction``'s own hash and ``==`` are Python calls.
+        stores and serializes each distinct matrix once.  An accumulator
+        list is frozen, looked up by :func:`_matrix_key` and stored back in
+        the circuit as the shared tuple; a matrix a stamped copy brought in
+        is frozen already and is looked up once per object, however many
+        copies share it.  Only exact matrices are shared: ``1.0 == 1``, so
+        a matrix with an inexact entry keeps its own object, and the game
+        rejects it in edge order.
         """
         shared: dict = {}
+        stamped: dict[int, tuple] = {}  # the circuit holds every keyed tuple
         edges = {}
         for key, acc in self._edges.items():
-            try:
-                mat = make_matrix(acc)
-            except ParameterError:
-                edges[key] = acc
-                continue
-            value = (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
-            edges[key] = shared.setdefault(value, mat)
+            if type(acc) is list:
+                try:
+                    mat = make_matrix(acc)
+                except ParameterError:
+                    edges[key] = acc
+                    continue
+                mat = self._edges[key] = shared.setdefault(_matrix_key(mat), mat)
+            else:
+                mat = stamped.get(id(acc))
+                if mat is None:
+                    mat = stamped[id(acc)] = shared.setdefault(_matrix_key(acc), acc)
+            edges[key] = mat
         return PolymatrixGame(self._counts, edges, self._players)
 
     def lift(self, inputs: Mapping[int, Any]) -> list[tuple]:

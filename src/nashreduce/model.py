@@ -106,12 +106,13 @@ def _check_exact(values: Iterable, what: str) -> None:
         raise ParameterError(f"{what} has an entry that is not an exact rational")
 
 
-def make_matrix(rows: Iterable[Iterable[Rat]]) -> Matrix:
-    """Freeze rows into a rectangular tuple-of-tuples matrix of exact entries."""
+def make_matrix(rows: Iterable[Iterable[Rat]], what: str = "matrix") -> Matrix:
+    """Freeze rows into a rectangular tuple-of-tuples matrix of exact entries;
+    ``what`` names the matrix in the exactness error."""
     mat = tuple(map(tuple, rows))
     if len(set(map(len, mat))) > 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
-    _check_exact(itertools.chain.from_iterable(mat), "matrix")
+    _check_exact(itertools.chain.from_iterable(mat), what)
     return mat
 
 
@@ -568,7 +569,7 @@ class PolymatrixGame:
                 raise ParameterError(f"edge ({i}, {j}) references a missing player")
             seen = checked.get(id(mat))
             if seen is None:
-                frozen = make_matrix(mat)
+                frozen = make_matrix(mat, f"edge ({i}, {j}) matrix")
                 lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
                 bad = lo if lo < -1 else hi if hi > 2 else None
                 # an all-zero matrix has the range (0, 0) and is dropped

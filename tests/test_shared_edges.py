@@ -48,6 +48,14 @@ def test_combine_shares_equal_matrices(log_reduction):
         assert distinct_values(game) < len(game.edges) // 10
 
 
+def test_combine_leaves_the_circuit_holding_only_shared_matrices(log_reduction):
+    # the circuit lives as long as its mapping; accumulator lists would too
+    _, mapping, _ = log_reduction
+    held = mapping.circuit._edges.values()
+    assert {type(mat) for mat in held} == {tuple}
+    assert len({id(mat) for mat in held}) < len(held) // 10
+
+
 @pytest.mark.parametrize("stage", ["polymatrix", "bimatrix"])
 def test_read_game_shares_equal_matrices(tmp_path, log_reduction, stage):
     gm, _, params = log_reduction
@@ -125,7 +133,7 @@ def test_combine_keeps_apart_matrices_with_equal_entries_in_other_shapes():
 @pytest.mark.parametrize(
     "counts, matrix, message",
     [
-        ((2, 2, 2), [[1.0, 0], [0, 1]], "matrix has an entry that is not an exact rational"),
+        ((2, 2, 2), [[1.0, 0], [0, 1]], "edge (0, 1) matrix has an entry that is not an exact rational"),
         ((2, 2, 2), [[3, 0], [0, 1]], "edge (0, 1) entry 3 outside [-1, 2]"),
         ((2, 2, 3), I2, "edge (1, 2) matrix must be 2x3"),
         ((2, 2, 2), [[1, 0], [0]], "matrix rows have unequal lengths"),
