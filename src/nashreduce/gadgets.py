@@ -42,7 +42,6 @@ clamped inputs).  Decision gadgets break payoff ties toward strategy 1.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -237,24 +236,21 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
 
 
 def _matrix_key(mat) -> tuple:
-    """An exact matrix's height and its entries' int ``(numerator,
-    denominator)`` pairs, which hash and compare in C, where a ``Fraction``'s
-    own hash and ``==`` are Python calls."""
+    """An exact matrix's height and entries as int pairs, which hash and
+    compare in C, where a ``Fraction``'s hash and ``==`` are Python calls."""
     return (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
 
 
 class _TapColumns(NamedTuple):
-    """A recorded edge that reads an input: its tapped column and the one
-    every other column repeats, so it fits an input of any size."""
+    """A recorded edge reading an input: its tapped and its other columns."""
 
     tapped: tuple
     other: tuple
 
 
 class _Recording(NamedTuple):
-    """What one build of a repeated gadget added, in that build's indices:
-    it created the players from ``base`` on and read or drove only those
-    and the players in ``slots`` (its two inputs, then ``out`` if given)."""
+    """What one build added, in its indices: players from ``base`` on, and
+    edges between those and ``slots`` (its two inputs, then any ``out``)."""
 
     base: int
     slots: tuple[int, ...]
@@ -289,8 +285,7 @@ class GadgetCircuit:
         self.player_budget = resolve_player_budget(player_budget)
         self._counts: list[int] = []
         self._players: list[PlayerInfo] = []
-        # an edge holds its accumulator list, or a frozen matrix that other
-        # edges may share until something is added to it
+        # an accumulator list, or a frozen matrix other edges may share
         self._edges: dict[tuple[int, int], Any] = {}
         self._specs: list[GadgetSpec] = []
         self._spec_stack: list[list[GadgetSpec]] = [self._specs]
@@ -378,11 +373,10 @@ class GadgetCircuit:
 
     def _merge(self, key: tuple[int, int], mat) -> None:
         """Add ``mat`` to edge ``key``; a new edge takes ``mat`` itself."""
-        if key not in self._edges:
+        if key in self._edges:
+            self.add_edge_matrix(*key, mat)
+        else:
             self._edges[key] = mat
-            return
-        for row, more in zip(self._acc(*key), mat):
-            row[:] = map(operator.add, row, more)
 
     def _add_tap_matrix(self, i: int, tap: Tap, col0: tuple[Rat, Rat], col1: tuple[Rat, Rat]) -> None:
         """Payoffs for binary player ``i`` reading ``tap``: the tap's column
@@ -468,13 +462,10 @@ class GadgetCircuit:
         self, key: tuple, build: Callable[[Tap, Tap, Tap | None], Tap], in1: Tap, in2: Tap, out: Tap | None
     ) -> Tap:
         """``build(in1, in2, out)``, a composite whose gadgets depend only on
-        ``key``, whether ``out`` is given and the scope, not on the taps.
-
-        The first such call per circuit runs ``build`` and records what it
-        added; every later one stamps that recording at its own players,
-        after the checks ``build`` would make.  A stamped edge that reads an
-        input gets the recorded columns laid out for that input's size and
-        tapped strategy.  Two inputs on one player are built directly.
+        ``key``, on whether ``out`` is given and on the scope.  The first call
+        records what ``build`` added; later ones make its checks and stamp the
+        recording at their own players, laying out an edge that reads an input
+        once per input size and tapped strategy.  Inputs on one player build.
         """
         key = (key, out is not None, tuple(self._scope_stack))
         rec = self._recordings.get(key)
@@ -487,26 +478,25 @@ class GadgetCircuit:
                 for edge, acc in delta.items():
                     self._merge(edge, acc)
             spec = self._spec_stack[-1][-1]
-            strategy = {tap.player: tap.strategy for tap in spec.inputs}
-            if len(strategy) < 2:
+            taps = {tap.player: tap.strategy for tap in spec.inputs}
+            if len(taps) < 2:
+                return p
+            try:  # a build with an inexact entry is not recorded; combine rejects it
+                frozen = [(edge, make_matrix(acc)) for edge, acc in delta.items()]
+            except ParameterError:
                 return p
             interned: dict = {}
             edges = []
-            try:
-                for (i, j), acc in delta.items():
-                    mat = make_matrix(acc)
-                    if j in strategy:
-                        cols = tuple(zip(*mat))
-                        mat = _TapColumns(cols[strategy[j]], cols[strategy[j] - 1])
-                    else:
-                        mat = interned.setdefault(_matrix_key(mat), mat)
-                    edges.append(((i, j), mat))
-            except ParameterError:  # inexact entries are left for combine to reject
-                return p
-            slots = (*strategy, *(() if out is None else (Tap(*out).player,)))
-            self._recordings[key] = _Recording(
-                base, slots, tuple(self._counts[base:]), tuple(self._players[base:]), tuple(edges), spec
-            )
+            for (i, j), mat in frozen:
+                if j in taps:
+                    cols = tuple(zip(*mat))
+                    mat = _TapColumns(cols[taps[j]], cols[taps[j] - 1])
+                else:
+                    mat = interned.setdefault(_matrix_key(mat), mat)
+                edges.append(((i, j), mat))
+            slots = (*taps, *([] if out is None else [Tap(*out).player]))
+            counts, players = tuple(self._counts[base:]), tuple(self._players[base:])
+            self._recordings[key] = _Recording(base, slots, counts, players, tuple(edges), spec)
             return p
         in1, in2 = self._resolve_taps([in1, in2])
         if in1.player == in2.player:
@@ -518,37 +508,29 @@ class GadgetCircuit:
         where = dict(zip(rec.slots, (in1, in2, out)))
         self._counts += rec.counts
         self._players += rec.players
-        created = range(rec.base + shift, self.num_players)
-        self._driven.update(created)
-        self._defined.update(created)
+        self._driven.update(range(rec.base + shift, self.num_players))
+        self._defined.update(range(rec.base + shift, self.num_players))
         for (i, j), mat in rec.edges:
             i = i + shift if i >= rec.base else where[i].player
             if j >= rec.base:
                 j += shift
             else:
-                tap = where[j]
-                j = tap.player
+                s, j = where[j].strategy, where[j].player
                 if type(mat) is _TapColumns:
-                    shape = (self._counts[j], tap.strategy, id(mat))
+                    shape = (self._counts[j], s, id(mat))
                     if shape not in self._tap_reads:
-                        self._tap_reads[shape] = tuple(zip(*(
-                            mat.tapped if c == tap.strategy else mat.other for c in range(shape[0])
-                        )))
+                        cols = [mat.tapped if c == s else mat.other for c in range(shape[0])]
+                        self._tap_reads[shape] = tuple(zip(*cols))
                     mat = self._tap_reads[shape]
             self._merge((i, j), mat)
 
         def moved(tap: Tap) -> Tap:
             return where[tap.player] if tap.player < rec.base else Tap(tap.player + shift, tap.strategy)
 
-        def stamped(spec: GadgetSpec) -> GadgetSpec:
+        def stamped(g: GadgetSpec) -> GadgetSpec:
             return GadgetSpec(
-                spec.kind,
-                tuple(map(moved, spec.inputs)),
-                tuple(map(moved, spec.outputs)),
-                spec.params,
-                tuple(p + shift for p in spec.aux),
-                tuple(p + shift for p in spec.created),
-                tuple(map(stamped, spec.internal)),
+                g.kind, tuple(map(moved, g.inputs)), tuple(map(moved, g.outputs)), g.params,
+                tuple(p + shift for p in g.aux), tuple(p + shift for p in g.created), tuple(map(stamped, g.internal)),
             )
 
         spec = stamped(rec.spec)
@@ -695,11 +677,9 @@ class GadgetCircuit:
         drops all-zero edge matrices.
 
         Equal edge matrices become one shared tuple, so the game checks,
-        stores and serializes each distinct matrix once.  An accumulator
-        list is frozen, looked up by :func:`_matrix_key` and stored back in
-        the circuit as the shared tuple; a matrix a stamped copy brought in
-        is frozen already and is looked up once per object, however many
-        copies share it.  Only exact matrices are shared: ``1.0 == 1``, so
+        stores and serializes each distinct matrix once.  An accumulator is
+        frozen and stored back as the shared tuple; a stamped matrix is looked
+        up once per object.  Only exact matrices are shared: ``1.0 == 1``, so
         a matrix with an inexact entry keeps its own object, and the game
         rejects it in edge order.
         """

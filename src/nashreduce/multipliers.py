@@ -226,22 +226,13 @@ def build_multiplier(
     construction: str = "unary",
     out: Tap | None = None,
 ) -> Tap:
-    """Dispatch to the requested construction (``unary`` or ``log``).
-
-    A multiplier's gadgets depend on its construction and ``eps``, not on
-    its taps, so a circuit builds one per construction, ``eps`` and scope
-    here and stamps the repeats from a recording of it: the same players,
-    edges and specs as a direct build, at a fraction of the cost.  Calling
-    a builder directly always builds.
-    """
+    """Dispatch to the requested construction (``unary`` or ``log``).  A
+    repeated multiplier is built once per circuit and stamped (the same
+    players, edges and specs); a builder called directly always builds."""
     get_params(construction)
     builder = build_unary_multiplier if construction == "unary" else build_robust_multiplier
     return circuit._build_repeated(
-        (construction, type(eps), eps),
-        lambda a, b, o: builder(circuit, a, b, eps, out=o),
-        in1,
-        in2,
-        out,
+        (construction, type(eps), eps), lambda a, b, o: builder(circuit, a, b, eps, out=o), in1, in2, out
     )
 
 
