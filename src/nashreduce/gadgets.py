@@ -465,7 +465,8 @@ class GadgetCircuit:
         ``key``, on whether ``out`` is given and on the scope.  The first call
         records what ``build`` added; later ones make its checks and stamp the
         recording at their own players, laying out an edge that reads an input
-        once per input size and tapped strategy.  Inputs on one player build.
+        once per input size and tapped strategy.  Two inputs on one player
+        are always built.
         """
         key = (key, out is not None, tuple(self._scope_stack))
         rec = self._recordings.get(key)
