@@ -30,9 +30,10 @@ whenever v1 is far enough from a multiple of 2^-beta).
 
 Each primitive's payoffs are written once, in :data:`PRIMITIVES`: whether
 it is a decision gadget or an output/aux two-cycle, and the tap pairs its
-deciding player reads.  The builder writes its matrices from that table,
-and :func:`primitive_gap` derives from it the affine payoff gap that the
-lift here and the closed-form sweep in :mod:`nashreduce.sweep` evaluate.
+deciding player reads.  The builder lays each read out once per circuit, a
+frozen template matrix, and :func:`primitive_gap` derives from the table
+the affine payoff gap that the lift here and the closed-form sweep in
+:mod:`nashreduce.sweep` evaluate.
 
 Every builder also has an exact *lift*: given exact values for the clamped
 inputs, :meth:`GadgetCircuit.lift` completes them to a profile in which every
@@ -43,11 +44,11 @@ clamped inputs).  Decision gadgets break payoff ties toward strategy 1.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache, wraps
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._rational import rational
+from ._rational import Fraction, rational
 from .errors import (
     CycleDetected,
     DuplicateOutput,
@@ -184,6 +185,7 @@ class Primitive(NamedTuple):
 
 
 _W_READS_OUTPUT: TapPair = ((0, 0), (1, 0))  # W's strategy 0 earns the output value
+_IMITATE = ((1, 0), (0, 1))  # a two-cycle's output P imitates W
 _3_8, _1_2 = rational(3, 8), rational(1, 2)
 
 #: The one source of every primitive's payoffs: the builder writes these
@@ -258,12 +260,72 @@ class _Recording(NamedTuple):
     players: tuple[PlayerInfo, ...]
     edges: tuple[tuple[tuple[int, int], Any], ...]  # frozen, shared matrices or _TapColumns
     spec: GadgetSpec
+    steps: tuple[tuple, ...]  # _steps(spec)
+
+
+class _Stamp(NamedTuple):
+    """A copy of a recording: its players moved by ``shift``, slots to ``where``."""
+
+    rec: _Recording
+    shift: int
+    where: dict[int, Tap]
+
+    def moved(self, tap: Tap) -> Tap:
+        return self.where[tap.player] if tap.player < self.rec.base else Tap(tap.player + self.shift, tap.strategy)
+
+    def spec(self, g: GadgetSpec | None = None) -> GadgetSpec:
+        """The recorded spec tree laid out at this copy's players."""
+        g = g or self.rec.spec
+        return GadgetSpec(
+            g.kind, tuple(map(self.moved, g.inputs)), tuple(map(self.moved, g.outputs)), g.params,
+            tuple(p + self.shift for p in g.aux), tuple(p + self.shift for p in g.created),
+            tuple(map(self.spec, g.internal)),
+        )
+
+
+def _plain(g: GadgetSpec | _Stamp) -> GadgetSpec:
+    """``g`` as a plain spec tree, every stamp in it laid out."""
+    if type(g) is _Stamp:
+        return g.spec()
+    return replace(g, internal=tuple(map(_plain, g.internal))) if g.internal else g
+
+
+def _steps(g: GadgetSpec) -> Iterator[tuple]:
+    """Each primitive of ``g`` as (affine gap, input taps, output, aux or None)."""
+    for sub in g.internal:
+        yield from _steps(sub)
+    if not g.internal:
+        zeta = g.param("zeta") if GADGET_INFO[g.kind].takes_zeta else None
+        yield primitive_gap(g.kind, zeta, len(g.inputs)), g.inputs, g.output.player, g.aux[0] if g.aux else None
+
+
+# the strategies lift shares: pure 0, pure 1, and W's indifference
+_0, _1 = rational(0), rational(1)
+_PURE = ((_1, _0), (_0, _1))
+_HALF = (_1_2, _1_2)
 
 
 def _check_zeta(zeta: Rat) -> Rat:
+    if not isinstance(zeta, (int, Fraction)):
+        raise ParameterError(f"zeta must be an exact rational, got {zeta!r}")
     if zeta < 0 or zeta > 1:
         raise ParameterError(f"zeta must lie in [0, 1], got {zeta}")
     return zeta
+
+
+def _pops_on_error(build: Callable) -> Callable:
+    """A composite builder that, when it raises, leaves no composite open."""
+
+    @wraps(build)
+    def run(circuit: "GadgetCircuit", *args, **kwargs):
+        depth = len(circuit._scope_stack)
+        try:
+            return build(circuit, *args, **kwargs)
+        except BaseException:
+            del circuit._spec_stack[depth + 1 :], circuit._scope_stack[depth:]
+            raise
+
+    return run
 
 
 class GadgetCircuit:
@@ -275,10 +337,12 @@ class GadgetCircuit:
     create their own output player unless ``out=`` hands them an existing
     undriven binary player to drive (each player can be driven only once).
 
-    A gadget that a circuit repeats, such as the multiplier behind every
-    mediator of a reduction, is built once and its later copies are stamped
-    from a recording of that build (:meth:`_build_repeated`): the same
-    players, edges and specs, with the stamped edges sharing frozen matrices.
+    Edges share frozen templates, one per shape of tap read; only an edge
+    two gadgets write is an accumulator.  A gadget that a circuit repeats,
+    such as the multiplier behind every mediator of a reduction, is built
+    once and its later copies are stamped from a recording of that build
+    (:meth:`_build_repeated`): the same players and edges, and specs kept
+    as a reference to the recording, laid out when :attr:`specs` is read.
     """
 
     def __init__(self, player_budget: int | None = None):
@@ -287,15 +351,15 @@ class GadgetCircuit:
         self._players: list[PlayerInfo] = []
         # an accumulator list, or a frozen matrix other edges may share
         self._edges: dict[tuple[int, int], Any] = {}
-        self._specs: list[GadgetSpec] = []
-        self._spec_stack: list[list[GadgetSpec]] = [self._specs]
+        self._specs: list[GadgetSpec | _Stamp] = []  # a stamp stands for its laid-out spec
+        self._spec_stack: list[list[GadgetSpec | _Stamp]] = [self._specs]
         self._scope_stack: list[str] = []
         self._inputs: set[int] = set()
         self._driven: set[int] = set()
         self._defined: set[int] = set()
         self._recordings: dict[tuple, _Recording] = {}
-        # (input size, tapped strategy, id of recorded _TapColumns) -> matrix
-        self._tap_reads: dict[tuple[int, int, int], tuple] = {}
+        # (input size, tapped strategy, col0, col1, entry types) -> matrix
+        self._templates: dict[tuple, tuple] = {}
 
     # -- players and edges ---------------------------------------------------
 
@@ -309,7 +373,7 @@ class GadgetCircuit:
 
     @property
     def specs(self) -> tuple[GadgetSpec, ...]:
-        return tuple(self._specs)
+        return tuple(map(_plain, self._specs))
 
     def undriven_players(self) -> tuple[int, ...]:
         return tuple(
@@ -378,16 +442,21 @@ class GadgetCircuit:
         else:
             self._edges[key] = mat
 
+    def _tap_matrix(self, n: int, s: int, col0: tuple, col1: tuple) -> tuple:
+        """The frozen matrix whose column ``s`` of ``n`` is ``col1`` and every
+        other column ``col0``, one object per circuit for equal entries."""
+        key = (n, s, col0, col1, *map(type, col0 + col1))
+        mat = self._templates.get(key)
+        if mat is None:
+            mat = self._templates[key] = tuple(zip(*(col1 if c == s else col0 for c in range(n))))
+        return mat
+
     def _add_tap_matrix(self, i: int, tap: Tap, col0: tuple[Rat, Rat], col1: tuple[Rat, Rat]) -> None:
         """Payoffs for binary player ``i`` reading ``tap``: the tap's column
         gets ``col1``, every other column of the source player gets ``col0``
         (so the expected payoff depends on the source only through the tap
         value v: row r earns col0[r]*(1-v) + col1[r]*v)."""
-        acc = self._acc(i, tap.player)
-        for c in range(self._counts[tap.player]):
-            pair = col1 if c == tap.strategy else col0
-            acc[0][c] = acc[0][c] + pair[0]
-            acc[1][c] = acc[1][c] + pair[1]
+        self._merge((i, tap.player), self._tap_matrix(self._counts[tap.player], tap.strategy, col0, col1))
 
     # -- gadget plumbing -------------------------------------------------------
 
@@ -411,13 +480,10 @@ class GadgetCircuit:
             out.append(tap)
         return tuple(out)
 
-    def _claim_output(self, out: Tap | None, kind: str) -> tuple[Tap, tuple[int, ...]]:
-        """Return (output tap, created players) for a builder."""
+    def _check_output(self, out: Tap | None) -> None:
+        """Raise as :meth:`_claim_output` would for ``out``, claiming nothing."""
         if out is None:
-            idx = self.add_player(2, Role.GADGET_AUX, self._scope(kind))
-            self._driven.add(idx)
-            self._defined.add(idx)
-            return Tap(idx, 1), (idx,)
+            return
         out = Tap(*out)
         self._check_player(out.player)
         if out.strategy != 1 or self._counts[out.player] != 2:
@@ -426,6 +492,16 @@ class GadgetCircuit:
             raise DuplicateOutput(f"player {out.player} is already driven by a gadget")
         if out.player in self._inputs:
             raise ParameterError(f"player {out.player} is a clamped input; it cannot be driven")
+
+    def _claim_output(self, out: Tap | None, kind: str) -> tuple[Tap, tuple[int, ...]]:
+        """Return (output tap, created players) for a builder."""
+        if out is None:
+            idx = self.add_player(2, Role.GADGET_AUX, self._scope(kind))
+            self._driven.add(idx)
+            self._defined.add(idx)
+            return Tap(idx, 1), (idx,)
+        self._check_output(out)
+        out = Tap(*out)
         self._driven.add(out.player)
         self._defined.add(out.player)
         return out, ()
@@ -436,7 +512,7 @@ class GadgetCircuit:
         self._defined.add(idx)
         return idx
 
-    def _record(self, spec: GadgetSpec) -> None:
+    def _record(self, spec: GadgetSpec | _Stamp) -> None:
         self._spec_stack[-1].append(spec)
 
     def _begin_composite(self, kind: str) -> list[GadgetSpec]:
@@ -497,7 +573,7 @@ class GadgetCircuit:
                 edges.append(((i, j), mat))
             slots = (*taps, *([] if out is None else [Tap(*out).player]))
             counts, players = tuple(self._counts[base:]), tuple(self._players[base:])
-            self._recordings[key] = _Recording(base, slots, counts, players, tuple(edges), spec)
+            self._recordings[key] = _Recording(base, slots, counts, players, tuple(edges), spec, tuple(_steps(spec)))
             return p
         in1, in2 = self._resolve_taps([in1, in2])
         if in1.player == in2.player:
@@ -518,25 +594,11 @@ class GadgetCircuit:
             else:
                 s, j = where[j].strategy, where[j].player
                 if type(mat) is _TapColumns:
-                    shape = (self._counts[j], s, id(mat))
-                    if shape not in self._tap_reads:
-                        cols = [mat.tapped if c == s else mat.other for c in range(shape[0])]
-                        self._tap_reads[shape] = tuple(zip(*cols))
-                    mat = self._tap_reads[shape]
+                    mat = self._tap_matrix(self._counts[j], s, mat.other, mat.tapped)
             self._merge((i, j), mat)
-
-        def moved(tap: Tap) -> Tap:
-            return where[tap.player] if tap.player < rec.base else Tap(tap.player + shift, tap.strategy)
-
-        def stamped(g: GadgetSpec) -> GadgetSpec:
-            return GadgetSpec(
-                g.kind, tuple(map(moved, g.inputs)), tuple(map(moved, g.outputs)), g.params,
-                tuple(p + shift for p in g.aux), tuple(p + shift for p in g.created), tuple(map(stamped, g.internal)),
-            )
-
-        spec = stamped(rec.spec)
-        self._record(spec)
-        return spec.output
+        stamp = _Stamp(rec, shift, where)
+        self._record(stamp)
+        return stamp.moved(rec.spec.output)
 
     # -- primitive builders ----------------------------------------------------
 
@@ -557,7 +619,7 @@ class GadgetCircuit:
         if primitive.two_cycle:
             w = self._aux(kind)
             self._add_tap_matrix(w, p, *reads[0])
-            self.add_edge_matrix(p.player, w, [[1, 0], [0, 1]])  # P imitates W
+            self._merge((p.player, w), _IMITATE)
             reader, aux, reads = w, (w,), reads[1:]
         else:
             reader, aux = p.player, ()
@@ -611,9 +673,11 @@ class GadgetCircuit:
 
     # -- composite builders ------------------------------------------------------
 
+    @_pops_on_error
     def build_max(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output max(value(in1), value(in2)), within 4 eps."""
         in1, in2 = self._resolve_taps([in1, in2])
+        self._check_output(out)
         self._begin_composite("max")
         is_less = self.build_compare(in1, in2)
         excess = self.build_minus(in1, in2)  # max(0, v2 - v1)
@@ -622,9 +686,11 @@ class GadgetCircuit:
         self._end_composite("max", (in1, in2), (p,))
         return p
 
+    @_pops_on_error
     def build_min(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output min(value(in1), value(in2)), within 8 eps."""
         in1, in2 = self._resolve_taps([in1, in2])
+        self._check_output(out)
         self._begin_composite("min")
         not1 = self.build_complement(in1)
         not2 = self.build_complement(in2)
@@ -633,9 +699,11 @@ class GadgetCircuit:
         self._end_composite("min", (in1, in2), (p,))
         return p
 
+    @_pops_on_error
     def build_median(self, in1: Tap, in2: Tap, in3: Tap, out: Tap | None = None) -> Tap:
         """Output the median of the three values, within 20 eps."""
         in1, in2, in3 = self._resolve_taps([in1, in2, in3])
+        self._check_output(out)
         self._begin_composite("median")
         hi12 = self.build_max(in1, in2)
         lo12 = self.build_min(in1, in2)
@@ -644,6 +712,7 @@ class GadgetCircuit:
         self._end_composite("median", (in1, in2, in3), (p,))
         return p
 
+    @_pops_on_error
     def build_bit_extract(self, in1: Tap, beta: int, eps: Rat | None = None) -> tuple[Tap, ...]:
         """The first ``beta`` binary digits of value(in1), most significant first.
 
@@ -679,8 +748,8 @@ class GadgetCircuit:
 
         Equal edge matrices become one shared tuple, so the game checks,
         stores and serializes each distinct matrix once.  An accumulator is
-        frozen and stored back as the shared tuple; a stamped matrix is looked
-        up once per object.  Only exact matrices are shared: ``1.0 == 1``, so
+        frozen and stored back as the shared tuple; a template is looked up
+        once per object.  Only exact matrices are shared: ``1.0 == 1``, so
         a matrix with an inexact entry keeps its own object, and the game
         rejects it in edge order.
         """
@@ -709,6 +778,8 @@ class GadgetCircuit:
         [0, 1] (binary players: probability of strategy 1) or a full mixed
         strategy.  Every other player is assigned the value its gadget
         forces; the result is a 0-WSNE when the input players are clamped.
+        A stamped copy reads the gaps of its recording, worked out once.
+        Pure and indifferent binary strategies are shared tuples.
         """
         profile: list[tuple | None] = [None] * self.num_players
         undriven = set(self._inputs) | set(self.undriven_players())
@@ -732,43 +803,35 @@ class GadgetCircuit:
         if missing:
             raise ParameterError(f"no input value given for players {missing}")
 
-        def tap_value(tap: Tap) -> Rat:
-            vec = profile[tap.player]
-            if vec is None:
-                raise CycleDetected(f"player {tap.player} evaluated before it was driven")
-            return vec[tap.strategy]
+        def evaluate(steps: Iterable[tuple], shift: int = 0, where: Mapping[int, Tap] = {}) -> None:
+            """Drive each step's players, moved by ``shift`` (slots by ``where``)."""
+            for form, taps, out, aux in steps:
+                gap = form.const
+                for coef, (p, s) in zip(form.coefs, taps):
+                    p, s = where[p] if p in where else (p + shift, s)
+                    vec = profile[p]
+                    if vec is None:
+                        raise CycleDetected(f"player {p} evaluated before it was driven")
+                    v = vec[s]
+                    if v is not _0:  # a shared pure 0 or 1 needs no product
+                        gap += coef if v is _1 else coef * v
+                out = where[out].player if out in where else out + shift
+                if form.decision:
+                    profile[out] = _PURE[gap >= 0]
+                # two-cycle: W is indifferent exactly when the output equals
+                # the gap, and the output imitates W
+                elif gap <= 0 or gap >= 1:
+                    profile[aux + shift] = profile[out] = _PURE[gap >= 1]
+                else:
+                    profile[aux + shift], profile[out] = _HALF, (_1 - gap, gap)
 
-        one = rational(1)
+        def walk(entries: Iterable[GadgetSpec | _Stamp]) -> None:
+            for g in entries:
+                if type(g) is _Stamp:
+                    evaluate(g.rec.steps, g.shift, g.where)
+                else:
+                    walk(g.internal) if g.internal else evaluate(_steps(g))
 
-        def set_binary(tap: Tap, value: Rat) -> None:
-            profile[tap.player] = (one - value, value)
-
-        def evaluate(spec: GadgetSpec) -> None:
-            if spec.internal:
-                for sub in spec.internal:
-                    evaluate(sub)
-                return
-            kind = spec.kind
-            zeta = spec.param("zeta") if GADGET_INFO[kind].takes_zeta else None
-            form = primitive_gap(kind, zeta, len(spec.inputs))
-            gap = form.const
-            for coef, tap in zip(form.coefs, spec.inputs):
-                gap += coef * tap_value(tap)
-            if form.decision:
-                set_binary(spec.output, rational(int(gap >= 0)))
-                return
-            # two-cycle: W is indifferent exactly when the output equals the
-            # gap, and the output imitates W
-            if gap <= 0:
-                w = value = rational(0)
-            elif gap >= 1:
-                w = value = rational(1)
-            else:
-                w, value = rational(1, 2), gap
-            set_binary(Tap(spec.aux[0], 1), w)
-            set_binary(spec.output, value)
-
-        for spec in self._specs:
-            evaluate(spec)
+        walk(self._specs)
         assert all(vec is not None for vec in profile)
         return [tuple(vec) for vec in profile]  # type: ignore[arg-type]

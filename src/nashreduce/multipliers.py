@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ._rational import iceil, rational
 from .errors import ParameterError
-from .gadgets import GadgetCircuit, Tap
+from .gadgets import GadgetCircuit, Tap, _pops_on_error
 
 Rat = Any
 
@@ -128,6 +128,7 @@ def _check_brittle_eps(eps: Rat, beta: int) -> None:
 # builders
 
 
+@_pops_on_error
 def build_unary_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -139,6 +140,7 @@ def build_unary_multiplier(
     """
     if eps <= 0 or eps > UNARY_POLY.eps0:
         raise ParameterError(f"unary multiplier needs 0 < eps <= 1/4, got {eps}")
+    circuit._check_output(out)
     tau = 3 * eps
     cells = unary_cells(eps)
     one = rational(1)
@@ -153,6 +155,7 @@ def build_unary_multiplier(
     return p
 
 
+@_pops_on_error
 def build_brittle_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -164,6 +167,7 @@ def build_brittle_multiplier(
     """
     beta = beta_for_eps(eps)
     _check_brittle_eps(eps, beta)
+    circuit._check_output(out)
     circuit._begin_composite("brittle_mult")
     bits = circuit.build_bit_extract(in1, beta)
     gated = []
@@ -178,6 +182,7 @@ def build_brittle_multiplier(
     return p
 
 
+@_pops_on_error
 def build_robust_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -197,6 +202,7 @@ def build_robust_multiplier(
         raise ParameterError(
             f"eps={eps} makes the staggering floor {floor_value} exceed 1"
         )
+    circuit._check_output(out)
     circuit._begin_composite("robust_mult")
     floor_const = circuit.build_assign(floor_value)
     raised = circuit.build_max(in1, floor_const)
@@ -236,6 +242,7 @@ def build_multiplier(
     )
 
 
+@_pops_on_error
 def build_multiplication_chain(
     circuit: GadgetCircuit,
     inputs: Sequence[Tap],
@@ -249,6 +256,7 @@ def build_multiplication_chain(
     if not taps:
         raise ParameterError("a multiplication chain needs at least one input")
     get_params(construction)
+    circuit._check_output(out)
     circuit._begin_composite("mult_chain")
     if len(taps) == 1:
         acc = circuit.build_copy(taps[0], out=out)

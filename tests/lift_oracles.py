@@ -1,14 +1,18 @@
-"""Closed-form values that lifted multipliers must carry: the test oracles.
+"""Values that lifted circuits must carry: the test oracles.
 
-Each function restates, independently of the circuit builders in
+Each closed form restates, independently of the circuit builders in
 :mod:`nashreduce.multipliers`, the exact value a lifted multiplier's output
-player takes.  They live with the tests because only the tests call them.
+player takes.  :func:`spec_walk_lift` restates ``GadgetCircuit.lift`` as a
+plain walk of the circuit's spec trees.  They live with the tests because
+only the tests call them.
 """
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from nashreduce import ParameterError
 from nashreduce._rational import ifloor, rational
+from nashreduce.gadgets import GADGET_INFO, GadgetCircuit, GadgetSpec, primitive_gap
+from nashreduce.model import validate_mixed
 from nashreduce.multipliers import beta_for_eps, unary_cells
 
 Rat = Any
@@ -55,3 +59,46 @@ def chain_lift_value(values: Sequence[Rat], eps: Rat, construction: str = "unary
     for nxt in values[1:]:
         acc = lift(acc, nxt, eps)
     return acc
+
+
+def spec_walk_lift(circuit: GadgetCircuit, inputs: Mapping[int, Any]) -> list[tuple]:
+    """The lifted profile, by walking ``circuit.specs`` in Fraction arithmetic:
+    every product is taken and every binary strategy is built anew as
+    ``(1 - value, value)``.  ``inputs`` must cover the undriven players."""
+    profile: list = [None] * circuit.num_players
+    for player, value in inputs.items():
+        if isinstance(value, (tuple, list)):
+            profile[player] = validate_mixed(value, circuit.strategy_counts[player])
+        else:
+            profile[player] = (1 - value, value)
+    one = rational(1)
+
+    def set_binary(player: int, value) -> None:
+        profile[player] = (one - value, value)
+
+    def evaluate(spec: GadgetSpec) -> None:
+        if spec.internal:
+            for sub in spec.internal:
+                evaluate(sub)
+            return
+        zeta = spec.param("zeta") if GADGET_INFO[spec.kind].takes_zeta else None
+        form = primitive_gap(spec.kind, zeta, len(spec.inputs))
+        gap = form.const
+        for coef, tap in zip(form.coefs, spec.inputs):
+            gap += coef * profile[tap.player][tap.strategy]
+        if form.decision:
+            set_binary(spec.output.player, rational(int(gap >= 0)))
+            return
+        # W is indifferent exactly when the output equals the gap
+        if gap <= 0:
+            w = value = rational(0)
+        elif gap >= 1:
+            w = value = rational(1)
+        else:
+            w, value = rational(1, 2), gap
+        set_binary(spec.aux[0], w)
+        set_binary(spec.output.player, value)
+
+    for spec in circuit.specs:
+        evaluate(spec)
+    return [tuple(vec) for vec in profile]

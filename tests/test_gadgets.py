@@ -23,6 +23,7 @@ from nashreduce import (
     SizeBudgetExceeded,
 )
 from nashreduce.gadgets import GADGET_INFO, GADGET_KINDS, GadgetCircuit, Tap, spec_player_count
+from nashreduce.multipliers import build_robust_multiplier, build_unary_multiplier
 
 I2 = ((R(1), R(0)), (R(0), R(1)))
 
@@ -416,6 +417,92 @@ def test_zeta_range_checked():
             c.build_threshold(a, bad)
         with pytest.raises(ParameterError):
             c.build_assign(bad)
+
+
+def assert_untouched(c, players):
+    """``c`` holds ``players`` players, no spec, and no open composite."""
+    assert c.num_players == players
+    assert c.specs == ()
+    assert (c._scope_stack, len(c._spec_stack)) == ([], 1)
+
+
+ZETA_BUILDERS = {
+    "threshold": lambda c, a, z: c.build_threshold(a, z),
+    "scaled_sum": lambda c, a, z: c.build_scaled_sum([a, a], z),
+    "assign": lambda c, a, z: c.build_assign(z),
+    "scale": lambda c, a, z: c.build_scale(a, z),
+    # a composite whose first gadget assigns a float: its staggering floor
+    "robust_mult": lambda c, a, z: build_robust_multiplier(c, a, a, z / 10**6),
+}
+
+
+# a float shares int ratios with exact entries, so it must not reach the
+# shared matrices; a complex one cannot be ordered (a multiplier compares a
+# complex eps with 0 before any gadget sees it)
+@pytest.mark.parametrize(
+    "kind, zeta",
+    [(kind, zeta) for kind in ZETA_BUILDERS for zeta in (0.5, 1.0, 1j) if kind != "robust_mult" or zeta != 1j],
+)
+def test_an_inexact_zeta_fails_before_any_player_is_made(kind, zeta):
+    c = GadgetCircuit()
+    a = c.add_input()
+    with pytest.raises(ParameterError, match="zeta must be an exact rational"):
+        ZETA_BUILDERS[kind](c, a, zeta)
+    assert_untouched(c, 1)
+
+
+BAD_OUTS = {
+    "input": (ParameterError, "player 0 is a clamped input; it cannot be driven"),
+    "driven": (DuplicateOutput, "player 2 is already driven by a gadget"),
+    "wide": (ParameterError, "gadget outputs must be binary players tapped at strategy 1"),
+    "missing": (ParameterError, "no player 9 in this circuit"),
+}
+COMPOSITES = {
+    "max": lambda c, a, b, out: c.build_max(a, b, out=out),
+    "min": lambda c, a, b, out: c.build_min(a, b, out=out),
+    "median": lambda c, a, b, out: c.build_median(a, b, a, out=out),
+    "unary_mult": lambda c, a, b, out: build_unary_multiplier(c, a, b, R(1, 4), out=out),
+    "robust_mult": lambda c, a, b, out: build_robust_multiplier(c, a, b, R(1, 1000), out=out),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_OUTS)
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_a_composite_checks_out_before_any_player_is_made(kind, bad):
+    c = GadgetCircuit()
+    a, b = c.add_input(), c.add_input()
+    driven = c.build_copy(a)
+    wide = c.add_player(3)
+    out = {"input": a, "driven": driven, "wide": Tap(wide, 1), "missing": Tap(9, 1)}[bad]
+    cls, message = BAD_OUTS[bad]
+    with pytest.raises(cls, match=message):
+        COMPOSITES[kind](c, a, b, out)
+    assert c.num_players == 5
+    assert (c._scope_stack, len(c._spec_stack), len(c.specs)) == ([], 1, 1)
+
+
+def test_a_failed_composite_leaves_no_composite_open():
+    c = GadgetCircuit()
+    a, b = c.add_input(), c.add_input()
+    with pytest.raises(ParameterError, match="player 0 is a clamped input"):
+        build_robust_multiplier(c, a, b, R(1, 1000), out=a)
+    assert_untouched(c, 2)
+    p = c.build_threshold(a, R(1, 2))
+    assert [spec.kind for spec in c.specs] == ["threshold"]
+    assert c.combine().players[p.player].scope == "threshold"
+    assert c.lift({a.player: R(3, 4), b.player: R(0)})[p.player] == (R(0), R(1))
+
+
+def test_a_composite_that_runs_out_of_players_pops_its_scopes():
+    c = GadgetCircuit(player_budget=12)
+    a, b = c.add_input(), c.add_input()
+    with pytest.raises(SizeBudgetExceeded):
+        c.build_median(a, b, a)  # max (4 players), then min runs out
+    assert c.num_players == 12
+    assert (c._scope_stack, len(c._spec_stack), c.specs) == ([], 1, ())
+    c.player_budget = 13
+    c.build_threshold(a, R(1, 2))
+    assert c.combine().players[-1].scope == "threshold"
 
 
 # ---------------------------------------------------------------------------
