@@ -3,15 +3,17 @@
 All payoff arithmetic in this package is exact: values are ``Fraction``
 objects, or plain ints where an int is the natural value, never floats.
 New values are built with :func:`rational`, which checks its arguments
-more strictly than ``Fraction`` does: it rejects floats, complex numbers
-and decimal strings such as ``"0.5"`` or ``"1e3"``.  Where a hot loop has
-summed int numerators over a known int denominator (see :func:`exact_sum`
-and the payoff kernel in :mod:`nashreduce.model`), it builds the result
-with ``Fraction(numerator, denominator)`` directly.
+more strictly than ``Fraction`` does: it rejects floats and complex
+numbers, and reads strings, from files and flags alike, only in the
+grammar ``-?[0-9]+(/[0-9]+)?``, so ``"0.5"`` and ``" 1/2"`` fail.  Where
+a hot loop has summed int numerators over a known int denominator (see
+:func:`exact_sum` and the payoff kernel in :mod:`nashreduce.model`), it
+builds the result with ``Fraction(numerator, denominator)`` directly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -34,6 +36,7 @@ __all__ = [
 ACTIVE = SimpleNamespace(name="fractions")
 
 _INEXACT = (float, complex)
+_GRAMMAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only
 
 
 def rational(value, den=None) -> Fraction:
@@ -41,8 +44,9 @@ def rational(value, den=None) -> Fraction:
     another exact rational.
 
     ``den`` gives an explicit denominator for an integer numerator.
-    Floats, complex numbers and decimal strings are rejected: they are not
-    exact, or not written as a ratio of integers.
+    Floats and complex numbers raise ``TypeError``: they are not exact.  A
+    string outside ``-?[0-9]+(/[0-9]+)?`` raises ``ValueError``, and a zero
+    denominator ``ZeroDivisionError``.
     """
     if isinstance(value, _INEXACT) or isinstance(den, _INEXACT):
         raise TypeError(
@@ -51,8 +55,10 @@ def rational(value, den=None) -> Fraction:
     if den is not None:
         return Fraction(_as_int(value, "numerator"), _as_int(den, "denominator"))
     if isinstance(value, str):
-        num, sep, d = value.strip().partition("/")
-        return Fraction(int(num), int(d) if sep else 1)
+        match = _GRAMMAR.fullmatch(value)
+        if match is None:
+            raise ValueError(f"invalid rational {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Rational):

@@ -6,7 +6,8 @@ strings -- so equal objects serialize to identical bytes and every
 round trip is exact.  No floats ever appear on either side.
 
 A rational in a file must match ``-?[0-9]+(/[0-9]+)?`` exactly, with a
-nonzero denominator: no spaces, ``+`` signs, underscores or decimals.  One
+nonzero denominator: no spaces, ``+`` signs, underscores or decimals.  This
+is :func:`~nashreduce._rational.rational`'s string grammar.  One
 read parses each distinct string once: a per-read dict (``_Rationals``)
 maps every string it has parsed to its ``Fraction``, and each later cell
 with the same string gets that object.  A reduced game holds tens of
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from ._rational import rational_str
+from ._rational import rational, rational_str
 from .errors import DimensionMismatch, ParameterError, ParseError
 from .model import (
     BimatrixGame,
@@ -85,9 +85,6 @@ def _rat_out(value: Rat) -> str:
     return rational_str(value)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
 def _not_a_string(value: Any) -> ParseError:
     return ParseError(f"rationals must be strings like '3/4', got {value!r}")
 
@@ -100,12 +97,9 @@ class _Rationals(dict):
     def __missing__(self, text: Any) -> Fraction:
         if not isinstance(text, str):
             raise _not_a_string(text)
-        if _RATIONAL.fullmatch(text) is None:
-            raise ParseError(f"invalid rational {text!r}")
-        num, _, den = text.partition("/")
         try:
-            value = Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            value = rational(text)
+        except (ValueError, ZeroDivisionError):  # off the grammar, a zero denominator, too many digits
             raise ParseError(f"invalid rational {text!r}") from None
         self[text] = value
         return value

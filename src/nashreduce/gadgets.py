@@ -833,5 +833,8 @@ class GadgetCircuit:
                     walk(g.internal) if g.internal else evaluate(_steps(g))
 
         walk(self._specs)
-        assert all(vec is not None for vec in profile)
+        # a composite that raised part-way leaves players no recorded gadget drives
+        stranded = [p for p, vec in enumerate(profile) if vec is None]
+        if stranded:
+            raise ParameterError(f"no recorded gadget drives players {stranded}")
         return [tuple(vec) for vec in profile]  # type: ignore[arg-type]

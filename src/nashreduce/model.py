@@ -13,7 +13,7 @@ Three game classes are modeled, mirroring the reduction pipeline:
   diagonal, identity follower payoff) that avoids materializing huge
   matrices.  Its normalizing divisor is derived from alpha and the edges.
 
-Each constructor checks its entries once and keeps their range, so
+Every constructor checks its entries once and stores their range, so
 ``payoff_range`` reads a stored value.
 
 All values are exact rationals; comparisons in the verifier are exact.  A
@@ -24,15 +24,16 @@ every pure strategy played with positive probability earns within ``eps`` of
 that player's best pure response.  ``verify_*`` methods check this exactly
 and return the violations found.
 
-Verification runs on ints.  Each strategy vector is validated and scaled in
-one pass to ``(L, nums)``, int numerators over the lcm ``L`` of its own
-entries' denominators: exactness and length are checked as the entries are
-read, nonnegativity is ``min(nums) >= 0`` and unit sum is ``sum(nums) == L``.
-A structured game's leader and follower strategies are scaled block by
-block, and their unit sum is an exact sum of the per-block pairs.  The
-scaled vectors feed :func:`edge_payoffs`, one pass over the edge matrices
-that costs O(players + total edge entries), linear in the edges rather than
-in players x edges, and returns every payoff as an int ``(numerator,
+Verification runs on ints, in all four game forms.  Each strategy vector
+is validated and scaled in one pass to ``(L, nums)``, int numerators over
+the lcm ``L`` of its own entries' denominators: exactness and length are
+checked as the entries are read, nonnegativity is ``min(nums) >= 0`` and
+unit sum is ``sum(nums) == L``.  A structured game's strategies are scaled
+block by block, and their unit sum is an exact sum of the per-block pairs.
+The scaled vectors feed :func:`edge_payoffs`, one pass over the edge
+matrices (a normal-form player's payoffs against its opponents' joint
+distribution, a dense game's ``A`` and ``B^T``) that costs O(players +
+total edge entries) and returns every payoff as an int ``(numerator,
 denominator)`` pair.  The best-response comparisons and the support test
 (``nums[j] > 0``) read those ints directly.  A ``Fraction`` is built only
 at the API edge: by ``expected_payoffs``, in the fields of a
@@ -47,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._rational import exact_sum, rational
@@ -66,7 +67,6 @@ __all__ = [
     "PolymatrixGame",
     "BimatrixGame",
     "make_matrix",
-    "mat_vec",
     "edge_payoffs",
     "validate_mixed",
     "profile_index",
@@ -114,15 +114,6 @@ def make_matrix(rows: Iterable[Iterable[Rat]], what: str = "matrix") -> Matrix:
         raise DimensionMismatch("matrix rows have unequal lengths")
     _check_exact(itertools.chain.from_iterable(mat), what)
     return mat
-
-
-def mat_vec(matrix: Matrix, vec: Sequence[Rat]) -> Vector:
-    """Exact matrix-vector product."""
-    if matrix and len(matrix[0]) != len(vec):
-        raise DimensionMismatch(
-            f"matrix width {len(matrix[0])} != vector length {len(vec)}"
-        )
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix)
 
 
 def edge_payoffs(
@@ -236,12 +227,7 @@ def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "m
     ``sum(nums) == L``, not a chain of rational additions.
     """
     v = tuple(vec)
-    if length is not None and len(v) != length:
-        raise DimensionMismatch(f"{what} has length {len(v)}, expected {length}")
-    (scale,), _, (mass,) = _scaled(v, (0, len(v)), lambda _: what)
-    if mass != scale:
-        raise ParameterError(f"{what} does not sum to 1")
-    return v
+    return _scaled_blocks(v, (0, len(v) if length is None else length), what)[0]
 
 
 def _scaled_profile(
@@ -273,12 +259,14 @@ def _scaled_blocks(vec: Sequence[Rat], offsets: Sequence[int], what: str) -> tup
     validated and scaled block by block in one pass (:func:`_scaled`):
     ``(v, scales, units)`` with ``v`` the frozen tuple and block ``i``
     equal to ``units[a:b] / scales[i]``.  The unit sum of the whole vector
-    is the exact sum of the per-block pairs ``(sum(nums), L)``.
+    is the exact sum of the per-block pairs ``(sum(nums), L)``.  An error
+    names the block at fault when there are several.
     """
     v = tuple(vec)
     if len(v) != offsets[-1]:
         raise DimensionMismatch(f"{what} has length {len(v)}, expected {offsets[-1]}")
-    scales, units, masses = _scaled(v, offsets, lambda i: f"{what} block {i}")
+    name = (lambda i: f"{what} block {i}") if len(offsets) > 2 else (lambda _: what)
+    scales, units, masses = _scaled(v, offsets, name)
     total, den = exact_sum(zip(masses, scales))
     if total != den:
         raise ParameterError(f"{what} does not sum to 1")
@@ -410,28 +398,6 @@ def _wsne_violations(
     return tuple(found)
 
 
-def _vector_violations(
-    payoff_vectors: Sequence[Vector],
-    profile: Sequence[Vector],
-    eps: Rat,
-    skip: frozenset[int] = frozenset(),
-) -> tuple[Violation, ...]:
-    """:func:`_wsne_violations` on payoff vectors of rationals, for the
-    games whose payoffs are not computed as int pairs (normal-form and
-    dense bimatrix games).  ``profile`` must already be validated; a
-    violation reports the payoff vectors' own entries."""
-    values = [x for u in payoff_vectors for x in u]
-    return _wsne_violations(
-        [x.numerator for x in values],
-        [x.denominator for x in values],
-        tuple(itertools.accumulate(map(len, payoff_vectors), initial=0)),
-        [x.numerator for p in profile for x in p],
-        eps,
-        skip,
-        values.__getitem__,
-    )
-
-
 # ---------------------------------------------------------------------------
 # normal-form games
 
@@ -470,6 +436,7 @@ class NormalFormGame:
                 raise ParameterError(f"player {i} payoff entry {lo if lo < 0 else hi} outside [0, 1]")
             ranges += (lo, hi)
         self.strategy_counts = counts
+        self._offsets = tuple(itertools.accumulate(counts, initial=0))
         self.payoffs = mats
         self._range = _entry_range(ranges, ranges[0], ranges[0])
 
@@ -494,29 +461,36 @@ class NormalFormGame:
         """Column index for a pure profile of everyone except player ``i``."""
         return profile_index(self.opponent_counts(i), opponent_profile)
 
-    def joint_opponent_distribution(self, i: int, profile: Sequence[Vector]) -> Vector:
-        """Product distribution of all players except ``i`` over their profiles."""
-        others = [p for j, p in enumerate(profile) if j != i]
-        out = []
-        for combo in itertools.product(*others):
-            prod = 1
-            for x in combo:
-                prod = prod * x
-            out.append(prod)
-        return tuple(out)
+    def _payoff_pairs(self, profile: Sequence[Vector]) -> tuple[list[int], list[int], list[int]]:
+        """``(units, totals, dens)``: the validated profile scaled to ints
+        and every payoff as an int pair.
+
+        Player ``i``'s opponents give one joint distribution: int products
+        over the product of their scales, the first opponent varying
+        slowest as :func:`profile_index` orders them.  One
+        :func:`edge_payoffs` call weighs it against ``payoffs[i]``.
+        """
+        scales, units = _scaled_profile(profile, self.strategy_counts)
+        blocks = [units[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
+        totals, dens = [], []
+        for i, mat in enumerate(self.payoffs):
+            joint = list(map(prod, itertools.product(*blocks[:i], *blocks[i + 1 :])))
+            scale = prod(scales[:i] + scales[i + 1 :])
+            n = len(mat)
+            t, d = edge_payoffs((0, n, n + len(joint)), {(0, 1): mat}, (1, scale), [0] * n + joint)
+            totals += t[:n]
+            dens += d[:n]
+        return units, totals, dens
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly."""
-        _scaled_profile(profile, self.strategy_counts)
-        prof = list(map(tuple, profile))
-        return [
-            mat_vec(self.payoffs[i], self.joint_opponent_distribution(i, prof))
-            for i in range(self.k)
-        ]
+        _, totals, dens = self._payoff_pairs(profile)
+        offsets = self._offsets
+        return [tuple(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
 
     def verify_wsne(self, profile: Sequence[Vector], eps: Rat) -> VerifyResult:
-        vectors = self.expected_payoffs(profile)
-        bad = _vector_violations(vectors, profile, eps)
+        units, totals, dens = self._payoff_pairs(profile)
+        bad = _wsne_violations(totals, dens, self._offsets, units, eps)
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
@@ -656,13 +630,15 @@ class PolymatrixGame:
 # ---------------------------------------------------------------------------
 # bimatrix games
 
+_DENSE_MAX_ENTRIES = 4_000_000  # the largest N^2 that to_dense materializes
+
 
 class BimatrixGame:
     """A two-player game, stored densely or in structured block form.
 
     Dense: payoff matrices ``A`` (row player / leader) and ``B`` (column
     player / follower), both ``N x N`` here (square because the reduction
-    produces square games).
+    produces square games).  ``bt`` holds ``B^T``, the follower's payoffs.
 
     Structured: the block imitation game of a :class:`PolymatrixGame`.  The
     leader's matrix has ``-alpha`` on every entry of each diagonal block and
@@ -697,6 +673,7 @@ class BimatrixGame:
         self.encoding = "dense"
         self.a = a
         self.b = b
+        self.bt = tuple(zip(*b))
         self.n = len(a)
         self.polymatrix = None
         self.block_sizes = None
@@ -705,6 +682,7 @@ class BimatrixGame:
         self.edges = None
         self.normalized = False
         self.divisor = None
+        self._range = _entry_range(itertools.chain(*a, *b), a[0][0], a[0][0])
         return self
 
     @classmethod
@@ -725,6 +703,7 @@ class BimatrixGame:
         self.encoding = "structured"
         self.a = None
         self.b = None
+        self.bt = None
         self.polymatrix = polymatrix
         self.block_sizes = polymatrix.strategy_counts
         self.n = sum(self.block_sizes)
@@ -807,60 +786,62 @@ class BimatrixGame:
         mat = self.edges.get((bi, bj))
         return self._norm(mat[ji][jj] if mat is not None else 0)
 
-    def to_dense(self, max_entries: int = 4_000_000) -> "BimatrixGame":
+    def to_dense(self) -> "BimatrixGame":
         """Materialize a dense copy (for small games and tests), in
-        O(N^2 log blocks)."""
+        O(N^2 log blocks), of at most :data:`_DENSE_MAX_ENTRIES` entries."""
         if self.encoding == "dense":
             return self
-        if self.n * self.n > max_entries:
+        if self.n * self.n > _DENSE_MAX_ENTRIES:
             raise SizeBudgetExceeded(
-                f"dense form would need {self.n * self.n} entries (> {max_entries})"
+                f"dense form would need {self.n * self.n} entries (> {_DENSE_MAX_ENTRIES})"
             )
         a = [[self.entry(0, r, c) for c in range(self.n)] for r in range(self.n)]
         b = [[self.entry(1, r, c) for c in range(self.n)] for r in range(self.n)]
         return BimatrixGame.dense(a, b)
 
     def _payoff_pairs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple:
-        """Structured games: both strategies validated and scaled block by
-        block, and both players' payoffs as int pairs over the flat indices
-        ``0:n`` (leader) and ``n:2n`` (follower), before normalization.
+        """Both strategies validated and scaled (a structured game's block
+        by block), and both players' payoffs as int pairs over the flat
+        indices ``0:n`` (leader) and ``n:2n`` (follower), before
+        normalization.
 
-        Returns ``(x, nums, dens, support)``.  The leader's payoffs come
-        from one :func:`edge_payoffs` call, which adds each diagonal block's
-        ``-alpha`` times the follower's mass on that block in the same int
-        accumulators; the follower's are ``x``'s own scaled entries, since
-        ``B^T x = x`` for the identity ``B``.  ``support`` holds ``x``'s
-        then ``y``'s scaled numerators.
+        Returns ``(x, nums, dens, support)``.  A dense game's payoffs come
+        from one :func:`edge_payoffs` call over the edges ``A`` and ``B^T``.
+        A structured game's leader payoffs come from one call, which adds
+        each diagonal block's ``-alpha`` times the follower's mass on that
+        block in the same int accumulators; the follower's are ``x``'s own
+        scaled entries, since ``B^T x = x`` for the identity ``B``.
+        ``support`` holds ``x``'s then ``y``'s scaled numerators.
         """
-        offsets = self._offsets
+        n = self.n
+        offsets = (0, n) if self.encoding == "dense" else self._offsets
         x, x_scales, x_units = _scaled_blocks(x, offsets, "leader strategy")
         _, y_scales, y_units = _scaled_blocks(y, offsets, "follower strategy")
+        support = x_units + y_units
+        if self.encoding == "dense":
+            edges = {(0, 1): self.a, (1, 0): self.bt}
+            return (x, *edge_payoffs((0, n, 2 * n), edges, x_scales + y_scales, support), support)
         totals, dens = edge_payoffs(offsets, self.edges, y_scales, y_units, -self.alpha)
         for scale, a, b in zip(x_scales, offsets, offsets[1:]):
             dens += [scale] * (b - a)
-        return x, totals + x_units, dens, x_units + y_units
+        return x, totals + x_units, dens, support
 
     def expected_payoffs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Vector, Vector]:
         """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).
 
-        The structured form costs O(N + total edge entries) and builds one
-        ``Fraction`` per leader payoff from its int pair; the follower's
+        Both are built from int pairs, one ``Fraction`` per payoff.  The
+        structured form costs O(N + total edge entries), and its follower's
         vector is ``x`` itself, or its normalized image.
         """
-        if self.encoding == "dense":
-            x = validate_mixed(x, self.n, what="leader strategy")
-            y = validate_mixed(y, self.n, what="follower strategy")
-            u1 = mat_vec(self.a, y)
-            u2 = tuple(
-                sum(self.b[r][c] * x[r] for r in range(self.n)) for c in range(self.n)
-            )
-            return u1, u2
         x, nums, dens, _ = self._payoff_pairs(x, y)
         n = self.n
         if self.normalized:
             u = tuple(map(self._norm_pair, nums, dens))
-            return u[:n], u[n:]
-        return tuple(map(Fraction, nums[:n], dens[:n])), x
+        elif self.encoding == "dense":
+            u = tuple(map(Fraction, nums, dens))
+        else:
+            return tuple(map(Fraction, nums[:n], dens[:n])), x
+        return u[:n], u[n:]
 
     def verify_wsne(
         self,
@@ -872,34 +853,30 @@ class BimatrixGame:
         """Check eps-well-supportedness of ``(x, y)``; ``clamped`` players
         (0 = leader, 1 = follower) are exempt.
 
-        Structured games compare int payoff pairs.  A normalized game is
-        checked on its unnormalized payoffs at ``eps * divisor``, which is
-        the same test since the map ``v -> (v + alpha) / divisor`` is
-        increasing; only a violation's payoffs are mapped.  An unnormalized
+        Both forms compare int payoff pairs.  A normalized game is checked
+        on its unnormalized payoffs at ``eps * divisor``, which is the same
+        test since the map ``v -> (v + alpha) / divisor`` is increasing;
+        only a violation's payoffs are mapped.  An unnormalized structured
         follower violation reports ``x``'s own entries.
         """
-        skip = frozenset(clamped)
-        if self.encoding == "dense":
-            u1, u2 = self.expected_payoffs(x, y)
-            bad = _vector_violations([u1, u2], [tuple(x), tuple(y)], eps, skip)
-            return VerifyResult(not bad, bad)
         x, nums, dens, support = self._payoff_pairs(x, y)
         n = self.n
+        value = None
         if self.normalized:
             eps = eps * self.divisor
 
             def value(r: int) -> Fraction:
                 return self._norm_pair(nums[r], dens[r])
-        else:
+        elif self.encoding == "structured":
 
             def value(r: int) -> Rat:
                 return Fraction(nums[r], dens[r]) if r < n else x[r - n]
 
-        bad = _wsne_violations(nums, dens, (0, n, 2 * n), support, eps, skip, value)
+        bad = _wsne_violations(nums, dens, (0, n, 2 * n), support, eps, frozenset(clamped), value)
         return VerifyResult(not bad, bad)
 
     def payoff_range(self) -> tuple[Rat, Rat]:
-        """(min, max) payoff over both matrices.
+        """(min, max) payoff over both matrices, as the constructor found it.
 
         Structured games: the smaller of ``-alpha`` (the diagonal blocks)
         and the edges' minimum, and the larger of 1 (the identity follower)
@@ -907,11 +884,6 @@ class BimatrixGame:
         Both are mapped through the normalization when the game is
         normalized.
         """
-        if self.encoding == "dense":
-            entries = [x for row in self.a for x in row] + [
-                x for row in self.b for x in row
-            ]
-            return min(entries), max(entries)
         lo, hi = self._range
         return self._norm(lo), self._norm(hi)
 

@@ -29,6 +29,7 @@ from typing import Any, Sequence
 from ._rational import iceil, rational
 from .errors import ParameterError
 from .gadgets import GadgetCircuit, Tap, _pops_on_error
+from .model import _check_exact
 
 Rat = Any
 
@@ -138,6 +139,7 @@ def build_unary_multiplier(
     an AND cell lights up for every pair of lit thresholds, and the output
     sums the lit cells scaled by ``tau^2``.
     """
+    _check_exact((eps,), "eps")
     if eps <= 0 or eps > UNARY_POLY.eps0:
         raise ParameterError(f"unary multiplier needs 0 < eps <= 1/4, got {eps}")
     circuit._check_output(out)
@@ -165,6 +167,7 @@ def build_brittle_multiplier(
     when value(in1) is at least ``3 * beta * eps`` away from every multiple
     of ``2^-beta``; elsewhere it is arbitrary.
     """
+    _check_exact((eps,), "eps")
     beta = beta_for_eps(eps)
     _check_brittle_eps(eps, beta)
     circuit._check_output(out)
@@ -192,6 +195,7 @@ def build_robust_multiplier(
     Accepts ``eps <= 1/1000`` (components remain sound); the error band is
     certified for ``eps <= 1/100000``.
     """
+    _check_exact((eps,), "eps")
     if eps <= 0 or eps > rational(1, 1000):
         raise ParameterError(f"robust multiplier needs 0 < eps <= 1/1000, got {eps}")
     beta = beta_for_eps(eps)

@@ -274,7 +274,6 @@ def support_enumeration_bimatrix(
         raise CapExceeded(f"support enumeration handles at most {cap} strategies, game has {n}")
     dense = game.to_dense()
     a = dense.a
-    b_cols = [[dense.b[r][c] for r in range(n)] for c in range(n)]
     pairs_tried = 0
     for size1 in range(1, n + 1):
         for size2 in range(1, n + 1):
@@ -284,7 +283,7 @@ def support_enumeration_bimatrix(
                     y = _support_solution(a, own, opp, n)
                     if y is None:
                         continue
-                    x = _support_solution(b_cols, opp, own, n)
+                    x = _support_solution(dense.bt, opp, own, n)
                     if x is None:
                         continue
                     result = SolverResult(

@@ -1,12 +1,14 @@
 """The Fraction formulas that the int kernels replaced: the test oracles.
 
 Each function restates, with one ``Fraction`` operation per entry, what
-:func:`nashreduce.model._wsne_violations`, the polymatrix and structured
-``verify_wsne`` methods, the two ``payoff_range`` methods and
-:func:`nashreduce.solvers.lift_to_bimatrix` compute on int numerators and
-denominators.  They live with the tests because only the tests call them.
+:func:`nashreduce.model._wsne_violations`, the ``verify_wsne`` and
+``expected_payoffs`` methods of all four game forms, the polymatrix and
+structured ``payoff_range`` methods and :func:`nashreduce.solvers.lift_to_bimatrix`
+compute on int numerators and denominators.  They live with the tests
+because only the tests call them.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -30,6 +32,41 @@ def wsne_violations(payoff_vectors, profile, eps: Rat, skip=frozenset()) -> tupl
             if pj > 0 and u[j] < floor:
                 found.append(Violation(i, j, u[j], best, u[best]))
     return tuple(found)
+
+
+def normal_form_payoffs(game, profile) -> list[tuple]:
+    """``u_i[r] = sum_c payoffs[i][r][c] * q_i[c]``, where ``q_i`` is the
+    product distribution of player ``i``'s opponents over their pure
+    profiles, the lowest-numbered opponent varying slowest."""
+    payoffs = []
+    for i, mat in enumerate(game.payoffs):
+        others = [p for j, p in enumerate(profile) if j != i]
+        joint = []
+        for combo in itertools.product(*others):
+            weight = Fraction(1)
+            for x in combo:
+                weight *= x
+            joint.append(weight)
+        payoffs.append(tuple(sum((a * q for a, q in zip(row, joint)), Fraction(0)) for row in mat))
+    return payoffs
+
+
+def normal_form_verify(game, profile, eps: Rat) -> tuple:
+    """The violations of ``profile`` in a normal-form game."""
+    return wsne_violations(normal_form_payoffs(game, profile), profile, eps)
+
+
+def dense_payoffs(game, x, y) -> tuple:
+    """``(A y, B^T x)`` of a dense bimatrix game."""
+    n = game.n
+    u1 = tuple(sum((game.a[r][c] * y[c] for c in range(n)), Fraction(0)) for r in range(n))
+    u2 = tuple(sum((game.b[r][c] * x[r] for r in range(n)), Fraction(0)) for c in range(n))
+    return u1, u2
+
+
+def dense_verify(game, x, y, eps: Rat, clamped=()) -> tuple:
+    """The violations of ``(x, y)`` in a dense bimatrix game."""
+    return wsne_violations(dense_payoffs(game, x, y), [x, y], eps, frozenset(clamped))
 
 
 def polymatrix_payoffs(game, profile) -> list[tuple]:

@@ -128,10 +128,12 @@ def test_solve_wrong_game_class(runner, dominant_file):
 
 
 def test_malformed_rational_flag_is_a_usage_error(runner, pennies_file):
-    result = invoke(runner, "solve", pennies_file, "--method", "grid", "--eps", "abc")
-    assert result.exit_code == 2
-    result = invoke(runner, "solve", pennies_file, "--method", "grid", "--eps", "1/0")
-    assert result.exit_code == 2
+    # flags read the file grammar: a signed denominator, an underscore, a
+    # plus sign, a space and a non-ASCII digit are malformed too
+    for text in ("abc", "1/0", "-1/-2", "1_0/3", "+1/2", " 1/2", "\u0663/4"):
+        result = invoke(runner, "solve", pennies_file, "--method", "grid", "--eps", text)
+        assert result.exit_code == 2, text
+        assert f"{text!r} is not a rational like '3/4'" in result.output
 
 
 def test_malformed_rational_in_file(runner, pennies_file, tmp_path):

@@ -9,7 +9,11 @@ Two layers of oracle here:
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
+import nashreduce
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,11 @@ from nashreduce import (
     SizeBudgetExceeded,
 )
 from nashreduce.gadgets import GADGET_INFO, GADGET_KINDS, GadgetCircuit, Tap, spec_player_count
-from nashreduce.multipliers import build_robust_multiplier, build_unary_multiplier
+from nashreduce.multipliers import (
+    build_brittle_multiplier,
+    build_robust_multiplier,
+    build_unary_multiplier,
+)
 
 I2 = ((R(1), R(0)), (R(0), R(1)))
 
@@ -431,24 +439,38 @@ ZETA_BUILDERS = {
     "scaled_sum": lambda c, a, z: c.build_scaled_sum([a, a], z),
     "assign": lambda c, a, z: c.build_assign(z),
     "scale": lambda c, a, z: c.build_scale(a, z),
-    # a composite whose first gadget assigns a float: its staggering floor
-    "robust_mult": lambda c, a, z: build_robust_multiplier(c, a, a, z / 10**6),
 }
 
 
 # a float shares int ratios with exact entries, so it must not reach the
-# shared matrices; a complex one cannot be ordered (a multiplier compares a
-# complex eps with 0 before any gadget sees it)
-@pytest.mark.parametrize(
-    "kind, zeta",
-    [(kind, zeta) for kind in ZETA_BUILDERS for zeta in (0.5, 1.0, 1j) if kind != "robust_mult" or zeta != 1j],
-)
+# shared matrices; a complex one cannot be ordered
+@pytest.mark.parametrize("zeta", [0.5, 1.0, 1j])
+@pytest.mark.parametrize("kind", ZETA_BUILDERS)
 def test_an_inexact_zeta_fails_before_any_player_is_made(kind, zeta):
     c = GadgetCircuit()
     a = c.add_input()
     with pytest.raises(ParameterError, match="zeta must be an exact rational"):
         ZETA_BUILDERS[kind](c, a, zeta)
     assert_untouched(c, 1)
+
+
+MULTIPLIERS = {
+    "unary": build_unary_multiplier,
+    "brittle": build_brittle_multiplier,
+    "robust": build_robust_multiplier,
+}
+
+
+# the multipliers compare eps and derive sizes from it before any gadget
+# sees it, so they check it themselves
+@pytest.mark.parametrize("eps", [0.01, 1e-6, 1.0, 1j])
+@pytest.mark.parametrize("kind", MULTIPLIERS)
+def test_an_inexact_multiplier_eps_fails_before_any_player_is_made(kind, eps):
+    c = GadgetCircuit()
+    a, b = c.add_input(), c.add_input()
+    with pytest.raises(ParameterError, match="^eps has an entry that is not an exact rational$"):
+        MULTIPLIERS[kind](c, a, b, eps)
+    assert_untouched(c, 2)
 
 
 BAD_OUTS = {
@@ -503,6 +525,42 @@ def test_a_composite_that_runs_out_of_players_pops_its_scopes():
     c.player_budget = 13
     c.build_threshold(a, R(1, 2))
     assert c.combine().players[-1].scope == "threshold"
+
+
+STRANDED = """
+from nashreduce import GadgetCircuit, NashreduceError, R, SizeBudgetExceeded
+
+c = GadgetCircuit(player_budget=12)
+a, b = c.add_input(), c.add_input()
+try:
+    c.build_median(a, b, a)
+except SizeBudgetExceeded:
+    pass
+try:
+    c.lift({0: R(1, 2), 1: R(1, 3)})
+except NashreduceError as err:
+    print(type(err).__name__, err)
+"""
+STRANDED_ERROR = "ParameterError no recorded gadget drives players [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+
+
+def test_lift_names_the_players_a_failed_composite_left_undriven(capsys):
+    # the players the max gadget made stay driven, but no spec drives them
+    exec(STRANDED, {})
+    assert capsys.readouterr().out == STRANDED_ERROR + "\n"
+
+
+def test_lift_names_the_undriven_players_under_python_optimize():
+    package_root = os.path.dirname(os.path.dirname(nashreduce.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", STRANDED],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, STRANDED_ERROR + "\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Differential tests of the int kernels against their Fraction oracles.
 
-``model._wsne_violations``, the polymatrix and structured ``verify_wsne``
-methods, the two ``payoff_range`` methods and ``solvers.lift_to_bimatrix``
-compare and weigh on int numerators and denominators;
-``kernel_oracles.py`` keeps the Fraction formulas they replaced.  Every
-comparison checks types as well as values, so an int where the oracle
-returns a Fraction (or the reverse) fails.
+``model._wsne_violations``, the ``verify_wsne`` and ``expected_payoffs``
+methods of all four game forms, the polymatrix and structured
+``payoff_range`` methods and ``solvers.lift_to_bimatrix`` compare and
+weigh on int numerators and denominators; ``kernel_oracles.py`` keeps the
+Fraction formulas they replaced.  Every comparison checks types as well as
+values, so an int where the oracle returns a Fraction (or the reverse)
+fails.
 """
 
+import itertools
+import math
 import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -21,7 +24,7 @@ from nashreduce.model import (
     NormalFormGame,
     PolymatrixGame,
     Violation,
-    _vector_violations,
+    _wsne_violations,
     pure_strategy,
     random_polymatrix,
 )
@@ -43,7 +46,23 @@ def assert_same(got, want):
 
 
 # ---------------------------------------------------------------------------
-# _wsne_violations, through the adapter for payoff vectors of rationals
+# _wsne_violations, on the int pairs of payoff vectors of rationals
+
+
+def kernel_violations(payoff_vectors, profile, eps, skip=frozenset()) -> tuple:
+    """:func:`_wsne_violations` on the numerators and denominators of
+    ``payoff_vectors``; a violation reports the vectors' own entries."""
+    values = [x for u in payoff_vectors for x in u]
+    return _wsne_violations(
+        [x.numerator for x in values],
+        [x.denominator for x in values],
+        tuple(itertools.accumulate(map(len, payoff_vectors), initial=0)),
+        [x.numerator for p in profile for x in p],
+        eps,
+        skip,
+        values.__getitem__,
+    )
+
 
 WSNE_CASES = {
     # (payoff vectors, profile, eps, number of violations without skip)
@@ -97,7 +116,7 @@ WSNE_CASES = {
 def test_wsne_violations_match_oracle(case, skip):
     vectors, profile, eps, count = WSNE_CASES[case]
     want = oracle.wsne_violations(vectors, profile, eps, skip)
-    assert_same(_vector_violations(vectors, profile, eps, skip), want)
+    assert_same(kernel_violations(vectors, profile, eps, skip), want)
     if not skip:
         assert len(want) == count
 
@@ -126,14 +145,14 @@ def test_wsne_violations_match_oracle_on_a_reduction(reduced):
     for eps in (0, R(0), lin_params.eps_m):
         for skip in (frozenset(), frozenset(range(0, gm.m, 5))):
             want = oracle.wsne_violations(vectors, flipped, eps, skip)
-            assert_same(_vector_violations(vectors, flipped, eps, skip), want)
+            assert_same(kernel_violations(vectors, flipped, eps, skip), want)
     assert len(oracle.wsne_violations(vectors, flipped, lin_params.eps_m)) > gm.m // 20
     x, y = lift_to_bimatrix(g2, poly, bi_map)
     u1, u2 = g2.expected_payoffs(x, y)
     for eps in (0, bi_params.eps_2):
         for skip in (frozenset(), frozenset({1})):
             want = oracle.wsne_violations([u1, u2], [x, y], eps, skip)
-            assert_same(_vector_violations([u1, u2], [x, y], eps, skip), want)
+            assert_same(kernel_violations([u1, u2], [x, y], eps, skip), want)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +265,90 @@ def test_verify_matches_oracle_on_a_reduction(reduced):
             for clamped in (frozenset(), frozenset({1})):
                 want = oracle.wsne_violations(payoffs, [x, y], eps, clamped)
                 assert_same(game.verify_wsne(x, y, eps, clamped=clamped).violations, want)
+
+
+# ---------------------------------------------------------------------------
+# normal-form and dense bimatrix verify_wsne, on int payoff pairs
+
+
+def exact_entry(rng: random.Random):
+    """An int 0 or 1, or a Fraction over 6, 10 or 7."""
+    return rng.choice((0, 1, F(rng.randrange(7), 6), F(rng.randrange(11), 10), F(rng.randrange(8), 7)))
+
+
+def mixed_profile(seed: int, counts) -> list[tuple]:
+    """Pure strategies as plain ints (always for one strategy), strategies
+    weighted 1, 2, ... over their sum, and strategies with int zeros beside
+    Fractions over ``3 + i``, in turn: mixed denominators across players."""
+    profile = []
+    for i, n in enumerate(counts):
+        kind = (i + seed) % 3
+        if kind == 0 or n == 1:
+            profile.append(tuple(int(c == (seed + i) % n) for c in range(n)))
+        elif kind == 1:
+            profile.append(tuple(F(c + 1, n * (n + 1) // 2) for c in range(n)))
+        else:
+            profile.append((0,) * (n - 2) + (F(1, 3 + i), F(2 + i, 3 + i)))
+    return profile
+
+
+NORMAL_FORM_COUNTS = [(1,), (3,), (2, 3), (1, 3), (3, 1, 2), (2, 2, 2), (2, 3, 1, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("counts", NORMAL_FORM_COUNTS, ids=str)
+def test_normal_form_verify_matches_oracle(counts, seed):
+    rng = random.Random(seed)
+    payoffs = []
+    for i, n in enumerate(counts):
+        cols = math.prod(counts[:i] + counts[i + 1 :])
+        payoffs.append([[exact_entry(rng) for _ in range(cols)] for _ in range(n)])
+    game = NormalFormGame(counts, payoffs)
+    profile = mixed_profile(seed, counts)
+    assert_same(game.expected_payoffs(profile), oracle.normal_form_payoffs(game, profile))
+    found = 0
+    for eps in (0, F(0), F(1, 6), 1):
+        want = oracle.normal_form_verify(game, profile, eps)
+        got = game.verify_wsne(profile, eps)
+        assert_same(got.violations, want)
+        assert got.ok is not want
+        found += len(want)
+    assert found or max(counts) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_verify_matches_oracle(n, seed):
+    rng = random.Random(100 * n + seed)
+    a, b = ([[exact_entry(rng) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    game = BimatrixGame.dense(a, b)
+    x, y = mixed_profile(seed, (n, n))
+    found = set()
+    for leader, follower in ((x, y), (y, x), (x, x)):
+        assert_same(game.expected_payoffs(leader, follower), oracle.dense_payoffs(game, leader, follower))
+        for eps in (0, F(1, 6), 1):
+            for clamped in ((), (0,), (1,), (0, 1)):
+                want = oracle.dense_verify(game, leader, follower, eps, clamped)
+                got = game.verify_wsne(leader, follower, eps, clamped=clamped)
+                assert_same(got.violations, want)
+                assert got.ok is not want
+                found |= {v.player for v in want}
+    if n > 1:
+        assert found
+
+
+def test_dense_verify_matches_oracle_on_a_dense_imitation_game():
+    g2 = BimatrixGame.structured(tie_game(1, (2, 3, 2)), R(7, 2))
+    for game in (g2, normalize_bimatrix(g2)):
+        dense = game.to_dense()
+        for x, y in verify_cases(game, tie_profile(1, (2, 3, 2))):
+            assert_same(dense.expected_payoffs(x, y), oracle.dense_payoffs(dense, x, y))
+            for clamped in ((), (1,)):
+                want = oracle.dense_verify(dense, x, y, F(1, 6), clamped)
+                assert_same(dense.verify_wsne(x, y, F(1, 6), clamped=clamped).violations, want)
+                assert [v.player for v in want] == [
+                    v.player for v in game.verify_wsne(x, y, F(1, 6), clamped=clamped).violations
+                ]
 
 
 # ---------------------------------------------------------------------------

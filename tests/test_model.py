@@ -698,6 +698,15 @@ MALFORMED = {
 }
 
 
+# a dense game's strategies have no blocks to name
+DENSE_MALFORMED = {
+    "wrong_length": r"^{side} strategy has length 6, expected 7$",
+    "negative_entry": r"^{side} strategy has a negative entry$",
+    "sum_not_one": r"^{side} strategy does not sum to 1$",
+    "float_entry": r"^{side} strategy has an entry that is not an exact rational$",
+}
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_polymatrix_profiles_fail_as_before(name):
     gm, g2, mapping, good, _ = malformed_setup()
@@ -723,6 +732,18 @@ def test_malformed_bimatrix_strategies_fail_as_before(name, side):
             game.expected_payoffs(x, y)
     with pytest.raises(cls, match=pattern.format(side=side)):
         recover_from_bimatrix(g2, (x, y), mapping)
+    dense = g2.to_dense()
+    with pytest.raises(cls, match=DENSE_MALFORMED[name].format(side=side)):
+        dense.verify_wsne(x, y, R(0))
+    with pytest.raises(cls, match=DENSE_MALFORMED[name].format(side=side)):
+        dense.expected_payoffs(x, y)
+
+
+def test_a_one_block_strategy_names_no_block():
+    g2 = BimatrixGame.structured(PolymatrixGame((2,), {}), R(1))
+    for game in (g2, g2.to_dense()):
+        with pytest.raises(ParameterError, match=r"^leader strategy has a negative entry$"):
+            game.verify_wsne((R(2), R(-1)), (1, 0), R(0))
 
 
 def test_profiles_with_a_wrong_player_count_fail_as_before():

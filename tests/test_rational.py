@@ -45,6 +45,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             rational(text)
 
+    @pytest.mark.parametrize("text", ["-1/-2", "1_0/3", "+1/2", " 1/2", "1/2\n", "\u0663/4", "1/", ""])
+    def test_string_outside_the_file_grammar_rejected(self, text):
+        with pytest.raises(ValueError):
+            rational(text)
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             rational("1/0")
