@@ -43,6 +43,7 @@ clamped inputs).  Decision gadgets break payoff ties toward strategy 1.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
@@ -55,7 +56,15 @@ from .errors import (
     ParameterError,
     SizeBudgetExceeded,
 )
-from .model import PlayerInfo, PolymatrixGame, Role, make_matrix, validate_mixed
+from .model import (
+    PlayerInfo,
+    PolymatrixGame,
+    Role,
+    ScaledProfile,
+    _scaled_profile,
+    make_matrix,
+    validate_mixed,
+)
 
 Rat = Any
 
@@ -444,8 +453,16 @@ class GadgetCircuit:
 
     def _tap_matrix(self, n: int, s: int, col0: tuple, col1: tuple) -> tuple:
         """The frozen matrix whose column ``s`` of ``n`` is ``col1`` and every
-        other column ``col0``, one object per circuit for equal entries."""
-        key = (n, s, col0, col1, *map(type, col0 + col1))
+        other column ``col0``, one object per circuit for equal entries.
+
+        The key holds each entry's type and its int numerator and
+        denominator, which hash in C, as :func:`_matrix_key` does."""
+        (a, b), (c, d) = col0, col1
+        key = (
+            n, s, type(a), type(b), type(c), type(d),
+            a.numerator, a.denominator, b.numerator, b.denominator,
+            c.numerator, c.denominator, d.numerator, d.denominator,
+        )
         mat = self._templates.get(key)
         if mat is None:
             mat = self._templates[key] = tuple(zip(*(col1 if c == s else col0 for c in range(n))))
@@ -771,7 +788,7 @@ class GadgetCircuit:
             edges[key] = mat
         return PolymatrixGame(self._counts, edges, self._players)
 
-    def lift(self, inputs: Mapping[int, Any]) -> list[tuple]:
+    def lift(self, inputs: Mapping[int, Any]) -> ScaledProfile:
         """Complete exact input values to an exact equilibrium profile.
 
         ``inputs`` maps each undriven player to either a scalar value in
@@ -780,6 +797,10 @@ class GadgetCircuit:
         forces; the result is a 0-WSNE when the input players are clamped.
         A stamped copy reads the gaps of its recording, worked out once.
         Pure and indifferent binary strategies are shared tuples.
+
+        The profile is validated and scaled to ints in one pass and returned
+        as a :class:`~nashreduce.model.ScaledProfile` holding those tuples,
+        so verifying it and lifting it to a bimatrix witness share that pass.
         """
         profile: list[tuple | None] = [None] * self.num_players
         undriven = set(self._inputs) | set(self.undriven_players())
@@ -837,4 +858,6 @@ class GadgetCircuit:
         stranded = [p for p, vec in enumerate(profile) if vec is None]
         if stranded:
             raise ParameterError(f"no recorded gadget drives players {stranded}")
-        return [tuple(vec) for vec in profile]  # type: ignore[arg-type]
+        blocks = [tuple(vec) for vec in profile]  # type: ignore[arg-type]
+        offsets = tuple(itertools.accumulate(self._counts, initial=0))
+        return ScaledProfile(offsets, *_scaled_profile(blocks, offsets), blocks)

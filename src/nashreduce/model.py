@@ -30,6 +30,9 @@ the lcm ``L`` of its own entries' denominators: exactness and length are
 checked as the entries are read, nonnegativity is ``min(nums) >= 0`` and
 unit sum is ``sum(nums) == L``.  A structured game's strategies are scaled
 block by block, and their unit sum is an exact sum of the per-block pairs.
+Vectors the pipeline builds carry their ints: a :class:`ScaledStrategy`
+(the witness and its leader) or a :class:`ScaledProfile` (a lifted or
+recovered profile) over a game's own blocks skips the pass.
 The scaled vectors feed :func:`edge_payoffs`, one pass over the edge
 matrices (a normal-form player's payoffs against its opponents' joint
 distribution, a dense game's ``A`` and ``B^T``) that costs O(players +
@@ -42,6 +45,7 @@ at the API edge: by ``expected_payoffs``, in the fields of a
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import random
 from bisect import bisect_right
@@ -68,6 +72,8 @@ __all__ = [
     "BimatrixGame",
     "make_matrix",
     "edge_payoffs",
+    "ScaledStrategy",
+    "ScaledProfile",
     "validate_mixed",
     "profile_index",
     "profile_unindex",
@@ -188,6 +194,17 @@ def _entry_range(values: Iterable[Rat], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
     return lo, hi
 
 
+def _block_names(what: str, offsets: Sequence[int]) -> Callable[[int], str]:
+    """How an error names block ``i`` of a strategy called ``what``: by its
+    number only when there are several blocks."""
+    return (lambda i: f"{what} block {i}") if len(offsets) > 2 else (lambda _: what)
+
+
+def _fault(offsets: Sequence[int], name: Callable[[int], str], r: int, what: str) -> ParameterError:
+    """The error for flat index ``r``, naming its block as ``name(i)``."""
+    return ParameterError(f"{name(bisect_right(offsets, r) - 1)} {what}")
+
+
 def _scaled(
     v: Sequence[Rat], offsets: Sequence[int], name: Callable[[int], str]
 ) -> tuple[list[int], list[int], list[int]]:
@@ -204,19 +221,120 @@ def _scaled(
     """
     if not all(map(isinstance, v, itertools.repeat((int, Fraction)))):
         r = next(r for r, x in enumerate(v) if not isinstance(x, (int, Fraction)))
-        raise ParameterError(
-            f"{name(bisect_right(offsets, r) - 1)} has an entry that is not an exact rational"
-        )
+        raise _fault(offsets, name, r, "has an entry that is not an exact rational")
     nums = [x.numerator for x in v]
     if min(nums, default=0) < 0:
-        r = next(r for r, n in enumerate(nums) if n < 0)
-        raise ParameterError(f"{name(bisect_right(offsets, r) - 1)} has a negative entry")
+        raise _fault(offsets, name, next(r for r, n in enumerate(nums) if n < 0), "has a negative entry")
     dens = [x.denominator for x in v]
     bounds = list(zip(offsets, offsets[1:]))
     scales = [lcm(*dens[a:b]) for a, b in bounds]
     entry_scales = [scale for scale, (a, b) in zip(scales, bounds) for _ in range(a, b)]
     units = [n * (scale // d) for n, d, scale in zip(nums, dens, entry_scales)]
     return scales, units, [sum(units[a:b]) for a, b in bounds]
+
+
+class ScaledStrategy(collections.abc.Sequence):
+    """A mixed strategy held as ints: block ``i``, the flat indices ``a:b``
+    from ``offsets[i]`` to ``offsets[i + 1]``, is ``units[a:b] / scales[i]``.
+
+    The constructor makes the one scaling pass's checks, with its messages:
+    ints, no negative unit, one positive scale per block and block masses
+    that sum to 1.  So every instance is valid, and a game whose blocks
+    are ``offsets`` reads its ints as they are (:func:`_scaled_blocks`).
+    It is immutable and reads as the tuple of its values, an entry becoming
+    a ``Fraction`` when read; it compares equal to and hashes like that tuple.
+    """
+
+    __slots__ = ("offsets", "scales", "units")
+
+    def __init__(
+        self, offsets: Sequence[int], scales: Sequence[int], units: Sequence[int], what: str = "mixed strategy"
+    ):
+        offsets, scales, units = tuple(offsets), tuple(scales), tuple(units)
+        if len(units) != offsets[-1]:
+            raise DimensionMismatch(f"{what} has length {len(units)}, expected {offsets[-1]}")
+        name = _block_names(what, offsets)
+        if not all(map(isinstance, units, itertools.repeat(int))):
+            r = next(r for r, n in enumerate(units) if not isinstance(n, int))
+            raise _fault(offsets, name, r, "has an entry that is not an exact rational")
+        if min(units, default=0) < 0:
+            raise _fault(offsets, name, next(r for r, n in enumerate(units) if n < 0), "has a negative entry")
+        if len(scales) != len(offsets) - 1 or not all(type(d) is int and d > 0 for d in scales):
+            raise ParameterError(f"{what} needs one positive int scale per block")
+        total, den = exact_sum(zip([sum(units[a:b]) for a, b in zip(offsets, offsets[1:])], scales))
+        if total != den:
+            raise ParameterError(f"{what} does not sum to 1")
+        for slot, value in zip(self.__slots__, (offsets, scales, units)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("a ScaledStrategy is immutable")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return tuple(self)[r]
+        unit = self.units[r]
+        return Fraction(unit, self.scales[bisect_right(self.offsets, r % len(self)) - 1])
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return itertools.chain.from_iterable(_block_values(self, i) for i in range(len(self.scales)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, ScaledStrategy)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ScaledStrategy({tuple(self)!r})"
+
+
+class ScaledProfile(collections.abc.Sequence):
+    """One mixed strategy per player with the ints of its one scaling pass:
+    player ``i`` plays ``units[a:b] / scales[i]`` over its flat indices, and
+    its units sum to its scale.  ``GadgetCircuit.lift`` and
+    ``recover_from_bimatrix`` build it from ints they have checked; a game
+    whose players own ``offsets`` reads them as they are
+    (:func:`_scaled_profile`).  A player's strategy is a tuple, built from
+    the ints when first read unless given; a slice is a list, and the
+    profile compares equal to the list of its strategies.
+    """
+
+    __slots__ = ("offsets", "scales", "units", "_blocks")
+
+    def __init__(
+        self, offsets: Sequence[int], scales: Sequence[int], units: Sequence[int], blocks: Iterable | None = None
+    ):
+        self.offsets, self.scales, self.units = offsets, scales, units
+        self._blocks = [None] * (len(offsets) - 1) if blocks is None else list(blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        block = self._blocks[i]
+        if block is None:
+            block = self._blocks[i] = _block_values(self, i % len(self))
+        return block
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, ScaledProfile)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScaledProfile({list(self)!r})"
+
+
+def _block_values(v: ScaledStrategy | ScaledProfile, i: int) -> Vector:
+    """Block ``i`` of ``v`` as a tuple of ``Fraction``s."""
+    a, b = v.offsets[i], v.offsets[i + 1]
+    return tuple(map(Fraction, v.units[a:b], itertools.repeat(v.scales[i])))
 
 
 def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "mixed strategy") -> Vector:
@@ -231,20 +349,24 @@ def validate_mixed(vec: Sequence[Rat], length: int | None = None, what: str = "m
 
 
 def _scaled_profile(
-    profile: Sequence[Sequence[Rat]], counts: Sequence[int], what: str = "player"
-) -> tuple[list[int], list[int]]:
-    """One mixed strategy per player of a game with ``counts``, validated
-    and scaled in one pass (:func:`_scaled`): ``(scales, units)`` with
-    player ``i``'s strategy ``units[a:b] / scales[i]`` over its flat
-    indices ``a:b``.  Each player's unit sum is ``sum(nums) == L``."""
+    profile: Sequence[Sequence[Rat]], offsets: Sequence[int], what: str = "player"
+) -> tuple[Sequence[int], Sequence[int]]:
+    """One mixed strategy per player of a game whose players own the flat
+    indices ``offsets[i]:offsets[i + 1]``, validated and scaled in one pass
+    (:func:`_scaled`): ``(scales, units)`` with player ``i``'s strategy
+    ``units[a:b] / scales[i]``.  Each player's unit sum is ``sum(nums) ==
+    L``.  A :class:`ScaledProfile` over equal offsets, by identity or by
+    value, hands back its own ints instead."""
+    if type(profile) is ScaledProfile and (profile.offsets is offsets or profile.offsets == offsets):
+        return profile.scales, profile.units
+    counts = [b - a for a, b in zip(offsets, offsets[1:])]
     if len(profile) != len(counts):
         raise DimensionMismatch(f"profile has {len(profile)} strategies for {len(counts)} {what}s")
     vectors = list(map(tuple, profile))
     lengths = list(map(len, vectors))
-    if lengths != list(counts):
+    if lengths != counts:
         i = next(i for i, (k, n) in enumerate(zip(lengths, counts)) if k != n)
         raise DimensionMismatch(f"{what} {i} strategy has length {lengths[i]}, expected {counts[i]}")
-    offsets = tuple(itertools.accumulate(lengths, initial=0))
     scales, units, masses = _scaled(
         [x for v in vectors for x in v], offsets, lambda i: f"{what} {i} strategy"
     )
@@ -254,19 +376,24 @@ def _scaled_profile(
     return scales, units
 
 
-def _scaled_blocks(vec: Sequence[Rat], offsets: Sequence[int], what: str) -> tuple[Vector, list[int], list[int]]:
+def _scaled_blocks(
+    vec: Sequence[Rat], offsets: Sequence[int], what: str
+) -> tuple[Sequence[Rat], Sequence[int], Sequence[int]]:
     """One mixed strategy over the blocks ``offsets[i]:offsets[i + 1]``,
     validated and scaled block by block in one pass (:func:`_scaled`):
     ``(v, scales, units)`` with ``v`` the frozen tuple and block ``i``
     equal to ``units[a:b] / scales[i]``.  The unit sum of the whole vector
     is the exact sum of the per-block pairs ``(sum(nums), L)``.  An error
-    names the block at fault when there are several.
+    names the block at fault when there are several.  A
+    :class:`ScaledStrategy` over equal offsets, by identity or by value, was
+    checked when built: it is returned as ``v`` with its own ints instead.
     """
+    if type(vec) is ScaledStrategy and (vec.offsets is offsets or vec.offsets == offsets):
+        return vec, vec.scales, vec.units
     v = tuple(vec)
     if len(v) != offsets[-1]:
         raise DimensionMismatch(f"{what} has length {len(v)}, expected {offsets[-1]}")
-    name = (lambda i: f"{what} block {i}") if len(offsets) > 2 else (lambda _: what)
-    scales, units, masses = _scaled(v, offsets, name)
+    scales, units, masses = _scaled(v, offsets, _block_names(what, offsets))
     total, den = exact_sum(zip(masses, scales))
     if total != den:
         raise ParameterError(f"{what} does not sum to 1")
@@ -470,7 +597,7 @@ class NormalFormGame:
         slowest as :func:`profile_index` orders them.  One
         :func:`edge_payoffs` call weighs it against ``payoffs[i]``.
         """
-        scales, units = _scaled_profile(profile, self.strategy_counts)
+        scales, units = _scaled_profile(profile, self._offsets)
         blocks = [units[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
         totals, dens = [], []
         for i, mat in enumerate(self.payoffs):
@@ -591,7 +718,7 @@ class PolymatrixGame:
     def _payoff_pairs(self, profile: Sequence[Vector]) -> tuple[list[int], list[int], list[int]]:
         """``(units, totals, dens)``: the validated profile scaled to ints
         and every payoff as an int pair, from one :func:`edge_payoffs` call."""
-        scales, units = _scaled_profile(profile, self.strategy_counts)
+        scales, units = _scaled_profile(profile, self._offsets)
         return (units, *edge_payoffs(self._offsets, self.edges, scales, units))
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
@@ -719,15 +846,18 @@ class BimatrixGame:
 
     # -- shared interface
 
+    def _block_offsets(self) -> tuple[int, ...]:
+        if self._offsets is None:
+            raise ParameterError("dense games have no block structure")
+        return self._offsets
+
     @property
     def num_blocks(self) -> int:
-        if self.block_sizes is None:
-            raise ParameterError("dense games have no block structure")
-        return len(self.block_sizes)
+        return len(self._block_offsets()) - 1
 
     def block_offset(self, i: int) -> int:
         """Index in ``[N]`` of block ``i``'s first strategy."""
-        return self._offsets[i]
+        return self._block_offsets()[i]
 
     def strategy_index(self, i: int, j: int) -> int:
         """Map pure strategy ``j`` of polymatrix player ``i`` into ``[N]``."""
@@ -739,10 +869,11 @@ class BimatrixGame:
 
     def block_of(self, s: int) -> tuple[int, int]:
         """Inverse of :meth:`strategy_index`, in O(log blocks)."""
+        offsets = self._block_offsets()
         if not 0 <= s < self.n:
             raise ParameterError(f"strategy {s} outside range(0, {self.n})")
-        i = bisect_right(self._offsets, s) - 1
-        return i, s - self._offsets[i]
+        i = bisect_right(offsets, s) - 1
+        return i, s - offsets[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BimatrixGame) or self.encoding != other.encoding:
@@ -817,14 +948,15 @@ class BimatrixGame:
         offsets = (0, n) if self.encoding == "dense" else self._offsets
         x, x_scales, x_units = _scaled_blocks(x, offsets, "leader strategy")
         _, y_scales, y_units = _scaled_blocks(y, offsets, "follower strategy")
-        support = x_units + y_units
+        support = [*x_units, *y_units]
         if self.encoding == "dense":
             edges = {(0, 1): self.a, (1, 0): self.bt}
-            return (x, *edge_payoffs((0, n, 2 * n), edges, x_scales + y_scales, support), support)
+            return (x, *edge_payoffs((0, n, 2 * n), edges, [*x_scales, *y_scales], support), support)
         totals, dens = edge_payoffs(offsets, self.edges, y_scales, y_units, -self.alpha)
         for scale, a, b in zip(x_scales, offsets, offsets[1:]):
             dens += [scale] * (b - a)
-        return x, totals + x_units, dens, support
+        totals += x_units
+        return x, totals, dens, support
 
     def expected_payoffs(self, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Vector, Vector]:
         """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).

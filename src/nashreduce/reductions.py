@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Sequence
 
 from ._rational import rational, rational_str
@@ -42,6 +41,7 @@ from .model import (
     NormalFormGame,
     PolymatrixGame,
     Role,
+    ScaledProfile,
     _check_exact,
     _scaled_blocks,
     profile_unindex,
@@ -285,9 +285,11 @@ def linearize(
     return gm, mapping, params
 
 
-def lift_to_polymatrix(profile: Sequence[Sequence[Rat]], mapping: GameMapping) -> list[tuple]:
+def lift_to_polymatrix(profile: Sequence[Sequence[Rat]], mapping: GameMapping) -> ScaledProfile:
     """Complete a source-game profile to a full polymatrix profile by giving
-    every mediator and gadget player its forced value."""
+    every mediator and gadget player its forced value; the result is
+    :meth:`GadgetCircuit.lift`'s profile, with the ints of its one scaling
+    pass attached."""
     if mapping.stage not in ("linearize", "full"):
         raise ParameterError(f"cannot lift through a {mapping.stage} mapping")
     if mapping.circuit is None:
@@ -412,16 +414,19 @@ def recover_from_bimatrix(
     g2: BimatrixGame,
     profile: tuple[Sequence[Rat], Sequence[Rat]],
     mapping: GameMapping,
-) -> list[tuple]:
+) -> ScaledProfile:
     """Renormalize the column player's block masses into a polymatrix
     profile, exactly.  Raises ZeroBlockMass for blocks the profile never
     plays (a genuine eps_2-equilibrium gives every block positive mass).
 
     ``g2`` must be structured, and ``mapping`` must agree with its block
     sizes, alpha and divisor; ``profile`` must hold two strategies.  Both
-    strategies are validated and scaled block by block; over a block's own
-    common denominator ``L``, ``v / mass`` is ``num / sum(nums)``, one
-    ``Fraction`` per entry.
+    strategies are validated and scaled block by block, or read as they
+    are when they are :class:`ScaledStrategy` over ``g2``'s blocks.  Over a
+    block's own common denominator, ``v / mass`` is ``num / sum(nums)``: the
+    result is a :class:`ScaledProfile` with the follower's units over the
+    block masses, and a block's ``Fraction`` entries are built when it is
+    first read.
     """
     _check_bimatrix_mapping(g2, mapping)
     if len(profile) != 2:
@@ -430,14 +435,10 @@ def recover_from_bimatrix(
     offsets = g2._offsets
     _scaled_blocks(x, offsets, "leader strategy")
     _, _, units = _scaled_blocks(y, offsets, "follower strategy")
-    recovered = []
-    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        nums = units[a:b]
-        mass = sum(nums)
-        if mass == 0:
-            raise ZeroBlockMass(i)
-        recovered.append(tuple(Fraction(num, mass) for num in nums))
-    return recovered
+    masses = [sum(units[a:b]) for a, b in zip(offsets, offsets[1:])]
+    if 0 in masses:
+        raise ZeroBlockMass(masses.index(0))
+    return ScaledProfile(offsets, masses, units)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +485,8 @@ def recover_full(
     mapping: GameMapping,
 ) -> list[tuple]:
     """Bimatrix profile back to an original-game profile: renormalize the
-    follower's blocks, then keep the original players' blocks."""
+    follower's blocks, then keep the original players' blocks, as a list;
+    only those blocks become ``Fraction``s."""
     if mapping.stage != "full":
         raise ParameterError(f"expected a full mapping, got {mapping.stage!r}")
     polymatrix_profile = recover_from_bimatrix(g2, profile, mapping)

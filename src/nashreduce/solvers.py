@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -44,6 +43,7 @@ from .model import (
     NormalFormGame,
     PolymatrixGame,
     Rat,
+    ScaledStrategy,
     VerifyResult,
     _best_index,
     _scaled_profile,
@@ -421,7 +421,7 @@ def lift_to_bimatrix(
     g2: BimatrixGame,
     profile: Sequence[Sequence[Rat]],
     mapping: GameMapping,
-) -> tuple[Vector, Vector]:
+) -> tuple[ScaledStrategy, ScaledStrategy]:
     """Propose a two-player profile of ``g2`` encoding a polymatrix profile.
 
     The follower plays each block ``i`` with weight ``1/m`` corrected by
@@ -435,17 +435,22 @@ def lift_to_bimatrix(
 
     ``g2`` must be structured, and ``mapping`` must agree with its block
     sizes, alpha and divisor.  The profile is validated and scaled to ints
-    in one pass, and :func:`edge_payoffs` gives each block's payoffs as int
-    pairs, so the block-best payoffs ``u_i`` and ``sum(u)``
-    (:func:`exact_sum`) stay int pairs.  Each weight ``w_i = (alpha m + m u_i - sum(u)) /
-    (alpha m^2)`` is one int numerator over one int denominator, and each
-    entry ``w_i v`` of the follower's strategy is built as one ``Fraction``
-    from those ints.  Raises :class:`ParameterError` when some ``w_i <= 0``.
+    in one pass, or read as it is when it is a lifted or recovered
+    :class:`ScaledProfile`, and :func:`edge_payoffs` gives each block's
+    payoffs as int pairs, so the block-best payoffs ``u_i`` and ``sum(u)``
+    (:func:`exact_sum`) stay int pairs.  Each weight ``w_i = (alpha m + m
+    u_i - sum(u)) / (alpha m^2)`` is one int numerator over one int
+    denominator, in lowest terms, and block ``i`` of the follower's
+    strategy is that numerator times the profile's units over that
+    denominator times the profile's scale.  Both strategies are returned as
+    :class:`ScaledStrategy` over ``g2``'s blocks, so no entry becomes a
+    ``Fraction`` until it is read, and verifying or recovering them reads
+    the ints.  Raises :class:`ParameterError` when some ``w_i <= 0``.
     """
     _check_bimatrix_mapping(g2, mapping)
     m = len(g2.block_sizes)
     offsets = g2._offsets
-    scales, units = _scaled_profile(profile, g2.block_sizes, what="block")
+    scales, units = _scaled_profile(profile, offsets, what="block")
     totals, dens = edge_payoffs(offsets, g2.edges, scales, units)
     block_best = [
         (totals[r], dens[r])
@@ -455,17 +460,16 @@ def lift_to_bimatrix(
     # with alpha == a / b, u_i == n / d and sum(u) == total / scale
     a, b = g2.alpha.as_integer_ratio()
     total, scale = exact_sum(block_best)
-    y: list[Rat] = []
+    y_scales, y_units = [], []
     for (n, d), v_scale, start, stop in zip(block_best, scales, offsets, offsets[1:]):
         num = m * scale * (a * d + b * n) - total * b * d
         if num * a <= 0:  # den has the sign of a
             raise ParameterError("alpha is too small to rebalance the block weights")
-        den = a * m * m * d * scale * v_scale
-        y += [Fraction(num * v, den) for v in units[start:stop]]
+        den = a * m * m * d * scale
+        g = math.gcd(num, den)
+        y_scales.append(den // g * v_scale)
+        y_units += [num // g * v for v in units[start:stop]]
     # w_i > 0, so y[r] > 0 exactly where the scaled profile is positive
-    support = [r for r, v in enumerate(units) if v > 0]
-    share = rational(1, len(support))
-    x = [rational(0)] * len(y)
-    for r in support:
-        x[r] = share
-    return tuple(x), tuple(y)
+    x_units = [int(v > 0) for v in units]
+    x = ScaledStrategy(offsets, [sum(x_units)] * m, x_units, "leader strategy")
+    return x, ScaledStrategy(offsets, y_scales, y_units, "follower strategy")

@@ -23,6 +23,8 @@ from nashreduce.model import (
     BimatrixGame,
     NormalFormGame,
     PolymatrixGame,
+    ScaledProfile,
+    ScaledStrategy,
     Violation,
     _wsne_violations,
     pure_strategy,
@@ -33,10 +35,11 @@ from nashreduce.solvers import lift_to_bimatrix
 
 
 def typed(value):
-    """``value`` with every leaf paired with its type."""
+    """``value`` with every leaf paired with its type; a scaled strategy or
+    profile is a sequence like a tuple or list, and its entries are checked."""
     if isinstance(value, Violation):
         return typed(tuple(getattr(value, f.name) for f in fields(value)))
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, ScaledStrategy, ScaledProfile)):
         return tuple(typed(v) for v in value)
     return (type(value), value)
 

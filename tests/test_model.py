@@ -412,6 +412,21 @@ def test_dense_verify_wsne():
     assert res.violations[0].player == 1
 
 
+BLOCK_CALLS = {
+    "num_blocks": lambda g: g.num_blocks,
+    "block_offset": lambda g: g.block_offset(0),
+    "strategy_index": lambda g: g.strategy_index(0, 1),
+    "block_of": lambda g: g.block_of(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CALLS))
+def test_dense_games_have_no_block_structure(name):
+    g = BimatrixGame.dense([[R(1), R(0)], [R(0), R(1)]], [[R(0), R(1)], [R(1), R(0)]])
+    with pytest.raises(ParameterError, match=r"^dense games have no block structure$"):
+        BLOCK_CALLS[name](g)
+
+
 def test_bimatrix_validation():
     with pytest.raises(DimensionMismatch):
         BimatrixGame.dense([[R(0), R(1)]], [[R(0), R(1)]])
