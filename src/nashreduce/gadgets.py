@@ -56,15 +56,7 @@ from .errors import (
     ParameterError,
     SizeBudgetExceeded,
 )
-from .model import (
-    PlayerInfo,
-    PolymatrixGame,
-    Role,
-    ScaledProfile,
-    _scaled_profile,
-    make_matrix,
-    validate_mixed,
-)
+from .model import PlayerInfo, PolymatrixGame, Role, ScaledProfile, _scaled_profile, make_matrix, validate_mixed
 
 Rat = Any
 
@@ -458,11 +450,8 @@ class GadgetCircuit:
         The key holds each entry's type and its int numerator and
         denominator, which hash in C, as :func:`_matrix_key` does."""
         (a, b), (c, d) = col0, col1
-        key = (
-            n, s, type(a), type(b), type(c), type(d),
-            a.numerator, a.denominator, b.numerator, b.denominator,
-            c.numerator, c.denominator, d.numerator, d.denominator,
-        )
+        key = (n, s, type(a), type(b), type(c), type(d), a.numerator, a.denominator,
+               b.numerator, b.denominator, c.numerator, c.denominator, d.numerator, d.denominator)
         mat = self._templates.get(key)
         if mat is None:
             mat = self._templates[key] = tuple(zip(*(col1 if c == s else col0 for c in range(n))))

@@ -164,8 +164,9 @@ def random_scaled(rng: random.Random, offsets, played=None) -> ScaledStrategy:
 
 
 def seeded_cases(seed: int):
-    """A structured game, normalized or not, and scaled strategy pairs:
-    the lifted witness of a random profile and random pairs."""
+    """A structured game, its mapping and scaled strategy pairs: the
+    lifted witness of a random profile, three random pairs whose follower
+    plays every block and one whose follower may leave a block unplayed."""
     rng = random.Random(seed)
     counts = ((2, 3, 2), (2, 2, 2, 3), (3, 2))[seed % 3]
     gm = random_polymatrix(rng, counts, denominator=rng.choice((2, 6, 100)), lo=R(-1), hi=R(2))
