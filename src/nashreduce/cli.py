@@ -128,12 +128,25 @@ def _fmt_profile(profile, approx: bool = False) -> str:
     return "(" + ",".join(_fmt_vector(v, approx) for v in profile) + ")"
 
 
-def _echo_violations(violations, approx: bool, limit: int = 5) -> None:
+def _where(game, v) -> str:
+    """Where violation ``v`` of ``game`` sits, as a suffix of its line: a
+    polymatrix player's role and scope, or a structured bimatrix game's
+    block and strategy in block for the played and the best strategy."""
+    if isinstance(game, PolymatrixGame):
+        info = game.players[v.player]
+        return f" (role {info.role.value}" + (f", scope {info.scope})" if info.scope else ")")
+    if isinstance(game, BimatrixGame) and game.encoding == "structured":
+        (i, j), (bi, bj) = game.block_of(v.strategy), game.block_of(v.best_strategy)
+        return f" (block {i} strategy {j}; best: block {bi} strategy {bj})"
+    return ""
+
+
+def _echo_violations(game, violations, approx: bool, limit: int = 5) -> None:
     for v in violations[:limit]:
         click.echo(
             f"  player {v.player}: plays strategy {v.strategy} for "
             f"{_fmt(v.payoff, approx)} while strategy {v.best_strategy} "
-            f"pays {_fmt(v.best_payoff, approx)}"
+            f"pays {_fmt(v.best_payoff, approx)}{_where(game, v)}"
         )
     if len(violations) > limit:
         click.echo(f"  ... and {len(violations) - limit} more")
@@ -249,7 +262,7 @@ def recover(game_file, mapping_file, profile_file, eps, out_path, approx):
     status = "PASS" if result.ok else "FAIL"
     click.echo(f"verification at eps = {rational_str(check_eps)}: {status}")
     if not result.ok:
-        _echo_violations(result.violations, approx)
+        _echo_violations(game, result.violations, approx)
         sys.exit(EXIT_NO_RESULT)
 
 
@@ -280,7 +293,7 @@ def verify(game_file, profile_file, eps, approx):
         click.echo(f"PASS at eps = {rational_str(eps)}")
     else:
         click.echo(f"FAIL at eps = {rational_str(eps)}: {len(result.violations)} violation(s)")
-        _echo_violations(result.violations, approx)
+        _echo_violations(game, result.violations, approx)
         sys.exit(EXIT_NO_RESULT)
 
 

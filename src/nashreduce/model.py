@@ -33,14 +33,15 @@ block by block, and their unit sum is an exact sum of the per-block pairs.
 Vectors the pipeline builds carry their ints: a :class:`ScaledStrategy`
 (the witness and its leader) or a :class:`ScaledProfile` (a lifted or
 recovered profile) over a game's own blocks skips the pass.
-The scaled vectors feed :func:`edge_payoffs`, one pass over the edge
-matrices (a normal-form player's payoffs against its opponents' joint
-distribution, a dense game's ``A`` and ``B^T``) that costs O(players +
-total edge entries) and returns every payoff as an int ``(numerator,
-denominator)`` pair.  The best-response comparisons and the support test
-(``nums[j] > 0``) read those ints directly.  A ``Fraction`` is built only
-at the API edge: by ``expected_payoffs``, in the fields of a
-:class:`Violation` and in the vectors handed back to callers.
+The scaled vectors feed :func:`edge_payoffs`, one pass over the edges (a
+normal-form player's payoffs against its opponents' joint distribution,
+a dense game's ``A`` and ``B^T``) that weighs each distinct pair of a
+matrix object and an opponent strategy once, costs O(players + edges +
+distinct pairs x entries) and returns every payoff as an int
+``(numerator, denominator)`` pair.  The best-response comparisons and the
+support test (``nums[j] > 0``) read those ints directly.  A ``Fraction``
+is built only at the API edge: by ``expected_payoffs``, in the fields of
+a :class:`Violation` and in the vectors handed back to callers.
 """
 
 from __future__ import annotations
@@ -137,43 +138,82 @@ def edge_payoffs(
     scales[j]``, as :func:`_scaled_profile` or :func:`_scaled_blocks`
     return it.  ``edges[(i, j)]`` is an ``n_i x n_j`` matrix; ``diagonal``
     is the structured bimatrix game's ``-alpha`` and 0 for polymatrix
-    games.  One pass over ``edges`` reads each matrix once, so the cost is
-    O(players + total edge entries).
+    games.
+
+    Games built from gadgets repeat a few matrix objects over many edges
+    and a few strategies over many players, so each distinct pair of a
+    matrix object and an opponent strategy is weighed once
+    (:func:`_weigh`) and its row pairs are added to every edge that has
+    it.  A strategy is keyed by value, as ``(scales[j], *units[a:b])``;
+    a matrix by identity, which ``edges`` keeps alive for the call.  The
+    cost is O(players + edges + distinct pairs x entries).
 
     Returns flat lists ``(totals, dens)``, indexed like ``units``: strategy
     ``r`` earns ``totals[r] / dens[r]``, with ``dens[r] > 0`` and the pair
     not necessarily in lowest terms (``(0, 1)`` for a player without
-    out-edges).  A term ``a * n / (b * L_j)`` costs one int add when
-    ``b * L_j`` equals the running denominator and one :func:`math.gcd`
-    otherwise.  Shapes are the caller's to check.
+    out-edges).  Adding a pair costs one int add when the denominators
+    are equal and one :func:`math.gcd` otherwise.  Shapes are the
+    caller's to check.
     """
     diag_num, diag_den = diagonal.numerator, diagonal.denominator
     # flat int lists, few live containers: the garbage collector's cost grows
     # with the containers a call keeps alive, and large games hold many
-    totals, dens = [], []
-    for scale, a, b in zip(scales, offsets, offsets[1:]):
-        start = diag_num * sum(units[a:b])  # diagonal * sum(v) == start / (diag_den * scale)
-        totals += [start] * (b - a)
-        dens += [diag_den * scale if start else 1] * (b - a)
+    if diag_num:
+        totals, dens = [], []
+        for scale, a, b in zip(scales, offsets, offsets[1:]):
+            start = diag_num * sum(units[a:b])  # diagonal * sum(v) == start / (diag_den * scale)
+            totals += [start] * (b - a)
+            dens += [diag_den * scale if start else 1] * (b - a)
+    else:
+        totals, dens = [0] * len(units), [1] * len(units)
+    # sid[j] numbers player j's strategy by value: equal strategies share it
+    ids: dict[tuple[int, ...], int] = {}
+    sid = [ids.setdefault((scale, *units[a:b]), len(ids)) for scale, a, b in zip(scales, offsets, offsets[1:])]
+    # (id(mat), sid[j]) -> the rows of mat against strategy j; edges keeps every mat alive
+    weighed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (i, j), mat in edges.items():
-        scale, nums = scales[j], units[offsets[j] : offsets[j + 1]]
-        for r, row in enumerate(mat, offsets[i]):
-            total, den = totals[r], dens[r]
-            for a, n in zip(row, nums):
-                if not n:
-                    continue
-                p = a.numerator
-                if not p:
-                    continue
-                d = a.denominator * scale
-                if d == den:
-                    total += p * n
-                else:
-                    g = gcd(den, d)
-                    total = total * (d // g) + p * n * (den // g)
-                    den = den // g * d
-            totals[r], dens[r] = total, den
+        rows = weighed.get((id(mat), sid[j]))
+        if rows is None:
+            rows = weighed[id(mat), sid[j]] = _weigh(mat, scales[j], units[offsets[j] : offsets[j + 1]])
+        for r, (t, d) in enumerate(rows, offsets[i]):
+            if not t:
+                continue
+            den = dens[r]
+            if d == den:
+                totals[r] += t
+            elif not totals[r]:  # a zero total takes the pair as it is
+                totals[r], dens[r] = t, d
+            else:
+                g = gcd(den, d)
+                totals[r] = totals[r] * (d // g) + t * (den // g)
+                dens[r] = den // g * d
     return totals, dens
+
+
+def _weigh(mat: Matrix, scale: int, nums: Sequence[int]) -> list[tuple[int, int]]:
+    """Each row of ``mat`` times the strategy ``nums / scale``, as an int
+    pair ``(total, den)`` with ``den > 0``.  A term ``a * n / (b * scale)``
+    is skipped when ``n`` or ``a`` is 0, and costs one int add when ``b *
+    scale`` equals the running denominator and one :func:`math.gcd`
+    otherwise."""
+    rows = []
+    for row in mat:
+        total, den = 0, 1
+        for a, n in zip(row, nums):
+            if not n:
+                continue
+            p = a.numerator
+            if not p:
+                continue
+            d = a.denominator * scale
+            if d == den:
+                total += p * n
+            else:
+                g = gcd(den, d)
+                total = total * (d // g) + p * n * (den // g)
+                den = den // g * d
+        rows.append((total, den))
+    return rows
 
 
 def _entry_range(values: Iterable[Rat], lo: Rat, hi: Rat) -> tuple[Rat, Rat]:
@@ -355,8 +395,11 @@ def _scaled_profile(
     indices ``offsets[i]:offsets[i + 1]``, validated and scaled in one pass
     (:func:`_scaled`): ``(scales, units)`` with player ``i``'s strategy
     ``units[a:b] / scales[i]``.  Each player's unit sum is ``sum(nums) ==
-    L``.  A :class:`ScaledProfile` over equal offsets, by identity or by
-    value, hands back its own ints instead."""
+    L``.  Players that hold one tuple object share its scaling: the pass
+    runs over the distinct objects in the order they first appear, so an
+    error names the first player at fault.  A :class:`ScaledProfile` over
+    equal offsets, by identity or by value, hands back its own ints
+    instead."""
     if type(profile) is ScaledProfile and (profile.offsets is offsets or profile.offsets == offsets):
         return profile.scales, profile.units
     counts = [b - a for a, b in zip(offsets, offsets[1:])]
@@ -367,13 +410,25 @@ def _scaled_profile(
     if lengths != counts:
         i = next(i for i, (k, n) in enumerate(zip(lengths, counts)) if k != n)
         raise DimensionMismatch(f"{what} {i} strategy has length {lengths[i]}, expected {counts[i]}")
+    # player i holds distinct object which[i], first held by player firsts[which[i]];
+    # vectors keeps every object, so no id is reused
+    slot: dict[int, int] = {}
+    firsts, which = [], []
+    for i, v in enumerate(vectors):
+        k = slot.setdefault(id(v), len(firsts))
+        if k == len(firsts):
+            firsts.append(i)
+        which.append(k)
+    bounds = tuple(itertools.accumulate((lengths[i] for i in firsts), initial=0))
     scales, units, masses = _scaled(
-        [x for v in vectors for x in v], offsets, lambda i: f"{what} {i} strategy"
+        [x for i in firsts for x in vectors[i]], bounds, lambda k: f"{what} {firsts[k]} strategy"
     )
     if masses != scales:
-        i = next(i for i, (mass, scale) in enumerate(zip(masses, scales)) if mass != scale)
-        raise ParameterError(f"{what} {i} strategy does not sum to 1")
-    return scales, units
+        k = next(k for k, (mass, scale) in enumerate(zip(masses, scales)) if mass != scale)
+        raise ParameterError(f"{what} {firsts[k]} strategy does not sum to 1")
+    parts = [units[a:b] for a, b in zip(bounds, bounds[1:])]
+    spread = itertools.chain.from_iterable(map(parts.__getitem__, which))
+    return list(map(scales.__getitem__, which)), list(spread)
 
 
 def _scaled_blocks(
@@ -723,7 +778,7 @@ class PolymatrixGame:
 
     def expected_payoffs(self, profile: Sequence[Vector]) -> list[Vector]:
         """Expected payoff of each pure strategy of each player, exactly,
-        in O(players + total edge entries)."""
+        in O(players + edges + distinct pairs x entries) (:func:`edge_payoffs`)."""
         _, totals, dens = self._payoff_pairs(profile)
         offsets = self._offsets
         return [tuple(map(Fraction, totals[a:b], dens[a:b])) for a, b in zip(offsets, offsets[1:])]
@@ -962,8 +1017,9 @@ class BimatrixGame:
         """(leader payoff vector ``A y``, follower payoff vector ``B^T x``).
 
         Both are built from int pairs, one ``Fraction`` per payoff.  The
-        structured form costs O(N + total edge entries), and its follower's
-        vector is ``x`` itself, or its normalized image.
+        structured form costs O(N + edges + distinct pairs x entries)
+        (:func:`edge_payoffs`), and its follower's vector is ``x`` itself,
+        or its normalized image.
         """
         x, nums, dens, _ = self._payoff_pairs(x, y)
         n = self.n

@@ -1,6 +1,7 @@
 """The Fraction formulas that the int kernels replaced: the test oracles.
 
 Each function restates, with one ``Fraction`` operation per entry, what
+:func:`nashreduce.model.edge_payoffs`,
 :func:`nashreduce.model._wsne_violations`, the ``verify_wsne`` and
 ``expected_payoffs`` methods of all four game forms, the polymatrix and
 structured ``payoff_range`` methods and :func:`nashreduce.solvers.lift_to_bimatrix`
@@ -67,6 +68,19 @@ def dense_payoffs(game, x, y) -> tuple:
 def dense_verify(game, x, y, eps: Rat, clamped=()) -> tuple:
     """The violations of ``(x, y)`` in a dense bimatrix game."""
     return wsne_violations(dense_payoffs(game, x, y), [x, y], eps, frozenset(clamped))
+
+
+def edge_payoffs(offsets, edges, scales, units, diagonal: Rat = 0) -> list:
+    """``diagonal * sum(v_i) + sum_j M^{ij} v_j`` for every player ``i``,
+    flat like ``units``, where ``v_j = units[a:b] / scales[j]`` over
+    player ``j``'s indices ``a:b``; one Fraction per term."""
+    blocks = [tuple(Fraction(n, s) for n in units[a:b]) for s, a, b in zip(scales, offsets, offsets[1:])]
+    payoffs = [[diagonal * sum(v, Fraction(0))] * len(v) for v in blocks]
+    for (i, j), mat in edges.items():
+        for r, row in enumerate(mat):
+            for a, v in zip(row, blocks[j]):
+                payoffs[i][r] += a * v
+    return [u for block in payoffs for u in block]
 
 
 def polymatrix_payoffs(game, profile) -> list[tuple]:

@@ -423,6 +423,86 @@ def test_recover_eps_override(runner, bimatrixified, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# where a violation sits: each line keeps its old text as a prefix
+
+
+def violation_lines(output) -> list[str]:
+    return [line for line in output.splitlines() if line.startswith("  player ")]
+
+
+def prefix(v) -> str:
+    return (
+        f"  player {v.player}: plays strategy {v.strategy} for {v.payoff} "
+        f"while strategy {v.best_strategy} pays {v.best_payoff}"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_a_polymatrix_violation_names_role_and_scope(runner, linearized, tmp_path, command):
+    game_path, mapping_path, profile_path = linearized
+    game = read_game(game_path)
+    # original 0 and an auxiliary player flipped
+    profile = read_profile(profile_path)
+    flipped = [tuple(reversed(p)) if i in (0, 100) else p for i, p in enumerate(profile)]
+    prof = tmp_path / "flipped.json"
+    write_profile(prof, flipped)
+    eps = R(1, 100000)
+    want = game.verify_wsne(flipped, eps).violations[:5]
+    args = (game_path, prof, "--eps", eps) if command == "verify" else (game_path, mapping_path, prof)
+    result = invoke(runner, command, *args)
+    assert result.exit_code == 1
+    lines = violation_lines(result.output)
+    assert len(lines) == len(want) == 5
+    assert lines[0] == prefix(want[0]) + " (role original, scope input:original[0])"
+    for line, v in zip(lines, want):
+        info = game.players[v.player]
+        assert line == prefix(v) + f" (role {info.role.value}, scope {info.scope})"
+    assert {game.players[v.player].role.value for v in want} == {"original", "gadget_aux"}
+
+
+def test_a_polymatrix_player_without_scope_names_its_role_only(runner, tmp_path):
+    game_path = tmp_path / "poly.json"
+    write_game(game_path, PolymatrixGame((2, 2), {(0, 1): [[R(1), R(0)], [R(0), R(1)]]}))
+    prof = tmp_path / "prof.json"
+    write_profile(prof, [(R(1), R(0)), (R(0), R(1))])
+    result = invoke(runner, "verify", game_path, prof)
+    assert result.exit_code == 1
+    assert violation_lines(result.output) == [
+        "  player 0: plays strategy 0 for 0 while strategy 1 pays 1 (role plain)"
+    ]
+
+
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_a_structured_bimatrix_violation_names_its_blocks(runner, bimatrixified, tmp_path, command):
+    game_path, mapping_path = bimatrixified
+    prof = tmp_path / "prof.json"
+    write_profile(prof, BAD_BIMATRIX_PROFILE)
+    game = read_game(game_path)
+    _, params = read_mapping(mapping_path)
+    want = game.verify_wsne(*BAD_BIMATRIX_PROFILE, params.eps_2).violations
+    args = (game_path, prof, "--eps", params.eps_2) if command == "verify" else (game_path, mapping_path, prof)
+    result = invoke(runner, command, *args)
+    assert result.exit_code == 1
+    lines = violation_lines(result.output)
+    assert len(lines) == len(want) == 4
+    for line, v in zip(lines, want):
+        (i, j), (bi, bj) = game.block_of(v.strategy), game.block_of(v.best_strategy)
+        assert line == prefix(v) + f" (block {i} strategy {j}; best: block {bi} strategy {bj})"
+    # the follower's strategy 3 is block 1's strategy 1
+    assert lines[-1] == (
+        "  player 1: plays strategy 3 for 0 while strategy 0 pays 1/2"
+        " (block 1 strategy 1; best: block 0 strategy 0)"
+    )
+
+
+def test_a_dense_bimatrix_violation_keeps_its_line(runner, pennies_file, tmp_path):
+    prof = tmp_path / "prof.json"
+    write_profile(prof, [(R(1), R(0)), (R(1), R(0))])
+    result = invoke(runner, "verify", pennies_file, prof)
+    assert violation_lines(result.output) == ["  player 1: plays strategy 0 for 0 while strategy 1 pays 1"]
+
+
+# ---------------------------------------------------------------------------
 # gadget
 
 

@@ -2,11 +2,11 @@
 
 ``model._wsne_violations``, the ``verify_wsne`` and ``expected_payoffs``
 methods of all four game forms, the polymatrix and structured
-``payoff_range`` methods and ``solvers.lift_to_bimatrix`` compare and
-weigh on int numerators and denominators; ``kernel_oracles.py`` keeps the
-Fraction formulas they replaced.  Every comparison checks types as well as
-values, so an int where the oracle returns a Fraction (or the reverse)
-fails.
+``payoff_range`` methods, ``model.edge_payoffs`` and
+``solvers.lift_to_bimatrix`` compare and weigh on int numerators and
+denominators; ``kernel_oracles.py`` keeps the Fraction formulas they
+replaced.  Every comparison checks types as well as values, so an int
+where the oracle returns a Fraction (or the reverse) fails.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from fractions import Fraction as F
 import pytest
 
 import kernel_oracles as oracle
-from nashreduce import ParameterError, R
+from nashreduce import ParameterError, R, fileio, model
 from nashreduce.model import (
     BimatrixGame,
     NormalFormGame,
@@ -479,3 +479,186 @@ def test_lift_matches_oracle_on_small_alpha(alpha):
     assert lift_outcome(lift_to_bimatrix, g2, profile, small) == want
     if alpha == R(1, 50):
         assert want == ("ParameterError", "alpha is too small to rebalance the block weights")
+
+
+# ---------------------------------------------------------------------------
+# edge_payoffs: each distinct (matrix object, opponent strategy) pair is
+# weighed once, and its rows are added to every edge that has it
+
+# one 3x3 matrix with an all-zero row, a negative row and a zero in front
+SHARED = ((F(0), F(1, 2), F(-1)), (0, 0, F(0)), (F(-2, 3), F(-1, 6), -1))
+# equal to SHARED by value, a distinct object
+COPY = tuple(tuple(list(row)) for row in SHARED)
+OTHER = ((1, F(1, 3), F(2)), (F(-1), 0, F(1, 5)), (F(1, 7), F(3, 4), 0))
+
+
+def weigh_calls(monkeypatch) -> list:
+    """The argument lists of every ``model._weigh`` call from here on."""
+    calls = []
+    weigh = model._weigh
+    monkeypatch.setattr(model, "_weigh", lambda *args: calls.append(args) or weigh(*args))
+    return calls
+
+
+def distinct_pairs(offsets, edges, scales, units) -> int:
+    """The number of distinct ``(id(mat), strategy value)`` pairs over the edges."""
+    return len(
+        {
+            (id(mat), tuple(F(n, scales[j]) for n in units[offsets[j] : offsets[j + 1]]))
+            for (_, j), mat in edges.items()
+        }
+    )
+
+
+def kernel_case(name: str):
+    """``(offsets, edges, scales, units, diagonal)`` for :func:`edge_payoffs`.
+
+    Six players of three strategies.  Players 1 and 2 play equal units
+    over one scale; player 3 the same units over twice the scale, half the
+    mass, as a follower's block may; player 4 player 1's values in another
+    form; player 5 zero units in front of and between nonzero ones.
+    """
+    offsets = tuple(range(0, 19, 3))
+    scales = (1, 3, 3, 6, 6, 5)
+    units = (1, 0, 0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 2, 4, 0, 5, 0)
+    star = {(i, j): SHARED for i in range(6) for j in range(6) if i != j}
+    edges = {
+        # one matrix object against every opponent
+        "shared": star,
+        # equal values held by distinct objects, beside a third matrix
+        "copies": {**star, **{key: COPY for key in star if sum(key) % 2}, (0, 5): OTHER, (5, 0): OTHER},
+        # a sparse game: players 1 and 3 have no out-edges
+        "sparse": {(0, 1): SHARED, (2, 3): SHARED, (4, 1): OTHER, (5, 2): SHARED, (0, 4): COPY},
+    }[name.split("-")[0]]
+    diagonal = -F(7, 2) if name.endswith("-diagonal") else 0
+    return offsets, edges, scales, units, diagonal
+
+
+KERNEL_CASES = [f"{edges}{diag}" for edges in ("shared", "copies", "sparse") for diag in ("", "-diagonal")]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_edge_payoffs_match_oracle(name, monkeypatch):
+    offsets, edges, scales, units, diagonal = kernel_case(name)
+    calls = weigh_calls(monkeypatch)
+    totals, dens = model.edge_payoffs(offsets, edges, scales, units, diagonal)
+    assert {type(v) for v in totals + dens} == {int}
+    assert min(dens) > 0
+    assert list(map(F, totals, dens)) == oracle.edge_payoffs(offsets, edges, scales, units, diagonal)
+    # player 4's strategy equals player 1's in another form: it misses the cache
+    assert distinct_pairs(offsets, edges, scales, units) <= len(calls) < len(edges)
+    assert len({(id(mat), scale, nums) for mat, scale, nums in calls}) == len(calls)
+
+
+def test_equal_units_under_different_scales_are_weighed_apart(monkeypatch):
+    offsets, edges, scales, units, _ = kernel_case("shared")
+    calls = weigh_calls(monkeypatch)
+    model.edge_payoffs(offsets, {(0, 2): SHARED, (0, 3): SHARED, (1, 2): SHARED}, scales, units)
+    assert [(scale, tuple(nums)) for _, scale, nums in calls] == [(3, (0, 1, 2)), (6, (0, 1, 2))]
+
+
+def cache_polymatrix() -> tuple[PolymatrixGame, list[tuple]]:
+    """A polymatrix game whose edges share few matrix objects, with a
+    profile whose players share tuple objects and values."""
+    pure, third = (1, 0, 0), (0, F(1, 3), F(2, 3))
+    profile = [pure, third, third, (0, F(1, 3), F(2, 3)), (F(0), F(2, 6), F(4, 6)), (0, 1, 0), pure]
+    edges = {(i, j): SHARED for i in range(7) for j in range(7) if i != j and (i * j) % 3 != 1}
+    edges.update({(0, 6): COPY, (6, 0): COPY, (3, 4): OTHER, (4, 3): OTHER, (5, 1): OTHER})
+    return PolymatrixGame((3,) * 7, edges), profile
+
+
+def test_polymatrix_verify_on_shared_matrices_matches_oracle(monkeypatch):
+    game, profile = cache_polymatrix()
+    calls = weigh_calls(monkeypatch)
+    assert_same(game.expected_payoffs(profile), oracle.polymatrix_payoffs(game, profile))
+    assert len(calls) < len(game.edges)
+    found = 0
+    for eps in (0, F(1, 6), 1):
+        for clamped in ((), (0, 6)):
+            want = oracle.polymatrix_verify(game, profile, eps, clamped)
+            got = game.verify_wsne(profile, eps, clamped=clamped)
+            assert_same(got.violations, want)
+            assert got.ok is not want
+            found += len(want)
+    assert found
+
+
+def follower_with_equal_units(offsets) -> ScaledStrategy:
+    """Blocks 1 and 2 play the units ``(0, 1, 2)`` over the scales 12 and 6,
+    blocks 0 and 3 the units ``(1, 0, 0)`` over 8 and 24, and the rest
+    split the remaining mass: equal units under different scales."""
+    blocks = [(8, (1, 0, 0)), (12, (0, 1, 2)), (6, (0, 1, 2)), (24, (1, 0, 0))]
+    rest = 1 - sum(F(sum(nums), scale) for scale, nums in blocks)
+    m = len(offsets) - 1
+    share = rest / (m - len(blocks))
+    blocks += [(share.denominator * 3, (0, share.numerator * 3, 0))] * (m - len(blocks))
+    return ScaledStrategy(offsets, [s for s, _ in blocks], [n for _, nums in blocks for n in nums])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_structured_verify_on_shared_matrices_matches_oracle(normalized):
+    gm, profile = cache_polymatrix()
+    g2 = BimatrixGame.structured(gm, R(7, 2), normalized)
+    y = follower_with_equal_units(g2._offsets)
+    leader = tuple(int(r == 4) for r in range(g2.n))
+    cases = [(leader, y), (y, y), (flat(profile[:1]) + (0,) * (g2.n - 3), tuple(y))]
+    found = set()
+    for x, follower in cases:
+        assert_same(g2.expected_payoffs(x, follower), oracle.structured_payoffs(g2, x, follower))
+        for eps in (0, F(1, 6)):
+            want = oracle.structured_verify(g2, x, follower, eps)
+            assert_same(g2.verify_wsne(x, follower, eps).violations, want)
+            found |= {v.player for v in want}
+    assert found == {0, 1}
+
+
+def test_dense_verify_with_equal_strategies_matches_oracle():
+    # a symmetric game: B^T equals A by value, and both players play alike
+    a = [list(row) for row in ((F(1, 2), 0, 1), (F(1, 3), F(2, 3), 0), (0, 1, F(1, 4)))]
+    game = BimatrixGame.dense(a, [list(col) for col in zip(*a)])
+    for x in ((F(1, 3),) * 3, (0, F(1, 2), F(1, 2)), (1, 0, 0)):
+        assert_same(game.expected_payoffs(x, x), oracle.dense_payoffs(game, x, x))
+        for eps in (0, F(1, 6)):
+            assert_same(game.verify_wsne(x, x, eps).violations, oracle.dense_verify(game, x, x, eps))
+
+
+def test_normal_form_verify_with_equal_strategies_matches_oracle():
+    rng = random.Random(11)
+    counts = (3, 3, 3)
+    payoffs = [[[exact_entry(rng) for _ in range(9)] for _ in range(3)] for _ in range(3)]
+    game = NormalFormGame(counts, payoffs)
+    third = (0, F(1, 3), F(2, 3))
+    for profile in ([third] * 3, [third, (0, F(1, 3), F(2, 3)), (1, 0, 0)], [(0, 0, 1)] * 3):
+        assert_same(game.expected_payoffs(profile), oracle.normal_form_payoffs(game, profile))
+        for eps in (0, F(1, 6)):
+            want = oracle.normal_form_verify(game, profile, eps)
+            assert_same(game.verify_wsne(profile, eps).violations, want)
+
+
+def test_the_check_sequence_weighs_each_distinct_pair_once(reduced, tmp_path, monkeypatch):
+    """Both verifies and ``lift_to_bimatrix`` of reduce-log's check sequence,
+    on a 2x2x2 log reduction read back from its file: each weighs exactly
+    its distinct (matrix object, strategy value) pairs, far fewer than its
+    edges.  A guard on the structure that needs no clock."""
+    gm, lin_params, g2, bi_map, bi_params, poly = reduced
+    fileio.write_game(tmp_path / "g.json", g2)
+    g2_read = fileio.read_game(tmp_path / "g.json")
+    calls = weigh_calls(monkeypatch)
+    counts = {}
+
+    def count(stage, call, edges, strategy):
+        del calls[:]
+        result = call()
+        pairs = distinct_pairs(gm._offsets, edges, strategy.scales, strategy.units)
+        counts[stage] = (len(calls), pairs, len(edges))
+        return result
+
+    assert count("poly_verify", lambda: gm.verify_wsne(poly, lin_params.eps_m).ok, gm.edges, poly)
+    x, y = count("lift_to_bimatrix", lambda: lift_to_bimatrix(g2_read, poly, bi_map), g2_read.edges, poly)
+    verified = count("bimatrix_verify", lambda: g2_read.verify_wsne(x, y, bi_params.eps_2), g2_read.edges, y)
+    assert verified.ok
+    for weighed, distinct, edges in counts.values():
+        assert weighed == distinct
+        assert weighed * 10 < edges
+    # the follower's blocks carry their weights: more distinct strategies
+    assert counts["bimatrix_verify"][0] > counts["poly_verify"][0]

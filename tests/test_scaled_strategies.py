@@ -243,6 +243,49 @@ def test_a_profile_of_other_players_takes_the_full_pass():
             other.verify_wsne(profile, 0)
 
 
+def error_of(call) -> tuple:
+    try:
+        return ("ok", call())
+    except (DimensionMismatch, ParameterError) as err:
+        return (type(err), str(err))
+
+
+SHARED_FAULTS = {
+    # tuples that players 3 and 7 share, and that player 1 holds as a copy
+    "negative_entry": (F(3, 2), F(-1, 2)),
+    "sum_not_one": (F(1, 2), F(1, 3)),
+    "float_entry": (0.5, 0.5),
+    "good": (F(1, 3), F(2, 3)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHARED_FAULTS))
+@pytest.mark.parametrize("copy_at", [None, 1, 5])
+def test_a_shared_tuple_is_scaled_once_and_faults_name_the_first_player(fault, copy_at, monkeypatch):
+    """A tuple object that several players hold is scaled once; an error
+    is the one that the same profile of distinct copies raises, naming
+    the first player at fault."""
+    gm = random_polymatrix(1, (2,) * 9, lo=R(-1), hi=R(2))
+    shared = SHARED_FAULTS[fault]
+    profile = [(F(1, 2), F(1, 2))] * 9
+    profile[3] = profile[7] = shared
+    if copy_at is not None:
+        profile[copy_at] = tuple(list(shared))
+    copies = [tuple(list(p)) for p in profile]
+    scaled = model._scaled
+    lengths = []
+    monkeypatch.setattr(model, "_scaled", lambda v, *args: lengths.append(len(v)) or scaled(v, *args))
+    for call in (lambda p: gm.verify_wsne(p, R(1, 10)), gm.expected_payoffs):
+        got, want = error_of(lambda: call(profile)), error_of(lambda: call(copies))
+        assert got == want
+    first = min(i for i in (3, copy_at) if i is not None)
+    if fault != "good":
+        assert want[1].startswith(f"player {first} strategy")
+    # the shared objects, the copy and the common (1/2, 1/2) are scaled once each
+    assert lengths[::2] == [2 * (2 + (copy_at is not None))] * 2
+    assert lengths[1::2] == [2 * 9] * 2
+
+
 def test_a_zero_block_fails_for_scaled_and_plain_alike():
     g2, mapping, _ = seeded_cases(0)
     y = random_scaled(random.Random(9), g2._offsets, played=[0, 2])
