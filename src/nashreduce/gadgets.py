@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._rational import Fraction, rational
@@ -142,27 +143,33 @@ class GadgetInfo:
     kind: str
     arity: int | None  # None: variable (scaled_sum)
     takes_zeta: bool
-    aux_players: int | None  # None: depends on parameters
     error_band: str
     summary: str
+
+    @property
+    def aux_players(self) -> int | None:
+        """1 for a two-cycle, 0 for a decision gadget, None for a composite
+        (its count depends on its parameters)."""
+        primitive = PRIMITIVES.get(self.kind)
+        return None if primitive is None else int(primitive.two_cycle)
 
 
 GADGET_INFO: dict[str, GadgetInfo] = {
     info.kind: info
     for info in [
-        GadgetInfo("threshold", 1, True, 0, "decision", "1 if v1 > z, 0 if v1 < z (eps margin)"),
-        GadgetInfo("and", 2, False, 0, "decision", "1 if v1 = v2 = 1, 0 if either is 0 (eps < 1/4)"),
-        GadgetInfo("scaled_sum", None, True, 1, "1*eps", "min(z*(v1+...+vm), 1)"),
-        GadgetInfo("compare", 2, False, 0, "decision", "1 if v1 < v2, 0 if v1 > v2 (eps margin)"),
-        GadgetInfo("minus", 2, False, 1, "1*eps", "max(0, v2 - v1)"),
-        GadgetInfo("complement", 1, False, 1, "1*eps", "1 - v1"),
-        GadgetInfo("assign", 0, True, 1, "1*eps", "the constant z"),
-        GadgetInfo("scale", 1, True, 1, "1*eps", "z * v1"),
-        GadgetInfo("mask", 2, False, 1, "3*eps", "v2 if v1 = 1; 0 if v1 = 0; near 0 if v2 near 0"),
-        GadgetInfo("max", 2, False, None, "4*eps", "max(v1, v2)"),
-        GadgetInfo("min", 2, False, None, "8*eps", "min(v1, v2)"),
-        GadgetInfo("median", 3, False, None, "20*eps", "median(v1, v2, v3)"),
-        GadgetInfo("bit_extract", 1, False, None, "bit decisions", "beta binary digits of v1"),
+        GadgetInfo("threshold", 1, True, "decision", "1 if v1 > z, 0 if v1 < z (eps margin)"),
+        GadgetInfo("and", 2, False, "decision", "1 if v1 = v2 = 1, 0 if either is 0 (eps < 1/4)"),
+        GadgetInfo("scaled_sum", None, True, "1*eps", "min(z*(v1+...+vm), 1)"),
+        GadgetInfo("compare", 2, False, "decision", "1 if v1 < v2, 0 if v1 > v2 (eps margin)"),
+        GadgetInfo("minus", 2, False, "1*eps", "max(0, v2 - v1)"),
+        GadgetInfo("complement", 1, False, "1*eps", "1 - v1"),
+        GadgetInfo("assign", 0, True, "1*eps", "the constant z"),
+        GadgetInfo("scale", 1, True, "1*eps", "z * v1"),
+        GadgetInfo("mask", 2, False, "3*eps", "v2 if v1 = 1; 0 if v1 = 0; near 0 if v2 near 0"),
+        GadgetInfo("max", 2, False, "4*eps", "max(v1, v2)"),
+        GadgetInfo("min", 2, False, "8*eps", "min(v1, v2)"),
+        GadgetInfo("median", 3, False, "20*eps", "median(v1, v2, v3)"),
+        GadgetInfo("bit_extract", 1, False, "bit decisions", "beta binary digits of v1"),
     ]
 }
 
@@ -314,21 +321,6 @@ def _check_zeta(zeta: Rat) -> Rat:
     return zeta
 
 
-def _pops_on_error(build: Callable) -> Callable:
-    """A composite builder that, when it raises, leaves no composite open."""
-
-    @wraps(build)
-    def run(circuit: "GadgetCircuit", *args, **kwargs):
-        depth = len(circuit._scope_stack)
-        try:
-            return build(circuit, *args, **kwargs)
-        except BaseException:
-            del circuit._spec_stack[depth + 1 :], circuit._scope_stack[depth:]
-            raise
-
-    return run
-
-
 class GadgetCircuit:
     """Accumulates players, payoff edges, and gadget records; freezes to a game.
 
@@ -337,6 +329,14 @@ class GadgetCircuit:
     gadgets), which keeps the wiring acyclic by construction.  Builders
     create their own output player unless ``out=`` hands them an existing
     undriven binary player to drive (each player can be driven only once).
+
+    A composite, here or in :mod:`nashreduce.multipliers`, checks its
+    parameters and builds inside :meth:`_composite`, which first resolves
+    its inputs (a :class:`Tap` or a plain ``(player, strategy)`` pair) and
+    checks ``out``.  The gadgets built inside record under it, and its kind
+    joins their players' scopes.  On exit it records its
+    :class:`GadgetSpec` with the outputs the body gave it; if the body
+    raises, it records nothing, and :meth:`lift` names the players made.
 
     Edges share frozen templates, one per shape of tap read; only an edge
     two gadgets write is an accumulator.  A gadget that a circuit repeats,
@@ -353,11 +353,10 @@ class GadgetCircuit:
         # an accumulator list, or a frozen matrix other edges may share
         self._edges: dict[tuple[int, int], Any] = {}
         self._specs: list[GadgetSpec | _Stamp] = []  # a stamp stands for its laid-out spec
-        self._spec_stack: list[list[GadgetSpec | _Stamp]] = [self._specs]
-        self._scope_stack: list[str] = []
+        # one (scope prefix, recorded specs) per open composite, under the top level
+        self._frames: list[tuple[str, list[GadgetSpec | _Stamp]]] = [("", self._specs)]
         self._inputs: set[int] = set()
         self._driven: set[int] = set()
-        self._defined: set[int] = set()
         self._recordings: dict[tuple, _Recording] = {}
         # (input size, tapped strategy, col0, col1, entry types) -> matrix
         self._templates: dict[tuple, tuple] = {}
@@ -403,7 +402,6 @@ class GadgetCircuit:
         name = label or str(len(self._inputs))
         idx = self.add_player(n, role, f"input:{name}")
         self._inputs.add(idx)
-        self._defined.add(idx)
         return Tap(idx, 1)
 
     def add_edge_matrix(self, i: int, j: int, matrix: Sequence[Sequence[Rat]]) -> None:
@@ -467,7 +465,7 @@ class GadgetCircuit:
     # -- gadget plumbing -------------------------------------------------------
 
     def _scope(self, kind: str) -> str:
-        return "/".join(self._scope_stack + [kind])
+        return self._frames[-1][0] + kind
 
     def _resolve_taps(self, taps: Iterable[Tap]) -> tuple[Tap, ...]:
         out = []
@@ -478,7 +476,7 @@ class GadgetCircuit:
                 raise ParameterError(
                     f"tap strategy {tap.strategy} outside player {tap.player}'s range"
                 )
-            if tap.player not in self._defined:
+            if tap.player not in self._driven and tap.player not in self._inputs:
                 raise CycleDetected(
                     f"player {tap.player} carries no value yet; gadget wiring must "
                     "be acyclic (inputs first, then gadgets in evaluation order)"
@@ -504,41 +502,36 @@ class GadgetCircuit:
         if out is None:
             idx = self.add_player(2, Role.GADGET_AUX, self._scope(kind))
             self._driven.add(idx)
-            self._defined.add(idx)
             return Tap(idx, 1), (idx,)
         self._check_output(out)
         out = Tap(*out)
         self._driven.add(out.player)
-        self._defined.add(out.player)
         return out, ()
 
     def _aux(self, kind: str) -> int:
         idx = self.add_player(2, Role.GADGET_AUX, self._scope(kind) + ":aux")
         self._driven.add(idx)
-        self._defined.add(idx)
         return idx
 
     def _record(self, spec: GadgetSpec | _Stamp) -> None:
-        self._spec_stack[-1].append(spec)
+        self._frames[-1][1].append(spec)
 
-    def _begin_composite(self, kind: str) -> list[GadgetSpec]:
-        inner: list[GadgetSpec] = []
-        self._spec_stack.append(inner)
-        self._scope_stack.append(kind)
-        return inner
-
-    def _end_composite(
-        self,
-        kind: str,
-        inputs: tuple[Tap, ...],
-        outputs: tuple[Tap, ...],
-        params: tuple[tuple[str, Any], ...] = (),
-    ) -> GadgetSpec:
-        inner = self._spec_stack.pop()
-        self._scope_stack.pop()
-        spec = GadgetSpec(kind, inputs, outputs, params, internal=tuple(inner))
-        self._record(spec)
-        return spec
+    @contextmanager
+    def _composite(
+        self, kind: str, inputs: Iterable[Tap], out: Tap | None = None, params: tuple[tuple[str, Any], ...] = ()
+    ) -> Iterator[list[Tap]]:
+        """Build composite ``kind`` in the body, which appends its outputs to
+        the list this yields; see the class docstring."""
+        taps = self._resolve_taps(inputs)
+        self._check_output(out)
+        inner: list[GadgetSpec | _Stamp] = []
+        outputs: list[Tap] = []
+        self._frames.append((f"{self._frames[-1][0]}{kind}/", inner))
+        try:
+            yield outputs
+        finally:
+            self._frames.pop()
+        self._record(GadgetSpec(kind, taps, tuple(outputs), params, internal=tuple(inner)))
 
     def _build_repeated(
         self, key: tuple, build: Callable[[Tap, Tap, Tap | None], Tap], in1: Tap, in2: Tap, out: Tap | None
@@ -550,7 +543,7 @@ class GadgetCircuit:
         once per input size and tapped strategy.  Two inputs on one player
         are always built.
         """
-        key = (key, out is not None, tuple(self._scope_stack))
+        key = (key, out is not None, self._frames[-1][0])
         rec = self._recordings.get(key)
         if rec is None:
             base, outer, self._edges = self.num_players, self._edges, {}
@@ -560,17 +553,14 @@ class GadgetCircuit:
                 delta, self._edges = self._edges, outer
                 for edge, acc in delta.items():
                     self._merge(edge, acc)
-            spec = self._spec_stack[-1][-1]
+            spec = self._frames[-1][1][-1]
             taps = {tap.player: tap.strategy for tap in spec.inputs}
             if len(taps) < 2:
                 return p
-            try:  # a build with an inexact entry is not recorded; combine rejects it
-                frozen = [(edge, make_matrix(acc)) for edge, acc in delta.items()]
-            except ParameterError:
-                return p
             interned: dict = {}
             edges = []
-            for (i, j), mat in frozen:
+            for (i, j), acc in delta.items():
+                mat = make_matrix(acc)
                 if j in taps:
                     cols = tuple(zip(*mat))
                     mat = _TapColumns(cols[taps[j]], cols[taps[j] - 1])
@@ -592,7 +582,6 @@ class GadgetCircuit:
         self._counts += rec.counts
         self._players += rec.players
         self._driven.update(range(rec.base + shift, self.num_players))
-        self._defined.update(range(rec.base + shift, self.num_players))
         for (i, j), mat in rec.edges:
             i = i + shift if i >= rec.base else where[i].player
             if j >= rec.base:
@@ -679,46 +668,33 @@ class GadgetCircuit:
 
     # -- composite builders ------------------------------------------------------
 
-    @_pops_on_error
     def build_max(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output max(value(in1), value(in2)), within 4 eps."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        self._check_output(out)
-        self._begin_composite("max")
-        is_less = self.build_compare(in1, in2)
-        excess = self.build_minus(in1, in2)  # max(0, v2 - v1)
-        gated = self.build_mask(is_less, excess)
-        p = self.build_scaled_sum([gated, in1], rational(1), out=out)
-        self._end_composite("max", (in1, in2), (p,))
-        return p
+        with self._composite("max", (in1, in2), out) as outputs:
+            is_less = self.build_compare(in1, in2)
+            excess = self.build_minus(in1, in2)  # max(0, v2 - v1)
+            gated = self.build_mask(is_less, excess)
+            outputs.append(self.build_scaled_sum([gated, in1], rational(1), out=out))
+        return outputs[0]
 
-    @_pops_on_error
     def build_min(self, in1: Tap, in2: Tap, out: Tap | None = None) -> Tap:
         """Output min(value(in1), value(in2)), within 8 eps."""
-        in1, in2 = self._resolve_taps([in1, in2])
-        self._check_output(out)
-        self._begin_composite("min")
-        not1 = self.build_complement(in1)
-        not2 = self.build_complement(in2)
-        biggest = self.build_max(not1, not2)
-        p = self.build_complement(biggest, out=out)
-        self._end_composite("min", (in1, in2), (p,))
-        return p
+        with self._composite("min", (in1, in2), out) as outputs:
+            not1 = self.build_complement(in1)
+            not2 = self.build_complement(in2)
+            biggest = self.build_max(not1, not2)
+            outputs.append(self.build_complement(biggest, out=out))
+        return outputs[0]
 
-    @_pops_on_error
     def build_median(self, in1: Tap, in2: Tap, in3: Tap, out: Tap | None = None) -> Tap:
         """Output the median of the three values, within 20 eps."""
-        in1, in2, in3 = self._resolve_taps([in1, in2, in3])
-        self._check_output(out)
-        self._begin_composite("median")
-        hi12 = self.build_max(in1, in2)
-        lo12 = self.build_min(in1, in2)
-        capped = self.build_min(in3, hi12)
-        p = self.build_max(lo12, capped, out=out)
-        self._end_composite("median", (in1, in2, in3), (p,))
-        return p
+        with self._composite("median", (in1, in2, in3), out) as outputs:
+            hi12 = self.build_max(in1, in2)
+            lo12 = self.build_min(in1, in2)
+            capped = self.build_min(in3, hi12)
+            outputs.append(self.build_max(lo12, capped, out=out))
+        return outputs[0]
 
-    @_pops_on_error
     def build_bit_extract(self, in1: Tap, beta: int, eps: Rat | None = None) -> tuple[Tap, ...]:
         """The first ``beta`` binary digits of value(in1), most significant first.
 
@@ -732,18 +708,14 @@ class GadgetCircuit:
             raise ParameterError(
                 f"bit extraction with beta={beta} needs eps <= 1/(48*beta*2^beta), got {eps}"
             )
-        (in1,) = self._resolve_taps([in1])
-        self._begin_composite("bit_extract")
-        x = self.build_copy(in1)
-        bits: list[Tap] = []
-        for i in range(1, beta + 1):
-            weight = rational(1, 2**i)
-            bit = self.build_threshold(x, weight)
-            bits.append(bit)
-            if i < beta:
-                taken = self.build_scale(bit, weight)
-                x = self.build_minus(taken, x)  # max(0, x - taken)
-        self._end_composite("bit_extract", (in1,), tuple(bits), (("beta", beta),))
+        with self._composite("bit_extract", (in1,), params=(("beta", beta),)) as bits:
+            x = self.build_copy(in1)
+            for i in range(1, beta + 1):
+                weight = rational(1, 2**i)
+                bits.append(self.build_threshold(x, weight))
+                if i < beta:
+                    taken = self.build_scale(bits[-1], weight)
+                    x = self.build_minus(taken, x)  # max(0, x - taken)
         return tuple(bits)
 
     # -- freezing and lifting ------------------------------------------------------

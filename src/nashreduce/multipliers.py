@@ -1,5 +1,8 @@
 """Linear multiplication gadgets.
 
+Every builder here is a composite gadget, built through the protocol that
+:class:`~nashreduce.gadgets.GadgetCircuit` describes.
+
 A multiplication gadget forces its output player to carry (approximately)
 the product of its two input values, using only pairwise payoffs.  Two
 constructions are provided, trading size against accuracy:
@@ -28,7 +31,7 @@ from typing import Any, Sequence
 
 from ._rational import iceil, rational
 from .errors import ParameterError
-from .gadgets import GadgetCircuit, Tap, _pops_on_error
+from .gadgets import GadgetCircuit, Tap
 from .model import _check_exact
 
 Rat = Any
@@ -129,7 +132,6 @@ def _check_brittle_eps(eps: Rat, beta: int) -> None:
 # builders
 
 
-@_pops_on_error
 def build_unary_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -142,22 +144,18 @@ def build_unary_multiplier(
     _check_exact((eps,), "eps")
     if eps <= 0 or eps > UNARY_POLY.eps0:
         raise ParameterError(f"unary multiplier needs 0 < eps <= 1/4, got {eps}")
-    circuit._check_output(out)
     tau = 3 * eps
     cells = unary_cells(eps)
     one = rational(1)
-    circuit._begin_composite("unary_mult")
-    lit1 = [circuit.build_threshold(in1, min(i * tau, one)) for i in range(1, cells + 1)]
-    lit2 = [circuit.build_threshold(in2, min(i * tau, one)) for i in range(1, cells + 1)]
-    grid = [circuit.build_and(a, b) for a in lit1 for b in lit2]
-    p = circuit.build_scaled_sum(grid, tau * tau, out=out)
-    circuit._end_composite(
-        "unary_mult", (in1, in2), (p,), (("eps", eps), ("tau", tau), ("cells", cells))
-    )
-    return p
+    params = (("eps", eps), ("tau", tau), ("cells", cells))
+    with circuit._composite("unary_mult", (in1, in2), out, params) as outputs:
+        lit1 = [circuit.build_threshold(in1, min(i * tau, one)) for i in range(1, cells + 1)]
+        lit2 = [circuit.build_threshold(in2, min(i * tau, one)) for i in range(1, cells + 1)]
+        grid = [circuit.build_and(a, b) for a in lit1 for b in lit2]
+        outputs.append(circuit.build_scaled_sum(grid, tau * tau, out=out))
+    return outputs[0]
 
 
-@_pops_on_error
 def build_brittle_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -170,22 +168,17 @@ def build_brittle_multiplier(
     _check_exact((eps,), "eps")
     beta = beta_for_eps(eps)
     _check_brittle_eps(eps, beta)
-    circuit._check_output(out)
-    circuit._begin_composite("brittle_mult")
-    bits = circuit.build_bit_extract(in1, beta)
-    gated = []
-    for i, bit in enumerate(bits, start=1):
-        weight = rational(1, 2**i)
-        share = circuit.build_scale(in2, weight)
-        gated.append(circuit.build_mask(bit, share))
-    p = circuit.build_scaled_sum(gated, rational(1), out=out)
-    circuit._end_composite(
-        "brittle_mult", (in1, in2), (p,), (("eps", eps), ("beta", beta))
-    )
-    return p
+    with circuit._composite("brittle_mult", (in1, in2), out, (("eps", eps), ("beta", beta))) as outputs:
+        bits = circuit.build_bit_extract(in1, beta)
+        gated = []
+        for i, bit in enumerate(bits, start=1):
+            weight = rational(1, 2**i)
+            share = circuit.build_scale(in2, weight)
+            gated.append(circuit.build_mask(bit, share))
+        outputs.append(circuit.build_scaled_sum(gated, rational(1), out=out))
+    return outputs[0]
 
 
-@_pops_on_error
 def build_robust_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -206,26 +199,17 @@ def build_robust_multiplier(
         raise ParameterError(
             f"eps={eps} makes the staggering floor {floor_value} exceed 1"
         )
-    circuit._check_output(out)
-    circuit._begin_composite("robust_mult")
-    floor_const = circuit.build_assign(floor_value)
-    raised = circuit.build_max(in1, floor_const)
-    shift1 = circuit.build_assign(delta)
-    shift2 = circuit.build_assign(2 * delta)
-    lowered1 = circuit.build_minus(shift1, raised)  # max(0, raised - delta)
-    lowered2 = circuit.build_minus(shift2, raised)  # max(0, raised - 2*delta)
-    votes = [
-        build_brittle_multiplier(circuit, x, in2, eps)
-        for x in (raised, lowered1, lowered2)
-    ]
-    p = circuit.build_median(*votes, out=out)
-    circuit._end_composite(
-        "robust_mult",
-        (in1, in2),
-        (p,),
-        (("eps", eps), ("beta", beta), ("delta", delta)),
-    )
-    return p
+    params = (("eps", eps), ("beta", beta), ("delta", delta))
+    with circuit._composite("robust_mult", (in1, in2), out, params) as outputs:
+        floor_const = circuit.build_assign(floor_value)
+        raised = circuit.build_max(in1, floor_const)
+        shift1 = circuit.build_assign(delta)
+        shift2 = circuit.build_assign(2 * delta)
+        lowered1 = circuit.build_minus(shift1, raised)  # max(0, raised - delta)
+        lowered2 = circuit.build_minus(shift2, raised)  # max(0, raised - 2*delta)
+        votes = [build_brittle_multiplier(circuit, x, in2, eps) for x in (raised, lowered1, lowered2)]
+        outputs.append(circuit.build_median(*votes, out=out))
+    return outputs[0]
 
 
 def build_multiplier(
@@ -246,7 +230,6 @@ def build_multiplier(
     )
 
 
-@_pops_on_error
 def build_multiplication_chain(
     circuit: GadgetCircuit,
     inputs: Sequence[Tap],
@@ -259,24 +242,14 @@ def build_multiplication_chain(
     taps = list(inputs)
     if not taps:
         raise ParameterError("a multiplication chain needs at least one input")
+    _check_exact((eps,), "eps")
     get_params(construction)
-    circuit._check_output(out)
-    circuit._begin_composite("mult_chain")
-    if len(taps) == 1:
-        acc = circuit.build_copy(taps[0], out=out)
-    else:
-        acc = taps[0]
-        for pos, nxt in enumerate(taps[1:]):
-            last = pos == len(taps) - 2
-            acc = build_multiplier(
-                circuit, acc, nxt, eps, construction, out=out if last else None
-            )
-    circuit._end_composite(
-        "mult_chain",
-        tuple(taps),
-        (acc,),
-        (("eps", eps), ("construction", construction), ("m", len(taps))),
-    )
+    params = (("eps", eps), ("construction", construction), ("m", len(taps)))
+    with circuit._composite("mult_chain", taps, out, params) as outputs:
+        acc = taps[0] if len(taps) > 1 else circuit.build_copy(taps[0], out=out)
+        for m, nxt in enumerate(taps[1:], start=2):
+            acc = build_multiplier(circuit, acc, nxt, eps, construction, out=out if m == len(taps) else None)
+        outputs.append(acc)
     return acc
 
 

@@ -519,6 +519,11 @@ def test_gadget_list_json(runner):
     data = json.loads(result.output)
     assert set(data) == set(GADGET_KINDS)
     assert data["median"]["error_band"] == "20*eps"
+    two_cycles = {"scaled_sum", "minus", "complement", "assign", "scale", "mask"}
+    decisions = {"threshold", "and", "compare"}
+    assert {kind: info["aux_players"] for kind, info in data.items()} == {
+        kind: 1 if kind in two_cycles else 0 if kind in decisions else None for kind in GADGET_KINDS
+    }
 
 
 @pytest.mark.parametrize(

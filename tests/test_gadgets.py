@@ -29,6 +29,8 @@ from nashreduce import (
 from nashreduce.gadgets import GADGET_INFO, GADGET_KINDS, GadgetCircuit, Tap, spec_player_count
 from nashreduce.multipliers import (
     build_brittle_multiplier,
+    build_multiplication_chain,
+    build_multiplier,
     build_robust_multiplier,
     build_unary_multiplier,
 )
@@ -427,11 +429,15 @@ def test_zeta_range_checked():
             c.build_assign(bad)
 
 
+def assert_no_frame_open(c):
+    assert c._frames == [("", c._specs)]
+
+
 def assert_untouched(c, players):
     """``c`` holds ``players`` players, no spec, and no open composite."""
     assert c.num_players == players
     assert c.specs == ()
-    assert (c._scope_stack, len(c._spec_stack)) == ([], 1)
+    assert_no_frame_open(c)
 
 
 ZETA_BUILDERS = {
@@ -458,6 +464,8 @@ MULTIPLIERS = {
     "unary": build_unary_multiplier,
     "brittle": build_brittle_multiplier,
     "robust": build_robust_multiplier,
+    "chain-1": lambda c, a, b, eps: build_multiplication_chain(c, [a], eps, "log"),
+    "chain-2": lambda c, a, b, eps: build_multiplication_chain(c, [a, b], eps, "log"),
 }
 
 
@@ -500,7 +508,8 @@ def test_a_composite_checks_out_before_any_player_is_made(kind, bad):
     with pytest.raises(cls, match=message):
         COMPOSITES[kind](c, a, b, out)
     assert c.num_players == 5
-    assert (c._scope_stack, len(c._spec_stack), len(c.specs)) == ([], 1, 1)
+    assert len(c.specs) == 1
+    assert_no_frame_open(c)
 
 
 def test_a_failed_composite_leaves_no_composite_open():
@@ -515,16 +524,73 @@ def test_a_failed_composite_leaves_no_composite_open():
     assert c.lift({a.player: R(3, 4), b.player: R(0)})[p.player] == (R(0), R(1))
 
 
-def test_a_composite_that_runs_out_of_players_pops_its_scopes():
-    c = GadgetCircuit(player_budget=12)
-    a, b = c.add_input(), c.add_input()
+# every composite builder, on inputs a (a wide player's strategy 2), b and d
+EVERY_COMPOSITE = {
+    "max": lambda c, a, b, d: c.build_max(a, b),
+    "min": lambda c, a, b, d: c.build_min(a, b),
+    "median": lambda c, a, b, d: c.build_median(a, b, d),
+    "bit_extract": lambda c, a, b, d: c.build_bit_extract(a, 3),
+    "unary_mult": lambda c, a, b, d: build_unary_multiplier(c, a, b, R(1, 10)),
+    "brittle_mult": lambda c, a, b, d: build_brittle_multiplier(c, a, b, R(1, 1000)),
+    "robust_mult": lambda c, a, b, d: build_robust_multiplier(c, a, b, R(1, 1000)),
+    "mult_chain": lambda c, a, b, d: build_multiplication_chain(c, [a, b, d], R(1, 1000), "log"),
+}
+
+
+def three_inputs(c):
+    return Tap(c.add_input(n=3).player, 2), c.add_input(), Tap(c.add_input().player, 0)
+
+
+@pytest.mark.parametrize("kind", EVERY_COMPOSITE)
+def test_a_composite_that_runs_out_of_players_pops_its_scopes(kind):
+    full = GadgetCircuit()
+    EVERY_COMPOSITE[kind](full, *three_inputs(full))
+    c = GadgetCircuit(player_budget=5 + (full.num_players - 3) // 2)  # half the composite's players
+    inputs = three_inputs(c)
+    c.build_copy(inputs[0])  # players 3 and 4
+    specs = c.specs
     with pytest.raises(SizeBudgetExceeded):
-        c.build_median(a, b, a)  # max (4 players), then min runs out
-    assert c.num_players == 12
-    assert (c._scope_stack, len(c._spec_stack), c.specs) == ([], 1, ())
-    c.player_budget = 13
-    c.build_threshold(a, R(1, 2))
+        EVERY_COMPOSITE[kind](c, *inputs)
+    assert c.num_players > 5
+    assert_no_frame_open(c)
+    assert c.specs == specs
+    c.player_budget = c.num_players + 1
+    c.build_threshold(inputs[1], R(1, 2))
     assert c.combine().players[-1].scope == "threshold"
+    c.player_budget = 10**6
+    EVERY_COMPOSITE[kind](c, *inputs)
+    assert [spec.kind for spec in c.specs] == ["scale", "threshold", kind]
+    assert c.combine().players[-1].scope.startswith(kind + "/")
+    assert_no_frame_open(c)
+
+
+MULT_EPS = {"unary": R(1, 10), "log": R(1, 1000)}
+PLAIN_PAIR_BUILDS = {
+    **EVERY_COMPOSITE,
+    **{f"multiplier-{x}": lambda c, a, b, d, x=x: build_multiplier(c, a, b, MULT_EPS[x], x) for x in MULT_EPS},
+    **{
+        f"chain-{m}-{x}": lambda c, a, b, d, m=m, x=x: build_multiplication_chain(c, [a, b, d][:m], MULT_EPS[x], x)
+        for m in (1, 2, 3)
+        for x in MULT_EPS
+    },
+}
+
+
+@pytest.mark.parametrize("kind", PLAIN_PAIR_BUILDS)
+def test_plain_pairs_build_what_taps_build(kind):
+    circuits = []
+    for plain in (False, True):
+        c = GadgetCircuit()
+        inputs = three_inputs(c)
+        PLAIN_PAIR_BUILDS[kind](c, *(tuple(tap) if plain else tap for tap in inputs))
+        circuits.append(c)
+    taps, pairs = circuits
+    assert pairs.strategy_counts == taps.strategy_counts
+    assert repr(pairs.specs) == repr(taps.specs)  # Tap inputs, not plain tuples
+    assert pairs.combine().players == taps.combine().players
+    assert pairs.combine().edges == taps.combine().edges
+    values = {0: (R(1, 6), R(1, 3), R(1, 2)), 1: R(2, 5), 2: R(3, 4)}
+    assert pairs.lift(values) == taps.lift(values)
 
 
 STRANDED = """

@@ -146,10 +146,9 @@ def test_nested_scopes_keep_their_own_recordings(monkeypatch, tmp_path):
         a, b = c.add_input(), c.add_input()
         multipliers.build_multiplier(c, a, b, eps, "log")
         for outer in ("left", "right", "left"):
-            c._begin_composite(outer)
-            build_multiplication_chain(c, [a, b], eps, "log")
-            multipliers.build_multiplier(c, b, a, eps, "log", out=Tap(c.add_player(), 1))
-            c._end_composite(outer, (a, b), ())
+            with c._composite(outer, (a, b)):
+                build_multiplication_chain(c, [a, b], eps, "log")
+                multipliers.build_multiplier(c, b, a, eps, "log", out=Tap(c.add_player(), 1))
         return c
 
     stamped, direct, built, calls = run_both(monkeypatch, script)
