@@ -24,7 +24,10 @@ unless the game is normalized.  A structured bimatrix body is read as the
 polymatrix game of its block sizes and edges, so it follows the polymatrix
 rules.  A body that breaks a game builder's rule (a nonpositive alpha, an
 edge to a missing player, an entry out of range) is a :class:`ParseError`
-too.
+too.  Mappings are checked the same way: ``g`` and ``h`` are written as
+before, but the stage and source counts fix them, so a reader checks them
+like header fields, as plain ints, and a field that breaks a
+:class:`~nashreduce.reductions.GameMapping` rule is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -374,29 +377,41 @@ def mapping_to_dict(mapping: GameMapping, params: ReductionParams) -> dict:
     }
 
 
+def _check_layout(data: dict, mapping: GameMapping) -> None:
+    """Raise :class:`ParseError` unless the file's ``g`` and ``h`` hold plain
+    ints and equal the layout of ``mapping``'s stage and source counts."""
+    if not isinstance(data["h"], list):
+        raise ParseError("h must be a list of integer lists")
+    given = {"g": _ints_in(data["g"], "g entry"), "h": [_ints_in(hi, "h entry") for hi in data["h"]]}
+    for key, implied in (("g", list(mapping.g)), ("h", [*map(list, mapping.h)])):
+        for i, (a, b) in enumerate(itertools.zip_longest(given[key], implied)):
+            if a != b:
+                raise ParseError(
+                    f"mapping field {key}[{i}] is {json.dumps(a)}, but the {mapping.stage} layout "
+                    f"of source counts {list(mapping.source_counts)} gives {json.dumps(b)}"
+                )
+
+
 def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
+    """The mapping and ledger of a mapping file, checked like a game file:
+    a field that breaks a :class:`GameMapping` rule raises :class:`ParseError`."""
     if not isinstance(data, dict):
         raise ParseError("a mapping file must hold a JSON object")
     _check_format(data, MAPPING_FORMAT)
     try:
-        stage = data["stage"]
-        raw_g = data["g"]
-        raw_h = data["h"]
-        raw_counts = data["source_counts"]
         raw_blocks = data["block_sizes"]
         raw = data["params"]
-        if not isinstance(raw_h, list) or not isinstance(raw, dict):
+        if not isinstance(raw, dict):
             raise ParseError("malformed mapping file")
         rats = _Rationals()
         mapping = GameMapping(
-            stage=stage,
-            g=tuple(_ints_in(raw_g, "g entry")),
-            h=tuple(tuple(_ints_in(hi, "h entry")) for hi in raw_h),
-            source_counts=tuple(_ints_in(raw_counts, "source count")),
+            stage=data["stage"],
+            source_counts=tuple(_ints_in(data["source_counts"], "source count")),
             block_sizes=None if raw_blocks is None else tuple(_ints_in(raw_blocks, "block size")),
             alpha=_opt_rat_in(data["alpha"], rats),
             divisor=_opt_rat_in(data["divisor"], rats),
         )
+        _check_layout(data, mapping)
         construction = raw["construction"]
         if construction is not None and not isinstance(construction, str):
             raise ParseError("construction must be a string or null")
@@ -412,6 +427,8 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
         )
     except KeyError as err:
         raise ParseError(f"mapping file is missing field {err.args[0]!r}") from None
+    except (DimensionMismatch, ParameterError) as err:  # the fields break a GameMapping rule
+        raise ParseError(str(err)) from None
     return mapping, params
 
 

@@ -317,7 +317,7 @@ class ScaledStrategy(collections.abc.Sequence):
 
     def __getitem__(self, r):
         if isinstance(r, slice):
-            return tuple(self)[r]
+            return tuple(map(self.__getitem__, range(*r.indices(len(self)))))
         unit = self.units[r]
         return Fraction(unit, self.scales[bisect_right(self.offsets, r % len(self)) - 1])
 

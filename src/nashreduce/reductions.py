@@ -16,15 +16,18 @@ earns the polymatrix payoff of the pair it picks, minus a steep penalty
 the column player across all blocks with near-equal mass, so renormalizing
 its block masses recovers a polymatrix profile.
 
-Both stages emit a :class:`GameMapping` (where each source player/strategy
-landed, plus what is needed to reverse the trip) and a
-:class:`ReductionParams` ledger of the exact tolerances involved.
+Both stages emit a :class:`GameMapping` (the stage and the source's strategy
+counts, which fix where each source player/strategy landed: player ``i``
+stays polymatrix player ``i`` and becomes the follower's block ``i``; plus
+what is needed to reverse the trip) and a :class:`ReductionParams` ledger of
+the exact tolerances involved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from ._rational import rational, rational_str
@@ -121,17 +124,20 @@ class ReductionParams:
 class GameMapping:
     """Where each source player and strategy lands in the target game.
 
+    The stage fixes the layout, so ``g`` and ``h`` are derived, not stored:
     ``g[i]`` is the target player carrying source player ``i`` and ``h[i]``
-    its injective strategy map.  Recovery needs nothing else: linearize
-    projects the mapped strategies back out, bimatrixify renormalizes the
-    follower's ``block_sizes`` blocks.  ``circuit`` (present only on
-    mappings built in-process) lets callers lift source profiles forward
-    through the gadget circuit; it is never serialized.
+    its strategy map.  Linearize keeps source player ``i`` as polymatrix
+    player ``i``, strategy for strategy; bimatrixify and full make it block
+    ``i`` of the follower (player 1), so ``source_counts`` must be the
+    leading ``block_sizes`` (all of them for bimatrixify) and ``h[i]`` is
+    that block's consecutive range.  Recovery needs nothing else: linearize
+    projects the originals back out, bimatrixify renormalizes the
+    follower's blocks.  ``circuit`` (present only on mappings built
+    in-process) lets callers lift source profiles forward through the
+    gadget circuit; it is never serialized.
     """
 
     stage: str
-    g: tuple[int, ...]
-    h: tuple[tuple[int, ...], ...]
     source_counts: tuple[int, ...]
     block_sizes: tuple[int, ...] | None = None
     alpha: Rat | None = None
@@ -144,41 +150,29 @@ class GameMapping:
     def validate(self) -> None:
         if self.stage not in STAGES:
             raise ParameterError(f"unknown reduction stage {self.stage!r}")
-        k = len(self.source_counts)
         if any(n < 1 for n in self.source_counts):
             raise ParameterError("source strategy counts must be positive")
-        if len(self.g) != k or len(self.h) != k:
-            raise DimensionMismatch("g and h need one entry per source player")
-        # the images of each target player, concatenated: one set per target
-        # tests injectivity and overlap together, and the source player at
-        # fault is looked for only when that test fails
-        images: dict[int, list[int]] = {}
-        for i, (target, hi) in enumerate(zip(self.g, self.h)):
-            if target < 0:
-                raise ParameterError(f"g[{i}] must be a player index, got {target}")
-            if len(hi) != self.source_counts[i]:
-                raise DimensionMismatch(
-                    f"h[{i}] must map all {self.source_counts[i]} strategies"
-                )
-            images.setdefault(target, []).extend(hi)
-        for target, image in images.items():
-            if len(set(image)) != len(image) or min(image) < 0:
-                self._explain_images(target)
-        if self.stage in ("bimatrixify", "full"):
-            if self.block_sizes is None or self.alpha is None:
-                raise ParameterError(f"{self.stage} mappings need block_sizes and alpha")
+        if self.stage == "linearize":
+            return
+        if self.block_sizes is None or self.alpha is None:
+            raise ParameterError(f"{self.stage} mappings need block_sizes and alpha")
+        counts, full = tuple(self.source_counts), self.stage == "full"
+        blocks = tuple(self.block_sizes[: len(counts) if full else None])
+        if counts != blocks:
+            raise DimensionMismatch(
+                f"source counts {counts} are not {'the leading' if full else 'the'} block sizes {blocks}"
+            )
 
-    def _explain_images(self, target: int) -> None:
-        """Raise the error for the first source player whose images into
-        ``target`` repeat or go negative, or for an overlap between two."""
-        for i, (t, hi) in enumerate(zip(self.g, self.h)):
-            if t != target:
-                continue
-            if len(set(hi)) != len(hi):
-                raise ParameterError(f"h[{i}] is not injective")
-            if min(hi) < 0:
-                raise ParameterError(f"h[{i}] must map into strategy indices")
-        raise ParameterError(f"strategy images overlap inside target player {target}")
+    @property
+    def g(self) -> tuple[int, ...]:
+        k = len(self.source_counts)
+        return tuple(range(k)) if self.stage == "linearize" else (1,) * k
+
+    @property
+    def h(self) -> tuple[tuple[int, ...], ...]:
+        counts = self.source_counts
+        starts = itertools.repeat(0) if self.stage == "linearize" else itertools.accumulate(counts, initial=0)
+        return tuple(tuple(range(a, a + n)) for a, n in zip(starts, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +268,7 @@ def linearize(
                 [(zero, payoff[j][q]) for j in range(game.strategy_counts[i])],
             )
     gm = circuit.combine()
-    mapping = GameMapping(
-        stage="linearize",
-        g=tuple(range(k)),
-        h=tuple(tuple(range(n)) for n in game.strategy_counts),
-        source_counts=game.strategy_counts,
-        circuit=circuit,
-    )
+    mapping = GameMapping("linearize", game.strategy_counts, circuit=circuit)
     params = ReductionParams(eps_m=eps_m, eps_k=eps_k, construction=construction)
     return gm, mapping, params
 
@@ -314,11 +302,7 @@ def recover_from_polymatrix(
         raise DimensionMismatch(
             f"profile has {len(profile)} strategies for {gm.m} players"
         )
-    recovered = []
-    for i, target in enumerate(mapping.g):
-        strategy = validate_mixed(profile[target], mapping.source_counts[i])
-        recovered.append(tuple(strategy[j] for j in mapping.h[i]))
-    return recovered
+    return [validate_mixed(profile[i], n) for i, n in enumerate(mapping.source_counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +331,7 @@ def bimatrixify(
     eps_2 = eps_m / big_n
     alpha = rational(8) * m * m / eps_2
     game = BimatrixGame.structured(gm, alpha)
-    h = []
-    offset = 0
-    for n in counts:
-        h.append(tuple(range(offset, offset + n)))
-        offset += n
-    mapping = GameMapping(
-        stage="bimatrixify",
-        g=(1,) * m,
-        h=tuple(h),
-        source_counts=counts,
-        block_sizes=counts,
-        alpha=alpha,
-        divisor=game.divisor,
-    )
+    mapping = GameMapping("bimatrixify", counts, block_sizes=counts, alpha=alpha, divisor=game.divisor)
     params = ReductionParams(
         eps_m=eps_m, eps_2=eps_2, m=m, N=big_n, alpha=alpha, divisor=game.divisor
     )
@@ -455,28 +426,8 @@ def reduce_full(
     original player i's strategy j sits at follower index h[i][j]."""
     gm, lin_map, lin_params = linearize(game, eps_k, construction, player_budget)
     g2, bi_map, bi_params = bimatrixify(gm, lin_params.eps_m)
-    k = game.k
-    mapping = GameMapping(
-        stage="full",
-        g=(1,) * k,
-        h=bi_map.h[:k],
-        source_counts=game.strategy_counts,
-        block_sizes=bi_map.block_sizes,
-        alpha=bi_map.alpha,
-        divisor=bi_map.divisor,
-        circuit=lin_map.circuit,
-    )
-    params = ReductionParams(
-        eps_m=lin_params.eps_m,
-        eps_k=eps_k,
-        construction=construction,
-        eps_2=bi_params.eps_2,
-        m=bi_params.m,
-        N=bi_params.N,
-        alpha=bi_params.alpha,
-        divisor=bi_params.divisor,
-    )
-    return g2, mapping, params
+    mapping = replace(bi_map, stage="full", source_counts=game.strategy_counts, circuit=lin_map.circuit)
+    return g2, mapping, replace(bi_params, eps_k=eps_k, construction=construction)
 
 
 def recover_full(
@@ -490,4 +441,4 @@ def recover_full(
     if mapping.stage != "full":
         raise ParameterError(f"expected a full mapping, got {mapping.stage!r}")
     polymatrix_profile = recover_from_bimatrix(g2, profile, mapping)
-    return polymatrix_profile[: len(mapping.g)]
+    return polymatrix_profile[: len(mapping.source_counts)]

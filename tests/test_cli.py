@@ -7,6 +7,7 @@ absence of floating-point output without --approx, and byte-identical
 reduction outputs across runs.
 """
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -17,6 +18,7 @@ from click.testing import CliRunner
 from nashreduce import R
 from nashreduce.cli import main
 from nashreduce.fileio import (
+    mapping_to_dict,
     read_game,
     read_mapping,
     read_profile,
@@ -25,9 +27,10 @@ from nashreduce.fileio import (
     write_profile,
 )
 from nashreduce.gadgets import GADGET_KINDS
-from nashreduce.model import BimatrixGame, NormalFormGame, PolymatrixGame
+from nashreduce.model import BimatrixGame, NormalFormGame, PolymatrixGame, random_normal_form
 from nashreduce.multipliers import predicted_player_count
-from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix
+from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix, reduce_full
+from nashreduce.solvers import lift_to_bimatrix
 
 FLOAT_RE = re.compile(r"\d\.\d")
 
@@ -281,6 +284,33 @@ def test_reduce_is_deterministic(runner, dominant_file, tmp_path):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
+REDUCE_OUTPUTS = {
+    # name: (strategy counts, source seed, reduce options, {file suffix: sha256})
+    "log-full-222": ((2, 2, 2), 7, ("--eps-k", "9/10", "--construction", "log"), {
+        "game.json": "39ef4d770a3f39a2c865369ccd2deb2ab560c6a56e140ce71483b12b4d43d7a4",
+        "ledger.txt": "7c05a6d41316e8fc536a3846b2ce0c9553831b6494634a7a39509f89bab328e9",
+        "mapping.json": "d43194272c62b29917bc5f67092f34412368512cc5a3d2dceca79e1bd9bf0afe",
+        "normalized.json": "deabefe925d216a9fad8033f4d8108197515520c6419055cde2b2b16b358671a",
+    }),
+    "unary-linearize-22": ((2, 2), 5, ("--eps-k", "1/2", "--construction", "unary", "--stage", "linearize"), {
+        "game.json": "29fe90bcae7145ca71da07147c34e35870fff08da400c21ae0f4e80a28bdce7f",
+        "ledger.txt": "0edf0cda72905207898d24cd792dbbbb64d3309213dd89b3221110c0b294dbeb",
+        "mapping.json": "14bd59b465450dce160e1c23a9af65e75bf58294c21b8653ad8f2dc9ebc20d56",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_OUTPUTS))
+def test_reduce_outputs_are_pinned(runner, tmp_path, name):
+    counts, seed, options, digests = REDUCE_OUTPUTS[name]
+    src = tmp_path / "src.json"
+    write_game(src, random_normal_form(seed, counts))
+    result = invoke(runner, "reduce", src, *options, "--out", tmp_path / "out")
+    assert result.exit_code == 0
+    written = {p.name[len("out."):]: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("out.*")}
+    assert written == digests
+
+
 def test_reduce_rejects_non_normal_form(runner, pennies_file, tmp_path):
     result = invoke(runner, "reduce", pennies_file, "--eps-k", "1/2", "--out", tmp_path / "x")
     assert result.exit_code == 3
@@ -381,6 +411,60 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
     result = invoke(runner, "recover", game_path, mapping_path, prof)
     assert result.exit_code == 3
     assert "do not match" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.fixture
+def full_reduced(tmp_path):
+    """Game and witness profile files of a full reduction of 2x2
+    anti-coordination at its pure equilibrium, and the honest mapping's data."""
+    differ = [[R(0), R(1)], [R(1), R(0)]]
+    g2, mapping, params = reduce_full(NormalFormGame((2, 2), [differ, differ]), R(1, 2), "unary")
+    poly = lift_to_polymatrix([(R(1), R(0)), (R(0), R(1))], mapping)
+    write_game(tmp_path / "full.game.json", g2)
+    write_profile(tmp_path / "full.profile.json", lift_to_bimatrix(g2, poly, mapping))
+    return tmp_path, mapping_to_dict(mapping, params)
+
+
+def recover_full_with(runner, full_reduced, **fields):
+    path, data = full_reduced
+    (path / "m.json").write_text(json.dumps(dict(data, **fields)))
+    return invoke(runner, "recover", path / "full.game.json", path / "m.json", path / "full.profile.json")
+
+
+def test_recover_full_round_trip(runner, full_reduced):
+    assert full_reduced[1]["h"] == [[0, 1], [2, 3]]
+    result = recover_full_with(runner, full_reduced)
+    assert result.exit_code == 0
+    assert "recovered profile: ((1,0),(0,1))" in result.output
+    assert "PASS" in result.output
+
+
+TAMPERED_MAPPINGS = {
+    # name: (mapping file fields, message); each would misread or break the layout
+    "swapped_h": ({"h": [[2, 3], [0, 1]]},
+                  "mapping field h[0] is [2, 3], but the full layout of source counts [2, 2] gives [0, 1]"),
+    "wrong_g": ({"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
+    "short_h": ({"h": [[0, 1]]}, "mapping field h[1] is null, but the full layout of source counts [2, 2] gives [2, 3]"),
+    "bool_h": ({"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
+    "float_h": ({"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
+    "h_not_lists": ({"h": 4}, "h must be a list of integer lists"),
+    "source_counts": ({"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
+                      "source counts (2, 3) are not the leading block sizes (2, 2)"),
+    # malformed fields that a GameMapping rejects are unreadable input too
+    "unknown_stage": ({"stage": "sideways"}, "unknown reduction stage 'sideways'"),
+    "missing_block_sizes": ({"block_sizes": None}, "full mappings need block_sizes and alpha"),
+    "nonpositive_count": ({"source_counts": [2, 0]}, "source strategy counts must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_MAPPINGS))
+def test_recover_rejects_a_tampered_mapping(runner, full_reduced, name):
+    fields, message = TAMPERED_MAPPINGS[name]
+    result = recover_full_with(runner, full_reduced, **fields)
+    assert result.exit_code == 2
+    assert f"error: {message}\n" in result.output
+    assert "recovered profile" not in result.output
     assert "Traceback" not in result.output
 
 

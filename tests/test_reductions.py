@@ -117,40 +117,30 @@ def test_reduction_params_ledger():
 
 
 def test_mapping_validation():
-    ok = GameMapping("linearize", (0, 1), ((0, 1), (0, 1)), (2, 2))
+    ok = GameMapping("linearize", (2, 2))
     ok.validate()
     with pytest.raises(ParameterError):
-        GameMapping("sideways", (0,), ((0, 1),), (2,))
-    with pytest.raises(DimensionMismatch):
-        GameMapping("linearize", (0,), ((0, 1), (0, 1)), (2, 2))
-    with pytest.raises(DimensionMismatch):
-        GameMapping("linearize", (0, 1), ((0, 1), (0,)), (2, 2))
-    with pytest.raises(ParameterError):  # not injective
-        GameMapping("linearize", (0,), ((0, 0),), (2,))
-    with pytest.raises(ParameterError):  # images collide in target 1
-        GameMapping("bimatrixify", (1, 1), ((0, 1), (1, 2)), (2, 2),
-                    block_sizes=(2, 2), alpha=R(10))
+        GameMapping("sideways", (2,))
     with pytest.raises(ParameterError):  # bimatrixify needs block data
-        GameMapping("bimatrixify", (1,), ((0, 1),), (2,))
+        GameMapping("bimatrixify", (2,))
+    with pytest.raises(DimensionMismatch):  # the sources are the blocks
+        GameMapping("bimatrixify", (2, 2), (2, 3), R(10))
 
 
 MAPPING_ERRORS = {
     # name: (GameMapping arguments, error class, message pattern)
-    "unknown_stage": (("sideways", (0,), ((0, 1),), (2,)), ParameterError, "unknown reduction stage"),
-    "negative_target": (("linearize", (0, -1), ((0, 1), (0, 1)), (2, 2)), ParameterError,
-                        r"g\[1\] must be a player index, got -1"),
-    "negative_strategy": (("linearize", (0, 1), ((0, 1), (1, -1)), (2, 2)), ParameterError,
-                          r"h\[1\] must map into strategy indices"),
-    "short_image": (("linearize", (0, 1), ((0, 1), (0,)), (2, 2)), DimensionMismatch,
-                    r"h\[1\] must map all 2 strategies"),
-    "not_injective": (("linearize", (0, 1), ((0, 1), (1, 1)), (2, 2)), ParameterError,
-                      r"h\[1\] is not injective"),
-    "overlap": (("linearize", (1, 0, 1), ((0, 1), (0, 1), (2, 1)), (2, 2, 2)), ParameterError,
-                "strategy images overlap inside target player 1"),
-    "missing_block_sizes": (("bimatrixify", (1,), ((0, 1),), (2,), None, R(10)), ParameterError,
+    "unknown_stage": (("sideways", (2,)), ParameterError, "unknown reduction stage"),
+    "nonpositive_count": (("linearize", (2, 0)), ParameterError, "source strategy counts must be positive"),
+    "missing_block_sizes": (("bimatrixify", (2,), None, R(10)), ParameterError,
                             "bimatrixify mappings need block_sizes and alpha"),
-    "missing_alpha": (("full", (1,), ((0, 1),), (2,), (2,)), ParameterError,
+    "missing_alpha": (("full", (2,), (2,)), ParameterError,
                       "full mappings need block_sizes and alpha"),
+    "not_the_blocks": (("bimatrixify", (2, 2), (2, 2, 2), R(10)), DimensionMismatch,
+                       r"source counts \(2, 2\) are not the block sizes \(2, 2, 2\)"),
+    "not_the_leading_blocks": (("full", (2, 3), (2, 2, 3), R(10)), DimensionMismatch,
+                               r"source counts \(2, 3\) are not the leading block sizes \(2, 2\)\Z"),
+    "more_sources_than_blocks": (("full", (2, 2, 2), (2, 2), R(10)), DimensionMismatch,
+                                 "are not the leading block sizes"),
 }
 
 
@@ -161,11 +151,17 @@ def test_mapping_validation_names_each_error(name):
         GameMapping(*args)
 
 
-def test_mapping_validation_accepts_shared_targets():
-    # two source players in one target, disjoint images: a bimatrixify mapping
-    GameMapping("bimatrixify", (1, 1, 1), ((0, 1), (2, 3, 4), (5, 6)), (2, 3, 2),
-                block_sizes=(2, 3, 2), alpha=R(10))
-    GameMapping("linearize", (2, 0, 2), ((0, 1), (1, 0), (3, 2)), (2, 2, 2))
+def test_mapping_layout_follows_the_stage():
+    # linearize keeps each source player in place; the imitation game makes
+    # it a consecutive block of the follower
+    lin = GameMapping("linearize", (2, 3, 2))
+    assert lin.g == (0, 1, 2) and lin.h == ((0, 1), (0, 1, 2), (0, 1))
+    bi = GameMapping("bimatrixify", (2, 3, 2), (2, 3, 2), R(10))
+    assert bi.g == (1, 1, 1) and bi.h == ((0, 1), (2, 3, 4), (5, 6))
+    full = GameMapping("full", (2, 3), (2, 3, 2), R(10))
+    assert full.g == (1, 1) and full.h == ((0, 1), (2, 3, 4))
+    with pytest.raises(TypeError):
+        GameMapping("linearize", (2, 2), g=(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def test_linearize_player_budget_env(monkeypatch):
 
 
 def test_lift_requires_in_process_mapping():
-    mapping = GameMapping("linearize", (0, 1), ((0, 1), (0, 1)), (2, 2))
+    mapping = GameMapping("linearize", (2, 2))
     with pytest.raises(ParameterError):
         lift_to_polymatrix([(R(1), R(0)), (R(1), R(0))], mapping)
 
@@ -408,7 +404,7 @@ def test_recover_from_bimatrix_renormalizes():
         recover_from_bimatrix(g2, (x, starved), mapping)
     assert err.value.block == 1
     with pytest.raises(ParameterError):
-        recover_from_bimatrix(g2, (x, y), GameMapping("linearize", (0,), ((0, 1),), (2,)))
+        recover_from_bimatrix(g2, (x, y), GameMapping("linearize", (2,)))
 
 
 def test_bimatrix_mapping_must_agree_with_its_game():
@@ -489,7 +485,7 @@ def test_reduce_full_two_player_round_trip():
     assert recovered == profile
     with pytest.raises(ParameterError):
         recover_full(g2, (tuple(y), tuple(y)),
-                     GameMapping("linearize", (0, 1), ((0, 1), (0, 1)), (2, 2)))
+                     GameMapping("linearize", (2, 2)))
 
 
 def test_reduce_full_respects_budget():

@@ -58,6 +58,22 @@ def test_reads_as_the_tuple_of_its_values():
             EXAMPLE[r]
 
 
+SLICES = [slice(1, 5), slice(None, None, -2), slice(-5, -1), slice(-1, -8, -3), slice(2, None, 3),
+          slice(3, 3), slice(5, 1), slice(4, 100), slice(-100, 2), slice(9, 20), slice(100, None, -4)]
+
+
+@pytest.mark.parametrize("r", SLICES, ids=str)
+def test_a_slice_reads_as_the_tuple_slice(r):
+    assert EXAMPLE[r] == VALUES[r] and type(EXAMPLE[r]) is tuple
+
+
+def test_a_slice_builds_only_its_entries(monkeypatch):
+    # a block at a time out of a long strategy stays linear in its length
+    long = ScaledStrategy(range(0, 2001, 2), (2000,) * 1000, (1,) * 2000)
+    monkeypatch.setattr(ScaledStrategy, "__iter__", lambda self: pytest.fail("the slice read every entry"))
+    assert long[1998:2000] == (F(1, 2000),) * 2 and long[-1:-5:-2] == (F(1, 2000),) * 2
+
+
 def test_equals_and_hashes_like_the_tuple():
     assert EXAMPLE == VALUES and VALUES == EXAMPLE
     assert not EXAMPLE != VALUES and not VALUES != EXAMPLE
