@@ -384,12 +384,13 @@ def _check_layout(data: dict, mapping: GameMapping) -> None:
         raise ParseError("h must be a list of integer lists")
     given = {"g": _ints_in(data["g"], "g entry"), "h": [_ints_in(hi, "h entry") for hi in data["h"]]}
     for key, implied in (("g", list(mapping.g)), ("h", [*map(list, mapping.h)])):
-        for i, (a, b) in enumerate(itertools.zip_longest(given[key], implied)):
-            if a != b:
-                raise ParseError(
-                    f"mapping field {key}[{i}] is {json.dumps(a)}, but the {mapping.stage} layout "
-                    f"of source counts {list(mapping.source_counts)} gives {json.dumps(b)}"
-                )
+        if given[key] != implied:  # name the first entry that differs
+            for i, (a, b) in enumerate(itertools.zip_longest(given[key], implied)):
+                if a != b:
+                    raise ParseError(
+                        f"mapping field {key}[{i}] is {json.dumps(a)}, but the {mapping.stage} layout "
+                        f"of source counts {list(mapping.source_counts)} gives {json.dumps(b)}"
+                    )
 
 
 def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
