@@ -171,8 +171,9 @@ class GameMapping:
     @property
     def h(self) -> tuple[tuple[int, ...], ...]:
         counts = self.source_counts
-        starts = itertools.repeat(0) if self.stage == "linearize" else itertools.accumulate(counts, initial=0)
-        return tuple(tuple(range(a, a + n)) for a, n in zip(starts, counts))
+        if self.stage == "linearize":
+            return tuple(map(tuple, map(range, counts)))
+        return tuple(map(tuple, map(range, itertools.accumulate(counts, initial=0), itertools.accumulate(counts))))
 
 
 # ---------------------------------------------------------------------------
