@@ -394,8 +394,6 @@ def _check_layout(data: dict, mapping: GameMapping) -> None:
 
 
 def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
-    """The mapping and ledger of a mapping file, checked like a game file:
-    a field that breaks a :class:`GameMapping` rule raises :class:`ParseError`."""
     if not isinstance(data, dict):
         raise ParseError("a mapping file must hold a JSON object")
     _check_format(data, MAPPING_FORMAT)
