@@ -244,12 +244,7 @@ def recover(game_file, mapping_file, profile_file, eps, out_path, approx):
         if len(profile) != 2:
             raise ParameterError("a bimatrix profile file must hold exactly two vectors")
         x, y = profile
-        if eps is not None:
-            check_eps = eps
-        else:
-            check_eps = params.eps_2_normalized if game.normalized else params.eps_2
-            if check_eps is None:
-                raise ParameterError("the mapping records no tolerance; pass --eps")
+        check_eps = eps if eps is not None else params.eps_2 / (game.divisor if game.normalized else 1)
         result = game.verify_wsne(x, y, check_eps)
         if mapping.stage == "bimatrixify":
             recovered = recover_from_bimatrix(game, (x, y), mapping)
@@ -324,24 +319,10 @@ def solve(game_file, method, eps, step, cap, limit, out_path, approx):
     normal-form game on a grid (exact if one exists on it).
     """
     game = read_game(game_file)
-    if method == "support-enum":
-        if not isinstance(game, BimatrixGame):
-            raise ParameterError("support enumeration needs a bimatrix game")
-        result = (
-            support_enumeration_bimatrix(game)
-            if cap is None
-            else support_enumeration_bimatrix(game, cap=cap)
-        )
-        click.echo(_fmt_profile(result.profile, approx))
-        click.echo(f"certificate = {result.certificate}, eps = {rational_str(result.eps)}")
-        if out_path:
-            write_profile(out_path, list(result.profile))
-            click.echo(f"wrote {out_path}")
-        return
+    kwargs = {} if cap is None else {"cap": cap}
     if method == "grid":
         if eps is None or step is None:
             raise ParameterError("the grid method needs --eps and --step")
-        kwargs = {} if cap is None else {"cap": cap}
         found = 0
         first = None
         for profile in grid_enumerate_wsne(game, eps, step, **kwargs):
@@ -354,25 +335,23 @@ def solve(game_file, method, eps, step, cap, limit, out_path, approx):
             click.echo(f"no profile on the {rational_str(step)} grid passes at eps = {rational_str(eps)}")
             sys.exit(EXIT_NO_RESULT)
         click.echo(f"{found} profile(s) pass at eps = {rational_str(eps)}")
-        if out_path:
-            write_profile(out_path, list(first))
-            click.echo(f"wrote {out_path}")
-        return
-    if not isinstance(game, NormalFormGame):
-        raise ParameterError("brute-force needs a normal-form game")
-    kwargs = {}
-    if step is not None:
-        kwargs["grid_denominator"] = unit_denominator(step, "--step")
-    if cap is not None:
-        kwargs["cap"] = cap
-    result = brute_force_normal_nash(game, **kwargs)
-    click.echo(_fmt_profile(result.profile, approx))
-    click.echo(
-        f"certificate = {result.certificate}, eps = {rational_str(result.eps)}, "
-        f"method = {result.method}"
-    )
+    else:
+        if method == "support-enum":
+            if not isinstance(game, BimatrixGame):
+                raise ParameterError("support enumeration needs a bimatrix game")
+            result, suffix = support_enumeration_bimatrix(game, **kwargs), ""
+        else:
+            if not isinstance(game, NormalFormGame):
+                raise ParameterError("brute-force needs a normal-form game")
+            if step is not None:
+                kwargs["grid_denominator"] = unit_denominator(step, "--step")
+            result = brute_force_normal_nash(game, **kwargs)
+            suffix = f", method = {result.method}"
+        first = result.profile
+        click.echo(_fmt_profile(first, approx))
+        click.echo(f"certificate = {result.certificate}, eps = {rational_str(result.eps)}{suffix}")
     if out_path:
-        write_profile(out_path, list(result.profile))
+        write_profile(out_path, list(first))
         click.echo(f"wrote {out_path}")
 
 

@@ -24,10 +24,15 @@ unless the game is normalized.  A structured bimatrix body is read as the
 polymatrix game of its block sizes and edges, so it follows the polymatrix
 rules.  A body that breaks a game builder's rule (a nonpositive alpha, an
 edge to a missing player, an entry out of range) is a :class:`ParseError`
-too.  Mappings are checked the same way: ``g`` and ``h`` are written as
+too.  Header fields are compared as JSON, so ``2.0`` is not the count ``2``.
+Mappings are checked the same way: ``g`` and ``h`` are written as
 before, but the stage and source counts fix them, so a reader checks them
 like header fields, as plain ints, and a field that breaks a
 :class:`~nashreduce.reductions.GameMapping` rule is a :class:`ParseError`.
+The ledger (``params``) is read from its inputs alone, ``eps_m`` for a
+bimatrixify mapping and ``eps_k`` and the construction otherwise; every
+other ledger value, and the top-level ``alpha``, is checked against what
+:class:`~nashreduce.reductions.ReductionParams` derives.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from ._rational import rational, rational_str
-from .errors import DimensionMismatch, ParameterError, ParseError
+from .errors import DegenerateGame, DimensionMismatch, ParameterError, ParseError
 from .model import (
     BimatrixGame,
     NormalFormGame,
@@ -47,7 +52,7 @@ from .model import (
     PolymatrixGame,
     Role,
 )
-from .reductions import GameMapping, ReductionParams
+from .reductions import LEDGER, GameMapping, ReductionParams, eps_m_for_counts
 
 Rat = Any
 
@@ -82,10 +87,6 @@ def dumps_canonical(data: Any) -> str:
 
 # ---------------------------------------------------------------------------
 # scalar plumbing
-
-
-def _rat_out(value: Rat) -> str:
-    return rational_str(value)
 
 
 def _not_a_string(value: Any) -> ParseError:
@@ -145,7 +146,7 @@ def _vector_in(data: Any, rats: _Rationals) -> tuple:
 
 
 def _matrix_out(mat) -> list[list[str]]:
-    return [[_rat_out(x) for x in row] for row in mat]
+    return [[rational_str(x) for x in row] for row in mat]
 
 
 def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
@@ -228,10 +229,10 @@ def _header(game) -> dict:
         "class": cls,
         "players": players,
         "strategy_counts": list(counts),
-        "payoff_range": [_rat_out(lo), _rat_out(hi)],
+        "payoff_range": [rational_str(lo), rational_str(hi)],
     }
     if cls == "bimatrix" and game.encoding == "structured":
-        header["divisor"] = _rat_out(game.divisor) if game.normalized else None
+        header["divisor"] = rational_str(game.divisor) if game.normalized else None
     return header
 
 
@@ -249,7 +250,7 @@ def game_to_dict(game) -> dict:
             data["b"] = _matrix_out(game.b)
         else:
             data["block_sizes"] = list(game.block_sizes)
-            data["alpha"] = _rat_out(game.alpha)
+            data["alpha"] = rational_str(game.alpha)
             data["normalized"] = game.normalized
             data["edges"] = _edges_out(game.edges)
     return data
@@ -312,7 +313,7 @@ def game_from_dict(data: Any):
     try:
         game = builder(data, _Rationals())
         for key, implied in _header(game).items():
-            if data[key] != implied:
+            if json.dumps(data[key]) != json.dumps(implied):  # so 2.0 is not 2
                 raise ParseError(
                     f"header field {key!r} is {data[key]!r} but the body implies {implied!r}"
                 )
@@ -332,7 +333,7 @@ def game_from_dict(data: Any):
 def profile_to_dict(profile) -> dict:
     return {
         "format": PROFILE_FORMAT,
-        "strategies": [[_rat_out(x) for x in strategy] for strategy in profile],
+        "strategies": [[rational_str(x) for x in strategy] for strategy in profile],
     }
 
 
@@ -354,6 +355,11 @@ def profile_from_dict(data: Any) -> list[tuple]:
 # mappings
 
 
+def _ledger_out(value: Any) -> Any:
+    """A ledger value as a file holds it: null, a string, an int or a rational string."""
+    return value if value is None or isinstance(value, (str, int)) else rational_str(value)
+
+
 def mapping_to_dict(mapping: GameMapping, params: ReductionParams) -> dict:
     return {
         "format": MAPPING_FORMAT,
@@ -364,16 +370,7 @@ def mapping_to_dict(mapping: GameMapping, params: ReductionParams) -> dict:
         "block_sizes": None if mapping.block_sizes is None else list(mapping.block_sizes),
         "alpha": _opt_rat_out(mapping.alpha),
         "divisor": _opt_rat_out(mapping.divisor),
-        "params": {
-            "eps_m": _rat_out(params.eps_m),
-            "eps_k": _opt_rat_out(params.eps_k),
-            "construction": params.construction,
-            "eps_2": _opt_rat_out(params.eps_2),
-            "m": params.m,
-            "N": params.N,
-            "alpha": _opt_rat_out(params.alpha),
-            "divisor": _opt_rat_out(params.divisor),
-        },
+        "params": {name: _ledger_out(getattr(params, name)) for name in LEDGER},
     }
 
 
@@ -393,15 +390,40 @@ def _check_layout(data: dict, mapping: GameMapping) -> None:
                     )
 
 
+def _params_from(data: dict, mapping: GameMapping, rats: _Rationals) -> ReductionParams:
+    """The ledger of a mapping file, from its inputs: ``eps_m`` for a
+    bimatrixify mapping, else ``eps_k`` and ``construction``, with the
+    mapping's block sizes and divisor.  Every other value in the file, and
+    the top-level ``alpha``, must be the one the ledger derives."""
+    raw = data["params"]
+    if not isinstance(raw, dict):
+        raise ParseError("malformed mapping file")
+    if mapping.stage == "bimatrixify":
+        eps_m, eps_k, construction = _rat_in(raw["eps_m"], rats), None, None
+    else:
+        eps_k, construction = raw["eps_k"], raw["construction"]
+        if eps_k is None or not isinstance(construction, str):
+            raise ParseError(f"a {mapping.stage} mapping needs eps_k and a construction")
+        eps_k = _rat_in(eps_k, rats)
+        eps_m = eps_m_for_counts(mapping.source_counts, eps_k, construction)
+    params = ReductionParams(eps_m, eps_k, construction, mapping.block_sizes, mapping.divisor)
+    given = {**{f"params.{name}": raw[name] for name in LEDGER}, "alpha": data["alpha"]}
+    for field, text in given.items():
+        value = getattr(params, field.removeprefix("params."))
+        if isinstance(text, str) and isinstance(value, Fraction):
+            _rat_in(text, rats)  # a malformed rational fails as one
+        implied = _ledger_out(value)
+        if json.dumps(text) != json.dumps(implied):  # so 10.0 is not 10
+            raise ParseError(f"mapping field {field} is {json.dumps(text)}, but the ledger gives {json.dumps(implied)}")
+    return params
+
+
 def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
     if not isinstance(data, dict):
         raise ParseError("a mapping file must hold a JSON object")
     _check_format(data, MAPPING_FORMAT)
     try:
         raw_blocks = data["block_sizes"]
-        raw = data["params"]
-        if not isinstance(raw, dict):
-            raise ParseError("malformed mapping file")
         rats = _Rationals()
         mapping = GameMapping(
             stage=data["stage"],
@@ -411,22 +433,10 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
             divisor=_opt_rat_in(data["divisor"], rats),
         )
         _check_layout(data, mapping)
-        construction = raw["construction"]
-        if construction is not None and not isinstance(construction, str):
-            raise ParseError("construction must be a string or null")
-        params = ReductionParams(
-            eps_m=_rat_in(raw["eps_m"], rats),
-            eps_k=_opt_rat_in(raw["eps_k"], rats),
-            construction=construction,
-            eps_2=_opt_rat_in(raw["eps_2"], rats),
-            m=None if raw["m"] is None else _int_in(raw["m"], "m"),
-            N=None if raw["N"] is None else _int_in(raw["N"], "N"),
-            alpha=_opt_rat_in(raw["alpha"], rats),
-            divisor=_opt_rat_in(raw["divisor"], rats),
-        )
+        params = _params_from(data, mapping, rats)
     except KeyError as err:
         raise ParseError(f"mapping file is missing field {err.args[0]!r}") from None
-    except (DimensionMismatch, ParameterError) as err:  # the fields break a GameMapping rule
+    except (DegenerateGame, DimensionMismatch, ParameterError) as err:  # the fields break a reduction's rule
         raise ParseError(str(err)) from None
     return mapping, params
 

@@ -20,7 +20,9 @@ Both stages emit a :class:`GameMapping` (the stage and the source's strategy
 counts, which fix where each source player/strategy landed: player ``i``
 stays polymatrix player ``i`` and becomes the follower's block ``i``; plus
 what is needed to reverse the trip) and a :class:`ReductionParams` ledger of
-the exact tolerances involved.
+the exact tolerances involved.  The ledger stores only the reduction's
+inputs and derives the rest (``eps_2 = eps_m / N``, ``alpha = 8 m^2 / eps_2``),
+so it cannot state an inconsistent tolerance.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "GameMapping",
     "ReductionParams",
     "compute_eps_m",
+    "eps_m_for_counts",
     "estimate_linearized_players",
     "linearize",
     "lift_to_polymatrix",
@@ -72,24 +75,45 @@ __all__ = [
 STAGES = ("linearize", "bimatrixify", "full")
 
 
+# the ledger's values in print order; a mapping file's params object holds each
+LEDGER = ("construction", "eps_k", "eps_m", "m", "N", "eps_2", "alpha", "divisor")
+
+
 @dataclass(frozen=True)
 class ReductionParams:
     """Exact tolerances and derived constants of a reduction.
 
-    ``eps_m`` is always present; the k-player fields (``eps_k``,
-    ``construction``) are set by :func:`linearize`, the two-player fields
-    (``eps_2``, ``m``, ``N``, ``alpha``, ``divisor``) by
-    :func:`bimatrixify`, and :func:`reduce_full` sets them all.
+    Only what a reduction takes as input is stored: ``eps_m``, which is
+    always present; ``eps_k`` and ``construction``, set by :func:`linearize`;
+    and ``block_sizes`` (the polymatrix strategy counts, as the mapping holds
+    them) and the game's ``divisor``, set by :func:`bimatrixify`.
+    :func:`reduce_full` sets them all.  The two-player constants are derived
+    from those, as the paper fixes them: ``m`` and ``N`` are the number and
+    total size of the blocks, ``eps_2 = eps_m / N`` and
+    ``alpha = 8 m^2 / eps_2``; they are None without ``block_sizes``.
     """
 
     eps_m: Rat
     eps_k: Rat | None = None
     construction: str | None = None
-    eps_2: Rat | None = None
-    m: int | None = None
-    N: int | None = None
-    alpha: Rat | None = None
+    block_sizes: tuple[int, ...] | None = None
     divisor: Rat | None = None
+
+    @property
+    def m(self) -> int | None:
+        return None if self.block_sizes is None else len(self.block_sizes)
+
+    @property
+    def N(self) -> int | None:
+        return None if self.block_sizes is None else sum(self.block_sizes)
+
+    @property
+    def eps_2(self) -> Rat | None:
+        return None if self.block_sizes is None else self.eps_m / self.N
+
+    @property
+    def alpha(self) -> Rat | None:
+        return None if self.block_sizes is None else 8 * self.m**2 / self.eps_2
 
     @property
     def eps_2_normalized(self) -> Rat | None:
@@ -99,25 +123,14 @@ class ReductionParams:
         return self.eps_2 / self.divisor
 
     def ledger_lines(self) -> list[str]:
-        """Human-readable ``name = value`` lines, exact rationals throughout."""
-        lines = []
-        if self.construction is not None:
-            lines.append(f"construction = {self.construction}")
-        if self.eps_k is not None:
-            lines.append(f"eps_k = {rational_str(self.eps_k)}")
-        lines.append(f"eps_m = {rational_str(self.eps_m)}")
-        if self.m is not None:
-            lines.append(f"m = {self.m}")
-        if self.N is not None:
-            lines.append(f"N = {self.N}")
-        if self.eps_2 is not None:
-            lines.append(f"eps_2 = {rational_str(self.eps_2)}")
-        if self.alpha is not None:
-            lines.append(f"alpha = {rational_str(self.alpha)}")
-        if self.divisor is not None:
-            lines.append(f"divisor = {rational_str(self.divisor)}")
-            lines.append(f"eps_2_normalized = {rational_str(self.eps_2_normalized)}")
-        return lines
+        """Human-readable ``name = value`` lines of the ledger values that are
+        set, then ``eps_2_normalized``; exact rationals throughout."""
+        named = ((name, getattr(self, name)) for name in (*LEDGER, "eps_2_normalized"))
+        return [
+            f"{name} = {value if isinstance(value, str) else rational_str(value)}"
+            for name, value in named
+            if value is not None
+        ]
 
 
 @dataclass(frozen=True)
@@ -183,10 +196,19 @@ class GameMapping:
 def compute_eps_m(game: NormalFormGame, eps_k: Rat, construction: str) -> Rat:
     """Gadget tolerance for linearize: min{(eps_k / (3 nmax d k))^(1/c), eps0},
     where nmax is the largest number of opposing pure profiles any player faces."""
-    k = game.k
+    return eps_m_for_counts(game.strategy_counts, eps_k, construction)
+
+
+def eps_m_for_counts(counts: Sequence[int], eps_k: Rat, construction: str) -> Rat:
+    """:func:`compute_eps_m` from the source's positive strategy counts, as a
+    mapping file holds them; ``eps_k`` must be an exact rational in (0, 1)."""
+    k = len(counts)
     if k < 2:
         raise DegenerateGame("need at least two players to linearize")
-    nmax = max(math.prod(game.opponent_counts(i)) for i in range(k))
+    _check_exact((eps_k,), "eps_k")
+    if not 0 < eps_k < 1:
+        raise ParameterError(f"eps_k must lie in (0, 1), got {eps_k}")
+    nmax = max(math.prod(counts) // n for n in counts)
     return get_params(construction).eps_m_from(eps_k, nmax, k)
 
 
@@ -231,13 +253,7 @@ def linearize(
         raise DegenerateGame(
             "single-strategy players have no deviations; drop them first"
         )
-    _check_exact((eps_k,), "eps_k")
-    if not 0 < eps_k < 1:
-        raise ParameterError(f"eps_k must lie in (0, 1), got {eps_k}")
-    get_params(construction)
     eps_m = compute_eps_m(game, eps_k, construction)
-    if eps_m <= 0:  # unreachable with exact arithmetic; guards rounding to zero
-        raise ParameterError("eps_m collapsed to zero")
     budget = resolve_player_budget(player_budget)
     predicted = estimate_linearized_players(game, eps_m, construction)
     if predicted > budget:
@@ -328,15 +344,10 @@ def bimatrixify(
     if m < 1:
         raise DegenerateGame("cannot bimatrixify an empty game")
     counts = gm.strategy_counts
-    big_n = sum(counts)
-    eps_2 = eps_m / big_n
-    alpha = rational(8) * m * m / eps_2
+    alpha = ReductionParams(eps_m, block_sizes=counts).alpha
     game = BimatrixGame.structured(gm, alpha)
     mapping = GameMapping("bimatrixify", counts, block_sizes=counts, alpha=alpha, divisor=game.divisor)
-    params = ReductionParams(
-        eps_m=eps_m, eps_2=eps_2, m=m, N=big_n, alpha=alpha, divisor=game.divisor
-    )
-    return game, mapping, params
+    return game, mapping, ReductionParams(eps_m, block_sizes=counts, divisor=game.divisor)
 
 
 def normalize_bimatrix(game: BimatrixGame) -> BimatrixGame:

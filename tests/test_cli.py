@@ -18,7 +18,6 @@ from click.testing import CliRunner
 from nashreduce import R
 from nashreduce.cli import main
 from nashreduce.fileio import (
-    mapping_to_dict,
     read_game,
     read_mapping,
     read_profile,
@@ -29,7 +28,7 @@ from nashreduce.fileio import (
 from nashreduce.gadgets import GADGET_KINDS
 from nashreduce.model import BimatrixGame, NormalFormGame, PolymatrixGame, random_normal_form
 from nashreduce.multipliers import predicted_player_count
-from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix, reduce_full
+from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix, normalize_bimatrix, reduce_full
 from nashreduce.solvers import lift_to_bimatrix
 
 FLOAT_RE = re.compile(r"\d\.\d")
@@ -416,52 +415,94 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
 
 @pytest.fixture
 def full_reduced(tmp_path):
-    """Game and witness profile files of a full reduction of 2x2
-    anti-coordination at its pure equilibrium, and the honest mapping's data."""
+    """Game, mapping and witness profile files of a full reduction of 2x2
+    anti-coordination at its pure equilibrium; the normalized game sits
+    beside the game as ``full.normalized.json``."""
     differ = [[R(0), R(1)], [R(1), R(0)]]
     g2, mapping, params = reduce_full(NormalFormGame((2, 2), [differ, differ]), R(1, 2), "unary")
     poly = lift_to_polymatrix([(R(1), R(0)), (R(0), R(1))], mapping)
-    write_game(tmp_path / "full.game.json", g2)
-    write_profile(tmp_path / "full.profile.json", lift_to_bimatrix(g2, poly, mapping))
-    return tmp_path, mapping_to_dict(mapping, params)
+    paths = [tmp_path / f"full.{name}.json" for name in ("game", "mapping", "profile")]
+    write_game(paths[0], g2)
+    write_game(tmp_path / "full.normalized.json", normalize_bimatrix(g2))
+    write_mapping(paths[1], mapping, params)
+    write_profile(paths[2], lift_to_bimatrix(g2, poly, mapping))
+    return tuple(map(str, paths))
 
 
-def recover_full_with(runner, full_reduced, **fields):
-    path, data = full_reduced
-    (path / "m.json").write_text(json.dumps(dict(data, **fields)))
-    return invoke(runner, "recover", path / "full.game.json", path / "m.json", path / "full.profile.json")
+def recover_tampered(runner, files, fields):
+    """``recover`` on ``files`` (game, mapping, profile) with the mapping's
+    ``fields`` replaced; a ``params`` entry replaces only the ledger values
+    it names."""
+    game_path, mapping_path, profile_path = files
+    with open(mapping_path) as fh:
+        data = json.load(fh)
+    data.update(fields, params=dict(data["params"], **fields.get("params", {})))
+    tampered = f"{mapping_path}.tampered.json"
+    with open(tampered, "w") as fh:
+        json.dump(data, fh)
+    return invoke(runner, "recover", game_path, tampered, profile_path)
 
 
 def test_recover_full_round_trip(runner, full_reduced):
-    assert full_reduced[1]["h"] == [[0, 1], [2, 3]]
-    result = recover_full_with(runner, full_reduced)
+    game_path, mapping_path, profile_path = full_reduced
+    assert read_mapping(mapping_path)[0].h == ((0, 1), (2, 3))
+    # eps_2 in the game, and eps_2 over the divisor 7296001 in the normalized game
+    for game, eps in (("game", "1/9120"), ("normalized", "1/66539529120")):
+        result = invoke(runner, "recover", game_path.replace(".game.", f".{game}."), mapping_path, profile_path)
+        assert result.exit_code == 0
+        assert "recovered profile: ((1,0),(0,1))" in result.output
+        assert f"verification at eps = {eps}: PASS" in result.output
+    # a mapping that records no divisor is verified at the normalized game's own
+    files = (game_path.replace(".game.", ".normalized."), mapping_path, profile_path)
+    result = recover_tampered(runner, files, {"divisor": None, "params": {"divisor": None}})
     assert result.exit_code == 0
-    assert "recovered profile: ((1,0),(0,1))" in result.output
-    assert "PASS" in result.output
+    assert "verification at eps = 1/66539529120: PASS" in result.output
 
 
 TAMPERED_MAPPINGS = {
-    # name: (mapping file fields, message); each would misread or break the layout
-    "swapped_h": ({"h": [[2, 3], [0, 1]]},
+    # name: (reduced files, mapping file fields, message); each would misread
+    # the layout or loosen the tolerance recover verifies at
+    "swapped_h": ("full", {"h": [[2, 3], [0, 1]]},
                   "mapping field h[0] is [2, 3], but the full layout of source counts [2, 2] gives [0, 1]"),
-    "wrong_g": ({"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
-    "short_h": ({"h": [[0, 1]]}, "mapping field h[1] is null, but the full layout of source counts [2, 2] gives [2, 3]"),
-    "bool_h": ({"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
-    "float_h": ({"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
-    "h_not_lists": ({"h": 4}, "h must be a list of integer lists"),
-    "source_counts": ({"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
+    "wrong_g": ("full", {"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
+    "short_h": ("full", {"h": [[0, 1]]},
+                "mapping field h[1] is null, but the full layout of source counts [2, 2] gives [2, 3]"),
+    "bool_h": ("full", {"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
+    "float_h": ("full", {"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
+    "h_not_lists": ("full", {"h": 4}, "h must be a list of integer lists"),
+    "source_counts": ("full", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
                       "source counts (2, 3) are not the leading block sizes (2, 2)"),
     # malformed fields that a GameMapping rejects are unreadable input too
-    "unknown_stage": ({"stage": "sideways"}, "unknown reduction stage 'sideways'"),
-    "missing_block_sizes": ({"block_sizes": None}, "full mappings need block_sizes and alpha"),
-    "nonpositive_count": ({"source_counts": [2, 0]}, "source strategy counts must be positive"),
+    "unknown_stage": ("full", {"stage": "sideways"}, "unknown reduction stage 'sideways'"),
+    "missing_block_sizes": ("full", {"block_sizes": None}, "full mappings need block_sizes and alpha"),
+    "nonpositive_count": ("full", {"source_counts": [2, 0]}, "source strategy counts must be positive"),
+    # the ledger is derived from the inputs and the layout, so a forged value is unreadable input
+    "forged_eps_2": ("full", {"params": {"eps_2": "1000000000000"}},
+                     'mapping field params.eps_2 is "1000000000000", but the ledger gives "1/9120"'),
+    "float_eps_2": ("full", {"params": {"eps_2": 0.5}}, 'mapping field params.eps_2 is 0.5, but the ledger gives "1/9120"'),
+    "forged_alpha": ("full", {"params": {"alpha": "1"}}, 'mapping field params.alpha is "1", but the ledger gives "7296000"'),
+    "forged_N": ("full", {"params": {"N": 21}}, "mapping field params.N is 21, but the ledger gives 20"),
+    "float_N": ("full", {"params": {"N": 20.0}}, "mapping field params.N is 20.0, but the ledger gives 20"),
+    "float_m": ("full", {"params": {"m": 10.0}}, "mapping field params.m is 10.0, but the ledger gives 10"),
+    "forged_top_level_alpha": ("full", {"alpha": "1"}, 'mapping field alpha is "1", but the ledger gives "7296000"'),
+    "forged_divisor": ("normalized", {"params": {"divisor": "1/1000000000000"}},
+                       'mapping field params.divisor is "1/1000000000000", but the ledger gives "7296001"'),
+    "noncanonical_eps_m": ("full", {"params": {"eps_m": "2/912"}},
+                           'mapping field params.eps_m is "2/912", but the ledger gives "1/456"'),
+    "forged_linearize_eps_m": ("linearized", {"params": {"eps_m": "1"}},
+                               'mapping field params.eps_m is "1", but the ledger gives "1/100000"'),
+    "linearize_without_eps_k": ("linearized", {"params": {"eps_k": None}},
+                                "a linearize mapping needs eps_k and a construction"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERED_MAPPINGS))
-def test_recover_rejects_a_tampered_mapping(runner, full_reduced, name):
-    fields, message = TAMPERED_MAPPINGS[name]
-    result = recover_full_with(runner, full_reduced, **fields)
+def test_recover_rejects_a_tampered_mapping(runner, request, name):
+    files, fields, message = TAMPERED_MAPPINGS[name]
+    game_path, mapping_path, profile_path = request.getfixturevalue("linearized" if files == "linearized" else "full_reduced")
+    if files == "normalized":
+        game_path = game_path.replace(".game.", ".normalized.")
+    result = recover_tampered(runner, (game_path, mapping_path, profile_path), fields)
     assert result.exit_code == 2
     assert f"error: {message}\n" in result.output
     assert "recovered profile" not in result.output
@@ -469,10 +510,11 @@ def test_recover_rejects_a_tampered_mapping(runner, full_reduced, name):
 
 
 def test_recover_rejects_a_mapping_with_another_divisor(runner, tmp_path):
+    # a readable, self-consistent mapping whose divisor is not the game's
     game_path, mapping_path, prof = (tmp_path / name for name in ("g.json", "m.json", "p.json"))
     g2, mapping, params = bimatrixify(PolymatrixGame((2, 2), {(0, 1): [[R(1), R(0)], [R(0), R(1)]]}), R(1, 2))
     write_game(game_path, g2)
-    write_mapping(mapping_path, replace(mapping, divisor=g2.divisor + 1), params)
+    write_mapping(mapping_path, replace(mapping, divisor=g2.divisor + 1), replace(params, divisor=g2.divisor + 1))
     write_profile(prof, [(R(1, 4),) * 4, (R(1, 4),) * 4])
     result = invoke(runner, "recover", game_path, mapping_path, prof)
     assert result.exit_code == 3

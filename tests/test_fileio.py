@@ -84,17 +84,23 @@ def test_profile_round_trip():
     assert profile_from_dict(profile_to_dict(xy)) == xy
 
 
-def test_mapping_round_trip():
-    game = random_normal_form(11, (2, 2))
-    g2, mapping, params = reduce_full(game, R(1, 2), "unary")
-    back_mapping, back_params = mapping_from_dict(mapping_to_dict(mapping, params))
+@pytest.mark.parametrize("stage", ["linearize", "bimatrixify", "full"])
+def test_mapping_round_trip(tmp_path, stage):
+    game = random_normal_form(11, (2, 3))
+    if stage == "full":
+        _, mapping, params = reduce_full(game, R(1, 2), "unary")
+    else:
+        gm, mapping, params = linearize(game, R(1, 2), "unary")
+        if stage == "bimatrixify":
+            _, mapping, params = bimatrixify(gm, params.eps_m)
+    write_mapping(tmp_path / "a.json", mapping, params)
+    back_mapping, back_params = read_mapping(tmp_path / "a.json")
     # the circuit is an in-process convenience and is never serialized
     assert back_mapping.circuit is None
     assert back_mapping == mapping  # equality ignores the circuit
     assert back_params == params
-    gm, lin_mapping, lin_params = linearize(game, R(1, 2), "unary")
-    again, again_params = mapping_from_dict(mapping_to_dict(lin_mapping, lin_params))
-    assert again == lin_mapping and again_params == lin_params
+    write_mapping(tmp_path / "b.json", back_mapping, back_params)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +206,7 @@ def test_parse_rejects_structural_damage():
         n = data["strategy_counts"][0]
         for field, wrong in (
             ("players", data["players"] + 1),
+            ("players", float(data["players"])),  # equal to the count, but not an int
             ("strategy_counts", [n + 1] + data["strategy_counts"][1:]),
             ("payoff_range", [lo, "7"]),
             ("payoff_range", ["-7", hi]),
@@ -208,6 +215,10 @@ def test_parse_rejects_structural_damage():
                 game_from_dict(dict(data, **{field: wrong}))
         with pytest.raises(ParseError, match="missing field"):
             game_from_dict({k: v for k, v in data.items() if k != "payoff_range"})
+    # a structured game's strategy counts are read from the header alone
+    with pytest.raises(ParseError) as err:
+        game_from_dict(dict(data, strategy_counts=[float(n), n]))
+    assert str(err.value) == f"header field 'strategy_counts' is [{float(n)}, {n}] but the body implies [{n}, {n}]"
 
 
 def test_parse_rejects_bad_edges_and_roles():
@@ -235,6 +246,22 @@ def test_profile_and_mapping_parse_errors():
     data = mapping_to_dict(mapping, params)
     with pytest.raises(ParseError):
         mapping_from_dict(dict(data, params=dict(data["params"], eps_m="1/0")))
+    # a ledger's inputs follow the reduction's rules
+    _, bi_mapping, bi_params = bimatrixify(linearize(game, R(1, 2))[0], R(1, 4))
+    bi_data = mapping_to_dict(bi_mapping, bi_params)
+    for mapping_data, fields, message in (
+        (data, {"eps_k": "3/2"}, "eps_k must lie in (0, 1), got 3/2"),
+        (data, {"construction": "ternary"}, "unknown construction 'ternary'; choose from ['log', 'unary']"),
+        (data, {"construction": None}, "a linearize mapping needs eps_k and a construction"),
+        (bi_data, {"eps_k": "1/2"}, 'mapping field params.eps_k is "1/2", but the ledger gives null'),
+        (bi_data, {"construction": "unary"}, 'mapping field params.construction is "unary", but the ledger gives null'),
+    ):
+        with pytest.raises(ParseError) as err:
+            mapping_from_dict(dict(mapping_data, params=dict(mapping_data["params"], **fields)))
+        assert str(err.value) == message
+    one_player = dict(data, g=[0], h=[[0, 1]], source_counts=[2])
+    with pytest.raises(ParseError, match="need at least two players to linearize"):
+        mapping_from_dict(one_player)
 
 
 def test_bimatrix_encoding_guard():

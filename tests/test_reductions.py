@@ -9,6 +9,7 @@ against hand-computed block matrices and the exact renormalization rule.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -94,26 +95,35 @@ def test_compute_eps_m_frozen():
 
 
 def test_reduction_params_ledger():
+    # only the inputs are stored; m, N, eps_2 and alpha are derived from them
     params = ReductionParams(
         eps_m=R(1, 100000),
         eps_k=R(9, 10),
         construction="log",
-        eps_2=R(1, 100),
-        m=5,
-        N=10,
-        alpha=R(20000),
-        divisor=R(20002),
+        block_sizes=(2, 2, 2, 2, 2),
+        divisor=R(200000001),
     )
-    lines = params.ledger_lines()
-    assert "eps_m = 1/100000" in lines
-    assert "eps_k = 9/10" in lines
-    assert "construction = log" in lines
-    assert "alpha = 20000" in lines
-    assert f"eps_2_normalized = {R(1, 100) / R(20002)}" in lines
-    assert params.eps_2_normalized == R(1, 2000200)
+    assert (params.m, params.N) == (5, 10)
+    assert params.eps_2 == R(1, 1000000)
+    assert params.alpha == 8 * 5**2 / params.eps_2 == R(200000000)
+    assert params.eps_2_normalized == R(1, 1000000) / R(200000001)
+    assert all(type(v) is Fraction for v in (params.eps_2, params.alpha, params.eps_2_normalized))
+    assert params.ledger_lines() == [
+        "construction = log",
+        "eps_k = 9/10",
+        "eps_m = 1/100000",
+        "m = 5",
+        "N = 10",
+        "eps_2 = 1/1000000",
+        "alpha = 200000000",
+        "divisor = 200000001",
+        "eps_2_normalized = 1/200000001000000",
+    ]
+    with pytest.raises(TypeError):  # the derived values cannot be stated
+        ReductionParams(eps_m=R(1, 4), eps_2=R(1, 8))
     bare = ReductionParams(eps_m=R(1, 4))
     assert bare.ledger_lines() == ["eps_m = 1/4"]
-    assert bare.eps_2_normalized is None
+    assert bare.m is bare.N is bare.eps_2 is bare.alpha is bare.eps_2_normalized is None
 
 
 def test_mapping_validation():
