@@ -7,14 +7,35 @@ round trip is exact.  No floats ever appear on either side.
 
 A rational in a file must match ``-?[0-9]+(/[0-9]+)?`` exactly, with a
 nonzero denominator: no spaces, ``+`` signs, underscores or decimals.  This
-is :func:`~nashreduce._rational.rational`'s string grammar.  One
-read parses each distinct string once: a per-read dict (``_Rationals``)
-maps every string it has parsed to its ``Fraction``, and each later cell
-with the same string gets that object.  A reduced game holds tens of
-thousands of cells but only dozens of distinct strings.  A failed parse
-raises and is never stored, so every malformed cell fails.  Edge matrices
-repeat too: a read parses each distinct edge body once and a write renders
-each distinct matrix object once, so equal edges share one matrix.
+is :func:`~nashreduce._rational.rational`'s string grammar.  It must also
+be the canonical form :func:`~nashreduce._rational.rational_str` writes:
+lowest terms, no ``/1``, no ``-0`` and no leading zeros, so ``"2/2"`` is
+unreadable input.  One read parses and checks each distinct string once: a
+per-read dict (``_Rationals``) maps every string it has parsed to its
+``Fraction``, and each later cell with the same string gets that object.
+A reduced game holds tens of thousands of cells but only dozens of
+distinct strings.  A failed parse raises and is never stored, so every
+malformed cell fails.
+
+Game and mapping files are at version 2.  A polymatrix or structured
+bimatrix file stores its edges as a ``matrices`` table, which holds each
+distinct matrix once in the order of first use over the sorted edges, and
+``[i, j, k]`` edge triples whose ``k`` indexes the table.  The table is
+keyed by rendered value, not by object, so the bytes depend only on the
+values; a read parses each table entry once and gives every edge that
+uses it one shared matrix.  A version 2 mapping holds no ``g`` or ``h``,
+which its stage and source counts fix.  Normal-form and dense bimatrix
+files differ from version 1 only in their tag.
+
+A reader accepts only what its writer writes.  An unknown field, edges
+whose ``(i, j)`` do not strictly increase, a table entry that repeats
+another, is used by no edge, is out of first-use order or is all zero,
+and a ``k`` that is not an int indexing the table are each a
+:class:`ParseError` naming the JSON path.  Version 1 files stay readable
+through the same parser: a v1 edge list ``[i, j, rows]`` becomes a table
+of its distinct bodies plus triples and then follows the same rules, and a
+v1 mapping's ``g`` and ``h`` are checked, as plain ints, against the
+layout its stage and source counts give.
 
 Games carry a small header (format tag, class, player count, strategy
 counts, payoff range, and for a structured bimatrix game its divisor) that
@@ -25,13 +46,11 @@ polymatrix game of its block sizes and edges, so it follows the polymatrix
 rules.  A body that breaks a game builder's rule (a nonpositive alpha, an
 edge to a missing player, an entry out of range) is a :class:`ParseError`
 too.  Header fields are compared as JSON, so ``2.0`` is not the count ``2``.
-Mappings are checked the same way: ``g`` and ``h`` are written as
-before, but the stage and source counts fix them, so a reader checks them
-like header fields, as plain ints, and a field that breaks a
-:class:`~nashreduce.reductions.GameMapping` rule is a :class:`ParseError`.
-The ledger (``params``) is read from its inputs alone, ``eps_m`` for a
-bimatrixify mapping and ``eps_k`` and the construction otherwise; every
-other ledger value, and the top-level ``alpha``, is checked against what
+A mapping field that breaks a :class:`~nashreduce.reductions.GameMapping`
+rule is a :class:`ParseError` as well.  The ledger (``params``) is read
+from its inputs alone, ``eps_m`` for a bimatrixify mapping and ``eps_k``
+and the construction otherwise; every other ledger value, and the
+top-level ``alpha``, is checked against what
 :class:`~nashreduce.reductions.ReductionParams` derives.
 """
 
@@ -39,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -56,9 +76,11 @@ from .reductions import LEDGER, GameMapping, ReductionParams, eps_m_for_counts
 
 Rat = Any
 
-GAME_FORMAT = "nashreduce-game/1"
+GAME_FORMAT = "nashreduce-game/2"
 PROFILE_FORMAT = "nashreduce-profile/1"
-MAPPING_FORMAT = "nashreduce-mapping/1"
+MAPPING_FORMAT = "nashreduce-mapping/2"
+# the version 1 tags, which the readers still accept
+_V1_FORMATS = {GAME_FORMAT: "nashreduce-game/1", MAPPING_FORMAT: "nashreduce-mapping/1"}
 
 __all__ = [
     "GAME_FORMAT",
@@ -95,8 +117,9 @@ def _not_a_string(value: Any) -> ParseError:
 
 class _Rationals(dict):
     """The rationals of one file: each distinct string, parsed once, maps to
-    its ``Fraction``.  A lookup of a new key parses it in the strict grammar;
-    a key that fails raises :class:`ParseError` and is not stored."""
+    its ``Fraction``.  A lookup of a new key parses it in the strict grammar
+    and checks that it is canonical; a key that fails raises
+    :class:`ParseError` and is not stored."""
 
     def __missing__(self, text: Any) -> Fraction:
         if not isinstance(text, str):
@@ -105,6 +128,9 @@ class _Rationals(dict):
             value = rational(text)
         except (ValueError, ZeroDivisionError):  # off the grammar, a zero denominator, too many digits
             raise ParseError(f"invalid rational {text!r}") from None
+        canonical = rational_str(value)
+        if text != canonical:
+            raise ParseError(f"non-canonical rational {text!r}; its canonical form is {canonical!r}")
         self[text] = value
         return value
 
@@ -155,18 +181,21 @@ def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
     return [_vector_in(row, rats) for row in data]
 
 
-def _edges_out(edges) -> list:
-    """``[i, j, rows]`` per edge, sorted by endpoints.  Each distinct matrix
-    object is rendered once; every edge gets its own copy of the row lists,
-    so the result holds no shared lists."""
-    rendered: dict[int, list[list[str]]] = {}  # the edges hold every keyed matrix
-    out = []
-    for (i, j), mat in sorted(edges.items()):
-        rows = rendered.get(id(mat))
-        if rows is None:
-            rows = rendered[id(mat)] = _matrix_out(mat)
-        out.append([i, j, [*map(list, rows)]])
-    return out
+def _edges_out(edges) -> tuple[list, list]:
+    """The ``matrices`` table and ``[i, j, k]`` triples of ``edges``, sorted
+    by endpoints.  Each distinct matrix object is rendered once, and each
+    distinct rendering is a table entry, in first-use order, so the result
+    depends only on the values and holds no shared lists."""
+    items = sorted(edges.items())
+    matrices: list[list[list[str]]] = []
+    by_text: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}  # the edges hold every keyed matrix
+    for mat in {id(mat): mat for _, mat in items}.values():  # distinct objects, in first-use order
+        rows = _matrix_out(mat)
+        k = by_id[id(mat)] = by_text.setdefault(tuple(map(tuple, rows)), len(matrices))
+        if k == len(matrices):
+            matrices.append(rows)
+    return matrices, [[i, j, by_id[id(mat)]] for (i, j), mat in items]
 
 
 def _body_key(body: Any) -> tuple | None:
@@ -181,30 +210,86 @@ def _body_key(body: Any) -> tuple | None:
     return key
 
 
-def _edges_in(data: Any, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]:
-    """The edges of a file, ``{(i, j): rows}``.  Each distinct matrix text
-    is parsed once, and edges with equal texts share the parsed object.  A
-    body that is not a non-empty list of lists of strings is parsed on its
-    own and fails with the parser's own :class:`ParseError`."""
+def _v1_table(data: Any) -> tuple[list, list]:
+    """A version 1 edge list ``[i, j, rows]`` as a table of its distinct
+    bodies plus ``[i, j, k]`` triples.  A body that is not a non-empty list
+    of lists of strings gets an entry of its own, so it is parsed on its own
+    and fails with the parser's own :class:`ParseError`."""
     if not isinstance(data, list):
         raise ParseError("edges must be a list of [i, j, matrix] entries")
-    edges: dict[tuple[int, int], list[tuple]] = {}
-    parsed: dict[tuple, list[tuple]] = {}
+    table: list = []
+    index: dict[tuple, int] = {}
+    triples = []
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"malformed edge entry {entry!r}")
-        i = _int_in(entry[0], "edge endpoint")
-        j = _int_in(entry[1], "edge endpoint")
-        if (i, j) in edges:
-            raise ParseError(f"duplicate edge ({i}, {j})")
         key = _body_key(entry[2])
-        mat = None if key is None else parsed.get(key)
-        if mat is None:
-            mat = _matrix_in(entry[2], rats)
+        k = None if key is None else index.get(key)
+        if k is None:
+            k = len(table)
+            table.append(entry[2])
             if key is not None:
-                parsed[key] = mat
-        edges[(i, j)] = mat
-    return edges
+                index[key] = k
+        triples.append([entry[0], entry[1], k])
+    return table, triples
+
+
+def _triples_fault(triples: list, size: int) -> ParseError:
+    """The first fault in edge triples that index a table of ``size``
+    matrices, or a table entry that no edge uses."""
+    last, fresh = None, 0  # the previous endpoints; the first unused table entry
+    for pos, entry in enumerate(triples):
+        if not isinstance(entry, list) or len(entry) != 3:
+            return ParseError(f"edges[{pos}] must be an [i, j, k] triple, got {entry!r}")
+        for field, value in enumerate(entry):
+            if type(value) is not int:
+                return ParseError(f"edges[{pos}][{field}] must be an integer, got {value!r}")
+        i, j, k = entry
+        if last is not None and (i, j) <= last:
+            return ParseError(f"edges[{pos}] is ({i}, {j}), but edges must strictly increase and edges[{pos - 1}] is {last}")
+        if not 0 <= k < size:
+            return ParseError(f"edges[{pos}][2] is {k}, but matrices has {size} entries")
+        if k > fresh:
+            return ParseError(f"edges[{pos}][2] is {k}, but matrices are in first-use order, so the next new one is {fresh}")
+        fresh += k == fresh
+        last = (i, j)
+    return ParseError(f"matrices[{fresh}] is used by no edge")
+
+
+def _edges_in(data: dict, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]:
+    """The edges of a game file, ``{(i, j): rows}``, from its ``matrices``
+    table and ``[i, j, k]`` triples, or from a version 1 edge list.  Every
+    table entry is parsed, once, before any triple is checked, and edges
+    that share an entry share its parsed matrix."""
+    if data["format"] != GAME_FORMAT:  # a version 1 file
+        table, triples = _v1_table(data["edges"])
+    else:
+        table, triples = data["matrices"], data["edges"]
+        if not isinstance(table, list):
+            raise ParseError("matrices must be a list of matrices")
+        if not isinstance(triples, list):
+            raise ParseError("edges must be a list of [i, j, k] triples")
+    parsed = [_matrix_in(mat, rats) for mat in table]
+    first = {}  # a parsed entry is a non-empty list of lists of strings
+    for k, mat in enumerate(table):
+        twin = first.setdefault(tuple(map(tuple, mat)), k)
+        if twin != k:
+            raise ParseError(f"matrices[{k}] repeats matrices[{twin}]")
+    # check every triple at once; _triples_fault finds and names the fault
+    if not (
+        {*map(type, triples)} <= {list}
+        and {*map(len, triples)} <= {3}
+        and {*map(type, itertools.chain.from_iterable(triples))} <= {int}
+    ):
+        raise _triples_fault(triples, len(parsed))
+    keys = [(i, j) for i, j, _ in triples]
+    ks = [k for _, _, k in triples]
+    if not all(map(operator.lt, keys, keys[1:])) or [*dict.fromkeys(ks)] != [*range(len(parsed))]:
+        raise _triples_fault(triples, len(parsed))
+    for k, mat in enumerate(parsed):
+        if not any(map(any, mat)):
+            raise ParseError(f"matrices[{k}] is all zero; edges[{ks.index(k)}] uses it")
+    return dict(zip(keys, map(parsed.__getitem__, ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +321,22 @@ def _header(game) -> dict:
     return header
 
 
+# the fields a game file holds beside its header, by class or bimatrix encoding
+_BODY_FIELDS = {
+    "normal_form": {"payoffs"},
+    "polymatrix": {"roles", "matrices", "edges"},
+    "dense": {"encoding", "a", "b"},
+    "structured": {"encoding", "block_sizes", "alpha", "normalized", "matrices", "edges"},
+}
+
+
 def game_to_dict(game) -> dict:
     data = _header(game)
     if isinstance(game, NormalFormGame):
         data["payoffs"] = [_matrix_out(mat) for mat in game.payoffs]
     elif isinstance(game, PolymatrixGame):
         data["roles"] = [[info.role.value, info.scope] for info in game.players]
-        data["edges"] = _edges_out(game.edges)
+        data["matrices"], data["edges"] = _edges_out(game.edges)
     else:
         data["encoding"] = game.encoding
         if game.encoding == "dense":
@@ -252,7 +346,7 @@ def game_to_dict(game) -> dict:
             data["block_sizes"] = list(game.block_sizes)
             data["alpha"] = rational_str(game.alpha)
             data["normalized"] = game.normalized
-            data["edges"] = _edges_out(game.edges)
+            data["matrices"], data["edges"] = _edges_out(game.edges)
     return data
 
 
@@ -278,7 +372,7 @@ def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
         except ValueError:
             raise ParseError(f"unknown role {entry[0]!r}") from None
         players.append(PlayerInfo(role, entry[1]))
-    return PolymatrixGame(counts, _edges_in(data["edges"], rats), players)
+    return PolymatrixGame(counts, _edges_in(data, rats), players)
 
 
 def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
@@ -290,7 +384,7 @@ def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
         if not isinstance(normalized, bool):
             raise ParseError("normalized must be a boolean")
         polymatrix = PolymatrixGame(
-            _ints_in(data["block_sizes"], "block size"), _edges_in(data["edges"], rats)
+            _ints_in(data["block_sizes"], "block size"), _edges_in(data, rats)
         )
         return BimatrixGame.structured(polymatrix, _rat_in(data["alpha"], rats), normalized)
     raise ParseError(f"unknown bimatrix encoding {encoding!r}")
@@ -306,17 +400,21 @@ _GAME_BUILDERS = {
 def game_from_dict(data: Any):
     if not isinstance(data, dict):
         raise ParseError("a game file must hold a JSON object")
-    _check_format(data, GAME_FORMAT)
+    v1 = _is_v1(data, GAME_FORMAT)
     builder = _GAME_BUILDERS.get(data.get("class"))
     if builder is None:
         raise ParseError(f"unknown game class {data.get('class')!r}")
     try:
         game = builder(data, _Rationals())
-        for key, implied in _header(game).items():
+        header = _header(game)
+        del header["format"]  # checked above
+        for key, implied in header.items():
             if json.dumps(data[key]) != json.dumps(implied):  # so 2.0 is not 2
                 raise ParseError(
                     f"header field {key!r} is {data[key]!r} but the body implies {implied!r}"
                 )
+        body = _BODY_FIELDS[game.encoding if isinstance(game, BimatrixGame) else header["class"]]
+        _check_fields(data, {"format", *header, *body} - ({"matrices"} if v1 else set()), "game")
     except KeyError as err:
         raise ParseError(f"game file is missing field {err.args[0]!r}") from None
     except DimensionMismatch as err:  # the builders size the body by the header's counts
@@ -340,7 +438,8 @@ def profile_to_dict(profile) -> dict:
 def profile_from_dict(data: Any) -> list[tuple]:
     if not isinstance(data, dict):
         raise ParseError("a profile file must hold a JSON object")
-    _check_format(data, PROFILE_FORMAT)
+    _is_v1(data, PROFILE_FORMAT)
+    _check_fields(data, {"format", "strategies"}, "profile")
     try:
         strategies = data["strategies"]
     except KeyError:
@@ -364,8 +463,6 @@ def mapping_to_dict(mapping: GameMapping, params: ReductionParams) -> dict:
     return {
         "format": MAPPING_FORMAT,
         "stage": mapping.stage,
-        "g": list(mapping.g),
-        "h": [list(hi) for hi in mapping.h],
         "source_counts": list(mapping.source_counts),
         "block_sizes": None if mapping.block_sizes is None else list(mapping.block_sizes),
         "alpha": _opt_rat_out(mapping.alpha),
@@ -374,9 +471,13 @@ def mapping_to_dict(mapping: GameMapping, params: ReductionParams) -> dict:
     }
 
 
+_MAPPING_FIELDS = {"format", "stage", "source_counts", "block_sizes", "alpha", "divisor", "params"}
+
+
 def _check_layout(data: dict, mapping: GameMapping) -> None:
-    """Raise :class:`ParseError` unless the file's ``g`` and ``h`` hold plain
-    ints and equal the layout of ``mapping``'s stage and source counts."""
+    """Raise :class:`ParseError` unless a version 1 file's ``g`` and ``h``
+    hold plain ints and equal the layout of ``mapping``'s stage and source
+    counts."""
     if not isinstance(data["h"], list):
         raise ParseError("h must be a list of integer lists")
     given = {"g": _ints_in(data["g"], "g entry"), "h": [_ints_in(hi, "h entry") for hi in data["h"]]}
@@ -398,6 +499,7 @@ def _params_from(data: dict, mapping: GameMapping, rats: _Rationals) -> Reductio
     raw = data["params"]
     if not isinstance(raw, dict):
         raise ParseError("malformed mapping file")
+    _check_fields(raw, LEDGER, "mapping", "params.")
     if mapping.stage == "bimatrixify":
         eps_m, eps_k, construction = _rat_in(raw["eps_m"], rats), None, None
     else:
@@ -421,7 +523,8 @@ def _params_from(data: dict, mapping: GameMapping, rats: _Rationals) -> Reductio
 def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
     if not isinstance(data, dict):
         raise ParseError("a mapping file must hold a JSON object")
-    _check_format(data, MAPPING_FORMAT)
+    v1 = _is_v1(data, MAPPING_FORMAT)
+    _check_fields(data, _MAPPING_FIELDS | ({"g", "h"} if v1 else set()), "mapping")
     try:
         raw_blocks = data["block_sizes"]
         rats = _Rationals()
@@ -432,7 +535,8 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
             alpha=_opt_rat_in(data["alpha"], rats),
             divisor=_opt_rat_in(data["divisor"], rats),
         )
-        _check_layout(data, mapping)
+        if v1:
+            _check_layout(data, mapping)
         params = _params_from(data, mapping, rats)
     except KeyError as err:
         raise ParseError(f"mapping file is missing field {err.args[0]!r}") from None
@@ -445,10 +549,21 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
 # file helpers
 
 
-def _check_format(data: dict, expected: str) -> None:
+def _is_v1(data: dict, expected: str) -> bool:
+    """Whether ``data`` is tagged with the version 1 format of ``expected``;
+    :class:`ParseError` unless it is tagged with one of the two."""
     tag = data.get("format")
-    if tag != expected:
+    if tag != expected and tag != _V1_FORMATS.get(expected):
         raise ParseError(f"expected format {expected!r}, got {tag!r}")
+    return tag != expected
+
+
+def _check_fields(data: dict, fields, what: str, path: str = "") -> None:
+    """Raise :class:`ParseError` naming the first key of ``data`` that is not
+    one of ``fields``, which a writer writes at ``path``."""
+    for key in data:
+        if key not in fields:
+            raise ParseError(f"unknown {what} field {path + str(key)!r}")
 
 
 def _write(path, data: dict) -> None:

@@ -291,8 +291,10 @@ def test_criterion_7_size_scaling():
 def _round_trip(game):
     import json
 
-    data = json.loads(dumps_canonical(game_to_dict(game)))
-    assert game_from_dict(data) == game
+    text = dumps_canonical(game_to_dict(game))
+    back = game_from_dict(json.loads(text))
+    assert back == game
+    assert dumps_canonical(game_to_dict(back)) == text  # write, read, write: the same bytes
 
 
 def test_criterion_8_serialization_and_determinism():

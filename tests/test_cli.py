@@ -10,7 +10,9 @@ reduction outputs across runs.
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -161,7 +163,7 @@ def structured_file(tmp_path, edit) -> str:
 
 def test_noncanonical_rational_in_file(runner, tmp_path):
     def pad_first_entry(data):
-        row = data["edges"][0][2][0]
+        row = data["matrices"][0][0]
         row[0] = " " + row[0]
 
     result = invoke(runner, "solve", structured_file(tmp_path, pad_first_entry))
@@ -177,7 +179,7 @@ def test_file_body_breaking_a_builder_rule_is_unreadable_input(runner, tmp_path)
 
 def set_first_edge_entry(text):
     def edit(data):
-        data["edges"][0][2][0][0] = text
+        data["matrices"][data["edges"][0][2]][0][0] = text
 
     return edit
 
@@ -284,17 +286,18 @@ def test_reduce_is_deterministic(runner, dominant_file, tmp_path):
 
 
 REDUCE_OUTPUTS = {
-    # name: (strategy counts, source seed, reduce options, {file suffix: sha256})
+    # name: (strategy counts, source seed, reduce options, {file suffix: sha256});
+    # the game and mapping digests are of version 2 files
     "log-full-222": ((2, 2, 2), 7, ("--eps-k", "9/10", "--construction", "log"), {
-        "game.json": "39ef4d770a3f39a2c865369ccd2deb2ab560c6a56e140ce71483b12b4d43d7a4",
+        "game.json": "a840c5ee47a066ac2aa4f4f029360f5f4e07e1e0f57d1bbc33c80549d0d46c73",
         "ledger.txt": "7c05a6d41316e8fc536a3846b2ce0c9553831b6494634a7a39509f89bab328e9",
-        "mapping.json": "d43194272c62b29917bc5f67092f34412368512cc5a3d2dceca79e1bd9bf0afe",
-        "normalized.json": "deabefe925d216a9fad8033f4d8108197515520c6419055cde2b2b16b358671a",
+        "mapping.json": "0bc081cd66fbcf4a6ee80f38a44c49f20c6c893eaaa05c3ace93b61ec5ad1ef1",
+        "normalized.json": "dfc7b698c2ab2181365124316253b328f57c94b0a9a48922173c22ad0c9f4a15",
     }),
     "unary-linearize-22": ((2, 2), 5, ("--eps-k", "1/2", "--construction", "unary", "--stage", "linearize"), {
-        "game.json": "29fe90bcae7145ca71da07147c34e35870fff08da400c21ae0f4e80a28bdce7f",
+        "game.json": "5492e6428329363ace4399165d246bf0cb816a0f59c046f51f19de4fabf4e52e",
         "ledger.txt": "0edf0cda72905207898d24cd792dbbbb64d3309213dd89b3221110c0b294dbeb",
-        "mapping.json": "14bd59b465450dce160e1c23a9af65e75bf58294c21b8653ad8f2dc9ebc20d56",
+        "mapping.json": "eb29a9e22517c9ce356757e93acea147bcc07848576e15737e00c02df16c6b54",
     }),
 }
 
@@ -308,6 +311,24 @@ def test_reduce_outputs_are_pinned(runner, tmp_path, name):
     assert result.exit_code == 0
     written = {p.name[len("out."):]: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("out.*")}
     assert written == digests
+
+
+def test_v1_reduce_outputs_read_back_equal(runner, tmp_path):
+    # the same reduction as REDUCE_OUTPUTS["unary-linearize-22"], written by the version 1 writers
+    v1 = {suffix: V1_DATA / f"unary-linearize-22.{suffix}" for suffix in ("src.json", "game.json", "mapping.json", "ledger.txt")}
+    counts, seed, options, _ = REDUCE_OUTPUTS["unary-linearize-22"]
+    assert read_game(v1["src.json"]) == random_normal_form(seed, counts)
+    result = invoke(runner, "reduce", v1["src.json"], *options, "--out", tmp_path / "out")
+    assert result.exit_code == 0
+    v2 = {suffix: tmp_path / f"out.{suffix}" for suffix in v1}
+    assert v1["ledger.txt"].read_bytes() == v2["ledger.txt"].read_bytes()
+    assert read_game(v1["game.json"]) == read_game(v2["game.json"])
+    assert read_mapping(v1["mapping.json"]) == read_mapping(v2["mapping.json"])
+    # what a version 1 file reads back to is written as the version 2 file
+    write_game(tmp_path / "re.game.json", read_game(v1["game.json"]))
+    write_mapping(tmp_path / "re.mapping.json", *read_mapping(v1["mapping.json"]))
+    for suffix in ("game.json", "mapping.json"):
+        assert (tmp_path / f"re.{suffix}").read_bytes() == v2[suffix].read_bytes()
 
 
 def test_reduce_rejects_non_normal_form(runner, pennies_file, tmp_path):
@@ -413,6 +434,16 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+V1_DATA = Path(__file__).parent / "data" / "v1"
+
+
+@pytest.fixture
+def full_reduced_v1(tmp_path):
+    """The files of ``full_reduced`` as the version 1 writers wrote them."""
+    shutil.copytree(V1_DATA, tmp_path / "v1")
+    return tuple(str(tmp_path / "v1" / f"full.{name}.json") for name in ("game", "mapping", "profile"))
+
+
 @pytest.fixture
 def full_reduced(tmp_path):
     """Game, mapping and witness profile files of a full reduction of 2x2
@@ -444,7 +475,15 @@ def recover_tampered(runner, files, fields):
 
 
 def test_recover_full_round_trip(runner, full_reduced):
-    game_path, mapping_path, profile_path = full_reduced
+    recover_full_files(runner, full_reduced)
+
+
+def test_recover_reads_v1_files(runner, full_reduced_v1):
+    recover_full_files(runner, full_reduced_v1)
+
+
+def recover_full_files(runner, files):
+    game_path, mapping_path, profile_path = files
     assert read_mapping(mapping_path)[0].h == ((0, 1), (2, 3))
     # eps_2 in the game, and eps_2 over the divisor 7296001 in the normalized game
     for game, eps in (("game", "1/9120"), ("normalized", "1/66539529120")):
@@ -459,19 +498,36 @@ def test_recover_full_round_trip(runner, full_reduced):
     assert "verification at eps = 1/66539529120: PASS" in result.output
 
 
+def test_v1_full_files_read_back_equal(full_reduced, full_reduced_v1):
+    for v2_path, v1_path in zip(full_reduced, full_reduced_v1):
+        read = read_profile if v2_path.endswith(".profile.json") else read_mapping if "mapping" in v2_path else read_game
+        assert read(v1_path) == read(v2_path)
+    normalized = [path.replace(".game.", ".normalized.") for path in (full_reduced[0], full_reduced_v1[0])]
+    assert read_game(normalized[1]) == read_game(normalized[0])
+
+
 TAMPERED_MAPPINGS = {
     # name: (reduced files, mapping file fields, message); each would misread
-    # the layout or loosen the tolerance recover verifies at
-    "swapped_h": ("full", {"h": [[2, 3], [0, 1]]},
+    # the layout or loosen the tolerance recover verifies at.  A version 1
+    # mapping's g and h must be the layout its stage and source counts give.
+    "swapped_h": ("full-v1", {"h": [[2, 3], [0, 1]]},
                   "mapping field h[0] is [2, 3], but the full layout of source counts [2, 2] gives [0, 1]"),
-    "wrong_g": ("full", {"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
-    "short_h": ("full", {"h": [[0, 1]]},
+    "wrong_g": ("full-v1", {"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
+    "short_h": ("full-v1", {"h": [[0, 1]]},
                 "mapping field h[1] is null, but the full layout of source counts [2, 2] gives [2, 3]"),
-    "bool_h": ("full", {"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
-    "float_h": ("full", {"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
-    "h_not_lists": ("full", {"h": 4}, "h must be a list of integer lists"),
-    "source_counts": ("full", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
-                      "source counts (2, 3) are not the leading block sizes (2, 2)"),
+    "bool_h": ("full-v1", {"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
+    "float_h": ("full-v1", {"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
+    "h_not_lists": ("full-v1", {"h": 4}, "h must be a list of integer lists"),
+    "source_counts_v1": ("full-v1", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
+                         "source counts (2, 3) are not the leading block sizes (2, 2)"),
+    "forged_eps_2_v1": ("full-v1", {"params": {"eps_2": "1000000000000"}},
+                        'mapping field params.eps_2 is "1000000000000", but the ledger gives "1/9120"'),
+    # a version 2 mapping holds no layout at all
+    "source_counts": ("full", {"source_counts": [2, 3]}, "source counts (2, 3) are not the leading block sizes (2, 2)"),
+    "g_in_v2": ("full", {"g": [1, 1]}, "unknown mapping field 'g'"),
+    "h_in_v2": ("full", {"h": [[0, 1], [2, 3]]}, "unknown mapping field 'h'"),
+    "extra_ledger_value": ("full", {"params": {"eps_2_normalized": "1/66539529120"}},
+                           "unknown mapping field 'params.eps_2_normalized'"),
     # malformed fields that a GameMapping rejects are unreadable input too
     "unknown_stage": ("full", {"stage": "sideways"}, "unknown reduction stage 'sideways'"),
     "missing_block_sizes": ("full", {"block_sizes": None}, "full mappings need block_sizes and alpha"),
@@ -488,7 +544,7 @@ TAMPERED_MAPPINGS = {
     "forged_divisor": ("normalized", {"params": {"divisor": "1/1000000000000"}},
                        'mapping field params.divisor is "1/1000000000000", but the ledger gives "7296001"'),
     "noncanonical_eps_m": ("full", {"params": {"eps_m": "2/912"}},
-                           'mapping field params.eps_m is "2/912", but the ledger gives "1/456"'),
+                           "non-canonical rational '2/912'; its canonical form is '1/456'"),
     "forged_linearize_eps_m": ("linearized", {"params": {"eps_m": "1"}},
                                'mapping field params.eps_m is "1", but the ledger gives "1/100000"'),
     "linearize_without_eps_k": ("linearized", {"params": {"eps_k": None}},
@@ -499,7 +555,8 @@ TAMPERED_MAPPINGS = {
 @pytest.mark.parametrize("name", sorted(TAMPERED_MAPPINGS))
 def test_recover_rejects_a_tampered_mapping(runner, request, name):
     files, fields, message = TAMPERED_MAPPINGS[name]
-    game_path, mapping_path, profile_path = request.getfixturevalue("linearized" if files == "linearized" else "full_reduced")
+    fixture = {"linearized": "linearized", "full-v1": "full_reduced_v1"}.get(files, "full_reduced")
+    game_path, mapping_path, profile_path = request.getfixturevalue(fixture)
     if files == "normalized":
         game_path = game_path.replace(".game.", ".normalized.")
     result = recover_tampered(runner, (game_path, mapping_path, profile_path), fields)

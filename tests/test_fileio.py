@@ -109,7 +109,7 @@ def test_mapping_round_trip(tmp_path, stage):
 
 def test_canonical_bytes_are_frozen():
     expected = (
-        '{"class":"normal_form","format":"nashreduce-game/1",'
+        '{"class":"normal_form","format":"nashreduce-game/2",'
         '"payoff_range":["0","1"],"payoffs":[[["1"],["0"]]],'
         '"players":1,"strategy_counts":[2]}\n'
     )
@@ -259,7 +259,7 @@ def test_profile_and_mapping_parse_errors():
         with pytest.raises(ParseError) as err:
             mapping_from_dict(dict(mapping_data, params=dict(mapping_data["params"], **fields)))
         assert str(err.value) == message
-    one_player = dict(data, g=[0], h=[[0, 1]], source_counts=[2])
+    one_player = dict(data, source_counts=[2])
     with pytest.raises(ParseError, match="need at least two players to linearize"):
         mapping_from_dict(one_player)
 
@@ -269,6 +269,73 @@ def test_bimatrix_encoding_guard():
     data = game_to_dict(dense)
     with pytest.raises(ParseError):
         game_from_dict(dict(data, encoding="sparse"))
+
+
+# ---------------------------------------------------------------------------
+# a version 2 reader accepts only what the writer writes
+
+
+def honest(kind) -> dict:
+    if kind == "game":  # six edges, each with a matrix of its own
+        return game_to_dict(random_polymatrix(3, (2, 2, 2)))
+    if kind == "profile":
+        return profile_to_dict([(R(1, 2), R(1, 2)), (R(1), R(0))])
+    return mapping_to_dict(*bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))[1:])
+
+
+def swap_first_uses(data):
+    data["matrices"][:2] = data["matrices"][1::-1]
+    data["edges"][0][2], data["edges"][1][2] = 1, 0
+
+
+STRICT_CASES = {
+    # name: (file kind, edit of an honest file, message)
+    "unknown_game_field": ("game", lambda d: d.update(extra=1), "unknown game field 'extra'"),
+    "unknown_mapping_field": ("mapping", lambda d: d.update(extra=1), "unknown mapping field 'extra'"),
+    "unknown_params_field": ("mapping", lambda d: d["params"].update(eps=1), "unknown mapping field 'params.eps'"),
+    "unknown_profile_field": ("profile", lambda d: d.update(extra=1), "unknown profile field 'extra'"),
+    "g_in_v2_mapping": ("mapping", lambda d: d.update(g=[0, 1]), "unknown mapping field 'g'"),
+    "h_in_v2_mapping": ("mapping", lambda d: d.update(h=[[0, 1], [2, 3, 4]]), "unknown mapping field 'h'"),
+    "repeated_edge": ("game", lambda d: d["edges"][1].__setitem__(1, 1),
+                      "edges[1] is (0, 1), but edges must strictly increase and edges[0] is (0, 1)"),
+    "edges_out_of_order": ("game", lambda d: (d["edges"][0].__setitem__(1, 2), d["edges"][1].__setitem__(1, 1)),
+                           "edges[1] is (0, 1), but edges must strictly increase and edges[0] is (0, 2)"),
+    "duplicated_entry": ("game", lambda d: d["matrices"].__setitem__(1, d["matrices"][0]),
+                         "matrices[1] repeats matrices[0]"),
+    "unused_entry": ("game", lambda d: d["matrices"].append([["1", "0"], ["0", "1"]]), "matrices[6] is used by no edge"),
+    "out_of_first_use_order": ("game", swap_first_uses,
+                               "edges[0][2] is 1, but matrices are in first-use order, so the next new one is 0"),
+    "index_out_of_range": ("game", lambda d: d["edges"][5].__setitem__(2, 6), "edges[5][2] is 6, but matrices has 6 entries"),
+    "negative_index": ("game", lambda d: d["edges"][5].__setitem__(2, -1), "edges[5][2] is -1, but matrices has 6 entries"),
+    "float_index": ("game", lambda d: d["edges"][2].__setitem__(2, 2.0), "edges[2][2] must be an integer, got 2.0"),
+    "bool_index": ("game", lambda d: d["edges"][1].__setitem__(2, True), "edges[1][2] must be an integer, got True"),
+    "float_endpoint": ("game", lambda d: d["edges"][3].__setitem__(0, 1.0), "edges[3][0] must be an integer, got 1.0"),
+    "not_a_triple": ("game", lambda d: d["edges"].__setitem__(3, [1, 2]), "edges[3] must be an [i, j, k] triple, got [1, 2]"),
+    "all_zero_entry": ("game", lambda d: d["matrices"].__setitem__(2, [["0", "0"], ["0", "0"]]),
+                       "matrices[2] is all zero; edges[2] uses it"),
+    "missing_table": ("game", lambda d: d.pop("matrices"), "game file is missing field 'matrices'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_CASES))
+def test_a_v2_reader_rejects_what_the_writer_never_writes(name):
+    kind, edit, message = STRICT_CASES[name]
+    reader = {"game": game_from_dict, "mapping": mapping_from_dict, "profile": profile_from_dict}[kind]
+    reader(honest(kind))  # the honest file reads
+    data = json.loads(dumps_canonical(honest(kind)))
+    edit(data)
+    with pytest.raises(ParseError) as err:
+        reader(data)
+    assert str(err.value) == message
+
+
+def test_a_v1_file_with_a_table_is_unreadable():
+    data = game_to_dict(random_polymatrix(3, (2, 2, 2)))
+    v1 = dict(data, format="nashreduce-game/1", edges=[[i, j, data["matrices"][k]] for i, j, k in data["edges"]])
+    assert game_from_dict({k: v for k, v in v1.items() if k != "matrices"}) == game_from_dict(data)
+    with pytest.raises(ParseError) as err:
+        game_from_dict(v1)
+    assert str(err.value) == "unknown game field 'matrices'"
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +363,33 @@ def test_rationals_in_files_use_the_strict_grammar(text):
 
 
 def test_canonical_rationals_parse_to_fractions():
-    strategies = [["3/4", "1/4"], ["-2/6", "4/3"], ["0", "-0", "007/7"]]
+    strategies = [["3/4", "1/4"], ["-1/3", "4/3"], ["0", "1", "-7"]]
     back = profile_from_dict({"format": PROFILE_FORMAT, "strategies": strategies})
-    assert back == [(R(3, 4), R(1, 4)), (R(-1, 3), R(4, 3)), (R(0), R(0), R(1))]
+    assert back == [(R(3, 4), R(1, 4)), (R(-1, 3), R(4, 3)), (R(0), R(1), R(-7))]
     assert all(type(x) is Fraction for vec in back for x in vec)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [("1/1", "1"), ("0/7", "0"), ("-0", "0"), ("2/2", "1"), ("-2/6", "-1/3"), ("007/7", "1"), ("01", "1"),
+     ("14592000/2", "7296000")],
+)
+def test_noncanonical_rationals_are_rejected(text, canonical):
+    message = f"non-canonical rational {text!r}; its canonical form is {canonical!r}"
+    with pytest.raises(ParseError) as err:
+        profile_from_dict({"format": PROFILE_FORMAT, "strategies": [["1/2", text]]})
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        game_from_dict(mutate(payoffs=[[[text], ["0"]]]))
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        game_from_dict(dict(structured_dict(), alpha=text))
+    assert str(err.value) == message
+    _, mapping, params = linearize(random_normal_form(5, (2, 2)), R(1, 2))
+    data = mapping_to_dict(mapping, params)
+    with pytest.raises(ParseError) as err:
+        mapping_from_dict(dict(data, params=dict(data["params"], eps_k=text)))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +401,30 @@ def structured_dict() -> dict:
     return game_to_dict(g2)
 
 
+def edge_bodies(data) -> dict:
+    """The edges of a game file as ``{(i, j): rows}``."""
+    return {(i, j): data["matrices"][k] for i, j, k in data["edges"]}
+
+
+def tabled(data, bodies) -> dict:
+    """``data`` with its edges replaced by ``bodies``, ``{(i, j): rows}``,
+    written as the writer writes them: a table in first-use order and sorted
+    triples."""
+    matrices, edges = [], []
+    for (i, j), rows in sorted(bodies.items()):
+        if rows not in matrices:
+            matrices.append(rows)
+        edges.append([i, j, matrices.index(rows)])
+    return dict(data, matrices=matrices, edges=edges)
+
+
 def with_edge(i, j, mat):
     data = structured_dict()
-    return dict(data, edges=data["edges"] + [[i, j, mat]])
+    return tabled(data, {**edge_bodies(data), (i, j): mat})
 
 
 def with_first_edge_entry(data, text):
-    data["edges"][0][2][0][0] = text
+    data["matrices"][data["edges"][0][2]][0][0] = text
     return data
 
 
@@ -431,7 +538,7 @@ def test_log_reduction_reads_back_equal_fractions(tmp_path, log_reduction):
 @pytest.mark.parametrize("bad", ["1/0", "x", "1/2/3", "0.5"])
 def test_a_repeated_malformed_string_fails_every_time(bad):
     data = game_to_dict(random_polymatrix(3, (2, 2, 2)))
-    rows = [row for _, _, mat in data["edges"] for row in mat]
+    rows = [row for mat in data["matrices"] for row in mat]
     for row in rows[1::3]:
         row[-1] = bad
     for _ in range(3):
@@ -446,9 +553,9 @@ def test_a_repeated_malformed_string_fails_every_time(bad):
 @pytest.mark.parametrize("bad", [[1], 1, None, True, 0.5, {"n": 1}])
 def test_a_non_string_after_a_repeated_string_fails_as_before(bad):
     data = game_to_dict(random_polymatrix(6, (2, 3)))
-    row = data["edges"][0][2][1]
+    row = data["matrices"][0][1]
     row[:] = [row[0], row[0], bad]
-    data["edges"][0][2][0][0] = row[0]
+    data["matrices"][0][0][0] = row[0]
     with pytest.raises(ParseError) as err:
         game_from_dict(data)
     assert str(err.value) == f"rationals must be strings like '3/4', got {bad!r}"

@@ -90,9 +90,12 @@ def test_per_edge_copies_match_the_shared_game(tmp_path, log_reduction):
 def test_game_to_dict_rows_are_not_shared(log_reduction):
     gm, _, _ = log_reduction
     data = game_to_dict(gm)
-    rows = [row for _, _, mat in data["edges"] for row in mat]
+    # the table holds each distinct matrix once, in lists of its own
+    assert len(data["matrices"]) == distinct_values(gm)
+    rows = [row for mat in data["matrices"] for row in mat]
     assert len({id(row) for row in rows}) == len(rows)
-    assert len({id(mat) for _, _, mat in data["edges"]}) == len(data["edges"])
+    assert len({id(mat) for mat in data["matrices"]}) == len(data["matrices"])
+    assert len({id(edge) for edge in data["edges"]}) == len(data["edges"]) == len(gm.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def test_edge_checks_keep_their_order_with_a_shared_matrix():
 
 
 # ---------------------------------------------------------------------------
-# malformed edge bodies in a file
+# malformed edge bodies in a file: version 1 edge lists and version 2 tables
 
 VALID = {
     "2x2": [["1", "0"], ["0", "1"]],
@@ -177,17 +180,22 @@ MALFORMED = [
 ]
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("malformed_first", [False, True])
 @pytest.mark.parametrize(
     "body, valid, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
 )
-def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, message, malformed_first):
-    # every body is parsed before the game checks any edge's shape
+def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, message, malformed_first, version):
+    # every body is parsed before any edge is checked
     data = game_to_dict(PolymatrixGame((2, 2, 2), {(0, 1): I2}))
-    edges = [[1, 2, VALID[valid]], [0, 2, body]]
+    bodies = [VALID[valid], body]
     if malformed_first:
-        edges.reverse()
-    data["edges"] = edges
+        bodies.reverse()
+    if version == 1:
+        del data["matrices"]
+        data.update(format="nashreduce-game/1", edges=[[0, 2, bodies[0]], [1, 2, bodies[1]]])
+    else:
+        data.update(matrices=bodies, edges=[[0, 2, 0], [1, 2, 1]])
     with pytest.raises(ParseError) as err:
         game_from_dict(data)
     assert str(err.value) == message
