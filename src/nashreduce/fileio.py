@@ -159,7 +159,9 @@ def _int_in(value: Any, what: str) -> int:
 def _ints_in(data: Any, what: str) -> list[int]:
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a list of integers")
-    return [_int_in(x, what) for x in data]
+    if {*map(type, data)} <= {int}:
+        return list(data)
+    return [_int_in(x, what) for x in data]  # names the first entry that is not an int
 
 
 def _vector_in(data: Any, rats: _Rationals) -> tuple:
@@ -186,16 +188,17 @@ def _edges_out(edges) -> tuple[list, list]:
     by endpoints.  Each distinct matrix object is rendered once, and each
     distinct rendering is a table entry, in first-use order, so the result
     depends only on the values and holds no shared lists."""
-    items = sorted(edges.items())
+    keys = sorted(edges)  # the keys alone sort about three times faster than the items
+    mats = [*map(edges.__getitem__, keys)]
     matrices: list[list[list[str]]] = []
     by_text: dict[tuple, int] = {}
     by_id: dict[int, int] = {}  # the edges hold every keyed matrix
-    for mat in {id(mat): mat for _, mat in items}.values():  # distinct objects, in first-use order
+    for mat in dict(zip(map(id, mats), mats)).values():  # distinct objects, in first-use order
         rows = _matrix_out(mat)
         k = by_id[id(mat)] = by_text.setdefault(tuple(map(tuple, rows)), len(matrices))
         if k == len(matrices):
             matrices.append(rows)
-    return matrices, [[i, j, by_id[id(mat)]] for (i, j), mat in items]
+    return matrices, [[i, j, k] for (i, j), k in zip(keys, map(by_id.__getitem__, map(id, mats)))]
 
 
 def _body_key(body: Any) -> tuple | None:
