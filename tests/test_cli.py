@@ -34,6 +34,7 @@ from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix, no
 from nashreduce.solvers import lift_to_bimatrix
 
 FLOAT_RE = re.compile(r"\d\.\d")
+V1_DATA = Path(__file__).parent / "data" / "v1"  # files the version 1 writers wrote
 
 
 @pytest.fixture
@@ -434,9 +435,6 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
-V1_DATA = Path(__file__).parent / "data" / "v1"
-
-
 @pytest.fixture
 def full_reduced_v1(tmp_path):
     """The files of ``full_reduced`` as the version 1 writers wrote them."""
@@ -499,11 +497,9 @@ def recover_full_files(runner, files):
 
 
 def test_v1_full_files_read_back_equal(full_reduced, full_reduced_v1):
-    for v2_path, v1_path in zip(full_reduced, full_reduced_v1):
-        read = read_profile if v2_path.endswith(".profile.json") else read_mapping if "mapping" in v2_path else read_game
+    v2, v1 = ((*files, files[0].replace(".game.", ".normalized.")) for files in (full_reduced, full_reduced_v1))
+    for read, v2_path, v1_path in zip((read_game, read_mapping, read_profile, read_game), v2, v1):
         assert read(v1_path) == read(v2_path)
-    normalized = [path.replace(".game.", ".normalized.") for path in (full_reduced[0], full_reduced_v1[0])]
-    assert read_game(normalized[1]) == read_game(normalized[0])
 
 
 TAMPERED_MAPPINGS = {

@@ -180,22 +180,30 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("malformed_first", [False, True])
 @pytest.mark.parametrize(
     "body, valid, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
 )
-def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, message, malformed_first, version):
-    # every body is parsed before any edge is checked
+def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, message, malformed_first):
+    # a version 1 edge list: every body is parsed before any edge is checked
+    bodies = [body, VALID[valid]] if malformed_first else [VALID[valid], body]
     data = game_to_dict(PolymatrixGame((2, 2, 2), {(0, 1): I2}))
-    bodies = [VALID[valid], body]
-    if malformed_first:
-        bodies.reverse()
-    if version == 1:
-        del data["matrices"]
-        data.update(format="nashreduce-game/1", edges=[[0, 2, bodies[0]], [1, 2, bodies[1]]])
-    else:
-        data.update(matrices=bodies, edges=[[0, 2, 0], [1, 2, 1]])
+    del data["matrices"]
+    data.update(format="nashreduce-game/1", edges=[[0, 2, bodies[0]], [1, 2, bodies[1]]])
+    with pytest.raises(ParseError) as err:
+        game_from_dict(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("malformed_first", [False, True])
+@pytest.mark.parametrize(
+    "body, valid, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_a_malformed_table_entry_fails_before_or_after_a_valid_one(body, valid, message, malformed_first):
+    # every table entry is parsed before any edge is checked
+    bodies = [body, VALID[valid]] if malformed_first else [VALID[valid], body]
+    data = game_to_dict(PolymatrixGame((2, 2, 2), {(0, 1): I2}))
+    data.update(matrices=bodies, edges=[[0, 2, 0], [1, 2, 1]])
     with pytest.raises(ParseError) as err:
         game_from_dict(data)
     assert str(err.value) == message
