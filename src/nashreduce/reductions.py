@@ -99,6 +99,11 @@ class ReductionParams:
     block_sizes: tuple[int, ...] | None = None
     divisor: Rat | None = None
 
+    def __post_init__(self):
+        _check_exact((self.eps_m,), "eps_m")
+        if not 0 < self.eps_m < 1:
+            raise ParameterError(f"eps_m must lie in (0, 1), got {self.eps_m}")
+
     @property
     def m(self) -> int | None:
         return None if self.block_sizes is None else len(self.block_sizes)
@@ -163,8 +168,11 @@ class GameMapping:
     def validate(self) -> None:
         if self.stage not in STAGES:
             raise ParameterError(f"unknown reduction stage {self.stage!r}")
-        if any(n < 1 for n in self.source_counts):
+        if min(self.source_counts, default=1) < 1:
             raise ParameterError("source strategy counts must be positive")
+        # bimatrixify refuses an empty game, and a ledger of no blocks divides by zero
+        if self.block_sizes is not None and min(self.block_sizes, default=0) < 1:
+            raise ParameterError("block sizes must be one or more positive counts")
         if self.stage == "linearize":
             return
         if self.block_sizes is None or self.alpha is None:
@@ -337,14 +345,10 @@ def bimatrixify(
     and -alpha on the diagonal blocks; the column player's is the identity
     (it is paid to match the row player exactly).
     """
-    _check_exact((eps_m,), "eps_m")
-    if not 0 < eps_m < 1:
-        raise ParameterError(f"eps_m must lie in (0, 1), got {eps_m}")
-    m = gm.m
-    if m < 1:
+    if gm.m < 1:
         raise DegenerateGame("cannot bimatrixify an empty game")
     counts = gm.strategy_counts
-    alpha = ReductionParams(eps_m, block_sizes=counts).alpha
+    alpha = ReductionParams(eps_m, block_sizes=counts).alpha  # checks eps_m
     game = BimatrixGame.structured(gm, alpha)
     mapping = GameMapping("bimatrixify", counts, block_sizes=counts, alpha=alpha, divisor=game.divisor)
     return game, mapping, ReductionParams(eps_m, block_sizes=counts, divisor=game.divisor)

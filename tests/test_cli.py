@@ -178,6 +178,19 @@ def test_file_body_breaking_a_builder_rule_is_unreadable_input(runner, tmp_path)
     assert result.output.strip() == "error: alpha must be positive"
 
 
+@pytest.mark.parametrize("cls", [["bimatrix"], {"bimatrix": 1}])
+def test_verify_rejects_a_game_class_that_is_not_a_string(runner, pennies_file, tmp_path, cls):
+    data = json.loads(Path(pennies_file).read_text())
+    data["class"] = cls
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    prof = tmp_path / "prof.json"
+    write_profile(prof, [(R(1, 2), R(1, 2))] * 2)
+    result = invoke(runner, "verify", bad, prof)
+    assert result.exit_code == 2
+    assert result.output == f"error: unknown game class {cls!r}\n"
+
+
 def set_first_edge_entry(text):
     def edit(data):
         data["matrices"][data["edges"][0][2]][0][0] = text
@@ -193,9 +206,9 @@ def set_first_edge_entry(text):
         (set_first_edge_entry("5/2"), "edge (0, 1) entry 5/2 outside [-1, 2]"),
         (set_first_edge_entry("-3/2"), "edge (0, 1) entry -3/2 outside [-1, 2]"),
         (lambda d: d.update(divisor="1283/3"),
-         "header field 'divisor' is '1283/3' but the body implies None"),
+         'game field divisor is "1283/3", but rewriting what was read gives null'),
         (lambda d: d.update(normalized=True),
-         "header field 'payoff_range' is ['-1280/3', '1'] but the body implies ['0', '1']"),
+         'game field payoff_range[0] is "-1280/3", but rewriting what was read gives "0"'),
     ],
     ids=["size_one_block", "entry_above_2", "entry_below_minus_1", "stray_divisor", "unmarked_normalized"],
 )
@@ -506,18 +519,16 @@ TAMPERED_MAPPINGS = {
     # name: (reduced files, mapping file fields, message); each would misread
     # the layout or loosen the tolerance recover verifies at.  A version 1
     # mapping's g and h must be the layout its stage and source counts give.
-    "swapped_h": ("full-v1", {"h": [[2, 3], [0, 1]]},
-                  "mapping field h[0] is [2, 3], but the full layout of source counts [2, 2] gives [0, 1]"),
-    "wrong_g": ("full-v1", {"g": [0, 1]}, "mapping field g[0] is 0, but the full layout of source counts [2, 2] gives 1"),
-    "short_h": ("full-v1", {"h": [[0, 1]]},
-                "mapping field h[1] is null, but the full layout of source counts [2, 2] gives [2, 3]"),
-    "bool_h": ("full-v1", {"h": [[0, True], [2, 3]]}, "h entry must be an integer, got True"),
-    "float_h": ("full-v1", {"h": [[0, 1], [2.0, 3]]}, "h entry must be an integer, got 2.0"),
-    "h_not_lists": ("full-v1", {"h": 4}, "h must be a list of integer lists"),
+    "swapped_h": ("full-v1", {"h": [[2, 3], [0, 1]]}, "mapping field h[0][0] is 2, but rewriting what was read gives 0"),
+    "wrong_g": ("full-v1", {"g": [0, 1]}, "mapping field g[0] is 0, but rewriting what was read gives 1"),
+    "short_h": ("full-v1", {"h": [[0, 1]]}, "mapping file is missing field 'h[1]'"),
+    "bool_h": ("full-v1", {"h": [[0, True], [2, 3]]}, "mapping field h[0][1] is true, but rewriting what was read gives 1"),
+    "float_h": ("full-v1", {"h": [[0, 1], [2.0, 3]]}, "mapping field h[1][0] is 2.0, but rewriting what was read gives 2"),
+    "h_not_lists": ("full-v1", {"h": 4}, "mapping field h is 4, but rewriting what was read gives [[0, 1], [2, 3]]"),
     "source_counts_v1": ("full-v1", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
                          "source counts (2, 3) are not the leading block sizes (2, 2)"),
     "forged_eps_2_v1": ("full-v1", {"params": {"eps_2": "1000000000000"}},
-                        'mapping field params.eps_2 is "1000000000000", but the ledger gives "1/9120"'),
+                        'mapping field params.eps_2 is "1000000000000", but rewriting what was read gives "1/9120"'),
     # a version 2 mapping holds no layout at all
     "source_counts": ("full", {"source_counts": [2, 3]}, "source counts (2, 3) are not the leading block sizes (2, 2)"),
     "g_in_v2": ("full", {"g": [1, 1]}, "unknown mapping field 'g'"),
@@ -528,21 +539,24 @@ TAMPERED_MAPPINGS = {
     "unknown_stage": ("full", {"stage": "sideways"}, "unknown reduction stage 'sideways'"),
     "missing_block_sizes": ("full", {"block_sizes": None}, "full mappings need block_sizes and alpha"),
     "nonpositive_count": ("full", {"source_counts": [2, 0]}, "source strategy counts must be positive"),
+    "no_blocks": ("full", {"stage": "bimatrixify", "source_counts": [], "block_sizes": [],
+                           "params": {"m": 0, "N": 0, "eps_k": None, "construction": None}},
+                  "block sizes must be one or more positive counts"),
     # the ledger is derived from the inputs and the layout, so a forged value is unreadable input
     "forged_eps_2": ("full", {"params": {"eps_2": "1000000000000"}},
-                     'mapping field params.eps_2 is "1000000000000", but the ledger gives "1/9120"'),
-    "float_eps_2": ("full", {"params": {"eps_2": 0.5}}, 'mapping field params.eps_2 is 0.5, but the ledger gives "1/9120"'),
-    "forged_alpha": ("full", {"params": {"alpha": "1"}}, 'mapping field params.alpha is "1", but the ledger gives "7296000"'),
-    "forged_N": ("full", {"params": {"N": 21}}, "mapping field params.N is 21, but the ledger gives 20"),
-    "float_N": ("full", {"params": {"N": 20.0}}, "mapping field params.N is 20.0, but the ledger gives 20"),
-    "float_m": ("full", {"params": {"m": 10.0}}, "mapping field params.m is 10.0, but the ledger gives 10"),
-    "forged_top_level_alpha": ("full", {"alpha": "1"}, 'mapping field alpha is "1", but the ledger gives "7296000"'),
+                     'mapping field params.eps_2 is "1000000000000", but rewriting what was read gives "1/9120"'),
+    "float_eps_2": ("full", {"params": {"eps_2": 0.5}}, 'mapping field params.eps_2 is 0.5, but rewriting what was read gives "1/9120"'),
+    "forged_alpha": ("full", {"params": {"alpha": "1"}}, 'mapping field params.alpha is "1", but rewriting what was read gives "7296000"'),
+    "forged_N": ("full", {"params": {"N": 21}}, "mapping field params.N is 21, but rewriting what was read gives 20"),
+    "float_N": ("full", {"params": {"N": 20.0}}, "mapping field params.N is 20.0, but rewriting what was read gives 20"),
+    "float_m": ("full", {"params": {"m": 10.0}}, "mapping field params.m is 10.0, but rewriting what was read gives 10"),
+    "forged_top_level_alpha": ("full", {"alpha": "1"}, 'mapping field alpha is "1", but rewriting what was read gives "7296000"'),
     "forged_divisor": ("normalized", {"params": {"divisor": "1/1000000000000"}},
-                       'mapping field params.divisor is "1/1000000000000", but the ledger gives "7296001"'),
+                       'mapping field params.divisor is "1/1000000000000", but rewriting what was read gives "7296001"'),
     "noncanonical_eps_m": ("full", {"params": {"eps_m": "2/912"}},
-                           "non-canonical rational '2/912'; its canonical form is '1/456'"),
+                           'mapping field params.eps_m is "2/912", but rewriting what was read gives "1/456"'),
     "forged_linearize_eps_m": ("linearized", {"params": {"eps_m": "1"}},
-                               'mapping field params.eps_m is "1", but the ledger gives "1/100000"'),
+                               'mapping field params.eps_m is "1", but rewriting what was read gives "1/100000"'),
     "linearize_without_eps_k": ("linearized", {"params": {"eps_k": None}},
                                 "a linearize mapping needs eps_k and a construction"),
 }

@@ -1,10 +1,14 @@
 """Serialization tests: exact round trips, byte-level determinism, and
 loud failures on malformed input."""
 
+import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashreduce import ParseError, R
 from nashreduce.fileio import (
@@ -211,14 +215,14 @@ def test_parse_rejects_structural_damage():
             ("payoff_range", [lo, "7"]),
             ("payoff_range", ["-7", hi]),
         ):
-            with pytest.raises(ParseError, match="header"):
+            with pytest.raises(ParseError, match="contradicts its header|but rewriting what was read gives"):
                 game_from_dict(dict(data, **{field: wrong}))
         with pytest.raises(ParseError, match="missing field"):
             game_from_dict({k: v for k, v in data.items() if k != "payoff_range"})
     # a structured game's strategy counts are read from the header alone
     with pytest.raises(ParseError) as err:
         game_from_dict(dict(data, strategy_counts=[float(n), n]))
-    assert str(err.value) == f"header field 'strategy_counts' is [{float(n)}, {n}] but the body implies [{n}, {n}]"
+    assert str(err.value) == f"game field strategy_counts[0] is {float(n)}, but rewriting what was read gives {n}"
 
 
 def test_parse_rejects_bad_edges_and_roles():
@@ -253,8 +257,10 @@ def test_profile_and_mapping_parse_errors():
         (data, {"eps_k": "3/2"}, "eps_k must lie in (0, 1), got 3/2"),
         (data, {"construction": "ternary"}, "unknown construction 'ternary'; choose from ['log', 'unary']"),
         (data, {"construction": None}, "a linearize mapping needs eps_k and a construction"),
-        (bi_data, {"eps_k": "1/2"}, 'mapping field params.eps_k is "1/2", but the ledger gives null'),
-        (bi_data, {"construction": "unary"}, 'mapping field params.construction is "unary", but the ledger gives null'),
+        (bi_data, {"eps_m": "0"}, "eps_m must lie in (0, 1), got 0"),
+        (bi_data, {"eps_k": "1/2"}, 'mapping field params.eps_k is "1/2", but rewriting what was read gives null'),
+        (bi_data, {"construction": "unary"},
+         'mapping field params.construction is "unary", but rewriting what was read gives null'),
     ):
         with pytest.raises(ParseError) as err:
             mapping_from_dict(dict(mapping_data, params=dict(mapping_data["params"], **fields)))
@@ -314,6 +320,9 @@ STRICT_CASES = {
     "all_zero_entry": ("game", lambda d: d["matrices"].__setitem__(2, [["0", "0"], ["0", "0"]]),
                        "matrices[2] is all zero; edges[2] uses it"),
     "missing_table": ("game", lambda d: d.pop("matrices"), "game file is missing field 'matrices'"),
+    "profile_without_format": ("profile", lambda d: d.pop("format"), "expected format 'nashreduce-profile/1', got None"),
+    "profile_with_null_format": ("profile", lambda d: d.update(format=None),
+                                 "expected format 'nashreduce-profile/1', got None"),
 }
 
 
@@ -339,6 +348,136 @@ def test_a_v1_file_with_a_table_is_unreadable():
 
 
 # ---------------------------------------------------------------------------
+# one rule for every file: accepted only if its writer writes it for the
+# value read
+
+
+V1_DATA = Path(__file__).parent / "data" / "v1"  # files the version 1 writers wrote
+READERS = {"game": game_from_dict, "mapping": mapping_from_dict, "profile": profile_from_dict}
+WRITERS = {"game": game_to_dict, "mapping": lambda read: mapping_to_dict(*read), "profile": profile_to_dict}
+
+
+def honest_files() -> dict:
+    """``{name: (kind, data)}``: a game of every class and encoding, a
+    mapping of every stage and a profile, as the writers write them, and the
+    version 1 files the tests keep."""
+    source = random_normal_form(5, (2, 2))
+    poly, lin_mapping, lin_params = linearize(source, R(1, 2), "unary")
+    g2, bi_mapping, bi_params = bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))
+    _, full_mapping, full_params = reduce_full(source, R(1, 2), "unary")
+    dense = BimatrixGame.dense([[R(1), R(0)], [R(0), R(1)]], [[R(0), R(1)], [R(1, 2), R(0)]])
+    files = {
+        "normal_form": ("game", game_to_dict(source)),
+        "polymatrix": ("game", game_to_dict(random_polymatrix(3, (2, 2, 2)))),
+        "linearized": ("game", game_to_dict(poly)),
+        "dense": ("game", game_to_dict(dense)),
+        "structured": ("game", game_to_dict(g2)),
+        "normalized": ("game", game_to_dict(normalize_bimatrix(g2))),
+        "linearize_mapping": ("mapping", mapping_to_dict(lin_mapping, lin_params)),
+        "bimatrixify_mapping": ("mapping", mapping_to_dict(bi_mapping, bi_params)),
+        "full_mapping": ("mapping", mapping_to_dict(full_mapping, full_params)),
+        "profile": ("profile", profile_to_dict([(R(1, 3), R(2, 3)), (R(1), R(0), R(0))])),
+    }
+    for path in sorted(V1_DATA.glob("*.json")):
+        kind = "profile" if path.name.endswith(".profile.json") else "mapping" if ".mapping." in path.name else "game"
+        files[f"v1/{path.name}"] = (kind, json.loads(path.read_text()))
+    return files
+
+
+HONEST = honest_files()
+
+
+def rewrite(kind, data):
+    """What the writer writes for the value ``data`` reads as, in the
+    version of ``data``: a version 1 game lists its edges as ``[i, j, rows]``,
+    and a version 1 mapping holds its ``g`` and ``h``."""
+    read = READERS[kind](data)
+    written = WRITERS[kind](read)
+    if data.get("format") in ("nashreduce-game/1", "nashreduce-mapping/1"):
+        written["format"] = data["format"]
+        if kind == "mapping":
+            written.update(g=list(read[0].g), h=[*map(list, read[0].h)])
+        elif "matrices" in written:
+            table = written.pop("matrices")
+            written["edges"] = [[i, j, table[k]] for i, j, k in written["edges"]]
+    return written
+
+
+def reorder(data):
+    """``data`` with the keys of every object in reverse order."""
+    if isinstance(data, dict):
+        return {key: reorder(data[key]) for key in reversed(data)}
+    return [*map(reorder, data)] if isinstance(data, list) else data
+
+
+@pytest.mark.parametrize("name", sorted(HONEST))
+def test_an_honest_file_reads_back_whatever_its_layout(name, tmp_path):
+    kind, data = HONEST[name]
+    assert dumps_canonical(rewrite(kind, data)) == dumps_canonical(data)
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(reorder(data), indent=2) + "\n")
+    read = {"game": read_game, "mapping": read_mapping, "profile": read_profile}[kind]
+    assert read(path) == READERS[kind](data)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+# ints stay small: a version 1 mapping's h holds as many ints as its source counts say
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=4)
+    | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+    json_containers,
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutations(draw, data):
+    """A copy of ``data`` with one key or leaf replaced by any JSON value,
+    deleted, renamed or joined by a new one.  The mutated node is drawn by
+    a walk from the root that stops at each level with even odds, so the
+    top-level fields are drawn far more often than a uniform draw would."""
+    data = copy.deepcopy(data)
+    node = data
+    while True:
+        keys = [*node] if isinstance(node, dict) else [*range(len(node))]
+        inner = [key for key in keys if isinstance(node[key], (dict, list)) and node[key]]
+        if not inner or draw(st.booleans()):
+            break
+        node = node[draw(st.sampled_from(inner))]
+    action = draw(st.sampled_from(["replace", "delete", "rename", "add"] if keys else ["add"]))
+    if action == "add":
+        if isinstance(node, dict):
+            node[draw(st.text(max_size=4))] = draw(json_values)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(json_values))
+        return data
+    key = draw(st.sampled_from(keys))
+    if action == "replace":
+        node[key] = draw(json_values)
+    elif action == "delete" or isinstance(node, list):
+        del node[key]
+    else:
+        node[draw(st.text(max_size=4))] = node.pop(key)
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(HONEST))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_file_is_rejected_or_written_as_it_reads(name, data):
+    kind, honest_data = HONEST[name]
+    mutated = data.draw(mutations(honest_data))
+    try:
+        written = rewrite(kind, mutated)
+    except ParseError:
+        return
+    assert dumps_canonical(written) == dumps_canonical(mutated)
+
+
+# ---------------------------------------------------------------------------
 # the rational grammar
 
 
@@ -357,9 +496,12 @@ def test_rationals_in_files_use_the_strict_grammar(text):
     assert str(err.value) == message
     _, mapping, params = linearize(random_normal_form(5, (2, 2)), R(1, 2))
     data = mapping_to_dict(mapping, params)
-    with pytest.raises(ParseError) as err:
-        mapping_from_dict(dict(data, params=dict(data["params"], eps_m=text)))
+    with pytest.raises(ParseError) as err:  # an input
+        mapping_from_dict(dict(data, params=dict(data["params"], eps_k=text)))
     assert str(err.value) == message
+    with pytest.raises(ParseError) as err:  # a derived value
+        mapping_from_dict(dict(data, params=dict(data["params"], eps_m=text)))
+    assert str(err.value) == f'mapping field params.eps_m is {json.dumps(text)}, but rewriting what was read gives "1/456"'
 
 
 def test_canonical_rationals_parse_to_fractions():
@@ -475,11 +617,11 @@ def normalized_dict() -> dict:
     "make, message",
     [
         (lambda: dict(normalized_dict(), divisor="642"),
-         "header field 'divisor' is '642' but the body implies '641'"),
+         'game field divisor is "642", but rewriting what was read gives "641"'),
         (lambda: dict(normalized_dict(), divisor=None),
-         "header field 'divisor' is None but the body implies '641'"),
+         'game field divisor is null, but rewriting what was read gives "641"'),
         (lambda: dict(structured_dict(), divisor="641"),
-         "header field 'divisor' is '641' but the body implies None"),
+         'game field divisor is "641", but rewriting what was read gives null'),
     ],
     ids=["normalized_wrong", "normalized_null", "unnormalized_set"],
 )

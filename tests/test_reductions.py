@@ -145,6 +145,9 @@ MAPPING_ERRORS = {
                             "bimatrixify mappings need block_sizes and alpha"),
     "missing_alpha": (("full", (2,), (2,)), ParameterError,
                       "full mappings need block_sizes and alpha"),
+    "no_blocks": (("bimatrixify", (), (), R(10)), ParameterError, "block sizes must be one or more positive counts"),
+    "nonpositive_block": (("full", (2,), (2, 0), R(10)), ParameterError, "block sizes must be one or more positive counts"),
+    "linearize_without_blocks": (("linearize", (2, 2), ()), ParameterError, "block sizes must be one or more positive counts"),
     "not_the_blocks": (("bimatrixify", (2, 2), (2, 2, 2), R(10)), DimensionMismatch,
                        r"source counts \(2, 2\) are not the block sizes \(2, 2, 2\)"),
     "not_the_leading_blocks": (("full", (2, 3), (2, 2, 3), R(10)), DimensionMismatch,
