@@ -554,8 +554,10 @@ def _same_types(given: list, written: list) -> bool:
         return True
     if written and {*map(type, written)} == {list}:  # rows, like roles or a v1 mapping's h
         given, written = [*itertools.chain(*given)], [*itertools.chain(*written)]
-    types = [*map(type, written)]
-    return [*map(type, given)] == types and list not in types and dict not in types
+    kinds = {*map(type, written)}
+    if kinds <= {str, type(None)}:  # only a string equals a string, and only null equals null
+        return True
+    return not kinds & {list, dict} and [*map(type, given)] == [*map(type, written)]
 
 
 def _write(path, data: dict) -> None:
