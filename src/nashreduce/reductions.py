@@ -84,9 +84,10 @@ class ReductionParams:
     """Exact tolerances and derived constants of a reduction.
 
     Only what a reduction takes as input is stored: ``eps_m``, which is
-    always present; ``eps_k`` and ``construction``, set by :func:`linearize`;
-    and ``block_sizes`` (the polymatrix strategy counts, as the mapping holds
-    them) and the game's ``divisor``, set by :func:`bimatrixify`.
+    always present and lies in (0, 1); ``eps_k`` and ``construction``, set
+    by :func:`linearize`; and ``block_sizes`` (the polymatrix strategy
+    counts, as the mapping holds them) and the game's ``divisor``, set by
+    :func:`bimatrixify`.
     :func:`reduce_full` sets them all.  The two-player constants are derived
     from those, as the paper fixes them: ``m`` and ``N`` are the number and
     total size of the blocks, ``eps_2 = eps_m / N`` and
