@@ -27,8 +27,6 @@ __all__ = [
     "R",
     "rational_str",
     "unit_denominator",
-    "ifloor",
-    "iceil",
     "exact_sum",
 ]
 
@@ -95,20 +93,6 @@ def unit_denominator(step, what: str = "grid step") -> int:
             f"{what} must be 1/D for a positive integer D, got {rational_str(step)}"
         )
     return step.denominator
-
-
-def ifloor(value) -> int:
-    """Exact floor of a rational, as a plain int."""
-    if isinstance(value, int):
-        return value
-    return int(value.numerator // value.denominator)
-
-
-def iceil(value) -> int:
-    """Exact ceiling of a rational, as a plain int."""
-    if isinstance(value, int):
-        return value
-    return -int((-value.numerator) // value.denominator)
 
 
 def exact_sum(pairs) -> tuple[int, int]:

@@ -20,9 +20,10 @@ malformed cell fails.
 Game and mapping files are at version 2.  A polymatrix or structured
 bimatrix file stores its edges as a ``matrices`` table, which holds each
 distinct matrix once in the order of first use over the sorted edges, and
-``[i, j, k]`` edge triples whose ``k`` indexes the table.  The table is
-keyed by rendered value, not by object, so the bytes depend only on the
-values; a read parses each table entry once and gives every edge that
+``[i, j, k]`` edge triples whose ``k`` indexes the table.  A polymatrix
+game holds one object per distinct matrix value, so the writer numbers the
+game's matrix objects and renders each once, and the bytes depend only on
+the values; a read parses each table entry once and gives every edge that
 uses it one shared matrix.  A version 2 mapping holds no ``g`` or ``h``,
 which its stage and source counts fix.  Normal-form and dense bimatrix
 files differ from version 1 only in their tag.
@@ -35,21 +36,22 @@ whitespace.  The first JSON path that differs -- an unknown field, a
 missing field or a differing value -- is a :class:`ParseError` naming it.
 A mapping's inputs are its stage, counts, block sizes, divisor and its
 ledger's ``eps_m`` (bimatrixify) or ``eps_k`` and ``construction``
-(otherwise); the rest of the ledger, and ``alpha``, are derived.  The rule
-covers every mapping and profile field and every game field but the
-matrix bodies (``payoffs``, ``a``, ``b``, ``matrices``, ``edges``), whose
-full rendering costs about as much as writing the game.  The bodies are
-checked piecewise: edges whose ``(i, j)`` do not strictly increase, a
-table entry that repeats another, is used by no edge, is out of first-use
-order or is all zero, and a ``k`` that is not an int indexing the table
-are each a :class:`ParseError` naming the JSON path.  A structured bimatrix
-body is read as the polymatrix game of its block sizes and edges.  A field
-that breaks a game builder's or a
-:class:`~nashreduce.reductions.GameMapping` rule is a :class:`ParseError`
-too.  Version 1 files are read by the same parser: a v1 edge list
-``[i, j, rows]`` becomes a table plus triples, and a v1 file is compared
-with the version 2 rendering under its v1 tag, plus a mapping's ``g`` and
-``h`` as its stage and source counts give them.
+(otherwise); the rest of the ledger, and ``alpha``, are derived.  The
+matrix bodies are not rendered again, since what they hold is the value
+read: every ``payoffs``, ``a``, ``b`` or table entry that parses and
+builds is what the writer writes for it.  Edges are checked on the game
+built: its triples, numbered by matrix object, must equal the file's, as
+ints, and a table entry past the last one they use is an unknown field.
+So edges out of order or repeated, an all-zero edge, and a table entry
+that repeats another, is out of first-use order or is used by no edge are
+each a :class:`ParseError` naming a JSON path.  A structured bimatrix body
+is read as the polymatrix game of its block sizes and edges.  A field that
+breaks a game builder's or a :class:`~nashreduce.reductions.GameMapping`
+rule is a :class:`ParseError` too.  Version 1 files are read by the same
+parser: a v1 edge list ``[i, j, rows]`` becomes a table plus triples, and
+a v1 file is compared with the version 2 rendering under its v1 tag, plus
+a mapping's ``g`` and ``h`` as its stage and source counts give them; a
+v1 mapping's ``h`` must have the counts' shape before it is derived.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import operator
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ._rational import rational, rational_str
 from .errors import DegenerateGame, DimensionMismatch, ParameterError, ParseError
@@ -182,22 +184,23 @@ def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
     return [_vector_in(row, rats) for row in data]
 
 
-def _edges_out(edges) -> tuple[list, list]:
-    """The ``matrices`` table and ``[i, j, k]`` triples of ``edges``, sorted
-    by endpoints.  Each distinct matrix object is rendered once, and each
-    distinct rendering is a table entry, in first-use order, so the result
-    depends only on the values and holds no shared lists."""
+def _edge_table(edges) -> tuple[list, list]:
+    """The distinct matrix objects of ``edges`` in first-use order over the
+    edges sorted by endpoints, and one ``[i, j, k]`` triple per sorted edge,
+    ``k`` numbering its object.  A game holds one object per distinct
+    matrix, so this numbers the values without rendering them."""
     keys = sorted(edges)  # the keys alone sort about three times faster than the items
     mats = [*map(edges.__getitem__, keys)]
-    matrices: list[list[list[str]]] = []
-    by_text: dict[tuple, int] = {}
-    by_id: dict[int, int] = {}  # the edges hold every keyed matrix
-    for mat in dict(zip(map(id, mats), mats)).values():  # distinct objects, in first-use order
-        rows = _matrix_out(mat)
-        k = by_id[id(mat)] = by_text.setdefault(tuple(map(tuple, rows)), len(matrices))
-        if k == len(matrices):
-            matrices.append(rows)
-    return matrices, [[i, j, k] for (i, j), k in zip(keys, map(by_id.__getitem__, map(id, mats)))]
+    distinct = dict(zip(map(id, mats), mats))  # the edges hold every keyed matrix
+    number = dict(zip(distinct, itertools.count()))
+    return [*distinct.values()], [[i, j, k] for (i, j), k in zip(keys, map(number.__getitem__, map(id, mats)))]
+
+
+def _edges_out(edges) -> tuple[list, list]:
+    """The ``matrices`` table and ``[i, j, k]`` triples of a game's edges:
+    each distinct matrix rendered once, in lists of its own."""
+    table, triples = _edge_table(edges)
+    return [*map(_matrix_out, table)], triples
 
 
 def _body_key(body: Any) -> tuple | None:
@@ -236,33 +239,15 @@ def _v1_table(data: Any) -> tuple[list, list]:
     return table, triples
 
 
-def _triples_fault(triples: list, size: int) -> ParseError:
-    """The first fault in edge triples that index a table of ``size``
-    matrices, or a table entry that no edge uses."""
-    last, fresh = None, 0  # the previous endpoints; the first unused table entry
-    for pos, entry in enumerate(triples):
-        if not isinstance(entry, list) or len(entry) != 3:
-            return ParseError(f"edges[{pos}] must be an [i, j, k] triple, got {entry!r}")
-        for field, value in enumerate(entry):
-            if type(value) is not int:
-                return ParseError(f"edges[{pos}][{field}] must be an integer, got {value!r}")
-        i, j, k = entry
-        if last is not None and (i, j) <= last:
-            return ParseError(f"edges[{pos}] is ({i}, {j}), but edges must strictly increase and edges[{pos - 1}] is {last}")
-        if not 0 <= k < size:
-            return ParseError(f"edges[{pos}][2] is {k}, but matrices has {size} entries")
-        if k > fresh:
-            return ParseError(f"edges[{pos}][2] is {k}, but matrices are in first-use order, so the next new one is {fresh}")
-        fresh += k == fresh
-        last = (i, j)
-    return ParseError(f"matrices[{fresh}] is used by no edge")
-
-
-def _edges_in(data: dict, rats: _Rationals) -> dict[tuple[int, int], list[tuple]]:
-    """The edges of a game file, ``{(i, j): rows}``, from its ``matrices``
-    table and ``[i, j, k]`` triples, or from a version 1 edge list.  Every
-    table entry is parsed, once, before any triple is checked, and edges
-    that share an entry share its parsed matrix."""
+def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGame]) -> PolymatrixGame:
+    """``build(edges)`` for the edges of a game file, ``{(i, j): rows}``,
+    from its ``matrices`` table and ``[i, j, k]`` triples, or from a version
+    1 edge list.  Every table entry is parsed, once, before the game is
+    built, and edges that share an entry share its parsed matrix.  The
+    triples must then be the ones the writer writes for the game built,
+    compared as ints, and the table must hold no entry past the last one
+    they use; with the game's one object per distinct matrix, that fixes
+    the table's order and leaves no repeated, unused or all-zero entry."""
     if data["format"] != GAME_FORMAT:  # a version 1 file
         table, triples = _v1_table(data.pop("edges"))
     else:
@@ -272,26 +257,27 @@ def _edges_in(data: dict, rats: _Rationals) -> dict[tuple[int, int], list[tuple]
         if not isinstance(triples, list):
             raise ParseError("edges must be a list of [i, j, k] triples")
     parsed = [_matrix_in(mat, rats) for mat in table]
-    first = {}  # a parsed entry is a non-empty list of lists of strings
-    for k, mat in enumerate(table):
-        twin = first.setdefault(tuple(map(tuple, mat)), k)
-        if twin != k:
-            raise ParseError(f"matrices[{k}] repeats matrices[{twin}]")
-    # check every triple at once; _triples_fault finds and names the fault
     if not (
         {*map(type, triples)} <= {list}
         and {*map(len, triples)} <= {3}
         and {*map(type, itertools.chain.from_iterable(triples))} <= {int}
     ):
-        raise _triples_fault(triples, len(parsed))
-    keys = [(i, j) for i, j, _ in triples]
-    ks = [k for _, _, k in triples]
-    if not all(map(operator.lt, keys, keys[1:])) or [*dict.fromkeys(ks)] != [*range(len(parsed))]:
-        raise _triples_fault(triples, len(parsed))
-    for k, mat in enumerate(parsed):
-        if not any(map(any, mat)):
-            raise ParseError(f"matrices[{k}] is all zero; edges[{ks.index(k)}] uses it")
-    return dict(zip(keys, map(parsed.__getitem__, ks)))
+        pos, entry = next(
+            (pos, e) for pos, e in enumerate(triples) if type(e) is not list or [*map(type, e)] != [int] * 3
+        )
+        raise ParseError(f"edges[{pos}] must be an [i, j, k] triple of integers, got {entry!r}")
+    try:
+        edges = {(i, j): parsed[k] for i, j, k in triples}
+    except IndexError:
+        pos, k = next((pos, k) for pos, (_, _, k) in enumerate(triples) if not 0 <= k < len(parsed))
+        raise ParseError(f"edges[{pos}][2] is {k}, but matrices has {len(parsed)} entries") from None
+    game = build(edges)
+    used, written = _edge_table(game.edges)
+    if triples != written:  # the scan above leaves only ints to compare
+        _check_written(triples, written, "game", "edges")
+    if len(table) > len(used):
+        raise ParseError(f"unknown game field 'matrices[{len(used)}]'")
+    return game
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +350,7 @@ def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
         except ValueError:
             raise ParseError(f"unknown role {entry[0]!r}") from None
         players.append(PlayerInfo(role, entry[1]))
-    return PolymatrixGame(counts, _edges_in(data, rats), players)
+    return _edges_in(data, rats, lambda edges: PolymatrixGame(counts, edges, players))
 
 
 def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
@@ -372,9 +358,8 @@ def _bimatrix_from(data: dict, rats: _Rationals) -> BimatrixGame:
     if encoding == "dense":
         return BimatrixGame.dense(_matrix_in(data.pop("a"), rats), _matrix_in(data.pop("b"), rats))
     if encoding == "structured":
-        polymatrix = PolymatrixGame(
-            _ints_in(data["block_sizes"], "block size"), _edges_in(data, rats)
-        )
+        blocks = _ints_in(data["block_sizes"], "block size")
+        polymatrix = _edges_in(data, rats, lambda edges: PolymatrixGame(blocks, edges))
         return BimatrixGame.structured(polymatrix, _rat_in(data["alpha"], rats), data["normalized"])
     raise ParseError(f"unknown bimatrix encoding {encoding!r}")
 
@@ -495,6 +480,11 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
         raise ParseError(str(err)) from None
     written = mapping_to_dict(mapping, params)
     if v1:
+        # h holds one int per source strategy, so the file's own h must have
+        # the counts' shape before it is derived; g has one per source player
+        h, counts = data.get("h"), [*mapping.source_counts]
+        if not isinstance(h, list) or [len(row) if isinstance(row, list) else None for row in h] != counts:
+            raise ParseError(f"mapping field h must hold a list per source player, as long as its count in {counts}")
         written.update(format=_V1_FORMATS[MAPPING_FORMAT], g=[*mapping.g], h=[*map(list, mapping.h)])
     _check_written(data, written, "mapping")
     return mapping, params
@@ -571,7 +561,7 @@ def _read(path) -> Any:
         raise ParseError(f"cannot read {path}: {err}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an int literal past Python's digit limit
         raise ParseError(f"{path} is not valid JSON: {err}") from None
 
 

@@ -57,7 +57,16 @@ from .errors import (
     ParameterError,
     SizeBudgetExceeded,
 )
-from .model import PlayerInfo, PolymatrixGame, Role, ScaledProfile, _scaled_profile, make_matrix, validate_mixed
+from .model import (
+    PlayerInfo,
+    PolymatrixGame,
+    Role,
+    ScaledProfile,
+    _matrix_key,
+    _scaled_profile,
+    make_matrix,
+    validate_mixed,
+)
 
 Rat = Any
 
@@ -243,12 +252,6 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
         assert coefs[0] == -1, kind
         del coefs[0]
     return AffineGap(not primitive.two_cycle, const, tuple(coefs))
-
-
-def _matrix_key(mat) -> tuple:
-    """An exact matrix's height and entries as int pairs, which hash and
-    compare in C, where a ``Fraction``'s hash and ``==`` are Python calls."""
-    return (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
 
 
 class _TapColumns(NamedTuple):
@@ -446,7 +449,7 @@ class GadgetCircuit:
         other column ``col0``, one object per circuit for equal entries.
 
         The key holds each entry's type and its int numerator and
-        denominator, which hash in C, as :func:`_matrix_key` does."""
+        denominator, which hash in C, as :func:`~nashreduce.model._matrix_key` does."""
         (a, b), (c, d) = col0, col1
         key = (n, s, type(a), type(b), type(c), type(d), a.numerator, a.denominator,
                b.numerator, b.denominator, c.numerator, c.denominator, d.numerator, d.denominator)
@@ -721,33 +724,15 @@ class GadgetCircuit:
     # -- freezing and lifting ------------------------------------------------------
 
     def combine(self) -> PolymatrixGame:
-        """Freeze into a polymatrix game, which checks the payoff range and
-        drops all-zero edge matrices.
-
-        Equal edge matrices become one shared tuple, so the game checks,
-        stores and serializes each distinct matrix once.  An accumulator is
-        frozen and stored back as the shared tuple; a template is looked up
-        once per object.  Only exact matrices are shared: ``1.0 == 1``, so
-        a matrix with an inexact entry keeps its own object, and the game
-        rejects it in edge order.
+        """Freeze into a polymatrix game, which checks the payoff range,
+        drops all-zero edge matrices and holds one object per distinct
+        matrix, so it checks, stores and serializes each once.  The circuit
+        then holds the game's matrices in place of its accumulators, and
+        drops the edges the game dropped.
         """
-        shared: dict = {}
-        stamped: dict[int, tuple] = {}  # the circuit holds every keyed tuple
-        edges = {}
-        for key, acc in self._edges.items():
-            if type(acc) is list:
-                try:
-                    mat = make_matrix(acc)
-                except ParameterError:
-                    edges[key] = acc
-                    continue
-                mat = self._edges[key] = shared.setdefault(_matrix_key(mat), mat)
-            else:
-                mat = stamped.get(id(acc))
-                if mat is None:
-                    mat = stamped[id(acc)] = shared.setdefault(_matrix_key(acc), acc)
-            edges[key] = mat
-        return PolymatrixGame(self._counts, edges, self._players)
+        game = PolymatrixGame(self._counts, self._edges, self._players)
+        self._edges = dict(game.edges)
+        return game
 
     def lift(self, inputs: Mapping[int, Any]) -> ScaledProfile:
         """Complete exact input values to an exact equilibrium profile.

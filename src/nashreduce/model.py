@@ -123,6 +123,13 @@ def make_matrix(rows: Iterable[Iterable[Rat]], what: str = "matrix") -> Matrix:
     return mat
 
 
+def _matrix_key(mat: Matrix) -> tuple:
+    """An exact matrix's height and entries as int pairs, which hash and
+    compare in C, where a ``Fraction``'s hash and ``==`` are Python calls.
+    Equal keys mean equal values, whatever the entry types."""
+    return (len(mat), *(x.as_integer_ratio() for row in mat for x in row))
+
+
 def edge_payoffs(
     offsets: Sequence[int],
     edges: Mapping[tuple[int, int], Matrix],
@@ -693,11 +700,16 @@ class PolymatrixGame:
     keeping the representation canonical).  The empty game (zero players) is
     allowed.
 
-    Edge matrices are immutable and may be shared: edges given the same
-    matrix object keep one frozen copy of it.  Each distinct object is
-    frozen, checked for exact entries and compared once, on ints, for the
-    range check, the all-zero test and the game's payoff range; the
-    endpoint, self-edge and shape checks stay per edge, in edge order.
+    Edge matrices are immutable, and the game holds one object per distinct
+    value: edges whose matrices are equal share the frozen copy of the
+    first of them, in edge order, whatever their objects or entry types.
+    Each distinct object is frozen, checked for exact entries and keyed by
+    value (:func:`_matrix_key`) once, and each distinct value is compared
+    once, on ints, for the range check, the all-zero test and the game's
+    payoff range; the endpoint, self-edge and shape checks stay per edge,
+    in edge order.  So numbering the matrix objects of the sorted edges in
+    first-use order numbers their values, which is how a game file's
+    ``matrices`` table is written and checked.
     """
 
     def __init__(
@@ -715,8 +727,10 @@ class PolymatrixGame:
             raise DimensionMismatch("need exactly one PlayerInfo per player")
         kept: dict[tuple[int, int], Matrix] = {}
         ranges = []
-        # id(mat) -> (mat, frozen, entry outside [-1, 2] or None, nonzero);
-        # holding mat keeps its id from being reused during the loop
+        # _matrix_key(frozen) -> (frozen, entry outside [-1, 2] or None, nonzero)
+        by_value: dict[tuple, tuple] = {}
+        # id(mat) -> (frozen, bad, nonzero, mat); holding mat keeps its id
+        # from being reused during the loop
         checked: dict[int, tuple] = {}
         for (i, j), mat in edges.items():
             if i == j:
@@ -726,12 +740,15 @@ class PolymatrixGame:
             seen = checked.get(id(mat))
             if seen is None:
                 frozen = make_matrix(mat, f"edge ({i}, {j}) matrix")
-                lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
-                bad = lo if lo < -1 else hi if hi > 2 else None
-                # an all-zero matrix has the range (0, 0) and is dropped
-                seen = checked[id(mat)] = (mat, frozen, bad, bool(lo or hi))
-                ranges += (lo, hi)  # an edge sharing the matrix adds no new extreme
-            _, frozen, bad, nonzero = seen
+                key = _matrix_key(frozen)
+                if key not in by_value:
+                    lo, hi = _entry_range(itertools.chain.from_iterable(frozen), 0, 0)
+                    bad = lo if lo < -1 else hi if hi > 2 else None
+                    # an all-zero matrix has the range (0, 0) and is dropped
+                    by_value[key] = (frozen, bad, bool(lo or hi))
+                    ranges += (lo, hi)  # an edge sharing the value adds no new extreme
+                seen = checked[id(mat)] = (*by_value[key], mat)
+            frozen, bad, nonzero, _ = seen
             if len(frozen) != counts[i] or len(frozen[0]) != counts[j]:
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) matrix must be {counts[i]}x{counts[j]}"

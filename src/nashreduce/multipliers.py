@@ -27,9 +27,10 @@ at most ``d * m * eps^c`` with ``(c, d) = (1, 19)`` for unary and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 from typing import Any, Sequence
 
-from ._rational import iceil, rational
+from ._rational import rational
 from .errors import ParameterError
 from .gadgets import GadgetCircuit, Tap
 from .model import _check_exact
@@ -115,7 +116,7 @@ def beta_for_eps(eps: Rat) -> int:
 
 def unary_cells(eps: Rat) -> int:
     """Grid resolution of the unary construction: C = ceil(1 / (3 eps))."""
-    return iceil(1 / (3 * eps))
+    return ceil(1 / (3 * eps))
 
 
 def _check_brittle_eps(eps: Rat, beta: int) -> None:

@@ -60,10 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from ._rational import iceil, ifloor, rational, unit_denominator
+from ._rational import rational, unit_denominator
 from .errors import ParameterError
 from .gadgets import GADGET_INFO, GADGET_KINDS, PRIMITIVES, primitive_gap
 from .model import Rat
@@ -92,7 +92,7 @@ def _range_mask(g: int, lo: int, hi: int) -> int:
 
 def _band_mask(g: int, value: Rat, width: Rat) -> int:
     """Grid indices within ``width`` of ``value`` (endpoints included)."""
-    return _range_mask(g, iceil((value - width) * g), ifloor((value + width) * g))
+    return _range_mask(g, ceil((value - width) * g), floor((value + width) * g))
 
 
 def mask_values(g: int, mask: int) -> list[Rat]:
@@ -132,8 +132,8 @@ class _Gap(NamedTuple):
 
 
 def _aux_window_nonempty(g: int, eps: Rat) -> bool:
-    lo = max(1, iceil((1 - eps) * g / 2))
-    hi = min(g - 1, ifloor((1 + eps) * g / 2))
+    lo = max(1, ceil((1 - eps) * g / 2))
+    hi = min(g - 1, floor((1 + eps) * g / 2))
     return lo <= hi
 
 
@@ -380,7 +380,7 @@ def _envelope(kind: str, g: int, eps: Rat, inputs: Sequence[Rat], zeta: Rat | No
         if v1 == 0:
             allowed &= 1
         if v2 <= 2 * eps:
-            allowed &= _range_mask(g, 0, ifloor(3 * eps * g))
+            allowed &= _range_mask(g, 0, floor(3 * eps * g))
         return allowed
     if kind == "max":
         return _band_mask(g, max(inputs), 4 * eps)

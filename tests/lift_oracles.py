@@ -7,10 +7,11 @@ plain walk of the circuit's spec trees.  They live with the tests because
 only the tests call them.
 """
 
+from math import floor
 from typing import Any, Mapping, Sequence
 
 from nashreduce import ParameterError
-from nashreduce._rational import ifloor, rational
+from nashreduce._rational import rational
 from nashreduce.gadgets import GADGET_INFO, GadgetCircuit, GadgetSpec, primitive_gap
 from nashreduce.model import validate_mixed
 from nashreduce.multipliers import beta_for_eps, unary_cells
@@ -23,8 +24,8 @@ def unary_lift_value(v1: Rat, v2: Rat, eps: Rat) -> Rat:
     where i* counts thresholds at or below v1 (ties light up)."""
     tau = 3 * eps
     cells = unary_cells(eps)
-    lit1 = min(ifloor(v1 / tau), cells) if v1 < 1 else cells
-    lit2 = min(ifloor(v2 / tau), cells) if v2 < 1 else cells
+    lit1 = min(floor(v1 / tau), cells) if v1 < 1 else cells
+    lit2 = min(floor(v2 / tau), cells) if v2 < 1 else cells
     return min(tau * tau * lit1 * lit2, rational(1))
 
 
@@ -33,7 +34,7 @@ def brittle_lift_value(v1: Rat, v2: Rat, eps: Rat) -> Rat:
     (the all-ones code caps at 2^beta - 1)."""
     beta = beta_for_eps(eps)
     scale = 2**beta
-    code = min(ifloor(v1 * scale), scale - 1)
+    code = min(floor(v1 * scale), scale - 1)
     return v2 * rational(code, scale)
 
 

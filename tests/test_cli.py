@@ -243,6 +243,16 @@ def test_verify_failure_lists_violations(runner, pennies_file, tmp_path):
     assert "player 1" in result.output
 
 
+def test_verify_rejects_a_profile_with_an_integer_past_the_digit_limit(runner, pennies_file, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it
+    prof = tmp_path / "prof.json"
+    prof.write_text('{"format":"nashreduce-profile/1","strategies":[[' + "1" * 5000 + ',"0"],["1","0"]]}\n')
+    result = invoke(runner, "verify", pennies_file, prof)
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: {prof} is not valid JSON: ")
+    assert "Traceback" not in result.output
+
+
 def test_verify_normal_form_profile(runner, dominant_file, tmp_path):
     prof = tmp_path / "prof.json"
     write_profile(prof, [(R(1), R(0))] * 3)
@@ -521,10 +531,12 @@ TAMPERED_MAPPINGS = {
     # mapping's g and h must be the layout its stage and source counts give.
     "swapped_h": ("full-v1", {"h": [[2, 3], [0, 1]]}, "mapping field h[0][0] is 2, but rewriting what was read gives 0"),
     "wrong_g": ("full-v1", {"g": [0, 1]}, "mapping field g[0] is 0, but rewriting what was read gives 1"),
-    "short_h": ("full-v1", {"h": [[0, 1]]}, "mapping file is missing field 'h[1]'"),
+    "short_h": ("full-v1", {"h": [[0, 1]]},
+                "mapping field h must hold a list per source player, as long as its count in [2, 2]"),
     "bool_h": ("full-v1", {"h": [[0, True], [2, 3]]}, "mapping field h[0][1] is true, but rewriting what was read gives 1"),
     "float_h": ("full-v1", {"h": [[0, 1], [2.0, 3]]}, "mapping field h[1][0] is 2.0, but rewriting what was read gives 2"),
-    "h_not_lists": ("full-v1", {"h": 4}, "mapping field h is 4, but rewriting what was read gives [[0, 1], [2, 3]]"),
+    "h_not_lists": ("full-v1", {"h": 4},
+                    "mapping field h must hold a list per source player, as long as its count in [2, 2]"),
     "source_counts_v1": ("full-v1", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
                          "source counts (2, 3) are not the leading block sizes (2, 2)"),
     "forged_eps_2_v1": ("full-v1", {"params": {"eps_2": "1000000000000"}},

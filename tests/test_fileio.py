@@ -3,6 +3,7 @@ loud failures on malformed input."""
 
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashreduce import ParseError, R
+from nashreduce import ParseError, R, rational_str
 from nashreduce.fileio import (
     GAME_FORMAT,
     PROFILE_FORMAT,
@@ -35,7 +36,7 @@ from nashreduce.model import (
     random_normal_form,
     random_polymatrix,
 )
-from nashreduce.reductions import bimatrixify, linearize, normalize_bimatrix, reduce_full
+from nashreduce.reductions import bimatrixify, eps_m_for_counts, linearize, normalize_bimatrix, reduce_full
 
 
 def tiny_game():
@@ -303,22 +304,28 @@ STRICT_CASES = {
     "g_in_v2_mapping": ("mapping", lambda d: d.update(g=[0, 1]), "unknown mapping field 'g'"),
     "h_in_v2_mapping": ("mapping", lambda d: d.update(h=[[0, 1], [2, 3, 4]]), "unknown mapping field 'h'"),
     "repeated_edge": ("game", lambda d: d["edges"][1].__setitem__(1, 1),
-                      "edges[1] is (0, 1), but edges must strictly increase and edges[0] is (0, 1)"),
+                      "game field edges[1][0] is 0, but rewriting what was read gives 1"),
     "edges_out_of_order": ("game", lambda d: (d["edges"][0].__setitem__(1, 2), d["edges"][1].__setitem__(1, 1)),
-                           "edges[1] is (0, 1), but edges must strictly increase and edges[0] is (0, 2)"),
+                           "game field edges[0][1] is 2, but rewriting what was read gives 1"),
     "duplicated_entry": ("game", lambda d: d["matrices"].__setitem__(1, d["matrices"][0]),
-                         "matrices[1] repeats matrices[0]"),
-    "unused_entry": ("game", lambda d: d["matrices"].append([["1", "0"], ["0", "1"]]), "matrices[6] is used by no edge"),
+                         "game field edges[1][2] is 1, but rewriting what was read gives 0"),
+    "unused_entry": ("game", lambda d: d["matrices"].append([["1", "0"], ["0", "1"]]),
+                     "unknown game field 'matrices[6]'"),
     "out_of_first_use_order": ("game", swap_first_uses,
-                               "edges[0][2] is 1, but matrices are in first-use order, so the next new one is 0"),
+                               "game field edges[0][2] is 1, but rewriting what was read gives 0"),
     "index_out_of_range": ("game", lambda d: d["edges"][5].__setitem__(2, 6), "edges[5][2] is 6, but matrices has 6 entries"),
-    "negative_index": ("game", lambda d: d["edges"][5].__setitem__(2, -1), "edges[5][2] is -1, but matrices has 6 entries"),
-    "float_index": ("game", lambda d: d["edges"][2].__setitem__(2, 2.0), "edges[2][2] must be an integer, got 2.0"),
-    "bool_index": ("game", lambda d: d["edges"][1].__setitem__(2, True), "edges[1][2] must be an integer, got True"),
-    "float_endpoint": ("game", lambda d: d["edges"][3].__setitem__(0, 1.0), "edges[3][0] must be an integer, got 1.0"),
-    "not_a_triple": ("game", lambda d: d["edges"].__setitem__(3, [1, 2]), "edges[3] must be an [i, j, k] triple, got [1, 2]"),
+    "negative_index": ("game", lambda d: d["edges"][5].__setitem__(2, -1),
+                       "game field edges[5][2] is -1, but rewriting what was read gives 5"),
+    "float_index": ("game", lambda d: d["edges"][2].__setitem__(2, 2.0),
+                    "edges[2] must be an [i, j, k] triple of integers, got [1, 0, 2.0]"),
+    "bool_index": ("game", lambda d: d["edges"][1].__setitem__(2, True),
+                   "edges[1] must be an [i, j, k] triple of integers, got [0, 2, True]"),
+    "float_endpoint": ("game", lambda d: d["edges"][3].__setitem__(0, 1.0),
+                       "edges[3] must be an [i, j, k] triple of integers, got [1.0, 2, 3]"),
+    "not_a_triple": ("game", lambda d: d["edges"].__setitem__(3, [1, 2]),
+                     "edges[3] must be an [i, j, k] triple of integers, got [1, 2]"),
     "all_zero_entry": ("game", lambda d: d["matrices"].__setitem__(2, [["0", "0"], ["0", "0"]]),
-                       "matrices[2] is all zero; edges[2] uses it"),
+                       "game field edges[2][1] is 0, but rewriting what was read gives 2"),
     "missing_table": ("game", lambda d: d.pop("matrices"), "game file is missing field 'matrices'"),
     "profile_without_format": ("profile", lambda d: d.pop("format"), "expected format 'nashreduce-profile/1', got None"),
     "profile_with_null_format": ("profile", lambda d: d.update(format=None),
@@ -475,6 +482,24 @@ def test_a_mutated_file_is_rejected_or_written_as_it_reads(name, data):
     except ParseError:
         return
     assert dumps_canonical(written) == dumps_canonical(mutated)
+
+
+@pytest.mark.parametrize("states_derived_eps_m", [False, True])
+def test_a_v1_mapping_is_rejected_before_its_counts_lay_out_h(states_derived_eps_m):
+    # h would hold one int per source strategy: about 110 MB for these counts
+    data = json.loads((V1_DATA / "unary-linearize-22.mapping.json").read_text())
+    data["source_counts"] = [2_000_000, 2]
+    if states_derived_eps_m:
+        data["params"]["eps_m"] = rational_str(eps_m_for_counts(data["source_counts"], R(1, 2), "unary"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            mapping_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "mapping field h must hold a list per source player, as long as its count in [2000000, 2]"
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Shared edge matrices.
 
 A reduction builds its polymatrix game from a few gadget templates, so most
-of its edges carry one of a handful of matrices.  ``GadgetCircuit.combine``
-and the file reader give equal matrices one object, and a polymatrix game
-checks, and the writer renders, each distinct matrix object once.  These
-tests pin that sharing and check that it changes no result: a game built
-from per-edge copies is equal, reports the same range and verification
-result and writes the same bytes, and every malformed matrix fails as it
-does on its own.
+of its edges carry one of a handful of matrices.  A polymatrix game holds
+one object per distinct matrix value, however its edges were given, so it
+checks, and the writer renders, each distinct matrix once, and the file
+reader's table entries map one to one to the game's objects.  These tests
+pin that sharing and check that it changes no result: a game built from
+per-edge copies, or from entries of other exact types, is equal, holds the
+same number of objects, reports the same range and verification result and
+writes the same bytes, and every malformed matrix fails as it does on its
+own.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,7 +72,8 @@ def test_read_game_shares_equal_matrices(tmp_path, log_reduction, stage):
 def test_per_edge_copies_match_the_shared_game(tmp_path, log_reduction):
     gm, mapping, params = log_reduction
     copies = per_edge_copies(gm)
-    assert distinct_objects(copies) == len(copies.edges) > distinct_objects(gm)
+    # the constructor gives the per-edge copies one object per value again
+    assert distinct_objects(copies) == distinct_values(copies) == distinct_objects(gm) < len(copies.edges)
     assert copies == gm
     assert copies.payoff_range() == gm.payoff_range()
     planted = [pure_strategy(2, 0)] * 3
@@ -85,6 +89,28 @@ def test_per_edge_copies_match_the_shared_game(tmp_path, log_reduction):
         write_game(tmp_path / f"{name}-shared.json", shared)
         write_game(tmp_path / f"{name}-own.json", own)
         assert (tmp_path / f"{name}-shared.json").read_bytes() == (tmp_path / f"{name}-own.json").read_bytes()
+
+
+def test_equal_matrices_of_other_entry_types_share_one_object(tmp_path):
+    ints = [[1, 0], [0, -1]]
+    fractions = [[R(1), R(0)], [R(0), R(-1)]]
+    half = [[R(1, 2), 0], [0, 1]]
+    mixed = PolymatrixGame(
+        (2, 2, 2), {(0, 1): ints, (0, 2): half, (1, 2): fractions, (2, 0): [list(row) for row in half]}
+    )
+    assert distinct_objects(mixed) == distinct_values(mixed) == 2
+    assert mixed.edges[(0, 1)] is mixed.edges[(1, 2)]
+    assert mixed.edges[(0, 2)] is mixed.edges[(2, 0)]
+    assert [type(x) for row in mixed.edges[(1, 2)] for x in row] == [int] * 4  # the first edge's copy
+    # the same values, Fraction entries first, and half given as one object
+    exact = PolymatrixGame((2, 2, 2), {(0, 1): fractions, (0, 2): half, (1, 2): ints, (2, 0): half})
+    assert [type(x) for row in exact.edges[(1, 2)] for x in row] == [Fraction] * 4
+    assert exact == mixed
+    assert exact.payoff_range() == mixed.payoff_range() == (-1, 1)
+    write_game(tmp_path / "mixed.json", mixed)
+    write_game(tmp_path / "exact.json", exact)
+    assert (tmp_path / "mixed.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
+    assert game_to_dict(mixed)["edges"] == [[0, 1, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
 
 
 def test_game_to_dict_rows_are_not_shared(log_reduction):
