@@ -184,23 +184,27 @@ def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
     return [_vector_in(row, rats) for row in data]
 
 
-def _edge_table(edges) -> tuple[list, list]:
-    """The distinct matrix objects of ``edges`` in first-use order over the
-    edges sorted by endpoints, and one ``[i, j, k]`` triple per sorted edge,
-    ``k`` numbering its object.  A game holds one object per distinct
-    matrix, so this numbers the values without rendering them."""
+def _edge_table(edges) -> tuple[list, list, list]:
+    """The keys of ``edges`` sorted, the distinct matrix objects in
+    first-use order over them, and the index of each sorted edge's object
+    among those.  A game holds one object per distinct matrix, so this
+    numbers the values without rendering them."""
     keys = sorted(edges)  # the keys alone sort about three times faster than the items
     mats = [*map(edges.__getitem__, keys)]
     distinct = dict(zip(map(id, mats), mats))  # the edges hold every keyed matrix
     number = dict(zip(distinct, itertools.count()))
-    return [*distinct.values()], [[i, j, k] for (i, j), k in zip(keys, map(number.__getitem__, map(id, mats)))]
+    return keys, [*distinct.values()], [*map(number.__getitem__, map(id, mats))]
+
+
+def _triples(keys: list, ks: list) -> list[list[int]]:
+    return [[i, j, k] for (i, j), k in zip(keys, ks)]
 
 
 def _edges_out(edges) -> tuple[list, list]:
     """The ``matrices`` table and ``[i, j, k]`` triples of a game's edges:
     each distinct matrix rendered once, in lists of its own."""
-    table, triples = _edge_table(edges)
-    return [*map(_matrix_out, table)], triples
+    keys, table, ks = _edge_table(edges)
+    return [*map(_matrix_out, table)], _triples(keys, ks)
 
 
 def _body_key(body: Any) -> tuple | None:
@@ -244,10 +248,13 @@ def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGa
     from its ``matrices`` table and ``[i, j, k]`` triples, or from a version
     1 edge list.  Every table entry is parsed, once, before the game is
     built, and edges that share an entry share its parsed matrix.  The
-    triples must then be the ones the writer writes for the game built,
-    compared as ints, and the table must hold no entry past the last one
-    they use; with the game's one object per distinct matrix, that fixes
-    the table's order and leaves no repeated, unused or all-zero entry."""
+    triples must then be the ones the writer writes for the game built, and
+    the table must hold no entry past the last one they use; with the
+    game's one object per distinct matrix, that fixes the table's order and
+    leaves no repeated, unused or all-zero entry.  The triples are compared
+    without being built: the game keeps the file's edge order, so when it
+    drops no edge, the file's edges are sorted and its ``k`` are the
+    game's, the file holds the writer's triples."""
     if data["format"] != GAME_FORMAT:  # a version 1 file
         table, triples = _v1_table(data.pop("edges"))
     else:
@@ -262,19 +269,23 @@ def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGa
         and {*map(len, triples)} <= {3}
         and {*map(type, itertools.chain.from_iterable(triples))} <= {int}
     ):
-        pos, entry = next(
-            (pos, e) for pos, e in enumerate(triples) if type(e) is not list or [*map(type, e)] != [int] * 3
-        )
-        raise ParseError(f"edges[{pos}] must be an [i, j, k] triple of integers, got {entry!r}")
+        for pos, entry in enumerate(triples):  # name the first fault
+            if type(entry) is not list or len(entry) != 3:
+                raise ParseError(f"edges[{pos}] must be an [i, j, k] triple, got {entry!r}")
+            for field, value in enumerate(entry):
+                if type(value) is not int:
+                    raise ParseError(f"edges[{pos}][{field}] must be an integer, got {value!r}")
     try:
         edges = {(i, j): parsed[k] for i, j, k in triples}
     except IndexError:
         pos, k = next((pos, k) for pos, (_, _, k) in enumerate(triples) if not 0 <= k < len(parsed))
         raise ParseError(f"edges[{pos}][2] is {k}, but matrices has {len(parsed)} entries") from None
     game = build(edges)
-    used, written = _edge_table(game.edges)
-    if triples != written:  # the scan above leaves only ints to compare
-        _check_written(triples, written, "game", "edges")
+    keys, used, ks = _edge_table(game.edges)
+    # a repeated or all-zero edge leaves the game fewer edges than the file;
+    # the scan above left only ints to compare
+    if len(keys) != len(triples) or [*game.edges] != keys or [*map(operator.itemgetter(2), triples)] != ks:
+        _check_written(triples, _triples(keys, ks), "game", "edges")
     if len(table) > len(used):
         raise ParseError(f"unknown game field 'matrices[{len(used)}]'")
     return game
