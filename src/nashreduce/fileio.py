@@ -17,16 +17,16 @@ A reduced game holds tens of thousands of cells but only dozens of
 distinct strings.  A failed parse raises and is never stored, so every
 malformed cell fails.
 
-Game and mapping files are at version 2.  A polymatrix or structured
+Game and mapping files are at version 2, profiles at version 1, and a
+reader accepts only its writer's current tag.  A polymatrix or structured
 bimatrix file stores its edges as a ``matrices`` table, which holds each
 distinct matrix once in the order of first use over the sorted edges, and
 ``[i, j, k]`` edge triples whose ``k`` indexes the table.  A polymatrix
 game holds one object per distinct matrix value, so the writer numbers the
 game's matrix objects and renders each once, and the bytes depend only on
 the values; a read parses each table entry once and gives every edge that
-uses it one shared matrix.  A version 2 mapping holds no ``g`` or ``h``,
-which its stage and source counts fix.  Normal-form and dense bimatrix
-files differ from version 1 only in their tag.
+uses it one shared matrix.  A mapping holds no ``g`` or ``h``, which its
+stage and source counts fix.
 
 A reader accepts a file only if its writer writes that file for the value
 read.  It builds the value from the file's inputs, renders it with the
@@ -47,11 +47,7 @@ that repeats another, is out of first-use order or is used by no edge are
 each a :class:`ParseError` naming a JSON path.  A structured bimatrix body
 is read as the polymatrix game of its block sizes and edges.  A field that
 breaks a game builder's or a :class:`~nashreduce.reductions.GameMapping`
-rule is a :class:`ParseError` too.  Version 1 files are read by the same
-parser: a v1 edge list ``[i, j, rows]`` becomes a table plus triples, and
-a v1 file is compared with the version 2 rendering under its v1 tag, plus
-a mapping's ``g`` and ``h`` as its stage and source counts give them; a
-v1 mapping's ``h`` must have the counts' shape before it is derived.
+rule is a :class:`ParseError` too.
 """
 
 from __future__ import annotations
@@ -80,8 +76,6 @@ Rat = Any
 GAME_FORMAT = "nashreduce-game/2"
 PROFILE_FORMAT = "nashreduce-profile/1"
 MAPPING_FORMAT = "nashreduce-mapping/2"
-# the version 1 tags, which the readers still accept
-_V1_FORMATS = {GAME_FORMAT: "nashreduce-game/1", MAPPING_FORMAT: "nashreduce-mapping/1"}
 
 __all__ = [
     "GAME_FORMAT",
@@ -207,62 +201,23 @@ def _edges_out(edges) -> tuple[list, list]:
     return [*map(_matrix_out, table)], _triples(keys, ks)
 
 
-def _body_key(body: Any) -> tuple | None:
-    """The rows of a non-empty list of lists of strings, as a hashable key;
-    None for any other body.  Checking the shape first keeps the string
-    ``"10"`` and the body ``[["1"], ["0"]]`` apart."""
-    if not isinstance(body, list) or {*map(type, body)} != {list}:
-        return None
-    key = tuple(map(tuple, body))
-    if {*map(type, itertools.chain.from_iterable(key))} != {str}:
-        return None
-    return key
-
-
-def _v1_table(data: Any) -> tuple[list, list]:
-    """A version 1 edge list ``[i, j, rows]`` as a table of its distinct
-    bodies plus ``[i, j, k]`` triples.  A body that is not a non-empty list
-    of lists of strings gets an entry of its own, so it is parsed on its own
-    and fails with the parser's own :class:`ParseError`."""
-    if not isinstance(data, list):
-        raise ParseError("edges must be a list of [i, j, matrix] entries")
-    table: list = []
-    index: dict[tuple, int] = {}
-    triples = []
-    for entry in data:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"malformed edge entry {entry!r}")
-        key = _body_key(entry[2])
-        k = None if key is None else index.get(key)
-        if k is None:
-            k = len(table)
-            table.append(entry[2])
-            if key is not None:
-                index[key] = k
-        triples.append([entry[0], entry[1], k])
-    return table, triples
-
-
 def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGame]) -> PolymatrixGame:
     """``build(edges)`` for the edges of a game file, ``{(i, j): rows}``,
-    from its ``matrices`` table and ``[i, j, k]`` triples, or from a version
-    1 edge list.  Every table entry is parsed, once, before the game is
-    built, and edges that share an entry share its parsed matrix.  The
-    triples must then be the ones the writer writes for the game built, and
-    the table must hold no entry past the last one they use; with the
-    game's one object per distinct matrix, that fixes the table's order and
-    leaves no repeated, unused or all-zero entry.  The triples are compared
-    without being built: the game keeps the file's edge order, so when it
-    drops no edge, the file's edges are sorted and its ``k`` are the
-    game's, the file holds the writer's triples."""
-    if data["format"] != GAME_FORMAT:  # a version 1 file
-        table, triples = _v1_table(data.pop("edges"))
-    else:
-        table, triples = data.pop("matrices"), data.pop("edges")
-        if not isinstance(table, list):
-            raise ParseError("matrices must be a list of matrices")
-        if not isinstance(triples, list):
-            raise ParseError("edges must be a list of [i, j, k] triples")
+    from its ``matrices`` table and ``[i, j, k]`` triples.  Every table
+    entry is parsed, once, before the game is built, and edges that share an
+    entry share its parsed matrix.  The triples must then be the ones the
+    writer writes for the game built, and the table must hold no entry past
+    the last one they use; with the game's one object per distinct matrix,
+    that fixes the table's order and leaves no repeated, unused or all-zero
+    entry.  The triples are compared without being built: the game keeps
+    the file's edge order, so when it drops no edge, the file's edges are
+    sorted and its ``k`` are the game's, the file holds the writer's
+    triples."""
+    table, triples = data.pop("matrices"), data.pop("edges")
+    if not isinstance(table, list):
+        raise ParseError("matrices must be a list of matrices")
+    if not isinstance(triples, list):
+        raise ParseError("edges must be a list of [i, j, k] triples")
     parsed = [_matrix_in(mat, rats) for mat in table]
     if not (
         {*map(type, triples)} <= {list}
@@ -385,7 +340,7 @@ _GAME_BUILDERS = {
 def game_from_dict(data: Any):
     if not isinstance(data, dict):
         raise ParseError("a game file must hold a JSON object")
-    _is_v1(data, GAME_FORMAT)
+    _check_format(data, GAME_FORMAT)
     cls = data.get("class")
     builder = _GAME_BUILDERS.get(cls) if isinstance(cls, str) else None
     if builder is None:
@@ -399,7 +354,7 @@ def game_from_dict(data: Any):
         raise ParseError(f"game body contradicts its header: {err}") from None
     except ParameterError as err:  # the body breaks a builder's rule
         raise ParseError(str(err)) from None
-    _check_written(fields, dict(_game_fields(game), format=data["format"]), "game")
+    _check_written(fields, _game_fields(game), "game")
     return game
 
 
@@ -417,7 +372,7 @@ def profile_to_dict(profile) -> dict:
 def profile_from_dict(data: Any) -> list[tuple]:
     if not isinstance(data, dict):
         raise ParseError("a profile file must hold a JSON object")
-    _is_v1(data, PROFILE_FORMAT)
+    _check_format(data, PROFILE_FORMAT)
     strategies, rats = data.get("strategies"), _Rationals()
     profile = [_vector_in(strategy, rats) for strategy in strategies] if isinstance(strategies, list) else []
     _check_written(data, profile_to_dict(profile), "profile")
@@ -472,7 +427,7 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
     takes the ledger's ``alpha``, so the file's must be the derived one."""
     if not isinstance(data, dict):
         raise ParseError("a mapping file must hold a JSON object")
-    v1 = _is_v1(data, MAPPING_FORMAT)
+    _check_format(data, MAPPING_FORMAT)
     try:
         raw_blocks = data["block_sizes"]
         rats = _Rationals()
@@ -489,15 +444,7 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
         raise ParseError(f"mapping file is missing field {err.args[0]!r}") from None
     except (DegenerateGame, DimensionMismatch, ParameterError) as err:  # the fields break a reduction's rule
         raise ParseError(str(err)) from None
-    written = mapping_to_dict(mapping, params)
-    if v1:
-        # h holds one int per source strategy, so the file's own h must have
-        # the counts' shape before it is derived; g has one per source player
-        h, counts = data.get("h"), [*mapping.source_counts]
-        if not isinstance(h, list) or [len(row) if isinstance(row, list) else None for row in h] != counts:
-            raise ParseError(f"mapping field h must hold a list per source player, as long as its count in {counts}")
-        written.update(format=_V1_FORMATS[MAPPING_FORMAT], g=[*mapping.g], h=[*map(list, mapping.h)])
-    _check_written(data, written, "mapping")
+    _check_written(data, mapping_to_dict(mapping, params), "mapping")
     return mapping, params
 
 
@@ -505,13 +452,9 @@ def mapping_from_dict(data: Any) -> tuple[GameMapping, ReductionParams]:
 # file helpers
 
 
-def _is_v1(data: dict, expected: str) -> bool:
-    """Whether ``data`` is tagged with the version 1 format of ``expected``;
-    :class:`ParseError` unless it is tagged with one of the two."""
-    tag = data.get("format")
-    if tag not in (expected, _V1_FORMATS.get(expected, expected)):
-        raise ParseError(f"expected format {expected!r}, got {tag!r}")
-    return tag != expected
+def _check_format(data: dict, expected: str) -> None:
+    if data.get("format") != expected:
+        raise ParseError(f"expected format {expected!r}, got {data.get('format')!r}")
 
 
 def _check_written(given: Any, written: Any, what: str, path: str = "") -> None:
@@ -553,7 +496,7 @@ def _same_types(given: list, written: list) -> bool:
     object or nested deeper, which leaves the check to the caller."""
     if all(map(operator.is_, given, written)):  # the very objects read, like a list of counts
         return True
-    if written and {*map(type, written)} == {list}:  # rows, like roles or a v1 mapping's h
+    if written and {*map(type, written)} == {list}:  # rows, like roles or a profile's strategies
         given, written = [*itertools.chain(*given)], [*itertools.chain(*written)]
     kinds = {*map(type, written)}
     if kinds <= {str, type(None)}:  # only a string equals a string, and only null equals null

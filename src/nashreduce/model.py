@@ -113,6 +113,14 @@ def _check_exact(values: Iterable, what: str) -> None:
         raise ParameterError(f"{what} has an entry that is not an exact rational")
 
 
+def _strategy_counts(strategy_counts: Sequence[int]) -> tuple[int, ...]:
+    """The counts as a tuple; :class:`ParameterError` unless each is an int."""
+    counts = tuple(strategy_counts)
+    if not {*map(type, counts)} <= {int}:
+        raise ParameterError(f"strategy counts must be ints, got {counts!r}")
+    return counts
+
+
 def make_matrix(rows: Iterable[Iterable[Rat]], what: str = "matrix") -> Matrix:
     """Freeze rows into a rectangular tuple-of-tuples matrix of exact entries;
     ``what`` names the matrix in the exactness error."""
@@ -572,6 +580,9 @@ def _wsne_violations(
         def value(r: int) -> Fraction:
             return Fraction(nums[r], dens[r])
 
+    _check_exact((eps,), "eps")
+    if eps < 0:
+        raise ParameterError("eps must be nonnegative")
     eps_n, eps_d = eps.as_integer_ratio()
     found = []
     for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
@@ -601,7 +612,7 @@ class NormalFormGame:
     """
 
     def __init__(self, strategy_counts: Sequence[int], payoffs: Sequence[Matrix]):
-        counts = tuple(int(n) for n in strategy_counts)
+        counts = _strategy_counts(strategy_counts)
         if len(counts) < 1:
             raise ParameterError("a normal-form game needs at least one player")
         if any(n < 1 for n in counts):
@@ -718,7 +729,7 @@ class PolymatrixGame:
         edges: Mapping[tuple[int, int], Matrix],
         players: Sequence[PlayerInfo] | None = None,
     ):
-        counts = tuple(int(n) for n in strategy_counts)
+        counts = _strategy_counts(strategy_counts)
         if any(n < 2 for n in counts):
             raise ParameterError("every polymatrix player needs at least two pure strategies")
         m = len(counts)

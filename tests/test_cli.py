@@ -10,14 +10,13 @@ reduction outputs across runs.
 import hashlib
 import json
 import re
-import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from nashreduce import R
+from nashreduce import ParseError, R
 from nashreduce.cli import main
 from nashreduce.fileio import (
     read_game,
@@ -34,7 +33,6 @@ from nashreduce.reductions import bimatrixify, linearize, lift_to_polymatrix, no
 from nashreduce.solvers import lift_to_bimatrix
 
 FLOAT_RE = re.compile(r"\d\.\d")
-V1_DATA = Path(__file__).parent / "data" / "v1"  # files the version 1 writers wrote
 
 
 @pytest.fixture
@@ -253,6 +251,20 @@ def test_verify_rejects_a_profile_with_an_integer_past_the_digit_limit(runner, p
     assert "Traceback" not in result.output
 
 
+def test_a_negative_tolerance_is_a_parameter_violation(runner, pennies_file, bimatrixified, tmp_path):
+    prof = tmp_path / "prof.json"
+    write_profile(prof, [(R(1, 2), R(1, 2)), (R(1, 2), R(1, 2))])
+    write_profile(tmp_path / "bi.json", BAD_BIMATRIX_PROFILE)
+    for args in (
+        ("verify", pennies_file, prof, "--eps=-1/2"),
+        ("recover", *bimatrixified, tmp_path / "bi.json", "--eps=-1/2"),
+        ("solve", pennies_file, "--method", "grid", "--eps=-1/2", "--step", "1/2"),
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == 3, args
+        assert result.output == "error: eps must be nonnegative\n"
+
+
 def test_verify_normal_form_profile(runner, dominant_file, tmp_path):
     prof = tmp_path / "prof.json"
     write_profile(prof, [(R(1), R(0))] * 3)
@@ -335,24 +347,6 @@ def test_reduce_outputs_are_pinned(runner, tmp_path, name):
     assert result.exit_code == 0
     written = {p.name[len("out."):]: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("out.*")}
     assert written == digests
-
-
-def test_v1_reduce_outputs_read_back_equal(runner, tmp_path):
-    # the same reduction as REDUCE_OUTPUTS["unary-linearize-22"], written by the version 1 writers
-    v1 = {suffix: V1_DATA / f"unary-linearize-22.{suffix}" for suffix in ("src.json", "game.json", "mapping.json", "ledger.txt")}
-    counts, seed, options, _ = REDUCE_OUTPUTS["unary-linearize-22"]
-    assert read_game(v1["src.json"]) == random_normal_form(seed, counts)
-    result = invoke(runner, "reduce", v1["src.json"], *options, "--out", tmp_path / "out")
-    assert result.exit_code == 0
-    v2 = {suffix: tmp_path / f"out.{suffix}" for suffix in v1}
-    assert v1["ledger.txt"].read_bytes() == v2["ledger.txt"].read_bytes()
-    assert read_game(v1["game.json"]) == read_game(v2["game.json"])
-    assert read_mapping(v1["mapping.json"]) == read_mapping(v2["mapping.json"])
-    # what a version 1 file reads back to is written as the version 2 file
-    write_game(tmp_path / "re.game.json", read_game(v1["game.json"]))
-    write_mapping(tmp_path / "re.mapping.json", *read_mapping(v1["mapping.json"]))
-    for suffix in ("game.json", "mapping.json"):
-        assert (tmp_path / f"re.{suffix}").read_bytes() == v2[suffix].read_bytes()
 
 
 def test_reduce_rejects_non_normal_form(runner, pennies_file, tmp_path):
@@ -459,13 +453,6 @@ def test_recover_rejects_the_mapping_of_another_game(runner, tmp_path):
 
 
 @pytest.fixture
-def full_reduced_v1(tmp_path):
-    """The files of ``full_reduced`` as the version 1 writers wrote them."""
-    shutil.copytree(V1_DATA, tmp_path / "v1")
-    return tuple(str(tmp_path / "v1" / f"full.{name}.json") for name in ("game", "mapping", "profile"))
-
-
-@pytest.fixture
 def full_reduced(tmp_path):
     """Game, mapping and witness profile files of a full reduction of 2x2
     anti-coordination at its pure equilibrium; the normalized game sits
@@ -496,15 +483,7 @@ def recover_tampered(runner, files, fields):
 
 
 def test_recover_full_round_trip(runner, full_reduced):
-    recover_full_files(runner, full_reduced)
-
-
-def test_recover_reads_v1_files(runner, full_reduced_v1):
-    recover_full_files(runner, full_reduced_v1)
-
-
-def recover_full_files(runner, files):
-    game_path, mapping_path, profile_path = files
+    game_path, mapping_path, profile_path = full_reduced
     assert read_mapping(mapping_path)[0].h == ((0, 1), (2, 3))
     # eps_2 in the game, and eps_2 over the divisor 7296001 in the normalized game
     for game, eps in (("game", "1/9120"), ("normalized", "1/66539529120")):
@@ -519,29 +498,47 @@ def recover_full_files(runner, files):
     assert "verification at eps = 1/66539529120: PASS" in result.output
 
 
-def test_v1_full_files_read_back_equal(full_reduced, full_reduced_v1):
-    v2, v1 = ((*files, files[0].replace(".game.", ".normalized.")) for files in (full_reduced, full_reduced_v1))
-    for read, v2_path, v1_path in zip((read_game, read_mapping, read_profile, read_game), v2, v1):
-        assert read(v1_path) == read(v2_path)
+def retagged(path, tag) -> str:
+    """A copy of the file at ``path`` tagged with format ``tag``."""
+    data = json.loads(Path(path).read_text())
+    data["format"] = tag
+    copy = f"{path}.{tag.replace('/', '-')}.json"
+    Path(copy).write_text(json.dumps(data))
+    return copy
+
+
+@pytest.mark.parametrize("tag", ["nashreduce-game/1", "nashreduce-mapping/1", "nashreduce-game/3", "nashreduce-mapping/3"])
+def test_an_old_or_unknown_format_tag_is_unreadable(runner, full_reduced, dominant_file, tmp_path, tag):
+    # a reader accepts only the tag its writer writes
+    game_path, mapping_path, profile_path = full_reduced
+    if tag.startswith("nashreduce-game/"):
+        expected, read = "nashreduce-game/2", read_game
+        bad, source = retagged(game_path, tag), retagged(dominant_file, tag)
+        runs = [
+            ("verify", bad, profile_path),
+            ("recover", bad, mapping_path, profile_path),
+            ("solve", bad),
+            ("reduce", source, "--eps-k", "1/2", "--out", tmp_path / "out"),
+        ]
+    else:
+        expected, read = "nashreduce-mapping/2", read_mapping
+        bad = retagged(mapping_path, tag)
+        runs = [("recover", game_path, bad, profile_path)]
+    message = f"expected format {expected!r}, got {tag!r}"
+    with pytest.raises(ParseError) as err:
+        read(bad)
+    assert str(err.value) == message
+    for args in runs:
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, args
+        assert result.output == f"error: {message}\n"
+    assert not (tmp_path / "out.game.json").exists()
 
 
 TAMPERED_MAPPINGS = {
     # name: (reduced files, mapping file fields, message); each would misread
-    # the layout or loosen the tolerance recover verifies at.  A version 1
-    # mapping's g and h must be the layout its stage and source counts give.
-    "swapped_h": ("full-v1", {"h": [[2, 3], [0, 1]]}, "mapping field h[0][0] is 2, but rewriting what was read gives 0"),
-    "wrong_g": ("full-v1", {"g": [0, 1]}, "mapping field g[0] is 0, but rewriting what was read gives 1"),
-    "short_h": ("full-v1", {"h": [[0, 1]]},
-                "mapping field h must hold a list per source player, as long as its count in [2, 2]"),
-    "bool_h": ("full-v1", {"h": [[0, True], [2, 3]]}, "mapping field h[0][1] is true, but rewriting what was read gives 1"),
-    "float_h": ("full-v1", {"h": [[0, 1], [2.0, 3]]}, "mapping field h[1][0] is 2.0, but rewriting what was read gives 2"),
-    "h_not_lists": ("full-v1", {"h": 4},
-                    "mapping field h must hold a list per source player, as long as its count in [2, 2]"),
-    "source_counts_v1": ("full-v1", {"source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
-                         "source counts (2, 3) are not the leading block sizes (2, 2)"),
-    "forged_eps_2_v1": ("full-v1", {"params": {"eps_2": "1000000000000"}},
-                        'mapping field params.eps_2 is "1000000000000", but rewriting what was read gives "1/9120"'),
-    # a version 2 mapping holds no layout at all
+    # the layout or loosen the tolerance recover verifies at.  A mapping holds
+    # no layout at all.
     "source_counts": ("full", {"source_counts": [2, 3]}, "source counts (2, 3) are not the leading block sizes (2, 2)"),
     "g_in_v2": ("full", {"g": [1, 1]}, "unknown mapping field 'g'"),
     "h_in_v2": ("full", {"h": [[0, 1], [2, 3]]}, "unknown mapping field 'h'"),
@@ -577,7 +574,7 @@ TAMPERED_MAPPINGS = {
 @pytest.mark.parametrize("name", sorted(TAMPERED_MAPPINGS))
 def test_recover_rejects_a_tampered_mapping(runner, request, name):
     files, fields, message = TAMPERED_MAPPINGS[name]
-    fixture = {"linearized": "linearized", "full-v1": "full_reduced_v1"}.get(files, "full_reduced")
+    fixture = "linearized" if files == "linearized" else "full_reduced"
     game_path, mapping_path, profile_path = request.getfixturevalue(fixture)
     if files == "normalized":
         game_path = game_path.replace(".game.", ".normalized.")

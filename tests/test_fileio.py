@@ -3,17 +3,16 @@ loud failures on malformed input."""
 
 import copy
 import json
-import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashreduce import ParseError, R, rational_str
+from nashreduce import ParseError, R
 from nashreduce.fileio import (
     GAME_FORMAT,
+    MAPPING_FORMAT,
     PROFILE_FORMAT,
     dumps_canonical,
     game_from_dict,
@@ -36,7 +35,7 @@ from nashreduce.model import (
     random_normal_form,
     random_polymatrix,
 )
-from nashreduce.reductions import bimatrixify, eps_m_for_counts, linearize, normalize_bimatrix, reduce_full
+from nashreduce.reductions import bimatrixify, linearize, normalize_bimatrix, reduce_full
 
 
 def tiny_game():
@@ -245,7 +244,7 @@ def test_profile_and_mapping_parse_errors():
     with pytest.raises(ParseError):
         profile_from_dict({"format": "wrong", "strategies": []})
     with pytest.raises(ParseError):
-        mapping_from_dict({"format": "nashreduce-mapping/1", "stage": "full"})
+        mapping_from_dict({"format": MAPPING_FORMAT, "stage": "full"})
     game = random_normal_form(5, (2, 2))
     _, mapping, params = linearize(game, R(1, 2))
     data = mapping_to_dict(mapping, params)
@@ -341,35 +340,24 @@ def test_a_v2_reader_rejects_what_the_writer_never_writes(name):
     assert str(err.value) == message
 
 
-def test_a_v1_file_with_a_table_is_unreadable():
-    data = game_to_dict(random_polymatrix(3, (2, 2, 2)))
-    v1 = dict(data, format="nashreduce-game/1", edges=[[i, j, data["matrices"][k]] for i, j, k in data["edges"]])
-    assert game_from_dict({k: v for k, v in v1.items() if k != "matrices"}) == game_from_dict(data)
-    with pytest.raises(ParseError) as err:
-        game_from_dict(v1)
-    assert str(err.value) == "unknown game field 'matrices'"
-
-
 # ---------------------------------------------------------------------------
 # one rule for every file: accepted only if its writer writes it for the
 # value read
 
 
-V1_DATA = Path(__file__).parent / "data" / "v1"  # files the version 1 writers wrote
 READERS = {"game": game_from_dict, "mapping": mapping_from_dict, "profile": profile_from_dict}
 WRITERS = {"game": game_to_dict, "mapping": lambda read: mapping_to_dict(*read), "profile": profile_to_dict}
 
 
 def honest_files() -> dict:
     """``{name: (kind, data)}``: a game of every class and encoding, a
-    mapping of every stage and a profile, as the writers write them, and the
-    version 1 files the tests keep."""
+    mapping of every stage and a profile, as the writers write them."""
     source = random_normal_form(5, (2, 2))
     poly, lin_mapping, lin_params = linearize(source, R(1, 2), "unary")
     g2, bi_mapping, bi_params = bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))
     _, full_mapping, full_params = reduce_full(source, R(1, 2), "unary")
     dense = BimatrixGame.dense([[R(1), R(0)], [R(0), R(1)]], [[R(0), R(1)], [R(1, 2), R(0)]])
-    files = {
+    return {
         "normal_form": ("game", game_to_dict(source)),
         "polymatrix": ("game", game_to_dict(random_polymatrix(3, (2, 2, 2)))),
         "linearized": ("game", game_to_dict(poly)),
@@ -381,29 +369,14 @@ def honest_files() -> dict:
         "full_mapping": ("mapping", mapping_to_dict(full_mapping, full_params)),
         "profile": ("profile", profile_to_dict([(R(1, 3), R(2, 3)), (R(1), R(0), R(0))])),
     }
-    for path in sorted(V1_DATA.glob("*.json")):
-        kind = "profile" if path.name.endswith(".profile.json") else "mapping" if ".mapping." in path.name else "game"
-        files[f"v1/{path.name}"] = (kind, json.loads(path.read_text()))
-    return files
 
 
 HONEST = honest_files()
 
 
 def rewrite(kind, data):
-    """What the writer writes for the value ``data`` reads as, in the
-    version of ``data``: a version 1 game lists its edges as ``[i, j, rows]``,
-    and a version 1 mapping holds its ``g`` and ``h``."""
-    read = READERS[kind](data)
-    written = WRITERS[kind](read)
-    if data.get("format") in ("nashreduce-game/1", "nashreduce-mapping/1"):
-        written["format"] = data["format"]
-        if kind == "mapping":
-            written.update(g=list(read[0].g), h=[*map(list, read[0].h)])
-        elif "matrices" in written:
-            table = written.pop("matrices")
-            written["edges"] = [[i, j, table[k]] for i, j, k in written["edges"]]
-    return written
+    """What the writer writes for the value ``data`` reads as."""
+    return WRITERS[kind](READERS[kind](data))
 
 
 def reorder(data):
@@ -427,7 +400,7 @@ def json_containers(inner):
     return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
 
 
-# ints stay small: a version 1 mapping's h holds as many ints as its source counts say
+# small ints, like the counts and ledger values the files hold
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=4)
     | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
@@ -478,24 +451,6 @@ def test_a_mutated_file_is_rejected_or_written_as_it_reads(name, data):
     except ParseError:
         return
     assert dumps_canonical(written) == dumps_canonical(mutated)
-
-
-@pytest.mark.parametrize("states_derived_eps_m", [False, True])
-def test_a_v1_mapping_is_rejected_before_its_counts_lay_out_h(states_derived_eps_m):
-    # h would hold one int per source strategy: about 110 MB for these counts
-    data = json.loads((V1_DATA / "unary-linearize-22.mapping.json").read_text())
-    data["source_counts"] = [2_000_000, 2]
-    if states_derived_eps_m:
-        data["params"]["eps_m"] = rational_str(eps_m_for_counts(data["source_counts"], R(1, 2), "unary"))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParseError) as err:
-            mapping_from_dict(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(err.value) == "mapping field h must hold a list per source player, as long as its count in [2000000, 2]"
-    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from nashreduce import (
 from nashreduce.errors import ZeroBlockMass
 from nashreduce.model import edge_payoffs
 from nashreduce.reductions import bimatrixify, normalize_bimatrix, recover_from_bimatrix
-from nashreduce.solvers import lift_to_bimatrix
+from nashreduce.solvers import grid_enumerate_wsne, lift_to_bimatrix
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,43 @@ def test_verifiers_reject_float_profiles():
             game.verify_wsne((0.25,) * 4, exact, R(1, 10))
         with pytest.raises(ParameterError, match="exact rational"):
             game.verify_wsne(exact, (0.25,) * 4, R(1, 10))
+
+
+def games_with_profiles():
+    """A game of each class, each bimatrix form too, with a profile to verify."""
+    half = (R(1, 2), R(1, 2))
+    quarter = (R(1, 4),) * 4
+    yield two_player_game(), [half, half]
+    yield three_player_poly(), [half] * 3
+    for game in (small_structured(), small_structured().to_dense(), normalize_bimatrix(small_structured())):
+        yield game, (quarter, quarter)
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [(0.1, "eps has an entry that is not an exact rational"), (-1, "eps must be nonnegative"),
+     (R(-1, 2), "eps must be nonnegative")],
+    ids=["float", "minus_one", "minus_half"],
+)
+def test_verifiers_reject_an_inexact_or_negative_tolerance(eps, message):
+    for game, profile in games_with_profiles():
+        args = profile if isinstance(game, BimatrixGame) else (profile,)
+        with pytest.raises(ParameterError) as err:
+            game.verify_wsne(*args, eps)
+        assert str(err.value) == message
+        game.verify_wsne(*args, 0)  # an exact zero tolerance is exact Nash
+    if eps != 0.1:  # grid_enumerate_wsne turns its tolerance into a rational first
+        with pytest.raises(ParameterError, match=message):
+            next(grid_enumerate_wsne(two_player_game(), eps, R(1, 2)))
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True], ids=["float", "string", "bool"])
+def test_strategy_counts_must_be_ints(bad):
+    message = rf"^strategy counts must be ints, got \({bad!r}, 2\)$"
+    with pytest.raises(ParameterError, match=message):
+        PolymatrixGame([bad, 2], {})
+    with pytest.raises(ParameterError, match=message):
+        NormalFormGame([bad, 2], [[[R(0)] * 2] * 2] * 2)
 
 
 INEXACT_MATRICES = {

@@ -187,15 +187,14 @@ def test_edge_checks_keep_their_order_with_a_shared_matrix():
 
 
 # ---------------------------------------------------------------------------
-# malformed edge bodies in a file: version 1 edge lists and version 2 tables
+# malformed edge bodies in a file's matrices table
 
 VALID = {
     "2x2": [["1", "0"], ["0", "1"]],
     "2x1": [["1"], ["0"]],
 }
 
-# each body, under a key made of its rows without checking its shape, would
-# collide with the valid body named beside it
+# each body is read beside the valid body whose rows it resembles
 MALFORMED = [
     ("string", "10", "2x1", "expected a non-empty matrix"),
     ("string_rows", ["10", "01"], "2x2", "expected a list of rationals"),
@@ -204,21 +203,6 @@ MALFORMED = [
     ("int_entry", [[1, "0"], ["0", "1"]], "2x2", "rationals must be strings like '3/4', got 1"),
     ("list_entry", [[["1"], "0"], ["0", "1"]], "2x2", "rationals must be strings like '3/4', got ['1']"),
 ]
-
-
-@pytest.mark.parametrize("malformed_first", [False, True])
-@pytest.mark.parametrize(
-    "body, valid, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
-)
-def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, message, malformed_first):
-    # a version 1 edge list: every body is parsed before any edge is checked
-    bodies = [body, VALID[valid]] if malformed_first else [VALID[valid], body]
-    data = game_to_dict(PolymatrixGame((2, 2, 2), {(0, 1): I2}))
-    del data["matrices"]
-    data.update(format="nashreduce-game/1", edges=[[0, 2, bodies[0]], [1, 2, bodies[1]]])
-    with pytest.raises(ParseError) as err:
-        game_from_dict(data)
-    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("malformed_first", [False, True])
