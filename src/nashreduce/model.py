@@ -565,7 +565,8 @@ def _wsne_violations(
     value: Callable[[int], Rat] | None = None,
 ) -> tuple[Violation, ...]:
     """Each supported pure strategy of a player not in ``skip`` that earns
-    less than its player's best pure payoff minus ``eps``.
+    less than its player's best pure payoff minus ``eps``, an int or a
+    ``Fraction`` at least 0 (else :class:`ParameterError`).
 
     Player ``i`` owns the flat indices ``offsets[i]:offsets[i + 1]``:
     strategy ``r`` earns ``nums[r] / dens[r]`` with ``dens[r] > 0``, and it

@@ -502,9 +502,9 @@ def retagged(path, tag) -> str:
     """A copy of the file at ``path`` tagged with format ``tag``."""
     data = json.loads(Path(path).read_text())
     data["format"] = tag
-    copy = f"{path}.{tag.replace('/', '-')}.json"
-    Path(copy).write_text(json.dumps(data))
-    return copy
+    out = f"{path}.{tag.replace('/', '-')}.json"
+    Path(out).write_text(json.dumps(data))
+    return out
 
 
 @pytest.mark.parametrize("tag", ["nashreduce-game/1", "nashreduce-mapping/1", "nashreduce-game/3", "nashreduce-mapping/3"])
