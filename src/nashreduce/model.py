@@ -113,6 +113,13 @@ def _check_exact(values: Iterable, what: str) -> None:
         raise ParameterError(f"{what} has an entry that is not an exact rational")
 
 
+def _check_tolerance(eps) -> None:
+    """Raise :class:`ParameterError` unless ``eps`` is an exact rational at least 0."""
+    _check_exact((eps,), "eps")
+    if eps < 0:
+        raise ParameterError("eps must be nonnegative")
+
+
 def _strategy_counts(strategy_counts: Sequence[int]) -> tuple[int, ...]:
     """The counts as a tuple; :class:`ParameterError` unless each is an int."""
     counts = tuple(strategy_counts)
@@ -581,9 +588,7 @@ def _wsne_violations(
         def value(r: int) -> Fraction:
             return Fraction(nums[r], dens[r])
 
-    _check_exact((eps,), "eps")
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
+    _check_tolerance(eps)
     eps_n, eps_d = eps.as_integer_ratio()
     found = []
     for i, (a, b) in enumerate(zip(offsets, offsets[1:])):

@@ -49,6 +49,7 @@ from .model import (
     ScaledProfile,
     _check_exact,
     _scaled_blocks,
+    _strategy_counts,
     profile_unindex,
     validate_mixed,
 )
@@ -169,6 +170,9 @@ class GameMapping:
     def validate(self) -> None:
         if self.stage not in STAGES:
             raise ParameterError(f"unknown reduction stage {self.stage!r}")
+        _strategy_counts(self.source_counts)
+        if self.block_sizes is not None:
+            _strategy_counts(self.block_sizes)
         if min(self.source_counts, default=1) < 1:
             raise ParameterError("source strategy counts must be positive")
         # bimatrixify refuses an empty game, and a ledger of no blocks divides by zero

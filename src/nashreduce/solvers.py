@@ -46,6 +46,7 @@ from .model import (
     ScaledStrategy,
     VerifyResult,
     _best_index,
+    _check_tolerance,
     _scaled_profile,
     edge_payoffs,
     iter_profiles,
@@ -343,10 +344,11 @@ def grid_enumerate_wsne(
     The stream contains *exactly* the grid profiles passing
     ``verify_wsne(profile, eps, clamped)``, in lexicographic order.
     Raises :class:`CapExceeded` up front when the full grid would have
-    more than ``cap`` profiles.
+    more than ``cap`` profiles, and :class:`ParameterError` at the call
+    unless ``eps`` is an exact rational at least 0.
     """
     denominator = unit_denominator(step)
-    eps = rational(eps)
+    _check_tolerance(eps)
     clamped = tuple(clamped)
     if clamped and not isinstance(game, (BimatrixGame, PolymatrixGame)):
         raise ParameterError("clamped players require a polymatrix or bimatrix game")

@@ -507,11 +507,17 @@ def retagged(path, tag) -> str:
     return out
 
 
-@pytest.mark.parametrize("tag", ["nashreduce-game/1", "nashreduce-mapping/1", "nashreduce-game/3", "nashreduce-mapping/3"])
+@pytest.mark.parametrize(
+    "tag", ["nashreduce-game/1", "nashreduce-mapping/1", "nashreduce-game/3", "nashreduce-mapping/3", "nashreduce-profile/2"]
+)
 def test_an_old_or_unknown_format_tag_is_unreadable(runner, full_reduced, dominant_file, tmp_path, tag):
     # a reader accepts only the tag its writer writes
     game_path, mapping_path, profile_path = full_reduced
-    if tag.startswith("nashreduce-game/"):
+    if tag.startswith("nashreduce-profile/"):
+        expected, read = "nashreduce-profile/1", read_profile
+        bad = retagged(profile_path, tag)
+        runs = [("verify", game_path, bad), ("recover", game_path, mapping_path, bad)]
+    elif tag.startswith("nashreduce-game/"):
         expected, read = "nashreduce-game/2", read_game
         bad, source = retagged(game_path, tag), retagged(dominant_file, tag)
         runs = [
@@ -542,6 +548,19 @@ TAMPERED_MAPPINGS = {
     "source_counts": ("full", {"source_counts": [2, 3]}, "source counts (2, 3) are not the leading block sizes (2, 2)"),
     "g_in_v2": ("full", {"g": [1, 1]}, "unknown mapping field 'g'"),
     "h_in_v2": ("full", {"h": [[0, 1], [2, 3]]}, "unknown mapping field 'h'"),
+    # the g and h a version 1 mapping held are refused whatever they hold,
+    # before their shape is read
+    "swapped_h": ("full", {"h": [[2, 3], [0, 1]]}, "unknown mapping field 'h'"),
+    "wrong_g": ("full", {"g": [0, 1]}, "unknown mapping field 'g'"),
+    "short_h": ("full", {"h": [[0, 1]]}, "unknown mapping field 'h'"),
+    "bool_h": ("full", {"h": [[0, True], [2, 3]]}, "unknown mapping field 'h'"),
+    "float_h": ("full", {"h": [[0, 1], [2.0, 3]]}, "unknown mapping field 'h'"),
+    "h_not_lists": ("full", {"h": 4}, "unknown mapping field 'h'"),
+    # a version 1 tag cannot carry a forged layout or tolerance past the reader
+    "source_counts_v1": ("full", {"format": "nashreduce-mapping/1", "source_counts": [2, 3], "h": [[0, 1], [2, 3, 4]]},
+                         "expected format 'nashreduce-mapping/2', got 'nashreduce-mapping/1'"),
+    "forged_eps_2_v1": ("full", {"format": "nashreduce-mapping/1", "params": {"eps_2": "1000000000000"}},
+                        "expected format 'nashreduce-mapping/2', got 'nashreduce-mapping/1'"),
     "extra_ledger_value": ("full", {"params": {"eps_2_normalized": "1/66539529120"}},
                            "unknown mapping field 'params.eps_2_normalized'"),
     # malformed fields that a GameMapping rejects are unreadable input too

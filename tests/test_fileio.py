@@ -3,13 +3,15 @@ loud failures on malformed input."""
 
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashreduce import ParseError, R
+from nashreduce import ParseError, R, rational_str
 from nashreduce.fileio import (
     GAME_FORMAT,
     MAPPING_FORMAT,
@@ -35,7 +37,7 @@ from nashreduce.model import (
     random_normal_form,
     random_polymatrix,
 )
-from nashreduce.reductions import bimatrixify, linearize, normalize_bimatrix, reduce_full
+from nashreduce.reductions import bimatrixify, eps_m_for_counts, linearize, normalize_bimatrix, reduce_full
 
 
 def tiny_game():
@@ -340,18 +342,59 @@ def test_a_v2_reader_rejects_what_the_writer_never_writes(name):
     assert str(err.value) == message
 
 
+V1_GAME = "expected format 'nashreduce-game/2', got 'nashreduce-game/1'"
+
+
+def test_a_v1_file_with_a_table_is_unreadable():
+    # a version 1 game lists its edges as [i, j, rows]; no reader reads it,
+    # with or without a table, and its edges are unreadable under the current tag
+    data = game_to_dict(random_polymatrix(3, (2, 2, 2)))
+    v1 = dict(data, format="nashreduce-game/1", edges=[[i, j, data["matrices"][k]] for i, j, k in data["edges"]])
+    for file in (v1, {k: v for k, v in v1.items() if k != "matrices"}):
+        with pytest.raises(ParseError) as err:
+            game_from_dict(file)
+        assert str(err.value) == V1_GAME
+    with pytest.raises(ParseError) as err:
+        game_from_dict(dict(v1, format=GAME_FORMAT))
+    assert str(err.value) == f"edges[0][2] must be an integer, got {v1['edges'][0][2]!r}"
+
+
+@pytest.mark.parametrize("states_derived_eps_m", [False, True])
+def test_a_v1_mapping_is_rejected_before_its_counts_lay_out_h(states_derived_eps_m):
+    # h would hold one int per source strategy: about 110 MB for these counts
+    _, mapping, params = linearize(random_normal_form(5, (2, 2)), R(1, 2), "unary")
+    data = dict(mapping_to_dict(mapping, params), source_counts=[2_000_000, 2], g=[0, 1], h=[[0, 1], [0, 1]])
+    if states_derived_eps_m:
+        data["params"]["eps_m"] = rational_str(eps_m_for_counts(data["source_counts"], R(1, 2), "unary"))
+    for tag, message in (
+        ("nashreduce-mapping/1", "expected format 'nashreduce-mapping/2', got 'nashreduce-mapping/1'"),
+        (MAPPING_FORMAT, "unknown mapping field 'g'"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                mapping_from_dict(dict(data, format=tag))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # one rule for every file: accepted only if its writer writes it for the
 # value read
 
 
+V1_DATA = Path(__file__).parent / "data" / "v1"  # the profile the version 1 writers wrote
 READERS = {"game": game_from_dict, "mapping": mapping_from_dict, "profile": profile_from_dict}
 WRITERS = {"game": game_to_dict, "mapping": lambda read: mapping_to_dict(*read), "profile": profile_to_dict}
 
 
 def honest_files() -> dict:
     """``{name: (kind, data)}``: a game of every class and encoding, a
-    mapping of every stage and a profile, as the writers write them."""
+    mapping of every stage and a profile, as the writers write them, and the
+    profile that the version 1 writers wrote in the same format."""
     source = random_normal_form(5, (2, 2))
     poly, lin_mapping, lin_params = linearize(source, R(1, 2), "unary")
     g2, bi_mapping, bi_params = bimatrixify(random_polymatrix(2, (2, 3)), R(1, 4))
@@ -368,6 +411,7 @@ def honest_files() -> dict:
         "bimatrixify_mapping": ("mapping", mapping_to_dict(bi_mapping, bi_params)),
         "full_mapping": ("mapping", mapping_to_dict(full_mapping, full_params)),
         "profile": ("profile", profile_to_dict([(R(1, 3), R(2, 3)), (R(1), R(0), R(0))])),
+        "v1/full.profile.json": ("profile", json.loads((V1_DATA / "full.profile.json").read_text())),
     }
 
 

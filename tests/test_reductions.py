@@ -164,6 +164,18 @@ def test_mapping_validation_names_each_error(name):
         GameMapping(*args)
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("field", ["source_counts", "block_sizes"])
+def test_mapping_counts_must_be_ints(field, bad):
+    # True would lay h out as ((0,), (0, 1)); 2.0 and "2" would fail in range() or min()
+    message = rf"^strategy counts must be ints, got \({bad!r}, 2\)$"
+    counts = {"source_counts": (2, 2), "block_sizes": (2, 2), field: (bad, 2)}
+    with pytest.raises(ParameterError, match=message):
+        GameMapping("bimatrixify", counts["source_counts"], counts["block_sizes"], R(10))
+    with pytest.raises(ParameterError, match=message):
+        GameMapping("linearize", *(((bad, 2),) if field == "source_counts" else ((2, 2), (bad, 2))))
+
+
 def test_mapping_layout_follows_the_stage():
     # linearize keeps each source player in place; the imitation game makes
     # it a consecutive block of the follower

@@ -187,7 +187,7 @@ def test_edge_checks_keep_their_order_with_a_shared_matrix():
 
 
 # ---------------------------------------------------------------------------
-# malformed edge bodies in a file's matrices table
+# malformed edge bodies in a file: inline in an edge, or in its matrices table
 
 VALID = {
     "2x2": [["1", "0"], ["0", "1"]],
@@ -203,6 +203,22 @@ MALFORMED = [
     ("int_entry", [[1, "0"], ["0", "1"]], "2x2", "rationals must be strings like '3/4', got 1"),
     ("list_entry", [[["1"], "0"], ["0", "1"]], "2x2", "rationals must be strings like '3/4', got ['1']"),
 ]
+
+
+@pytest.mark.parametrize("malformed_first", [False, True])
+@pytest.mark.parametrize("body, valid", [case[1:3] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_a_malformed_edge_body_fails_before_or_after_a_valid_one(body, valid, malformed_first):
+    # a body inline in an edge, where version 1 edge lists held it, is read as
+    # the edge's table index: refused by its own edge, before or after an edge
+    # into a table entry, and before any body or shape is checked
+    at = 0 if malformed_first else 1
+    edges = [[0, 2, 0], [1, 2, 0]]
+    edges[at][2] = body
+    data = game_to_dict(PolymatrixGame((2, 2, 2), {(0, 1): I2}))
+    data.update(matrices=[VALID[valid]], edges=edges)
+    with pytest.raises(ParseError) as err:
+        game_from_dict(data)
+    assert str(err.value) == f"edges[{at}][2] must be an integer, got {body!r}"
 
 
 @pytest.mark.parametrize("malformed_first", [False, True])
