@@ -178,16 +178,21 @@ def _matrix_in(data: Any, rats: _Rationals) -> list[tuple]:
     return [_vector_in(row, rats) for row in data]
 
 
+def _numbered(mats: list) -> tuple[list, list]:
+    """The distinct objects of ``mats`` in first-use order, and the index of
+    each entry's object among those.  A game holds one object per distinct
+    matrix, so this numbers the values without rendering them."""
+    distinct = dict(zip(map(id, mats), mats))  # the list holds every keyed matrix
+    number = dict(zip(distinct, itertools.count()))
+    return [*distinct.values()], [*map(number.__getitem__, map(id, mats))]
+
+
 def _edge_table(edges) -> tuple[list, list, list]:
     """The keys of ``edges`` sorted, the distinct matrix objects in
     first-use order over them, and the index of each sorted edge's object
-    among those.  A game holds one object per distinct matrix, so this
-    numbers the values without rendering them."""
+    among those (:func:`_numbered`)."""
     keys = sorted(edges)  # the keys alone sort about three times faster than the items
-    mats = [*map(edges.__getitem__, keys)]
-    distinct = dict(zip(map(id, mats), mats))  # the edges hold every keyed matrix
-    number = dict(zip(distinct, itertools.count()))
-    return keys, [*distinct.values()], [*map(number.__getitem__, map(id, mats))]
+    return keys, *_numbered([*map(edges.__getitem__, keys)])
 
 
 def _triples(keys: list, ks: list) -> list[list[int]]:
@@ -210,9 +215,9 @@ def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGa
     the last one they use; with the game's one object per distinct matrix,
     that fixes the table's order and leaves no repeated, unused or all-zero
     entry.  The triples are compared without being built: the game keeps
-    the file's edge order, so when it drops no edge, the file's edges are
-    sorted and its ``k`` are the game's, the file holds the writer's
-    triples."""
+    the file's edge order, and its matrices are numbered in that order, so
+    when it drops no edge, its keys are sorted and the file's ``k`` are the
+    game's numbers, the file holds the writer's triples."""
     table, triples = data.pop("matrices"), data.pop("edges")
     if not isinstance(table, list):
         raise ParseError("matrices must be a list of matrices")
@@ -236,10 +241,13 @@ def _edges_in(data: dict, rats: _Rationals, build: Callable[[dict], PolymatrixGa
         pos, k = next((pos, k) for pos, (_, _, k) in enumerate(triples) if not 0 <= k < len(parsed))
         raise ParseError(f"edges[{pos}][2] is {k}, but matrices has {len(parsed)} entries") from None
     game = build(edges)
-    keys, used, ks = _edge_table(game.edges)
+    keys = [*game.edges]
+    used, ks = _numbered([*game.edges.values()])
     # a repeated or all-zero edge leaves the game fewer edges than the file;
-    # the scan above left only ints to compare
-    if len(keys) != len(triples) or [*game.edges] != keys or [*map(operator.itemgetter(2), triples)] != ks:
+    # sorted keys number as the writer numbers; the scan above left only
+    # ints to compare
+    if len(keys) != len(triples) or sorted(keys) != keys or [*map(operator.itemgetter(2), triples)] != ks:
+        keys, _, ks = _edge_table(game.edges)
         _check_written(triples, _triples(keys, ks), "game", "edges")
     if len(table) > len(used):
         raise ParseError(f"unknown game field 'matrices[{len(used)}]'")

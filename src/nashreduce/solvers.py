@@ -5,8 +5,8 @@ used both as standalone tools and as cross-checks for the reduction
 pipeline:
 
 * :func:`support_enumeration_bimatrix` -- exact Nash equilibria of small
-  two-player games by trying every support pair in size order and solving
-  the indifference/feasibility system in rational arithmetic.
+  two-player games by trying every support pair in size order, each by
+  one phase-1 simplex on its feasibility system, over ``Fraction`` entries.
 * :func:`grid_enumerate_wsne` -- the complete list of grid profiles that
   a game's well-supported verifier accepts, for brute-force ground truth.
 * :func:`brute_force_normal_nash` -- pure-profile search over a k-player
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -108,44 +109,27 @@ def realized_eps(game, profile, clamped: Iterable[int] = ()) -> Rat:
 # exact rational linear algebra
 
 
-def _solve_square(rows: list[list[Rat]], rhs: list[Rat]) -> list[Rat] | None:
-    """Solve a square linear system exactly; ``None`` if singular."""
-    n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        for r in range(n):
-            row = aug[r]
-            if r != col and row[col] != 0:
-                factor = row[col] / prow[col]
-                for c in range(col, n + 1):
-                    row[c] -= factor * prow[c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
 def _phase1_feasible(rows: list[list[Rat]], rhs: list[Rat], num_vars: int) -> list[Rat] | None:
     """Find ``z >= 0`` with ``rows @ z == rhs`` via phase-1 simplex.
 
-    Bland's rule (lowest eligible index enters, lowest basis index breaks
-    ratio ties) makes the walk deterministic and cycle-free, so the vertex
-    returned is always the same one: the first vertex wins.
+    The tableau holds only ``Fraction`` entries (int entries are converted),
+    so int rows get exact answers, never floats.  A pivot divides the pivot
+    row, then updates the other rows and the cost row in one loop, on the
+    pivot row's nonzero columns only: a zero column would change no entry,
+    so no pivot choice changes.  Bland's rule (lowest eligible index enters,
+    lowest basis index breaks ratio ties) makes the walk deterministic and
+    cycle-free, so the first vertex wins.
     """
     zero, one = rational(0), rational(1)
     m = len(rows)
     width = num_vars + m + 1
     tab: list[list[Rat]] = []
-    for row, b in zip(rows, rhs):
-        row = list(row)
+    for r, (row, b) in enumerate(zip(rows, rhs)):
         if b < 0:
-            row = [-v for v in row]
-            b = -b
-        tab.append(row + [zero] * m + [b])
-    for r in range(m):
-        tab[r][num_vars + r] = one
+            row, b = [-v for v in row], -b
+        entries = [v if type(v) is Fraction else rational(v) for v in (*row, *[zero] * m, b)]
+        entries[num_vars + r] = one
+        tab.append(entries)
     basis = list(range(num_vars, num_vars + m))
     # Phase-1 objective: minimize the sum of the artificial variables.
     cost = [zero] * width
@@ -169,17 +153,15 @@ def _phase1_feasible(rows: list[list[Rat]], rhs: list[Rat], num_vars: int) -> li
         if leave is None:  # objective is bounded below by zero, so unreachable
             return None
         prow = tab[leave]
-        inv = prow[enter]
-        tab[leave] = prow = [v / inv for v in prow]
-        for row in tab:
-            if row is not prow and row[enter] != 0:
-                factor = row[enter]
-                for c in range(width):
+        pivot = prow[enter]
+        nonzero = [c for c, v in enumerate(prow) if v]
+        for c in nonzero:
+            prow[c] /= pivot
+        for row in (*tab, cost):
+            factor = row[enter]
+            if row is not prow and factor:
+                for c in nonzero:
                     row[c] -= factor * prow[c]
-        if cost[enter] != 0:
-            factor = cost[enter]
-            for c in range(width):
-                cost[c] -= factor * prow[c]
         basis[leave] = enter
     if cost[-1] != 0:  # leftover artificial mass: the system is infeasible
         return None
@@ -204,38 +186,18 @@ def _support_solution(
 
     ``matrix`` holds this player's payoffs (rows = own strategies, columns
     = opponent strategies).  Returns a full-length probability vector, or
-    ``None`` when no such mix exists for this support pair.  Square
-    indifference systems go through Gaussian elimination; everything else
-    (and singular squares) goes through exact phase-1 simplex on the full
+    ``None`` when no such mix exists for this support pair.  Every support
+    pair, square or not, takes one path: exact phase-1 simplex on the
     feasibility system, whose inequalities say the shared row value beats
-    every off-support row.
+    every off-support row.  When a square pair's indifference system is
+    nonsingular it fixes the mix, so the feasible set is that one point or
+    empty, and the first vertex is the mix Gaussian elimination would give.
     """
     zero, one = rational(0), rational(1)
     own_set = frozenset(own)
     s = len(opp)
-    if len(own) == s:
-        rows: list[list[Rat]] = [[one] * s]
-        rhs = [one]
-        base = matrix[own[0]]
-        for i in own[1:]:
-            rows.append([matrix[i][j] - base[j] for j in opp])
-            rhs.append(zero)
-        sol = _solve_square(rows, rhs)
-        if sol is not None:
-            if any(q < 0 for q in sol):
-                return None
-            value = sum(base[j] * q for j, q in zip(opp, sol))
-            for i in range(n):
-                if i not in own_set:
-                    if sum(matrix[i][j] * q for j, q in zip(opp, sol)) > value:
-                        return None
-            full = [zero] * n
-            for j, q in zip(opp, sol):
-                full[j] = q
-            return full
-    # Non-square support pair, or a singular indifference system: look for
-    # any vertex of {q >= 0 on opp, sum q = 1, own rows tied at v, other
-    # rows <= v} using slack variables and a free (split) row value v.
+    # Any vertex of {q >= 0 on opp, sum q = 1, own rows tied at v, other
+    # rows <= v}, with slack variables and a free (split) row value v.
     num_slack = n - len(own)
     num_vars = s + 2 + num_slack
     rows = [[one] * s + [zero] * (2 + num_slack)]

@@ -4,15 +4,23 @@ Support enumeration is pinned on textbook games (matching pennies,
 dominance, rock-paper-scissors, an all-ties game fixing the tie-break),
 then exercised end to end: imitation games built from random polymatrix
 games are solved exactly and the recovered profile must pass the
-polymatrix verifier at the reduction's tolerance.  Grid enumeration is
+polymatrix verifier at the reduction's tolerance.  Every support pair of
+seeded random matrices must solve as the old square/phase-1 split
+(``solver_oracles``) solved it, and int entries must give exact
+``Fraction`` answers.  Grid enumeration is
 cross-checked against an independent filter written inline.  The witness
 generator must verify on exact input profiles and round-trip through
 block renormalization bit for bit.
 """
 
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from solver_oracles import solve_square, support_solution
 
 from nashreduce import CapExceeded, DimensionMismatch, NoEquilibriumFound, ParameterError, R
 from nashreduce.gadgets import GadgetCircuit
@@ -29,7 +37,6 @@ from nashreduce.solvers import (
     EXACT_NASH,
     SolverResult,
     _phase1_feasible,
-    _solve_square,
     _support_solution,
     brute_force_normal_nash,
     grid_enumerate_wsne,
@@ -151,9 +158,9 @@ def test_failed_verification_is_an_internal_error(monkeypatch):
 
 
 def test_solve_square():
-    sol = _solve_square([[R(2), R(1)], [R(1), R(-1)]], [R(4), R(-1)])
+    sol = solve_square([[R(2), R(1)], [R(1), R(-1)]], [R(4), R(-1)])
     assert sol == [R(1), R(2)]
-    assert _solve_square([[R(1), R(2)], [R(2), R(4)]], [R(1), R(2)]) is None
+    assert solve_square([[R(1), R(2)], [R(2), R(4)]], [R(1), R(2)]) is None
 
 
 def test_phase1_simplex():
@@ -166,6 +173,57 @@ def test_singular_indifference_system_falls_back_to_a_vertex():
     # exist; the fallback must return the simplex walk's first vertex
     mat = [[R(1), R(0)], [R(1), R(0)]]
     assert _support_solution(mat, (0, 1), (0, 1), 2) == [R(0), R(1)]
+
+
+def test_phase1_simplex_on_int_rows_stays_exact():
+    z = _phase1_feasible([[1, 1], [1, -1]], [1, 0], 2)
+    assert z == [HALF, HALF]
+    assert all(type(v) is Fraction for v in z)
+
+
+def test_int_and_fraction_games_solve_to_the_same_exact_profile():
+    a = [[1, 1, 0], [2, 0, 1], [0, 2, 0]]
+    b = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    expected = ((R(1), R(0), R(0)), (HALF, HALF, R(0)))
+    for entry in (int, R):
+        game = BimatrixGame.dense(
+            [[entry(v) for v in row] for row in a], [[entry(v) for v in row] for row in b]
+        )
+        result = support_enumeration_bimatrix(game)
+        assert result.profile == expected
+        assert all(type(v) is Fraction for strategy in result.profile for v in strategy)
+
+
+def random_oracle_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """An n x n payoff matrix: 0/1 entries (many ties), 0/1/2 entries, or
+    j/100 values, with one row sometimes copied over another."""
+    kind = rng.choice(("01", "012", "hundredths"))
+    if kind == "hundredths":
+        draw = lambda: R(rng.randint(-100, 100), 100)  # noqa: E731
+    else:
+        draw = lambda: R(rng.randint(0, len(kind) - 1))  # noqa: E731
+    mat = [[draw() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        mat[i] = list(mat[j])
+    return mat
+
+
+def test_one_simplex_matches_the_two_path_oracle_on_every_support_pair():
+    # every support pair, square or not, of seeded random matrices: the
+    # one-path solve must give exactly what the square/phase-1 split gave
+    rng = random.Random(2025)
+    pairs = squares = 0
+    for _ in range(36):
+        n = rng.randint(2, 4)
+        mat = random_oracle_matrix(rng, n)
+        supports = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
+        for own in supports:
+            for opp in supports:
+                assert _support_solution(mat, own, opp, n) == support_solution(mat, own, opp, n), (mat, own, opp)
+                pairs += 1
+                squares += len(own) == len(opp)
+    assert pairs > 2000 and squares > 300
 
 
 # ---------------------------------------------------------------------------
