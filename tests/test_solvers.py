@@ -7,10 +7,10 @@ games are solved exactly and the recovered profile must pass the
 polymatrix verifier at the reduction's tolerance.  Every support pair of
 seeded random matrices must solve as the old square/phase-1 split
 (``solver_oracles``) solved it, and int entries must give exact
-``Fraction`` answers.  Grid enumeration is
-cross-checked against an independent filter written inline.  The witness
-generator must verify on exact input profiles and round-trip through
-block renormalization bit for bit.
+``Fraction`` answers.  Grid enumeration is cross-checked against an
+independent filter written inline.  The witness generator must verify on
+exact input profiles and round-trip through block renormalization bit for
+bit.
 """
 
 import random
@@ -195,14 +195,13 @@ def test_int_and_fraction_games_solve_to_the_same_exact_profile():
 
 
 def random_oracle_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
-    """An n x n payoff matrix: 0/1 entries (many ties), 0/1/2 entries, or
-    j/100 values, with one row sometimes copied over another."""
-    kind = rng.choice(("01", "012", "hundredths"))
-    if kind == "hundredths":
-        draw = lambda: R(rng.randint(-100, 100), 100)  # noqa: E731
-    else:
-        draw = lambda: R(rng.randint(0, len(kind) - 1))  # noqa: E731
-    mat = [[draw() for _ in range(n)] for _ in range(n)]
+    """An n x n payoff matrix of 0/1 entries (many ties), 0/1/2 entries or
+    j/100 values, with one row copied over another about half the time."""
+    top = rng.choice((1, 2, None))
+    mat = [
+        [R(rng.randint(0, top)) if top else R(rng.randint(-100, 100), 100) for _ in range(n)]
+        for _ in range(n)
+    ]
     if rng.random() < 0.5:
         i, j = rng.sample(range(n), 2)
         mat[i] = list(mat[j])
