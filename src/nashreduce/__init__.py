@@ -62,6 +62,7 @@ from .reductions import (
     reduce_full,
 )
 from .solvers import (
+    SearchCounters,
     SolverResult,
     brute_force_normal_nash,
     grid_enumerate_wsne,

@@ -279,7 +279,9 @@ def _game_fields(game) -> dict:
         "payoff_range": [rational_str(lo), rational_str(hi)],
     }
     if cls == "polymatrix":
-        data["roles"] = [[info.role.value, info.scope] for info in game.players]
+        # one Role.value per role, not per player: it is a Python-level property
+        names = {role: role.value for role in Role}
+        data["roles"] = [[names[info.role], info.scope] for info in game.players]
     elif cls == "bimatrix":
         data["encoding"] = game.encoding
         if game.encoding == "structured":
@@ -315,13 +317,15 @@ def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
     roles = data["roles"]
     if not isinstance(roles, list) or len(roles) != len(counts):
         raise ParseError("roles must list [role, scope] once per player")
+    # a dict lookup per player, where Role(name) is a slow enum call
+    by_name = {role.value: role for role in Role}
     players = []
     for entry in roles:
         if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], str):
             raise ParseError(f"malformed role entry {entry!r}")
         try:
-            role = Role(entry[0])
-        except ValueError:
+            role = by_name[entry[0]]
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON list or object
             raise ParseError(f"unknown role {entry[0]!r}") from None
         players.append(PlayerInfo(role, entry[1]))
     return _edges_in(data, rats, lambda edges: PolymatrixGame(counts, edges, players))

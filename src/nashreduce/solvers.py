@@ -5,8 +5,12 @@ used both as standalone tools and as cross-checks for the reduction
 pipeline:
 
 * :func:`support_enumeration_bimatrix` -- exact Nash equilibria of small
-  two-player games by trying every support pair in size order, each by
-  one phase-1 simplex on its feasibility system, over ``Fraction`` entries.
+  two-player games by trying every support pair in size order, each side
+  of a pair by one phase-1 simplex on its feasibility system, over
+  ``Fraction`` entries.  The side whose payoff matrix has fewer nonzero
+  entries is tried first (the leader's on a tie), which in an imitation
+  game is the follower's identity; a pair needs both sides, so the order
+  cannot change the pair found first or its profile.
 * :func:`grid_enumerate_wsne` -- the complete list of grid profiles that
   a game's well-supported verifier accepts, for brute-force ground truth.
 * :func:`brute_force_normal_nash` -- pure-profile search over a k-player
@@ -63,9 +67,23 @@ DEFAULT_GRID_CAP = 200_000
 
 Vector = tuple[Rat, ...]
 
+# the two sides of a support pair, as indices into (A, B^T)
+LEADER, FOLLOWER = 0, 1
+
 
 # ---------------------------------------------------------------------------
 # results
+
+
+@dataclass(frozen=True)
+class SearchCounters:
+    """How much search support enumeration did: support pairs tried, and
+    phase-1 simplexes run on the leader's side (``A``) and on the
+    follower's side (``B^T``) of those pairs."""
+
+    pairs_tried: int
+    leader_simplexes: int
+    follower_simplexes: int
 
 
 @dataclass(frozen=True)
@@ -75,13 +93,15 @@ class SolverResult:
     ``certificate`` is :data:`EXACT_NASH` (``eps`` is zero) or
     :data:`EPS_WSNE` (``eps`` is the realized tolerance).  ``profile`` is a
     list of mixed strategies for normal-form/polymatrix games and an
-    ``(x, y)`` pair for bimatrix games.
+    ``(x, y)`` pair for bimatrix games.  ``counters`` holds support
+    enumeration's :class:`SearchCounters`; other solvers leave it ``None``.
     """
 
     profile: Any
     certificate: str
     eps: Rat
     method: str
+    counters: SearchCounters | None = None
 
     def verify(self, game, clamped: Iterable[int] = ()) -> VerifyResult:
         """Re-check this result against ``game`` at the certified eps."""
@@ -219,6 +239,10 @@ def _support_solution(
     return full
 
 
+def _nonzeros(matrix: Sequence[Sequence[Rat]]) -> int:
+    return sum(1 for row in matrix for v in row if v)
+
+
 def support_enumeration_bimatrix(
     game: BimatrixGame, cap: int = DEFAULT_SUPPORT_CAP
 ) -> SolverResult:
@@ -230,30 +254,54 @@ def support_enumeration_bimatrix(
     is larger than ``cap`` strategies per side, and
     :class:`NoEquilibriumFound` if the search exhausts -- which existence
     of Nash equilibria rules out, so that exception always means an
-    internal error and carries diagnostics.
+    internal error and carries diagnostics, the search's
+    :class:`SearchCounters` among them.
+
+    Search order: each pair has two sides, the leader's (its ``own`` rows
+    of ``A`` tied against the follower's mix on ``opp``) and the
+    follower's (its ``opp`` rows of ``B^T`` against the leader's mix on
+    ``own``).  The side whose matrix has fewer nonzero entries is solved
+    first, and the other only when the first one solves; on a tie the
+    leader's side goes first.  In an imitation game ``B`` is the identity,
+    so the follower's cheap side screens out most pairs.  A pair is an
+    equilibrium exactly when both sides solve, and each side's solution
+    does not depend on the other, so the order changes neither which pair
+    is found first nor its profile, only how many simplexes run.  The
+    result's :attr:`SolverResult.counters` counts them.
     """
     n = game.n
     if n > cap:
         raise CapExceeded(f"support enumeration handles at most {cap} strategies, game has {n}")
     dense = game.to_dense()
-    a = dense.a
+    matrices = (dense.a, dense.bt)
+    follower_first = _nonzeros(dense.bt) < _nonzeros(dense.a)
+    order = (FOLLOWER, LEADER) if follower_first else (LEADER, FOLLOWER)
     pairs_tried = 0
+    calls = [0, 0]
     for size1 in range(1, n + 1):
         for size2 in range(1, n + 1):
             for own in combinations(range(n), size1):
                 for opp in combinations(range(n), size2):
                     pairs_tried += 1
-                    y = _support_solution(a, own, opp, n)
-                    if y is None:
+                    # mixes[LEADER] is y (the leader's rows best), and
+                    # mixes[FOLLOWER] is x (the follower's rows best)
+                    mixes = [None, None]
+                    for side in order:
+                        calls[side] += 1
+                        rows, cols = (own, opp) if side == LEADER else (opp, own)
+                        mixes[side] = _support_solution(matrices[side], rows, cols, n)
+                        if mixes[side] is None:
+                            break
+                    if None in mixes:
                         continue
-                    x = _support_solution(dense.bt, opp, own, n)
-                    if x is None:
-                        continue
+                    y, x = mixes
+                    counters = SearchCounters(pairs_tried, *calls)
                     result = SolverResult(
                         profile=(tuple(x), tuple(y)),
                         certificate=EXACT_NASH,
                         eps=rational(0),
                         method="support-enumeration",
+                        counters=counters,
                     )
                     check = result.verify(game)
                     if not check.ok:
@@ -262,13 +310,19 @@ def support_enumeration_bimatrix(
                             diagnostics={
                                 "supports": (own, opp),
                                 "violations": check.violations,
+                                "counters": counters,
                             },
                         )
                     return result
     raise NoEquilibriumFound(
         "support enumeration exhausted every support pair; since finite games "
         "always have equilibria, this is an internal error",
-        diagnostics={"n": n, "pairs_tried": pairs_tried, "encoding": game.encoding},
+        diagnostics={
+            "n": n,
+            "pairs_tried": pairs_tried,
+            "encoding": game.encoding,
+            "counters": SearchCounters(pairs_tried, *calls),
+        },
     )
 
 

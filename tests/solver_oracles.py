@@ -1,18 +1,23 @@
-"""The two-path support solve that one phase-1 simplex replaced: the test oracle.
+"""Solver code that faster paths replaced: the test oracles.
 
 :func:`support_solution` is what :func:`nashreduce.solvers._support_solution`
 did before every support pair went through phase-1 simplex: a square
 indifference system was solved by Gauss-Jordan elimination
 (:func:`solve_square`), and only non-square pairs and singular squares
 built the feasibility system, for a phase-1 simplex that updated every
-column of every row (:func:`dense_phase1_feasible`).  They live with the
-tests because only the tests call them.  Give them ``Fraction`` entries:
-on int rows their divisions give floats.
+column of every row (:func:`dense_phase1_feasible`).  Give them
+``Fraction`` entries: on int rows their divisions give floats.
+
+:func:`leader_first_search` is support enumeration's loop before it
+solved the sparser side of each pair first: the leader's side always
+went first.  They live with the tests because only the tests call them.
 """
 
+from itertools import combinations
 from typing import Any, Sequence
 
 from nashreduce._rational import rational
+from nashreduce.solvers import SearchCounters, _support_solution
 
 Rat = Any
 
@@ -146,3 +151,27 @@ def support_solution(
     for idx, j in enumerate(opp):
         full[j] = z[idx]
     return full
+
+
+def leader_first_search(game) -> tuple[tuple, SearchCounters]:
+    """The first equilibrium profile of support enumeration, and the
+    search's counters, trying every pair's leader side (``A``) first and
+    its follower side (``B^T``) only when the leader's solves."""
+    n = game.n
+    dense = game.to_dense()
+    pairs = leader = follower = 0
+    for size1 in range(1, n + 1):
+        for size2 in range(1, n + 1):
+            for own in combinations(range(n), size1):
+                for opp in combinations(range(n), size2):
+                    pairs += 1
+                    leader += 1
+                    y = _support_solution(dense.a, own, opp, n)
+                    if y is None:
+                        continue
+                    follower += 1
+                    x = _support_solution(dense.bt, opp, own, n)
+                    if x is None:
+                        continue
+                    return (tuple(x), tuple(y)), SearchCounters(pairs, leader, follower)
+    raise AssertionError("no support pair solves")

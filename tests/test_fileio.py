@@ -240,6 +240,14 @@ def test_parse_rejects_bad_edges_and_roles():
         game_from_dict(dict(data, roles=[["plain", ""]]))
 
 
+@pytest.mark.parametrize("name", ["wizard", ["plain"], {"plain": 1}, 1, None, True])
+def test_a_role_that_is_no_role_name_is_unknown(name):
+    data = game_to_dict(random_polymatrix(1, (2, 2)))
+    with pytest.raises(ParseError) as err:
+        game_from_dict(dict(data, roles=[[name, ""], ["plain", ""]]))
+    assert str(err.value) == f"unknown role {name!r}"
+
+
 def test_profile_and_mapping_parse_errors():
     with pytest.raises(ParseError):
         profile_from_dict({"format": "nashreduce-profile/1"})
