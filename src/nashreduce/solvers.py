@@ -7,10 +7,10 @@ pipeline:
 * :func:`support_enumeration_bimatrix` -- exact Nash equilibria of small
   two-player games by trying every support pair in size order, each side
   of a pair by one phase-1 simplex on its feasibility system, over
-  ``Fraction`` entries.  The side whose payoff matrix has fewer nonzero
-  entries is tried first (the leader's on a tie), which in an imitation
-  game is the follower's identity; a pair needs both sides, so the order
-  cannot change the pair found first or its profile.
+  ``Fraction`` entries.  The follower's side is tried first, which in an
+  imitation game is the identity and rejects most pairs; a pair needs
+  both sides, so the order cannot change the pair found first or its
+  profile.
 * :func:`grid_enumerate_wsne` -- the complete list of grid profiles that
   a game's well-supported verifier accepts, for brute-force ground truth.
 * :func:`brute_force_normal_nash` -- pure-profile search over a k-player
@@ -66,9 +66,6 @@ DEFAULT_SUPPORT_CAP = 12
 DEFAULT_GRID_CAP = 200_000
 
 Vector = tuple[Rat, ...]
-
-# the two sides of a support pair, as indices into (A, B^T)
-LEADER, FOLLOWER = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +236,6 @@ def _support_solution(
     return full
 
 
-def _nonzeros(matrix: Sequence[Sequence[Rat]]) -> int:
-    return sum(1 for row in matrix for v in row if v)
-
-
 def support_enumeration_bimatrix(
     game: BimatrixGame, cap: int = DEFAULT_SUPPORT_CAP
 ) -> SolverResult:
@@ -257,45 +250,36 @@ def support_enumeration_bimatrix(
     internal error and carries diagnostics, the search's
     :class:`SearchCounters` among them.
 
-    Search order: each pair has two sides, the leader's (its ``own`` rows
-    of ``A`` tied against the follower's mix on ``opp``) and the
-    follower's (its ``opp`` rows of ``B^T`` against the leader's mix on
-    ``own``).  The side whose matrix has fewer nonzero entries is solved
-    first, and the other only when the first one solves; on a tie the
-    leader's side goes first.  In an imitation game ``B`` is the identity,
-    so the follower's cheap side screens out most pairs.  A pair is an
-    equilibrium exactly when both sides solve, and each side's solution
-    does not depend on the other, so the order changes neither which pair
-    is found first nor its profile, only how many simplexes run.  The
-    result's :attr:`SolverResult.counters` counts them.
+    Search order: each pair has two sides, the follower's (its ``opp``
+    rows of ``B^T`` tied against the leader's mix on ``own``) and the
+    leader's (its ``own`` rows of ``A`` against the follower's mix on
+    ``opp``).  The follower's side is solved first, and the leader's only
+    when the follower's solves.  In an imitation game ``B`` is the
+    identity, so the follower's cheap side screens out most pairs.  A
+    pair is an equilibrium exactly when both sides solve, and each side's
+    solution does not depend on the other, so the order changes neither
+    which pair is found first nor its profile, only how many simplexes
+    run.  The result's :attr:`SolverResult.counters` counts them.
     """
     n = game.n
     if n > cap:
         raise CapExceeded(f"support enumeration handles at most {cap} strategies, game has {n}")
     dense = game.to_dense()
-    matrices = (dense.a, dense.bt)
-    follower_first = _nonzeros(dense.bt) < _nonzeros(dense.a)
-    order = (FOLLOWER, LEADER) if follower_first else (LEADER, FOLLOWER)
-    pairs_tried = 0
-    calls = [0, 0]
+    a = dense.a
+    pairs_tried = leader_simplexes = 0
     for size1 in range(1, n + 1):
         for size2 in range(1, n + 1):
             for own in combinations(range(n), size1):
                 for opp in combinations(range(n), size2):
                     pairs_tried += 1
-                    # mixes[LEADER] is y (the leader's rows best), and
-                    # mixes[FOLLOWER] is x (the follower's rows best)
-                    mixes = [None, None]
-                    for side in order:
-                        calls[side] += 1
-                        rows, cols = (own, opp) if side == LEADER else (opp, own)
-                        mixes[side] = _support_solution(matrices[side], rows, cols, n)
-                        if mixes[side] is None:
-                            break
-                    if None in mixes:
+                    x = _support_solution(dense.bt, opp, own, n)
+                    if x is None:
                         continue
-                    y, x = mixes
-                    counters = SearchCounters(pairs_tried, *calls)
+                    leader_simplexes += 1
+                    y = _support_solution(a, own, opp, n)
+                    if y is None:
+                        continue
+                    counters = SearchCounters(pairs_tried, leader_simplexes, pairs_tried)
                     result = SolverResult(
                         profile=(tuple(x), tuple(y)),
                         certificate=EXACT_NASH,
@@ -321,7 +305,7 @@ def support_enumeration_bimatrix(
             "n": n,
             "pairs_tried": pairs_tried,
             "encoding": game.encoding,
-            "counters": SearchCounters(pairs_tried, *calls),
+            "counters": SearchCounters(pairs_tried, leader_simplexes, pairs_tried),
         },
     )
 

@@ -9,8 +9,8 @@ column of every row (:func:`dense_phase1_feasible`).  Give them
 ``Fraction`` entries: on int rows their divisions give floats.
 
 :func:`leader_first_search` is support enumeration's loop before it
-solved the sparser side of each pair first: the leader's side always
-went first.  They live with the tests because only the tests call them.
+solved the follower's side of each pair first: the leader's side went
+first.  They live with the tests because only the tests call them.
 """
 
 from itertools import combinations

@@ -7,10 +7,11 @@ games are solved exactly and the recovered profile must pass the
 polymatrix verifier at the reduction's tolerance.  Every support pair of
 seeded random matrices must solve as the old square/phase-1 split
 (``solver_oracles``) solved it, and int entries must give exact
-``Fraction`` answers.  Trying the sparser side of each pair first must
-find the profile and pair count of the old leader-first loop (also in
-``solver_oracles``), and the search counters are pinned.  Grid enumeration is cross-checked against an
-independent filter written inline.  The witness generator must verify on
+``Fraction`` answers.  Trying the follower's side of each pair first
+must find the profile and pair count of the old leader-first loop (also
+in ``solver_oracles``), and the search counters are pinned.  Grid
+enumeration is cross-checked against an independent filter written
+inline.  The witness generator must verify on
 exact input profiles and round-trip through block renormalization bit for
 bit.
 """
@@ -144,8 +145,8 @@ def test_exhausted_search_is_an_internal_error(monkeypatch):
     with pytest.raises(NoEquilibriumFound) as info:
         support_enumeration_bimatrix(pennies_bimatrix())
     assert info.value.diagnostics["pairs_tried"] == 9  # (2^2 - 1)^2
-    # a tie in nonzero entries: every pair's leader side runs, and fails
-    assert info.value.diagnostics["counters"] == SearchCounters(9, 9, 0)
+    # every pair's follower side runs first, and fails
+    assert info.value.diagnostics["counters"] == SearchCounters(9, 0, 9)
 
 
 def test_failed_verification_is_an_internal_error(monkeypatch):
@@ -160,11 +161,11 @@ def test_failed_verification_is_an_internal_error(monkeypatch):
 
 
 def test_search_counters_are_pinned():
-    # matching pennies ties at 2 nonzero entries a side, so the leader's
-    # side runs on all 9 pairs and the follower's on the 5 it lets through
-    assert support_enumeration_bimatrix(pennies_bimatrix()).counters == SearchCounters(9, 9, 5)
-    # the follower's identity is the sparser side of an imitation game; the
-    # leader-first search ran 99 leader and 35 follower simplexes here
+    # matching pennies: the follower's side runs on all 9 pairs, and the
+    # leader's on the 5 it lets through
+    assert support_enumeration_bimatrix(pennies_bimatrix()).counters == SearchCounters(9, 5, 9)
+    # the follower's identity side rejects most pairs of an imitation game;
+    # the leader-first search ran 99 leader and 35 follower simplexes here
     g2, _, _ = bimatrixify(random_polymatrix(0, (2, 2)), R(3, 10))
     assert support_enumeration_bimatrix(g2).counters == SearchCounters(99, 19, 99)
     assert brute_force_normal_nash(pennies_normal_form()).counters is None
@@ -176,10 +177,10 @@ def role_swapped(game: BimatrixGame) -> BimatrixGame:
 
 
 def search_order_cases():
-    """Seeded games on either side of the search-order rule: imitation
-    games (the follower's side sparser), their role-swapped versions (the
-    leader's side sparser), dense j/100 games, 0/1 and 0/1/2 games with a
-    duplicated row, and all-equal games, one with an all-zero follower."""
+    """Seeded games: imitation games (the follower's side sparser), their
+    role-swapped versions (the leader's side sparser), dense j/100 games,
+    0/1 and 0/1/2 games with a duplicated row, and all-equal games, one
+    with an all-zero follower."""
     rng = random.Random(2602)
     for counts, seeds in (((2, 2), range(6)), ((2, 2, 2), range(1))):
         for seed in seeds:
@@ -194,22 +195,14 @@ def search_order_cases():
         yield BimatrixGame.dense([[R(1)] * n] * n, [[R(0)] * n] * n)
 
 
-def test_sparser_side_first_finds_the_leader_first_profile():
-    firsts = {"leader": 0, "follower": 0}
+def test_follower_first_finds_the_leader_first_profile():
     for game in search_order_cases():
         result = support_enumeration_bimatrix(game)
         profile, counters = leader_first_search(game)
         assert result.profile == profile
         assert result.counters.pairs_tried == counters.pairs_tried
-        dense = game.to_dense()
-        nonzeros = [sum(1 for row in m for v in row if v) for m in (dense.a, dense.bt)]
-        if nonzeros[1] < nonzeros[0]:
-            assert result.counters.follower_simplexes == counters.pairs_tried
-            firsts["follower"] += 1
-        else:
-            assert result.counters == counters
-            firsts["leader"] += 1
-    assert min(firsts.values()) >= 10, firsts
+        assert result.counters.follower_simplexes == counters.pairs_tried
+        assert result.counters.leader_simplexes <= counters.pairs_tried
 
 
 # ---------------------------------------------------------------------------
