@@ -182,9 +182,10 @@ def _numbered(mats: list) -> tuple[list, list]:
     """The distinct objects of ``mats`` in first-use order, and the index of
     each entry's object among those.  A game holds one object per distinct
     matrix, so this numbers the values without rendering them."""
-    distinct = dict(zip(map(id, mats), mats))  # the list holds every keyed matrix
+    ids = [*map(id, mats)]
+    distinct = dict(zip(ids, mats))  # the list holds every keyed matrix
     number = dict(zip(distinct, itertools.count()))
-    return [*distinct.values()], [*map(number.__getitem__, map(id, mats))]
+    return [*distinct.values()], [*map(number.__getitem__, ids)]
 
 
 def _edge_table(edges) -> tuple[list, list, list]:
@@ -319,6 +320,8 @@ def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
         raise ParseError("roles must list [role, scope] once per player")
     # a dict lookup per player, where Role(name) is a slow enum call
     by_name = {role.value: role for role in Role}
+    # one frozen PlayerInfo per distinct (role, scope), shared by its players
+    infos: dict[tuple[Role, str], PlayerInfo] = {}
     players = []
     for entry in roles:
         if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], str):
@@ -327,7 +330,11 @@ def _polymatrix_from(data: dict, rats: _Rationals) -> PolymatrixGame:
             role = by_name[entry[0]]
         except (KeyError, TypeError):  # TypeError: an unhashable JSON list or object
             raise ParseError(f"unknown role {entry[0]!r}") from None
-        players.append(PlayerInfo(role, entry[1]))
+        key = (role, entry[1])
+        info = infos.get(key)
+        if info is None:
+            info = infos[key] = PlayerInfo(role, entry[1])
+        players.append(info)
     return _edges_in(data, rats, lambda edges: PolymatrixGame(counts, edges, players))
 
 

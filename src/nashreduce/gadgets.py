@@ -48,6 +48,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._rational import Fraction, rational
@@ -63,9 +64,8 @@ from .model import (
     Role,
     ScaledProfile,
     _matrix_key,
-    _scaled_profile,
+    _scaled_blocks,
     make_matrix,
-    validate_mixed,
 )
 
 Rat = Any
@@ -222,11 +222,13 @@ PRIMITIVES: dict[str, Primitive] = {
 
 
 class AffineGap(NamedTuple):
-    """The deciding player's payoff gap ``u1 - u0 = const + sum(coef * v_i)``."""
+    """The deciding player's payoff gap ``u1 - u0 = (const + sum(coef * v_i)) / den``,
+    over one common denominator ``den > 0``: ``const`` and ``coefs`` are ints."""
 
     decision: bool
-    const: Rat
-    coefs: tuple[Rat, ...]
+    const: int
+    coefs: tuple[int, ...]
+    den: int
 
 
 @lru_cache(maxsize=1024)
@@ -238,20 +240,23 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
     decision gadget's output best-responds to the gap's sign.  For a
     two-cycle the gap is W's at output value 0 (its read of the output
     costs exactly 1 per unit), so the output is forced to the gap clamped
-    to [0, 1].
+    to [0, 1].  The constant and coefficients are scaled to ints over the
+    lcm of their denominators, worked out here once per gadget shape.
     """
     primitive = PRIMITIVES[kind]
-    const = rational(0)
+    const = 0
     coefs = []
     for col0, col1 in primitive.reads(zeta, arity):
         base = col0[1] - col0[0]
         const += base
-        # a Fraction even where the difference is an int, like const
-        coefs.append(rational(col1[1] - col1[0] - base))
+        coefs.append(col1[1] - col1[0] - base)
     if primitive.two_cycle:
         assert coefs[0] == -1, kind
         del coefs[0]
-    return AffineGap(not primitive.two_cycle, const, tuple(coefs))
+    den = lcm(const.denominator, *(c.denominator for c in coefs))
+    return AffineGap(
+        not primitive.two_cycle, int(const * den), tuple(int(c * den) for c in coefs), den
+    )
 
 
 class _TapColumns(NamedTuple):
@@ -310,10 +315,9 @@ def _steps(g: GadgetSpec) -> Iterator[tuple]:
         yield primitive_gap(g.kind, zeta, len(g.inputs)), g.inputs, g.output.player, g.aux[0] if g.aux else None
 
 
-# the strategies lift shares: pure 0, pure 1, and W's indifference
-_0, _1 = rational(0), rational(1)
-_PURE = ((_1, _0), (_0, _1))
-_HALF = (_1_2, _1_2)
+# the (units, scale) strategies lift shares: pure 0, pure 1, and W's indifference
+_PURE = (((1, 0), 1), ((0, 1), 1))
+_HALF = ((1, 1), 2)
 
 
 def _check_zeta(zeta: Rat) -> Rat:
@@ -741,14 +745,25 @@ class GadgetCircuit:
         [0, 1] (binary players: probability of strategy 1) or a full mixed
         strategy.  Every other player is assigned the value its gadget
         forces; the result is a 0-WSNE when the input players are clamped.
-        A stamped copy reads the gaps of its recording, worked out once.
-        Pure and indifferent binary strategies are shared tuples.
 
-        The profile is validated and scaled to ints in one pass and returned
-        as a :class:`~nashreduce.model.ScaledProfile` holding those tuples,
-        so verifying it and lifting it to a bimatrix witness share that pass.
+        Each input is validated and scaled to ints once; from there the
+        circuit is evaluated on ints.  A player's strategy is held as
+        ``(units, scale)``, and pure and indifferent binary strategies are
+        shared pairs.  A step's gap :class:`AffineGap` ``(const + sum(coef *
+        u / s)) / den`` is summed as a running int pair ``(total, d)``, so a
+        decision reads the sign of ``total``, a two-cycle compares it with
+        ``d * den``, and only an interior value takes a ``gcd`` to reach
+        lowest terms.  A stamped copy reads the gaps of its recording,
+        worked out once.
+
+        Returns a :class:`~nashreduce.model.ScaledProfile` of those ints, so
+        verifying the profile and lifting it to a bimatrix witness read them
+        as they are.  An input player's strategy is the tuple its value gave
+        (a mixed strategy as passed, a scalar ``v`` as ``(1 - v, v)``); every
+        other player's is built from the ints when first read.
         """
-        profile: list[tuple | None] = [None] * self.num_players
+        blocks: list[tuple | None] = [None] * self.num_players
+        state: list[tuple | None] = [None] * self.num_players  # (units, scale) per player
         undriven = set(self._inputs) | set(self.undriven_players())
         for player, value in inputs.items():
             self._check_player(player)
@@ -756,41 +771,52 @@ class GadgetCircuit:
                 raise ParameterError(
                     f"player {player} is driven by a gadget; its value cannot be forced"
                 )
-            if isinstance(value, (tuple, list)):
-                profile[player] = validate_mixed(value, self._counts[player])
-            else:
-                if self._counts[player] != 2:
+            what, n = "mixed strategy", self._counts[player]
+            if not isinstance(value, (tuple, list)):
+                if n != 2:
                     raise ParameterError(
                         f"player {player} is not binary; pass a full mixed strategy"
                     )
                 if value < 0 or value > 1:
                     raise ParameterError(f"input value {value} outside [0, 1]")
-                profile[player] = (1 - value, value)
-        missing = [p for p in sorted(undriven) if profile[p] is None]
+                value, what = (1 - value, value), f"player {player} strategy"
+            blocks[player], (scale,), units = _scaled_blocks(value, (0, n), what)
+            state[player] = (tuple(units), scale)
+        missing = [p for p in sorted(undriven) if state[p] is None]
         if missing:
             raise ParameterError(f"no input value given for players {missing}")
 
         def evaluate(steps: Iterable[tuple], shift: int = 0, where: Mapping[int, Tap] = {}) -> None:
             """Drive each step's players, moved by ``shift`` (slots by ``where``)."""
             for form, taps, out, aux in steps:
-                gap = form.const
+                total, d = form.const, 1  # gap == total / (d * form.den)
                 for coef, (p, s) in zip(form.coefs, taps):
                     p, s = where[p] if p in where else (p + shift, s)
-                    vec = profile[p]
-                    if vec is None:
+                    held = state[p]
+                    if held is None:
                         raise CycleDetected(f"player {p} evaluated before it was driven")
-                    v = vec[s]
-                    if v is not _0:  # a shared pure 0 or 1 needs no product
-                        gap += coef if v is _1 else coef * v
+                    units, scale = held
+                    u = units[s]
+                    if not u:
+                        continue
+                    if scale == d:
+                        total += coef * u
+                    else:
+                        g = gcd(d, scale)
+                        total = total * (scale // g) + coef * u * (d // g)
+                        d = d // g * scale
                 out = where[out].player if out in where else out + shift
                 if form.decision:
-                    profile[out] = _PURE[gap >= 0]
+                    state[out] = _PURE[total >= 0]
+                    continue
                 # two-cycle: W is indifferent exactly when the output equals
                 # the gap, and the output imitates W
-                elif gap <= 0 or gap >= 1:
-                    profile[aux + shift] = profile[out] = _PURE[gap >= 1]
+                d *= form.den
+                if total <= 0 or total >= d:
+                    state[aux + shift] = state[out] = _PURE[total > 0]
                 else:
-                    profile[aux + shift], profile[out] = _HALF, (_1 - gap, gap)
+                    g = gcd(total, d)
+                    state[aux + shift], state[out] = _HALF, (((d - total) // g, total // g), d // g)
 
         def walk(entries: Iterable[GadgetSpec | _Stamp]) -> None:
             for g in entries:
@@ -801,9 +827,10 @@ class GadgetCircuit:
 
         walk(self._specs)
         # a composite that raised part-way leaves players no recorded gadget drives
-        stranded = [p for p, vec in enumerate(profile) if vec is None]
+        stranded = [p for p, held in enumerate(state) if held is None]
         if stranded:
             raise ParameterError(f"no recorded gadget drives players {stranded}")
-        blocks = [tuple(vec) for vec in profile]  # type: ignore[arg-type]
         offsets = tuple(itertools.accumulate(self._counts, initial=0))
-        return ScaledProfile(offsets, *_scaled_profile(blocks, offsets), blocks)
+        scales = [scale for _, scale in state]  # type: ignore[misc]
+        units = list(itertools.chain.from_iterable(units for units, _ in state))  # type: ignore[misc]
+        return ScaledProfile(offsets, scales, units, blocks)

@@ -306,8 +306,9 @@ def linearize(
 def lift_to_polymatrix(profile: Sequence[Sequence[Rat]], mapping: GameMapping) -> ScaledProfile:
     """Complete a source-game profile to a full polymatrix profile by giving
     every mediator and gadget player its forced value; the result is
-    :meth:`GadgetCircuit.lift`'s profile, with the ints of its one scaling
-    pass attached."""
+    :meth:`GadgetCircuit.lift`'s :class:`ScaledProfile`, whose ints come
+    from scaling the source strategies once and evaluating the circuit on
+    ints.  The source players' blocks are the tuples of ``profile``."""
     if mapping.stage not in ("linearize", "full"):
         raise ParameterError(f"cannot lift through a {mapping.stage} mapping")
     if mapping.circuit is None:

@@ -444,7 +444,13 @@ def lift_to_bimatrix(
     u_i - sum(u)) / (alpha m^2)`` is one int numerator over one int
     denominator, in lowest terms, and block ``i`` of the follower's
     strategy is that numerator times the profile's units over that
-    denominator times the profile's scale.  Both strategies are returned as
+    denominator times the profile's scale.  ``w_i`` depends on block
+    ``i`` only through ``u_i``, so the weight, its ``gcd`` and the scaled
+    units are worked out once per distinct pair of ``u_i`` and the block's
+    units, and shared by every block with that pair: gadget players repeat
+    a few strategies and payoffs over thousands of blocks, as
+    :func:`edge_payoffs` weighs each distinct pair of a matrix and a
+    strategy once.  Both strategies are returned as
     :class:`ScaledStrategy` over ``g2``'s blocks, so no entry becomes a
     ``Fraction`` until it is read, and verifying or recovering them reads
     the ints.  Raises :class:`ParameterError` when some ``w_i <= 0``.
@@ -463,14 +469,22 @@ def lift_to_bimatrix(
     a, b = g2.alpha.as_integer_ratio()
     total, scale = exact_sum(block_best)
     y_scales, y_units = [], []
+    # (u_i as its pair, v_i's units, which sum to its scale) -> block i of y
+    weighed: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for (n, d), v_scale, start, stop in zip(block_best, scales, offsets, offsets[1:]):
-        num = m * scale * (a * d + b * n) - total * b * d
-        if num * a <= 0:  # den has the sign of a
-            raise ParameterError("alpha is too small to rebalance the block weights")
-        den = a * m * m * d * scale
-        g = math.gcd(num, den)
-        y_scales.append(den // g * v_scale)
-        y_units += [num // g * v for v in units[start:stop]]
+        block = units[start:stop]
+        key = (n, d, *block)
+        y_block = weighed.get(key)
+        if y_block is None:
+            num = m * scale * (a * d + b * n) - total * b * d
+            if num * a <= 0:  # den has the sign of a
+                raise ParameterError("alpha is too small to rebalance the block weights")
+            den = a * m * m * d * scale
+            g = math.gcd(num, den)
+            num //= g
+            y_block = weighed[key] = (den // g * v_scale, [num * v for v in block])
+        y_scales.append(y_block[0])
+        y_units += y_block[1]
     # w_i > 0, so y[r] > 0 exactly where the scaled profile is positive
     x_units = [int(v > 0) for v in units]
     x = ScaledStrategy(offsets, [sum(x_units)] * m, x_units, "leader strategy")

@@ -156,12 +156,13 @@ class _Units:
         gap = self._gaps.get(key)
         if gap is None:
             form = primitive_gap(kind, zeta, arity)
-            d = lcm(self.eps.denominator, *(x.denominator for x in (form.const, *form.coefs)))
+            d = lcm(self.eps.denominator, form.den)
             t = self.scale * d
+            up = d // form.den
             gap = self._gaps[key] = _Gap(
                 form.decision,
-                int(form.const * t),
-                tuple(int(c * d) for c in form.coefs),
+                form.const * self.scale * up,
+                tuple(c * up for c in form.coefs),
                 int(self.eps * t),
                 t,
                 int(2 * self.eps * d * self.g),

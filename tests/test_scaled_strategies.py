@@ -8,15 +8,21 @@ otherwise.  Every result must equal what the plain tuples give.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from lift_oracles import (
+    MIXED_PLANTS,
+    per_block_lift_to_bimatrix,
+    planted_mixed_source,
+    planted_pure_source,
+)
 from nashreduce import R, fileio, model
 from nashreduce.errors import DimensionMismatch, ParameterError, ZeroBlockMass
 from nashreduce.model import (
     BimatrixGame,
-    NormalFormGame,
     ScaledStrategy,
     pure_strategy,
     random_normal_form,
@@ -314,22 +320,6 @@ def test_a_zero_block_fails_for_scaled_and_plain_alike():
 # a fully mixed equilibrium through the log reduction and back
 
 
-def planted_mixed_source(p, seed: int = 3) -> NormalFormGame:
-    """A 2x2x2 game in which the fully mixed profile ``p`` is an exact
-    equilibrium: each player's second row is its first plus differences
-    whose mean under the opponents' joint distribution is zero."""
-    rng = random.Random(seed)
-    payoffs = []
-    for i in range(3):
-        first, second = (p[j] for j in range(3) if j != i)
-        joint = [a * b for a in first for b in second]  # the first opponent slowest
-        top = [R(rng.randint(25, 75), 100) for _ in joint]
-        diff = [R(rng.randint(-12, 12), 100) for _ in joint]
-        mean = sum(w * d for w, d in zip(joint, diff))
-        payoffs.append([top, [t + d - mean for t, d in zip(top, diff)]])
-    return NormalFormGame((2, 2, 2), payoffs)
-
-
 def test_a_mixed_equilibrium_round_trips_exactly():
     p = [(R(1, 3), R(2, 3)), (R(2, 5), R(3, 5)), (R(3, 7), R(4, 7))]
     source = planted_mixed_source(p)
@@ -346,6 +336,45 @@ def test_a_mixed_equilibrium_round_trips_exactly():
     assert {type(v) for block in back for v in block} == {F}
 
 
+def lift_outcome(lift, g2, profile, mapping):
+    """The witness as its ints and values, or the error raised."""
+    try:
+        x, y = lift(g2, profile, mapping)
+    except ParameterError as err:
+        return ("ParameterError", str(err))
+    return [(s.offsets, s.scales, s.units, tuple(s)) for s in (x, y)]
+
+
+@pytest.mark.parametrize(
+    "case", ["pure-222", "pure-322", "pure-333", "mixed-3", "mixed-5", "small-alpha"]
+)
+def test_lift_to_bimatrix_matches_the_per_block_loop(case):
+    """Blocks that share a best payoff, a scale and units share their
+    weighing; the witness must be the one every block weighed anew gives,
+    on planted pure and mixed lifts, and so must the small-alpha error."""
+    kind, arg = case.split("-")
+    if kind == "pure":
+        source, profile = planted_pure_source(8, tuple(map(int, arg)))
+    elif kind == "mixed":
+        profile = MIXED_PLANTS[int(arg)]
+        source = planted_mixed_source(profile, int(arg))
+    else:
+        source, profile = planted_pure_source(8, (2, 2, 2))
+    g2, mapping, _ = reduce_full(source, R(9, 10), "log")
+    poly = lift_to_polymatrix(profile, mapping)
+    if kind == "small":
+        g2 = BimatrixGame.structured(g2.polymatrix, R(1, 100))
+        mapping = replace(mapping, alpha=g2.alpha, divisor=g2.divisor)
+    want = lift_outcome(per_block_lift_to_bimatrix, g2, poly, mapping)
+    assert lift_outcome(lift_to_bimatrix, g2, poly, mapping) == want
+    # and on the plain tuples, which take the full scaling pass
+    assert lift_outcome(lift_to_bimatrix, g2, list(poly), mapping) == want
+    if kind == "small":
+        assert want == ("ParameterError", "alpha is too small to rebalance the block weights")
+    else:
+        assert len(set(map(tuple, poly))) < len(poly) // 10  # blocks do repeat
+
+
 # ---------------------------------------------------------------------------
 # scaling passes over reduce-log's check sequence
 
@@ -353,8 +382,8 @@ def test_a_mixed_equilibrium_round_trips_exactly():
 def test_each_vector_is_scaled_once_from_lift_to_recover(tmp_path, monkeypatch):
     """Read back, lift, both verifies and both recoveries of a planted pure
     equilibrium, as reduce-log runs them: the lift scales its three inputs
-    and the lifted profile once, and recovery checks the three source
-    strategies; every other stage reads ints it was handed."""
+    and evaluates the circuit on their ints, and recovery checks the three
+    source strategies; every other stage reads ints it was handed."""
     source = random_normal_form(random.Random(4), (2, 2, 2))
     gm, lin_map, lin_params = linearize(source, R(9, 10), "log")
     g2, bi_map, bi_params = bimatrixify(gm, lin_params.eps_m)
@@ -385,7 +414,7 @@ def test_each_vector_is_scaled_once_from_lift_to_recover(tmp_path, monkeypatch):
     assert counts == {
         "read": 0,
         "read_mapping": 0,
-        "lift": 4,
+        "lift": 3,
         "poly_verify": 0,
         "lift_to_bimatrix": 0,
         "bimatrix_verify": 0,

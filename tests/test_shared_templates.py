@@ -9,14 +9,15 @@ recording.  The oracles are matrices accumulated by hand and
 compared with ``lift`` on values and entry types.
 """
 
+import itertools
 import random
 
 import pytest
 
-from lift_oracles import spec_walk_lift
+from lift_oracles import MIXED_PLANTS, planted_mixed_source, planted_pure_source, spec_walk_lift
 from nashreduce import R
 from nashreduce.gadgets import GadgetCircuit, Tap
-from nashreduce.model import pure_strategy, random_normal_form
+from nashreduce.model import _scaled_profile, pure_strategy, random_normal_form
 from nashreduce.multipliers import build_robust_multiplier, build_unary_multiplier
 from nashreduce.reductions import linearize
 
@@ -27,8 +28,14 @@ def typed(rows) -> list:
 
 
 def assert_lifts_agree(circuit, inputs):
+    """``lift`` against the spec walk: values, entry types, and the ints
+    the walk's tuples scale to."""
     got = circuit.lift(inputs)
-    assert typed(got) == typed(spec_walk_lift(circuit, inputs))
+    want = spec_walk_lift(circuit, inputs)
+    assert typed(got) == typed(want)
+    assert got.offsets == tuple(itertools.accumulate(circuit.strategy_counts, initial=0))
+    scales, units = _scaled_profile(want, got.offsets)
+    assert (list(got.scales), list(got.units)) == (list(scales), list(units))
     return got
 
 
@@ -114,6 +121,12 @@ VALUES = [
     (0, 1),
     (1, R(37, 97)),
     (0, 0),
+    # seeded values over denominators from 1 to 2^20 + 7
+    *[
+        tuple(R(rng.randint(0, d), d) for d in rng.sample((1, 2, 3, 7, 10, 97, 1000, 2**20 + 7), 2))
+        for rng in [random.Random(5)]
+        for _ in range(6)
+    ],
 ]
 
 
@@ -154,3 +167,17 @@ def test_linearized_lifts_match_the_spec_walk(log_reduction, profile):
     }
     got = assert_lifts_agree(circuit, inputs)
     assert circuit.combine().verify_wsne(got, R(0), clamped=set(inputs)).ok
+
+
+@pytest.mark.parametrize("source", ["pure-222", "pure-322", "pure-333", "mixed-3", "mixed-5"])
+def test_planted_lifts_match_the_spec_walk(source):
+    kind, arg = source.split("-")
+    if kind == "pure":
+        game, profile = planted_pure_source(7, tuple(map(int, arg)))
+    else:
+        profile = MIXED_PLANTS[int(arg)]
+        game = planted_mixed_source(profile, int(arg))
+    gm, mapping, params = linearize(game, R(9, 10), "log")
+    got = assert_lifts_agree(mapping.circuit, dict(enumerate(profile)))
+    assert all(got[i] is profile[i] for i in range(3))  # the caller's tuples, kept
+    assert gm.verify_wsne(got, params.eps_m, clamped=range(3)).ok
