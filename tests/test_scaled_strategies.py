@@ -349,8 +349,8 @@ def lift_outcome(lift, g2, profile, mapping):
     "case", ["pure-222", "pure-322", "pure-333", "mixed-3", "mixed-5", "small-alpha"]
 )
 def test_lift_to_bimatrix_matches_the_per_block_loop(case):
-    """Blocks that share a best payoff, a scale and units share their
-    weighing; the witness must be the one every block weighed anew gives,
+    """Blocks that share a best payoff and units share their weighing;
+    the witness must be the one every block weighed anew gives,
     on planted pure and mixed lifts, and so must the small-alpha error."""
     kind, arg = case.split("-")
     if kind == "pure":
