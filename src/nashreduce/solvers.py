@@ -7,10 +7,12 @@ pipeline:
 * :func:`support_enumeration_bimatrix` -- exact Nash equilibria of small
   two-player games by trying every support pair in size order, each side
   of a pair by one phase-1 simplex on its feasibility system, over
-  ``Fraction`` entries.  The follower's side is tried first, which in an
-  imitation game is the identity and rejects most pairs; a pair needs
-  both sides, so the order cannot change the pair found first or its
-  profile.
+  ``Fraction`` entries.  The follower's side is tried first and the
+  leader's only when it solves.  In an imitation game the follower is
+  paid by the identity, so its side solves exactly when the follower's
+  support lies inside the leader's: a set test rejects every other pair
+  without a simplex.  A pair needs both sides, so neither the order nor
+  the test can change the pair found first or its profile.
 * :func:`grid_enumerate_wsne` -- the complete list of grid profiles that
   a game's well-supported verifier accepts, for brute-force ground truth.
 * :func:`brute_force_normal_nash` -- pure-profile search over a k-player
@@ -74,9 +76,12 @@ Vector = tuple[Rat, ...]
 
 @dataclass(frozen=True)
 class SearchCounters:
-    """How much search support enumeration did: support pairs tried, and
-    phase-1 simplexes run on the leader's side (``A``) and on the
-    follower's side (``B^T``) of those pairs."""
+    """How much search support enumeration did: support pairs tried, in
+    search order, and phase-1 simplexes run on the leader's side (``A``)
+    and on the follower's side (``B^T``) of those pairs.  A pair that a
+    structured game's subset test rejects counts as tried and runs no
+    simplex, so on a structured game ``follower_simplexes`` counts the
+    pairs with ``opp`` inside ``own`` and equals ``leader_simplexes``."""
 
     pairs_tried: int
     leader_simplexes: int
@@ -254,24 +259,43 @@ def support_enumeration_bimatrix(
     rows of ``B^T`` tied against the leader's mix on ``own``) and the
     leader's (its ``own`` rows of ``A`` against the follower's mix on
     ``opp``).  The follower's side is solved first, and the leader's only
-    when the follower's solves.  In an imitation game ``B`` is the
-    identity, so the follower's cheap side screens out most pairs.  A
-    pair is an equilibrium exactly when both sides solve, and each side's
-    solution does not depend on the other, so the order changes neither
-    which pair is found first nor its profile, only how many simplexes
-    run.  The result's :attr:`SolverResult.counters` counts them.
+    when the follower's solves.  A pair is an equilibrium exactly when
+    both sides solve, and each side's solution does not depend on the
+    other, so the order changes neither which pair is found first nor
+    its profile, only how many simplexes run.  The result's
+    :attr:`SolverResult.counters` counts them.
+
+    A structured game is an imitation game ``(A, I)``: the follower's
+    payoff for column ``c`` is ``x_c``.  Its side of a pair solves
+    exactly when ``opp`` is a subset of ``own``, so a pair failing that
+    set test is rejected with no simplex.  If some ``c`` in ``opp`` is
+    not in ``own``, then ``x_c = 0``, since ``x`` lives on ``own``, and
+    column ``c`` ties at the follower's best value, so every
+    ``x_r <= 0``, against ``sum(x) == 1``.  If ``opp`` lies inside
+    ``own``, ``x`` uniform on ``opp`` solves it.  A normalized game's
+    follower payoffs are an increasing affine image of ``I``, which
+    changes neither ties nor order, so the same test holds.  A pair that
+    passes still runs the follower's simplex, whose vertex is the ``x``
+    returned (not in general uniform on ``opp``), so the pair found, its
+    profile and ``pairs_tried`` are what the simplex alone would give.
+    Dense games take no set test.
     """
     n = game.n
     if n > cap:
         raise CapExceeded(f"support enumeration handles at most {cap} strategies, game has {n}")
     dense = game.to_dense()
     a = dense.a
-    pairs_tried = leader_simplexes = 0
+    imitation = game.encoding == "structured"
+    pairs_tried = leader_simplexes = follower_simplexes = 0
     for size1 in range(1, n + 1):
         for size2 in range(1, n + 1):
             for own in combinations(range(n), size1):
+                own_set = frozenset(own) if imitation else None
                 for opp in combinations(range(n), size2):
                     pairs_tried += 1
+                    if imitation and not own_set.issuperset(opp):
+                        continue
+                    follower_simplexes += 1
                     x = _support_solution(dense.bt, opp, own, n)
                     if x is None:
                         continue
@@ -279,7 +303,7 @@ def support_enumeration_bimatrix(
                     y = _support_solution(a, own, opp, n)
                     if y is None:
                         continue
-                    counters = SearchCounters(pairs_tried, leader_simplexes, pairs_tried)
+                    counters = SearchCounters(pairs_tried, leader_simplexes, follower_simplexes)
                     result = SolverResult(
                         profile=(tuple(x), tuple(y)),
                         certificate=EXACT_NASH,
@@ -305,7 +329,7 @@ def support_enumeration_bimatrix(
             "n": n,
             "pairs_tried": pairs_tried,
             "encoding": game.encoding,
-            "counters": SearchCounters(pairs_tried, leader_simplexes, pairs_tried),
+            "counters": SearchCounters(pairs_tried, leader_simplexes, follower_simplexes),
         },
     )
 

@@ -10,11 +10,14 @@ column of every row (:func:`dense_phase1_feasible`).  Give them
 
 :func:`leader_first_search` is support enumeration's loop before it
 solved the follower's side of each pair first: the leader's side went
-first.  They live with the tests because only the tests call them.
+first, on every pair.  :func:`support_pairs` is the search order, and
+:func:`subset_pairs_up_to` counts the pairs an imitation game's subset
+test lets through.  They live with the tests because only the tests
+call them.
 """
 
-from itertools import combinations
-from typing import Any, Sequence
+from itertools import combinations, islice
+from typing import Any, Iterator, Sequence
 
 from nashreduce._rational import rational
 from nashreduce.solvers import SearchCounters, _support_solution
@@ -153,6 +156,23 @@ def support_solution(
     return full
 
 
+def support_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every ``(own, opp)`` support pair of an ``n``-strategy game, in
+    support enumeration's search order: by size, then lexicographically."""
+    for size1 in range(1, n + 1):
+        for size2 in range(1, n + 1):
+            for own in combinations(range(n), size1):
+                for opp in combinations(range(n), size2):
+                    yield own, opp
+
+
+def subset_pairs_up_to(n: int, pairs_tried: int) -> int:
+    """How many of the first ``pairs_tried`` pairs in search order have
+    ``opp`` inside ``own``: the follower simplexes an imitation game runs."""
+    pairs = islice(support_pairs(n), pairs_tried)
+    return sum(set(opp) <= set(own) for own, opp in pairs)
+
+
 def leader_first_search(game) -> tuple[tuple, SearchCounters]:
     """The first equilibrium profile of support enumeration, and the
     search's counters, trying every pair's leader side (``A``) first and
@@ -160,18 +180,15 @@ def leader_first_search(game) -> tuple[tuple, SearchCounters]:
     n = game.n
     dense = game.to_dense()
     pairs = leader = follower = 0
-    for size1 in range(1, n + 1):
-        for size2 in range(1, n + 1):
-            for own in combinations(range(n), size1):
-                for opp in combinations(range(n), size2):
-                    pairs += 1
-                    leader += 1
-                    y = _support_solution(dense.a, own, opp, n)
-                    if y is None:
-                        continue
-                    follower += 1
-                    x = _support_solution(dense.bt, opp, own, n)
-                    if x is None:
-                        continue
-                    return (tuple(x), tuple(y)), SearchCounters(pairs, leader, follower)
+    for own, opp in support_pairs(n):
+        pairs += 1
+        leader += 1
+        y = _support_solution(dense.a, own, opp, n)
+        if y is None:
+            continue
+        follower += 1
+        x = _support_solution(dense.bt, opp, own, n)
+        if x is None:
+            continue
+        return (tuple(x), tuple(y)), SearchCounters(pairs, leader, follower)
     raise AssertionError("no support pair solves")

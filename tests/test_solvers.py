@@ -23,7 +23,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from solver_oracles import leader_first_search, solve_square, support_solution
+from solver_oracles import (
+    leader_first_search,
+    solve_square,
+    subset_pairs_up_to,
+    support_pairs,
+    support_solution,
+)
 
 from nashreduce import CapExceeded, DimensionMismatch, NoEquilibriumFound, ParameterError, R
 from nashreduce.gadgets import GadgetCircuit
@@ -33,7 +39,7 @@ from nashreduce.model import (
     PolymatrixGame,
     random_polymatrix,
 )
-from nashreduce.reductions import bimatrixify, recover_from_bimatrix
+from nashreduce.reductions import bimatrixify, normalize_bimatrix, recover_from_bimatrix
 from nashreduce.solvers import (
     DEFAULT_SUPPORT_CAP,
     EPS_WSNE,
@@ -164,10 +170,11 @@ def test_search_counters_are_pinned():
     # matching pennies: the follower's side runs on all 9 pairs, and the
     # leader's on the 5 it lets through
     assert support_enumeration_bimatrix(pennies_bimatrix()).counters == SearchCounters(9, 5, 9)
-    # the follower's identity side rejects most pairs of an imitation game;
-    # the leader-first search ran 99 leader and 35 follower simplexes here
+    # an imitation game's subset test lets 19 of the 99 pairs through, and
+    # every one of them has a follower side that solves; the leader-first
+    # search ran 99 leader and 35 follower simplexes here
     g2, _, _ = bimatrixify(random_polymatrix(0, (2, 2)), R(3, 10))
-    assert support_enumeration_bimatrix(g2).counters == SearchCounters(99, 19, 99)
+    assert support_enumeration_bimatrix(g2).counters == SearchCounters(99, 19, 19)
     assert brute_force_normal_nash(pennies_normal_form()).counters is None
 
 
@@ -201,8 +208,73 @@ def test_follower_first_finds_the_leader_first_profile():
         profile, counters = leader_first_search(game)
         assert result.profile == profile
         assert result.counters.pairs_tried == counters.pairs_tried
-        assert result.counters.follower_simplexes == counters.pairs_tried
-        assert result.counters.leader_simplexes <= counters.pairs_tried
+        if game.encoding == "structured":
+            # the subset test runs the follower's simplex on exactly the
+            # pairs with opp inside own, and each of them solves
+            screened_in = subset_pairs_up_to(game.n, counters.pairs_tried)
+            assert result.counters.follower_simplexes == screened_in
+            assert result.counters.leader_simplexes == screened_in
+        else:
+            assert result.counters.follower_simplexes == counters.pairs_tried
+            assert result.counters.leader_simplexes <= counters.pairs_tried
+
+
+def screen_cases():
+    """Seeded imitation games: (2,2) ones, a (2,2,2) one, the normalized
+    image of a (2,2) one and one with a 3-strategy block."""
+    for seed in range(3):
+        yield bimatrixify(random_polymatrix(seed, (2, 2)), R(3, 10))[0]
+    yield bimatrixify(random_polymatrix(3, (2, 2, 2)), R(3, 10))[0]
+    yield normalize_bimatrix(bimatrixify(random_polymatrix(4, (2, 2)), R(3, 10))[0])
+    yield bimatrixify(random_polymatrix(5, (3, 2)), R(3, 10))[0]
+
+
+def test_subset_test_decides_the_follower_side_of_every_pair():
+    for game in screen_cases():
+        dense = game.to_dense()
+        n = game.n
+        for own, opp in support_pairs(n):
+            solves = _support_solution(dense.bt, opp, own, n) is not None
+            assert solves == (set(opp) <= set(own)), (game, own, opp)
+        # a role-swapped game is dense: the follower is paid by A^T, where
+        # the subset rule fails on some pair, and no pair is screened
+        swapped = role_swapped(game)
+        swapped_bt = swapped.to_dense().bt
+        assert any(
+            (_support_solution(swapped_bt, opp, own, n) is not None) != (set(opp) <= set(own))
+            for own, opp in support_pairs(n)
+        )
+        counters = support_enumeration_bimatrix(swapped).counters
+        assert counters.follower_simplexes == counters.pairs_tried
+
+
+@pytest.mark.parametrize("counts, seeds", [((2, 2), range(4)), ((2, 2, 2), range(2))])
+def test_every_support_pair_equilibrium_recovers(counts, seeds):
+    # stage 2's theorem on every equilibrium support enumeration can find,
+    # not only the first: each pair whose two sides solve is an exact
+    # equilibrium of the imitation game and recovers to an eps_m-WSNE
+    mixed = 0
+    for seed in seeds:
+        gm = random_polymatrix(seed, counts)
+        g2, mapping, params = bimatrixify(gm, R(3, 10))
+        dense = g2.to_dense()
+        n = g2.n
+        found = 0
+        for own, opp in support_pairs(n):
+            if not set(opp) <= set(own):
+                continue
+            x = _support_solution(dense.bt, opp, own, n)
+            y = _support_solution(dense.a, own, opp, n)
+            assert x is not None
+            if y is None:
+                continue
+            found += 1
+            mixed += len(opp) > len(counts)  # some block plays a mixed strategy
+            assert g2.verify_wsne(x, y, R(0)).ok, (seed, own, opp)
+            recovered = recover_from_bimatrix(g2, (x, y), mapping)
+            assert gm.verify_wsne(recovered, params.eps_m).ok, (seed, own, opp)
+        assert found
+    assert mixed
 
 
 # ---------------------------------------------------------------------------
