@@ -237,15 +237,13 @@ def test_subset_test_decides_the_follower_side_of_every_pair():
             solves = _support_solution(dense.bt, opp, own, n) is not None
             assert solves == (set(opp) <= set(own)), (game, own, opp)
         # a role-swapped game is dense: the follower is paid by A^T, where
-        # the subset rule fails on some pair, and no pair is screened
-        swapped = role_swapped(game)
-        swapped_bt = swapped.to_dense().bt
+        # the subset rule fails on some pair (that no pair of such a game
+        # is screened is checked with the search order above)
+        swapped_bt = role_swapped(game).to_dense().bt
         assert any(
             (_support_solution(swapped_bt, opp, own, n) is not None) != (set(opp) <= set(own))
             for own, opp in support_pairs(n)
         )
-        counters = support_enumeration_bimatrix(swapped).counters
-        assert counters.follower_simplexes == counters.pairs_tried
 
 
 @pytest.mark.parametrize("counts, seeds", [((2, 2), range(4)), ((2, 2, 2), range(2))])
