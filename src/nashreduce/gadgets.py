@@ -260,15 +260,18 @@ def primitive_gap(kind: str, zeta: Rat | None, arity: int) -> AffineGap:
 
 
 class _TapColumns(NamedTuple):
-    """A recorded edge reading an input: its tapped and its other columns."""
+    """A recorded edge reading an input: its tapped and other columns, and
+    the matrix as recorded, for a copy whose input has the recorded shape."""
 
     tapped: tuple
     other: tuple
+    shape: tuple[int, int]
+    matrix: tuple
 
 
 class _Recording(NamedTuple):
     """What one build added, in its indices: players from ``base`` on, and
-    edges between those and ``slots`` (its two inputs, then any ``out``)."""
+    edges between those and ``slots`` (its input players, then any ``out``)."""
 
     base: int
     slots: tuple[int, ...]
@@ -351,6 +354,8 @@ class GadgetCircuit:
     once and its later copies are stamped from a recording of that build
     (:meth:`_build_repeated`): the same players and edges, and specs kept
     as a reference to the recording, laid out when :attr:`specs` is read.
+    A recording is over any list of input slots and outputs, so a log
+    multiplier stamps its first input's digits and its product apart.
     """
 
     def __init__(self, player_budget: int | None = None):
@@ -365,6 +370,9 @@ class GadgetCircuit:
         self._inputs: set[int] = set()
         self._driven: set[int] = set()
         self._recordings: dict[tuple, _Recording] = {}
+        # outputs a composite shares with every later reader, by its key (a
+        # log multiplier's digits; see nashreduce.multipliers)
+        self._shared: dict[tuple, tuple[Tap, ...]] = {}
         # (input size, tapped strategy, col0, col1, entry types) -> matrix
         self._templates: dict[tuple, tuple] = {}
 
@@ -541,66 +549,71 @@ class GadgetCircuit:
         self._record(GadgetSpec(kind, taps, tuple(outputs), params, internal=tuple(inner)))
 
     def _build_repeated(
-        self, key: tuple, build: Callable[[Tap, Tap, Tap | None], Tap], in1: Tap, in2: Tap, out: Tap | None
-    ) -> Tap:
-        """``build(in1, in2, out)``, a composite whose gadgets depend only on
-        ``key``, on whether ``out`` is given and on the scope.  The first call
-        records what ``build`` added; later ones make its checks and stamp the
-        recording at their own players, laying out an edge that reads an input
-        once per input size and tapped strategy.  Two inputs on one player
-        are always built.
+        self, key: tuple, build: Callable[..., tuple[Tap, ...]], inputs: Sequence[Tap], out: Tap | None
+    ) -> tuple[Tap, ...]:
+        """``build(inputs, out)``, a composite over ``inputs`` (its spec's
+        inputs, in order) that returns its outputs, and whose gadgets depend
+        only on ``key``, on whether ``out`` is given and on the scope.  The
+        first call records what ``build`` added; later ones make its checks
+        and stamp the recording at their own players, laying out an edge that
+        reads an input once per input size and tapped strategy.  Inputs that
+        share a player are always built.
         """
         key = (key, out is not None, self._frames[-1][0])
         rec = self._recordings.get(key)
         if rec is None:
             base, outer, self._edges = self.num_players, self._edges, {}
             try:
-                p = build(in1, in2, out)
+                outputs = build(inputs, out)
             finally:
                 delta, self._edges = self._edges, outer
                 for edge, acc in delta.items():
                     self._merge(edge, acc)
             spec = self._frames[-1][1][-1]
             taps = {tap.player: tap.strategy for tap in spec.inputs}
-            if len(taps) < 2:
-                return p
+            if len(taps) < len(spec.inputs):
+                return outputs
             interned: dict = {}
             edges = []
             for (i, j), acc in delta.items():
                 mat = make_matrix(acc)
                 if j in taps:
                     cols = tuple(zip(*mat))
-                    mat = _TapColumns(cols[taps[j]], cols[taps[j] - 1])
+                    mat = _TapColumns(cols[taps[j]], cols[taps[j] - 1], (len(cols), taps[j]), mat)
                 else:
                     mat = interned.setdefault(_matrix_key(mat), mat)
                 edges.append(((i, j), mat))
             slots = (*taps, *([] if out is None else [Tap(*out).player]))
             counts, players = tuple(self._counts[base:]), tuple(self._players[base:])
             self._recordings[key] = _Recording(base, slots, counts, players, tuple(edges), spec, tuple(_steps(spec)))
-            return p
-        in1, in2 = self._resolve_taps([in1, in2])
-        if in1.player == in2.player:
-            return build(in1, in2, out)
+            return outputs
+        inputs = self._resolve_taps(inputs)
+        if len({tap.player for tap in inputs}) < len(inputs):
+            return build(inputs, out)
         self._reserve(len(rec.counts))
         if out is not None:
             out, _ = self._claim_output(out, rec.spec.kind)
         shift = self.num_players - rec.base
-        where = dict(zip(rec.slots, (in1, in2, out)))
+        where = dict(zip(rec.slots, (*inputs, out)))
         self._counts += rec.counts
         self._players += rec.players
         self._driven.update(range(rec.base + shift, self.num_players))
+        edges, base = self._edges, rec.base
         for (i, j), mat in rec.edges:
-            i = i + shift if i >= rec.base else where[i].player
-            if j >= rec.base:
+            if j >= base:
                 j += shift
             else:
-                s, j = where[j].strategy, where[j].player
+                j, s = where[j]
                 if type(mat) is _TapColumns:
-                    mat = self._tap_matrix(self._counts[j], s, mat.other, mat.tapped)
-            self._merge((i, j), mat)
+                    n = self._counts[j]
+                    mat = mat.matrix if (n, s) == mat.shape else self._tap_matrix(n, s, mat.other, mat.tapped)
+            if i >= base:
+                edges[i + shift, j] = mat  # a player this copy made has no edges yet
+            else:
+                self._merge((where[i].player, j), mat)
         stamp = _Stamp(rec, shift, where)
         self._record(stamp)
-        return stamp.moved(rec.spec.output)
+        return tuple(map(stamp.moved, rec.spec.outputs))
 
     # -- primitive builders ----------------------------------------------------
 

@@ -17,7 +17,10 @@ constructions are provided, trading size against accuracy:
 The ``log`` construction is the median of three *brittle* multipliers, each
 correct only when its first input is far from every multiple of
 ``2^-beta``; shifting the input by 0, ``delta`` and ``2*delta`` guarantees
-at most one copy is unreliable, and the median discards it.
+at most one copy is unreliable, and the median discards it.  A circuit
+builds the first input's *digits* (the staggering and three digit
+extractions) once per first input and the *product* from them per
+multiplier; see :func:`build_robust_multiplier` for why sharing is sound.
 
 Multiplying ``m`` values chains ``m - 1`` gadgets; the accumulated error is
 at most ``d * m * eps^c`` with ``(c, d) = (1, 19)`` for unary and
@@ -27,6 +30,7 @@ at most ``d * m * eps^c`` with ``(c, d) = (1, 19)`` for unary and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 from typing import Any, Sequence
 
@@ -157,6 +161,15 @@ def build_unary_multiplier(
     return outputs[0]
 
 
+def _digit_product(circuit: GadgetCircuit, bits: Sequence[Tap], in2: Tap, out: Tap | None = None) -> Tap:
+    """Sum of value(in2) * 2^-i over the lit digits i of ``bits``."""
+    gated = [
+        circuit.build_mask(bit, circuit.build_scale(in2, rational(1, 2**i)))
+        for i, bit in enumerate(bits, start=1)
+    ]
+    return circuit.build_scaled_sum(gated, rational(1), out=out)
+
+
 def build_brittle_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -170,13 +183,66 @@ def build_brittle_multiplier(
     beta = beta_for_eps(eps)
     _check_brittle_eps(eps, beta)
     with circuit._composite("brittle_mult", (in1, in2), out, (("eps", eps), ("beta", beta))) as outputs:
-        bits = circuit.build_bit_extract(in1, beta)
-        gated = []
-        for i, bit in enumerate(bits, start=1):
-            weight = rational(1, 2**i)
-            share = circuit.build_scale(in2, weight)
-            gated.append(circuit.build_mask(bit, share))
-        outputs.append(circuit.build_scaled_sum(gated, rational(1), out=out))
+        outputs.append(_digit_product(circuit, circuit.build_bit_extract(in1, beta), in2, out))
+    return outputs[0]
+
+
+def _robust_digits(circuit: GadgetCircuit, in1: Tap, eps: Rat, beta: int, delta: Rat) -> tuple[Tap, ...]:
+    """``beta`` digits for each brittle copy: of value(in1) raised to the
+    staggering floor, then lowered by 0, ``delta`` and ``2 * delta``."""
+    with circuit._composite("robust_digits", (in1,), None, (("eps", eps), ("beta", beta), ("delta", delta))) as bits:
+        raised = circuit.build_max(in1, circuit.build_assign(2 * delta + 7 * eps))
+        shifts = circuit.build_assign(delta), circuit.build_assign(2 * delta)
+        lowered = [circuit.build_minus(shift, raised) for shift in shifts]  # max(0, raised - shift)
+        for x in (raised, *lowered):
+            bits += circuit.build_bit_extract(x, beta)
+    return tuple(bits)
+
+
+def _robust_product(circuit: GadgetCircuit, taps: Sequence[Tap], eps: Rat, beta: int, out: Tap | None) -> tuple[Tap]:
+    """The median of the three brittle copies' products, on inputs ``(in1,
+    in2, *digits)``; in1 is read only through its digits."""
+    with circuit._composite("robust_product", taps, out, (("eps", eps), ("beta", beta))) as outputs:
+        in2, bits = taps[1], taps[2:]
+        votes = [_digit_product(circuit, bits[i : i + beta], in2) for i in range(0, 3 * beta, beta)]
+        outputs.append(circuit.build_median(*votes, out=out))
+    return (outputs[0],)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _robust_params(eps: Rat) -> tuple[int, Rat]:
+    """(beta, delta) of a robust multiplier at exact ``eps``, checked once per
+    value and type of eps."""
+    if eps <= 0 or eps > rational(1, 1000):
+        raise ParameterError(f"robust multiplier needs 0 < eps <= 1/1000, got {eps}")
+    beta = beta_for_eps(eps)
+    _check_brittle_eps(eps, beta)
+    delta = 7 * beta * eps
+    floor_value = 2 * delta + 7 * eps
+    if floor_value > 1:
+        raise ParameterError(
+            f"eps={eps} makes the staggering floor {floor_value} exceed 1"
+        )
+    return beta, delta
+
+
+def _robust_multiplier(circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None, stamp: bool) -> Tap:
+    """:func:`build_robust_multiplier`, stamping each part if ``stamp``; the
+    digits come from the circuit's table when an earlier multiplier built them."""
+    _check_exact((eps,), "eps")
+    beta, delta = _robust_params(eps)
+    repeat = circuit._build_repeated if stamp else lambda key, build, inputs, o: build(inputs, o)
+    params = (("eps", eps), ("beta", beta), ("delta", delta))
+    with circuit._composite("robust_mult", (in1, in2), out, params) as outputs:
+        key = (Tap(*in1), type(eps), eps, circuit._scope(""))
+        bits = circuit._shared.get(key)
+        if bits is None:
+            digits = ("robust_digits", type(eps), eps)
+            bits = repeat(digits, lambda taps, _: _robust_digits(circuit, taps[0], eps, beta, delta), (in1,), None)
+        product = ("robust_product", type(eps), eps)
+        outputs += repeat(product, lambda taps, o: _robust_product(circuit, taps, eps, beta, o), (in1, in2, *bits), out)
+    # a multiplier that raised recorded no digits, so it shares none
+    circuit._shared[key] = bits
     return outputs[0]
 
 
@@ -188,29 +254,20 @@ def build_robust_multiplier(
 
     Accepts ``eps <= 1/1000`` (components remain sound); the error band is
     certified for ``eps <= 1/100000``.
+
+    The staggering and the three digit extractions read only in1, so a
+    circuit builds them once per first input tap, eps (value and type) and
+    scope, and every later multiplier there reads the same digit players;
+    only the masks, their sums and the median are built per multiplier.
+    Sharing keeps each multiplier's guarantee.  A polymatrix player's
+    payoff reads only its own in-edges; a second reader adds out-edges to
+    a digit player and leaves its in-edges as they were.  So each
+    multiplier's players, with the shared digits, are exactly the players
+    of a standalone multiplier, every one best-responding to the same
+    payoffs, and a chain of ``m`` values still errs by at most
+    ``d * m * eps^c``.
     """
-    _check_exact((eps,), "eps")
-    if eps <= 0 or eps > rational(1, 1000):
-        raise ParameterError(f"robust multiplier needs 0 < eps <= 1/1000, got {eps}")
-    beta = beta_for_eps(eps)
-    _check_brittle_eps(eps, beta)
-    delta = 7 * beta * eps
-    floor_value = 2 * delta + 7 * eps
-    if floor_value > 1:
-        raise ParameterError(
-            f"eps={eps} makes the staggering floor {floor_value} exceed 1"
-        )
-    params = (("eps", eps), ("beta", beta), ("delta", delta))
-    with circuit._composite("robust_mult", (in1, in2), out, params) as outputs:
-        floor_const = circuit.build_assign(floor_value)
-        raised = circuit.build_max(in1, floor_const)
-        shift1 = circuit.build_assign(delta)
-        shift2 = circuit.build_assign(2 * delta)
-        lowered1 = circuit.build_minus(shift1, raised)  # max(0, raised - delta)
-        lowered2 = circuit.build_minus(shift2, raised)  # max(0, raised - 2*delta)
-        votes = [build_brittle_multiplier(circuit, x, in2, eps) for x in (raised, lowered1, lowered2)]
-        outputs.append(circuit.build_median(*votes, out=out))
-    return outputs[0]
+    return _robust_multiplier(circuit, in1, in2, eps, out, stamp=False)
 
 
 def build_multiplier(
@@ -222,13 +279,17 @@ def build_multiplier(
     out: Tap | None = None,
 ) -> Tap:
     """Dispatch to the requested construction (``unary`` or ``log``).  A
-    repeated multiplier is built once per circuit and stamped (the same
-    players, edges and specs); a builder called directly always builds."""
+    repeated gadget is built once per circuit and stamped (the same
+    players, edges and specs): a unary multiplier, or a log multiplier's
+    two parts, its first input's digits and the product built from them;
+    a builder called directly always builds."""
     get_params(construction)
-    builder = build_unary_multiplier if construction == "unary" else build_robust_multiplier
+    if construction == "log":
+        return _robust_multiplier(circuit, in1, in2, eps, out, stamp=True)
+    key = (construction, type(eps), eps)
     return circuit._build_repeated(
-        (construction, type(eps), eps), lambda a, b, o: builder(circuit, a, b, eps, out=o), in1, in2, out
-    )
+        key, lambda taps, o: (build_unary_multiplier(circuit, *taps, eps, out=o),), (in1, in2), out
+    )[0]
 
 
 def build_multiplication_chain(
@@ -264,13 +325,18 @@ def predicted_player_count(construction: str, eps: Rat) -> int:
     Closed forms: ``C^2 + 2C + 2`` for unary with ``C = ceil(1/(3 eps))``
     cells, and ``27 * beta + 57`` for the log construction (three brittle
     copies at ``9 beta`` each, plus 17 for the staggering and 40 for the
-    median).
+    median).  Its parts are ``log_digits``, ``15 * beta + 11`` players built
+    once per first input (the staggering and three ``5 beta - 2`` digit
+    extractions), and ``log_product``, ``12 * beta + 46`` per multiplier.
     """
     if construction == "unary":
         cells = unary_cells(eps)
         return cells * cells + 2 * cells + 2
-    if construction == "brittle":
-        return 9 * beta_for_eps(eps)
-    if construction == "log":
-        return 27 * beta_for_eps(eps) + 57
-    raise ParameterError(f"unknown construction {construction!r}")
+    if construction not in _LOG_SIZES:
+        raise ParameterError(f"unknown construction {construction!r}")
+    per_digit, fixed = _LOG_SIZES[construction]
+    return per_digit * beta_for_eps(eps) + fixed
+
+
+# (players per binary digit, fixed players) of each digit-based count
+_LOG_SIZES = {"brittle": (9, 0), "log": (27, 57), "log_digits": (15, 11), "log_product": (12, 46)}

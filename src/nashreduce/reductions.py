@@ -231,14 +231,21 @@ def estimate_linearized_players(
     """Exact player count :func:`linearize` would build, without building it.
 
     Each mediator costs 2 players when k = 2 (a copy wire) and
-    ``(k - 2) * size(multiplier)`` players otherwise.
+    ``(k - 2) * size(multiplier)`` players otherwise, but log digits are
+    built once per first input: a chain's first link reads a strategy of
+    player 1 (player 0's mediators) or of player 0 (the others'), and every
+    later link reads a new product.
     """
     k = game.k
+    total = k
     if k == 2:
         per_mediator = 2
     else:
         per_mediator = (k - 2) * predicted_player_count(construction, eps_m)
-    total = k
+        if construction == "log":
+            digits = predicted_player_count("log_digits", eps_m)
+            per_mediator -= digits
+            total += sum(game.strategy_counts[:2]) * digits
     for i in range(k):
         total += math.prod(game.opponent_counts(i)) * per_mediator
     return total

@@ -285,13 +285,13 @@ def test_reduce_linearize_log_ledger(runner, dominant_file, tmp_path):
     )
     assert result.exit_code == 0
     assert "eps_m = 1/100000" in result.output
-    assert "polymatrix players = 3603" in result.output
+    assert "polymatrix players = 2435" in result.output
     ledger = (tmp_path / "lin.ledger.txt").read_text()
     assert "construction = log" in ledger
     assert "eps_m = 1/100000" in ledger
     game = read_game(tmp_path / "lin.game.json")
     assert isinstance(game, PolymatrixGame)
-    assert game.m == 3603
+    assert game.m == 2435
 
 
 def test_reduce_full_writes_normalized(runner, tmp_path):
@@ -325,10 +325,10 @@ REDUCE_OUTPUTS = {
     # name: (strategy counts, source seed, reduce options, {file suffix: sha256});
     # the game and mapping digests are of version 2 files
     "log-full-222": ((2, 2, 2), 7, ("--eps-k", "9/10", "--construction", "log"), {
-        "game.json": "a840c5ee47a066ac2aa4f4f029360f5f4e07e1e0f57d1bbc33c80549d0d46c73",
-        "ledger.txt": "7c05a6d41316e8fc536a3846b2ce0c9553831b6494634a7a39509f89bab328e9",
-        "mapping.json": "0bc081cd66fbcf4a6ee80f38a44c49f20c6c893eaaa05c3ace93b61ec5ad1ef1",
-        "normalized.json": "dfc7b698c2ab2181365124316253b328f57c94b0a9a48922173c22ad0c9f4a15",
+        "game.json": "811902e00512af4231d40912822a61f20aaf1c9c84c27eb2bfcf976808ccfac9",
+        "ledger.txt": "75b2e2df8b79d7342244312080f37fd14eef3dac7c49217816cdd9da9753083b",
+        "mapping.json": "67b018a9cb2168c24585e26e12cf7a8be23ab8e137fd4f0fc882e60c0401003a",
+        "normalized.json": "cb732e369f80da698ad9d4c81df07e49dc029398436970e0d4b3f2e4e72ae03d",
     }),
     "unary-linearize-22": ((2, 2), 5, ("--eps-k", "1/2", "--construction", "unary", "--stage", "linearize"), {
         "game.json": "5492e6428329363ace4399165d246bf0cb816a0f59c046f51f19de4fabf4e52e",

@@ -7,6 +7,8 @@ equilibria, and the closed form is separately checked against the
 advertised error band around the true product.  Player counts are pinned to their closed forms.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,9 +31,11 @@ from nashreduce.multipliers import (
 )
 
 from lift_oracles import (
+    MIXED_PLANTS,
     brittle_lift_value,
     chain_lift_value,
     robust_lift_value,
+    spec_walk_lift,
     unary_lift_value,
 )
 
@@ -155,11 +159,20 @@ def test_log_player_counts(eps, brittle, robust):
     (spec,) = c.specs
     assert spec.kind == "robust_mult"
     assert spec_player_count(spec) == robust
-    kinds = [inner.kind for inner in spec.internal]
-    assert kinds == [
+    digits, product = spec.internal
+    assert [inner.kind for inner in digits.internal] == [
         "assign", "max", "assign", "assign", "minus", "minus",
-        "brittle_mult", "brittle_mult", "brittle_mult", "median",
+        "bit_extract", "bit_extract", "bit_extract",
     ]
+    beta = beta_for_eps(eps)
+    assert [inner.kind for inner in product.internal] == (["scale", "mask"] * beta + ["scaled_sum"]) * 3 + ["median"]
+    assert spec_player_count(digits) == predicted_player_count("log_digits", eps)
+    assert spec_player_count(product) == predicted_player_count("log_product", eps)
+    # a second multiplier on the same first input reads the same digits
+    build_robust_multiplier(c, a, c.add_input(), eps)
+    assert c.num_players - 3 == robust + predicted_player_count("log_product", eps)
+    assert [inner.kind for inner in c.specs[1].internal] == ["robust_product"]
+    assert c.specs[1].internal[0].inputs[2:] == digits.outputs
 
 
 def test_chain_player_count_is_per_link():
@@ -301,6 +314,56 @@ def test_brittle_code_caps_below_one():
     # v1 = 1 must not need a beta+1-digit code
     eps = R(1, 10**4)
     assert brittle_lift_value(R(1), R(1), eps) == R(127, 128)
+
+
+# ---------------------------------------------------------------------------
+# multipliers sharing their first input's digits
+
+FAN_EPS = R(1, 10**5)  # beta = 9, so the digits resolve multiples of 1/512
+FAN_MARGIN = 3 * 9 * FAN_EPS  # a brittle copy is reliable this far from a multiple
+
+
+def fan_out_cases():
+    """in1 and three in2 values: pure, the planted mixed profiles' values,
+    and in1 at, and within 3 beta eps of, multiples of 2^-beta."""
+    rng = random.Random(29)
+    seeded = lambda: tuple(R(rng.randint(0, den), den) for den in (97, 100, 256))  # noqa: E731
+    cases = {"pure-0": (R(0), (R(1), R(0), R(1))), "pure-1": (R(1), (R(1), R(0), R(1)))}
+    for seed, plant in MIXED_PLANTS.items():
+        cases[f"mixed-{seed}"] = (plant[0][1], tuple(p[1] for p in plant))
+    for k in (1, 256, 511):
+        for name, off in (("at", 0), ("below", -FAN_MARGIN), ("above", FAN_MARGIN), ("just-above", FAN_EPS)):
+            cases[f"{name}-{k}"] = (R(k, 512) + off, seeded())
+    return cases
+
+
+FAN_OUT = fan_out_cases()
+
+
+@pytest.mark.parametrize("case", FAN_OUT)
+def test_multipliers_sharing_digits_keep_their_guarantee(case):
+    v1, v2s = FAN_OUT[case]
+    c = GadgetCircuit()
+    a = c.add_input()
+    bs = [c.add_input() for _ in v2s]
+    outs = [build_robust_multiplier(c, a, b, FAN_EPS) for b in bs]
+    assert c.num_players == 4 + predicted_player_count("log_digits", FAN_EPS) + 3 * predicted_player_count(
+        "log_product", FAN_EPS
+    )
+    inputs = {a.player: v1, **{b.player: v2 for b, v2 in zip(bs, v2s)}}
+    profile = c.lift(inputs)
+    assert c.combine().verify_wsne(profile, FAN_EPS, clamped=set(inputs)).ok
+    assert list(profile) == spec_walk_lift(c, inputs)
+    for out, v2 in zip(outs, v2s):
+        got = profile[out.player][1]
+        assert got == robust_lift_value(v1, v2, FAN_EPS)
+        assert BINARY_LOG.within_error(got - v1 * v2, 1, FAN_EPS)
+    if case.startswith(("at-", "above-", "just-above-")):
+        # the brittle regime: the lowest staggered copy reads a digit fewer,
+        # and the median discards it
+        delta = 7 * 9 * FAN_EPS
+        votes = {brittle_lift_value(x, R(1), FAN_EPS) for x in (v1, v1 - delta, v1 - 2 * delta)}
+        assert len(votes) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ def test_linearize_three_player_log_inventory_and_pure_lift():
     game = pure_nash_game()
     gm, mapping, params = linearize(game, R(9, 10), "log")
     assert params.eps_m == R(1, 100000)
-    assert gm.m == estimate_linearized_players(game, params.eps_m, "log") == 3603
+    assert gm.m == estimate_linearized_players(game, params.eps_m, "log") == 2435
     assert len(mediators_of(gm)) == 12
     pure = [(R(0), R(1)), (R(1), R(0)), (R(0), R(1))]
     lifted = lift_to_polymatrix(pure, mapping)
@@ -273,6 +273,19 @@ def test_linearize_three_player_log_inventory_and_pure_lift():
     result = gm.verify_wsne(lifted, R(0))
     assert result.ok, result.violations[:3]
     assert recover_from_polymatrix(gm, lifted, mapping) == pure
+
+
+@pytest.mark.parametrize(
+    "shape, construction",
+    [((2, 2), "log"), ((2, 2, 2), "log"), ((3, 2, 2), "log"), ((3, 3, 3), "log"), ((2, 2, 2, 2), "log"),
+     ((2, 2), "unary")],
+)
+def test_the_estimate_is_the_built_player_count(shape, construction):
+    # a log chain's first link shares the digits of its first input with
+    # every other chain's; later links read products and share nothing
+    game = random_normal_form(7, shape)
+    gm, _, params = linearize(game, R(9, 10), construction)
+    assert gm.m == estimate_linearized_players(game, params.eps_m, construction)
 
 
 def test_linearize_three_player_mixed_lift_payoff_distance():

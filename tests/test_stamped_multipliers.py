@@ -2,14 +2,20 @@
 
 ``build_multiplier`` builds a circuit's first multiplier per construction,
 eps and scope through the ordinary builder and stamps every later one from
-a recording of that build.  The oracle is the same call sequence made with
-``build_unary_multiplier`` and ``build_robust_multiplier`` directly, which
-always build: both circuits must have the same players, specs, edges,
-lifted profiles and written files, and fail with the same errors.
+a recording of that build.  A log multiplier is stamped in two parts: its
+first input's digits, which a circuit holds once per first input tap, eps
+and scope, and the product built from them.  The oracle is the same call
+sequence made with ``build_unary_multiplier`` and
+``build_robust_multiplier`` directly, which always build (a direct log
+multiplier shares digits through the same table): both circuits must have
+the same players, specs, edges, lifted profiles and written files, and
+fail with the same errors.
 """
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +25,7 @@ from nashreduce.fileio import write_game
 from nashreduce.gadgets import GadgetCircuit, Tap
 from nashreduce.model import pure_strategy, random_normal_form
 from nashreduce.multipliers import build_multiplication_chain, predicted_player_count
-from nashreduce.reductions import lift_to_polymatrix, linearize
+from nashreduce.reductions import estimate_linearized_players, lift_to_polymatrix, linearize
 
 EPS = {"unary": R(1, 4), "log": R(1, 1000)}
 BUILDERS = {"unary": "build_unary_multiplier", "log": "build_robust_multiplier"}
@@ -30,23 +36,30 @@ def direct_multiplier(circuit, in1, in2, eps, construction="unary", out=None):
     return getattr(multipliers, BUILDERS[construction])(circuit, in1, in2, eps, out=out)
 
 
+# what builds a multiplier anew: a unary one, or a log one's product; and
+# what builds a log multiplier's digits anew
+PRODUCT_BUILDERS = ("build_unary_multiplier", "_robust_product")
+DIGITS_BUILDER = "_robust_digits"
+
+
 def run_both(monkeypatch, script):
     """Run ``script()`` through ``build_multiplier`` and then with every
-    multiplier built directly (chains included).  Returns both results and
-    how many times each run called a builder."""
+    multiplier built directly (chains included).  Returns both results, how
+    many multipliers the stamped run built and the direct run built, and
+    the same pair for log digit sets."""
     runs = []
     for stamping in (True, False):
-        calls = []
+        calls = Counter()
         with monkeypatch.context() as m:
-            for name in BUILDERS.values():
+            for name in (*PRODUCT_BUILDERS, DIGITS_BUILDER):
                 builder = getattr(multipliers, name)
-                m.setattr(multipliers, name, lambda *a, _b=builder, **k: calls.append(1) or _b(*a, **k))
+                m.setattr(multipliers, name, lambda *a, _n=name, _b=builder, **k: calls.update([_n]) or _b(*a, **k))
             if not stamping:
                 m.setattr(multipliers, "build_multiplier", direct_multiplier)
             result = script()
-        runs.append((result, len(calls)))
-    (stamped, built), (direct, calls) = runs
-    return stamped, direct, built, calls
+        runs.append((result, sum(calls[name] for name in PRODUCT_BUILDERS), calls[DIGITS_BUILDER]))
+    (stamped, built, digits_built), (direct, calls, digits) = runs
+    return stamped, direct, built, calls, (digits_built, digits)
 
 
 def exact_repr(edges) -> str:
@@ -94,8 +107,10 @@ def test_repeated_multipliers_match_direct_builds(monkeypatch, tmp_path, constru
         multipliers.build_multiplier(c, b, a, eps, construction)
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
     assert (built, calls) == (1, 3)
+    # three first inputs: one digits recording, stamped twice
+    assert digits == ((1, 3) if construction == "log" else (0, 0))
     assert_same(stamped, direct, tmp_path)
 
 
@@ -113,8 +128,10 @@ def test_wide_inputs_tapped_at_every_strategy(monkeypatch, tmp_path, constructio
         multipliers.build_multiplier(c, Tap(wide.player, 1), Tap(other.player, 0), eps, construction)
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
     assert (built, calls) == (1, 7)
+    # first inputs wide at 0, 1 and 2, and binary
+    assert digits == ((1, 4) if construction == "log" else (0, 0))
     assert_same(stamped, direct, tmp_path)
 
 
@@ -133,8 +150,11 @@ def test_chains_of_four_factors_with_and_without_out(monkeypatch, tmp_path, cons
         build_multiplication_chain(c, [b, Tap(d.player, 0), e, Tap(a.player, 1)], eps, construction)
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
     assert (built, calls) == (2, 12)  # one recording with out given, one without
+    # a chain's first link shares the digits of a at 0, 1, 2 or of b; each
+    # later link reads a new product
+    assert digits == ((1, 4 + 4 * 2) if construction == "log" else (0, 0))
     assert_same(stamped, direct, tmp_path)
 
 
@@ -151,9 +171,11 @@ def test_nested_scopes_keep_their_own_recordings(monkeypatch, tmp_path):
                 multipliers.build_multiplier(c, b, a, eps, "log", out=Tap(c.add_player(), 1))
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
     # the top level, the left and right chains, left and right with out given
     assert (built, calls) == (5, 7)
+    # the same five scopes; the second left reads the first left's digits
+    assert digits == (5, 5)
     assert_same(stamped, direct, tmp_path)
     scopes = {info.scope.split("/")[0] for info in stamped.combine().players}
     assert {"left", "right", "robust_mult"} <= scopes
@@ -172,9 +194,49 @@ def test_two_inputs_on_one_player_are_built_directly(monkeypatch, tmp_path):
         multipliers.build_multiplier(c, b, Tap(wide.player, 0), eps, "log")
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
+    # the product of inputs on one player is built; its digits read only
+    # in1, so they are stamped and shared as any other's
     assert (built, calls) == (4, 5)
+    assert digits == (1, 4)  # wide at 0, 1 and 2, and b
     assert_same(stamped, direct, tmp_path)
+
+
+class Exact(Fraction):
+    """Fraction's values under another exact type."""
+
+
+def test_each_sharing_key_builds_its_own_digits(monkeypatch, tmp_path):
+    eps = EPS["log"]
+
+    def script():
+        c = GadgetCircuit()
+        wide, b = c.add_input(n=3), c.add_input()
+        first = Tap(wide.player, 0)
+        # another strategy of in1's player, another eps, an equal eps of
+        # another type: each builds its own digits
+        for in1, e in ((first, eps), (Tap(wide.player, 1), eps), (first, R(1, 10**4)), (first, Exact(eps))):
+            multipliers.build_multiplier(c, in1, b, e, "log")
+        with c._composite("outer", (wide, b)):  # another scope
+            multipliers.build_multiplier(c, first, b, eps, "log")
+        multipliers.build_multiplier(c, first, Tap(wide.player, 2), eps, "log", out=Tap(c.add_player(), 1))
+        return c
+
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
+    # stamped: one recording of each part per eps, type and scope (the
+    # product's also per whether out is given); the second and the last
+    # multiplier read the first's digits
+    assert (built, calls) == (5, 6)
+    assert digits == (4, 5)
+    assert_same(stamped, direct, tmp_path)
+    mults = stamped.specs
+    assert [len(m.internal) for m in mults] == [2, 2, 2, 2, 1, 1]
+    assert mults[5].internal[0].inputs[2:] == mults[0].internal[0].outputs
+    # eps: three sets of digits and four products; the out player stands in
+    # for the last product's output
+    size = predicted_player_count
+    others = sum(size(part, e) for e in (R(1, 10**4), Exact(eps)) for part in ("log_digits", "log_product"))
+    assert stamped.num_players == 2 + 3 * size("log_digits", eps) + 4 * size("log_product", eps) + others
 
 
 def test_an_out_player_with_earlier_edges(monkeypatch, tmp_path):
@@ -190,8 +252,9 @@ def test_an_out_player_with_earlier_edges(monkeypatch, tmp_path):
             multipliers.build_multiplier(c, a, Tap(b.player, q), eps, "log", out=Tap(mediator, 1))
         return c
 
-    stamped, direct, built, calls = run_both(monkeypatch, script)
+    stamped, direct, built, calls, digits = run_both(monkeypatch, script)
     assert (built, calls) == (1, 3)
+    assert digits == (1, 1)
     assert_same(stamped, direct, tmp_path)
 
 
@@ -210,7 +273,8 @@ def test_adding_to_a_stamped_edge_changes_no_other_edge(monkeypatch, tmp_path):
         c.add_edge_matrix(first, first + 1, added)
         return c, (first, middle, last)
 
-    (stamped, players), (direct, _), _, _ = run_both(monkeypatch, script)
+    (stamped, players), (direct, _), _, _, digits = run_both(monkeypatch, script)
+    assert digits == (1, 1)
     assert_same(stamped, direct, tmp_path)
     edges = stamped.combine().edges
     first, middle, last = ((p, p + 1) for p in players)
@@ -229,7 +293,7 @@ def test_a_repeated_gadget_adds_onto_edges_that_exist(tmp_path):
             c.add_edge_matrix(out.player, a.player, [[R(q, 8), 0, 0], [0, 0, R(1, 4)]])
             inputs = (Tap(a.player, q), b)
             if repeat:
-                c._build_repeated(("compare",), lambda x, y, o: c.build_compare(x, y, out=o), *inputs, out)
+                c._build_repeated(("compare",), lambda taps, o: (c.build_compare(*taps, out=o),), inputs, out)
             else:
                 c.build_compare(*inputs, out=out)
         return c
@@ -241,10 +305,15 @@ def test_a_repeated_gadget_adds_onto_edges_that_exist(tmp_path):
 def test_linearize_matches_direct_builds(monkeypatch, tmp_path, shape):
     source = random_normal_form(random.Random(7), shape)
     runs = run_both(monkeypatch, lambda: linearize(source, R(9, 10), "log"))
-    (gm, mapping, _), (gm_direct, mapping_direct, _), built, calls = runs
+    (gm, mapping, params), (gm_direct, mapping_direct, _), built, calls, digits = runs
     # one recording with out given; a 4-player source's chains add one without
     assert built == len(shape) - 2
-    assert calls == (len(shape) - 2) * sum(math.prod(source.opponent_counts(i)) for i in range(len(shape)))
+    mediators = sum(math.prod(source.opponent_counts(i)) for i in range(len(shape)))
+    assert calls == (len(shape) - 2) * mediators
+    # one digits recording; built once per strategy of players 0 and 1 (the
+    # chains' first inputs) and once per later link
+    assert digits == (1, sum(shape[:2]) + (len(shape) - 3) * mediators)
+    assert gm.m == estimate_linearized_players(source, params.eps_m, "log")
     assert gm == gm_direct
     assert_same(mapping.circuit, mapping_direct.circuit, tmp_path)
     profile = [pure_strategy(n, n - 1) for n in shape]
@@ -272,6 +341,7 @@ def failure(monkeypatch, script):
 @pytest.mark.parametrize("construction", ["unary", "log"])
 def test_a_budget_that_runs_out_inside_a_stamped_copy(monkeypatch, construction):
     eps = EPS[construction]
+    # a and b are different first inputs, so the two share no digits
     budget = 2 + 2 * predicted_player_count(construction, eps) - 1
 
     def script():
@@ -283,9 +353,30 @@ def test_a_budget_that_runs_out_inside_a_stamped_copy(monkeypatch, construction)
     assert failure(monkeypatch, script) == (SizeBudgetExceeded, f"player budget of {budget} players exhausted")
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        ("log", "log_digits"),  # inside (b, a)'s stamped digits
+        ("log", "log", "log_product"),  # inside the second (a, b), which reads a's digits
+    ],
+)
+def test_a_budget_that_runs_out_inside_a_stamped_part(monkeypatch, parts):
+    eps = EPS["log"]
+    budget = 2 + sum(predicted_player_count(part, eps) for part in parts) - 1
+
+    def script():
+        c = GadgetCircuit(player_budget=budget)
+        a, b = c.add_input(), c.add_input()
+        for in1, in2 in ((a, b), (b, a), (a, b)):
+            multipliers.build_multiplier(c, in1, in2, eps, "log")
+
+    assert failure(monkeypatch, script) == (SizeBudgetExceeded, f"player budget of {budget} players exhausted")
+
+
 def test_a_budget_that_fits_exactly(monkeypatch, tmp_path):
     eps = EPS["log"]
-    budget = 2 + 3 * predicted_player_count("log", eps)
+    # three multipliers on (a, b) build a's digits once
+    budget = 2 + predicted_player_count("log_digits", eps) + 3 * predicted_player_count("log_product", eps)
 
     def script():
         c = GadgetCircuit(player_budget=budget)
@@ -294,7 +385,8 @@ def test_a_budget_that_fits_exactly(monkeypatch, tmp_path):
             multipliers.build_multiplier(c, a, b, eps, "log")
         return c
 
-    stamped, direct, _, _ = run_both(monkeypatch, script)
+    stamped, direct, _, _, digits = run_both(monkeypatch, script)
+    assert digits == (1, 1)
     assert stamped.num_players == budget
     assert_same(stamped, direct, tmp_path)
 
