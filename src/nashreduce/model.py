@@ -417,11 +417,9 @@ def _scaled_profile(
     indices ``offsets[i]:offsets[i + 1]``, validated and scaled in one pass
     (:func:`_scaled`): ``(scales, units)`` with player ``i``'s strategy
     ``units[a:b] / scales[i]``.  Each player's unit sum is ``sum(nums) ==
-    L``.  Players that hold one tuple object share its scaling: the pass
-    runs over the distinct objects in the order they first appear, so an
-    error names the first player at fault.  A :class:`ScaledProfile` over
-    equal offsets, by identity or by value, hands back its own ints
-    instead."""
+    L``, and an error names the first player at fault.  A
+    :class:`ScaledProfile` over equal offsets, by identity or by value,
+    hands back its own ints instead."""
     if type(profile) is ScaledProfile and (profile.offsets is offsets or profile.offsets == offsets):
         return profile.scales, profile.units
     counts = [b - a for a, b in zip(offsets, offsets[1:])]
@@ -432,25 +430,11 @@ def _scaled_profile(
     if lengths != counts:
         i = next(i for i, (k, n) in enumerate(zip(lengths, counts)) if k != n)
         raise DimensionMismatch(f"{what} {i} strategy has length {lengths[i]}, expected {counts[i]}")
-    # player i holds distinct object which[i], first held by player firsts[which[i]];
-    # vectors keeps every object, so no id is reused
-    slot: dict[int, int] = {}
-    firsts, which = [], []
-    for i, v in enumerate(vectors):
-        k = slot.setdefault(id(v), len(firsts))
-        if k == len(firsts):
-            firsts.append(i)
-        which.append(k)
-    bounds = tuple(itertools.accumulate((lengths[i] for i in firsts), initial=0))
-    scales, units, masses = _scaled(
-        [x for i in firsts for x in vectors[i]], bounds, lambda k: f"{what} {firsts[k]} strategy"
-    )
+    scales, units, masses = _scaled([x for v in vectors for x in v], offsets, lambda i: f"{what} {i} strategy")
     if masses != scales:
-        k = next(k for k, (mass, scale) in enumerate(zip(masses, scales)) if mass != scale)
-        raise ParameterError(f"{what} {firsts[k]} strategy does not sum to 1")
-    parts = [units[a:b] for a, b in zip(bounds, bounds[1:])]
-    spread = itertools.chain.from_iterable(map(parts.__getitem__, which))
-    return list(map(scales.__getitem__, which)), list(spread)
+        i = next(i for i, (mass, scale) in enumerate(zip(masses, scales)) if mass != scale)
+        raise ParameterError(f"{what} {i} strategy does not sum to 1")
+    return scales, units
 
 
 def _scaled_blocks(

@@ -11,8 +11,10 @@ constructions are provided, trading size against accuracy:
   within ``19 * eps`` of the product; valid for ``eps <= 1/4``.
 * ``log`` -- binary digits of the first input, masked and recombined;
   O(log(1/eps)) players; output within ``3 * sqrt(eps)`` of the product.
-  The builder accepts ``eps <= 1/1000`` (all component preconditions hold
-  there); the stated error band is certified for ``eps <= 1/100000``.
+  The builder accepts ``eps <= 1/1000`` except ``1/2304 <= eps < 1/1024``
+  and ``1/5376 <= eps < 1/4096``, where no digit count is both fine
+  enough and reliable; the stated error band is certified for
+  ``eps <= 1/100000``.
 
 The ``log`` construction is the median of three *brittle* multipliers, each
 correct only when its first input is far from every multiple of
@@ -49,7 +51,6 @@ __all__ = [
     "beta_for_eps",
     "unary_cells",
     "build_unary_multiplier",
-    "build_brittle_multiplier",
     "build_robust_multiplier",
     "build_multiplier",
     "build_multiplication_chain",
@@ -123,16 +124,6 @@ def unary_cells(eps: Rat) -> int:
     return ceil(1 / (3 * eps))
 
 
-def _check_brittle_eps(eps: Rat, beta: int) -> None:
-    # reliable digits need inputs 3*beta*eps-far from multiples of 2^-beta,
-    # which requires that margin to fit twice into one cell
-    if 6 * beta * eps * 2**beta >= 1:
-        raise ParameterError(
-            f"eps={eps} is too coarse for beta={beta} binary digits "
-            "(need 6*beta*eps < 2^-beta)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -170,23 +161,6 @@ def _digit_product(circuit: GadgetCircuit, bits: Sequence[Tap], in2: Tap, out: T
     return circuit.build_scaled_sum(gated, rational(1), out=out)
 
 
-def build_brittle_multiplier(
-    circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
-) -> Tap:
-    """Product via binary digits of the first input; small but *brittle*.
-
-    The output is correct (within the digit resolution ``2^-beta``) only
-    when value(in1) is at least ``3 * beta * eps`` away from every multiple
-    of ``2^-beta``; elsewhere it is arbitrary.
-    """
-    _check_exact((eps,), "eps")
-    beta = beta_for_eps(eps)
-    _check_brittle_eps(eps, beta)
-    with circuit._composite("brittle_mult", (in1, in2), out, (("eps", eps), ("beta", beta))) as outputs:
-        outputs.append(_digit_product(circuit, circuit.build_bit_extract(in1, beta), in2, out))
-    return outputs[0]
-
-
 def _robust_digits(circuit: GadgetCircuit, in1: Tap, eps: Rat, beta: int, delta: Rat) -> tuple[Tap, ...]:
     """``beta`` digits for each brittle copy: of value(in1) raised to the
     staggering floor, then lowered by 0, ``delta`` and ``2 * delta``."""
@@ -216,7 +190,13 @@ def _robust_params(eps: Rat) -> tuple[int, Rat]:
     if eps <= 0 or eps > rational(1, 1000):
         raise ParameterError(f"robust multiplier needs 0 < eps <= 1/1000, got {eps}")
     beta = beta_for_eps(eps)
-    _check_brittle_eps(eps, beta)
+    # reliable digits need inputs 3*beta*eps-far from multiples of 2^-beta,
+    # which requires that margin to fit twice into one cell
+    if 6 * beta * eps * 2**beta >= 1:
+        raise ParameterError(
+            f"eps={eps} is too coarse for beta={beta} binary digits "
+            "(need 6*beta*eps < 2^-beta)"
+        )
     delta = 7 * beta * eps
     floor_value = 2 * delta + 7 * eps
     if floor_value > 1:
@@ -252,8 +232,10 @@ def build_robust_multiplier(
     """Product of two values within ``3 * sqrt(eps)``, via a median of three
     brittle multipliers evaluated at staggered shifts of the first input.
 
-    Accepts ``eps <= 1/1000`` (components remain sound); the error band is
-    certified for ``eps <= 1/100000``.
+    Accepts ``eps <= 1/1000`` except ``1/2304 <= eps < 1/1024`` and
+    ``1/5376 <= eps < 1/4096``: there ``beta = ceil(log4(1/eps))`` digits
+    give ``6 * beta * eps >= 2^-beta``, too coarse for reliable digits.
+    The error band is certified for ``eps <= 1/100000``.
 
     The staggering and the three digit extractions read only in1, so a
     circuit builds them once per first input tap, eps (value and type) and
@@ -323,15 +305,16 @@ def predicted_player_count(construction: str, eps: Rat) -> int:
     """Players a standalone two-input multiplier creates (output included).
 
     Closed forms: ``C^2 + 2C + 2`` for unary with ``C = ceil(1/(3 eps))``
-    cells, and ``27 * beta + 57`` for the log construction (three brittle
-    copies at ``9 beta`` each, plus 17 for the staggering and 40 for the
-    median).  Its parts are ``log_digits``, ``15 * beta + 11`` players built
-    once per first input (the staggering and three ``5 beta - 2`` digit
-    extractions), and ``log_product``, ``12 * beta + 46`` per multiplier.
+    cells, and for the log construction the sum of its parts:
+    ``log_digits``, ``15 * beta + 11`` players built once per first input
+    (the staggering and three ``5 beta - 2`` digit extractions), and
+    ``log_product``, ``12 * beta + 46`` per multiplier.
     """
     if construction == "unary":
         cells = unary_cells(eps)
         return cells * cells + 2 * cells + 2
+    if construction == "log":
+        return predicted_player_count("log_digits", eps) + predicted_player_count("log_product", eps)
     if construction not in _LOG_SIZES:
         raise ParameterError(f"unknown construction {construction!r}")
     per_digit, fixed = _LOG_SIZES[construction]
@@ -339,4 +322,4 @@ def predicted_player_count(construction: str, eps: Rat) -> int:
 
 
 # (players per binary digit, fixed players) of each digit-based count
-_LOG_SIZES = {"brittle": (9, 0), "log": (27, 57), "log_digits": (15, 11), "log_product": (12, 46)}
+_LOG_SIZES = {"log_digits": (15, 11), "log_product": (12, 46)}

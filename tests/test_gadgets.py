@@ -28,7 +28,6 @@ from nashreduce import (
 )
 from nashreduce.gadgets import GADGET_INFO, GADGET_KINDS, GadgetCircuit, Tap, spec_player_count
 from nashreduce.multipliers import (
-    build_brittle_multiplier,
     build_multiplication_chain,
     build_multiplier,
     build_robust_multiplier,
@@ -462,7 +461,6 @@ def test_an_inexact_zeta_fails_before_any_player_is_made(kind, zeta):
 
 MULTIPLIERS = {
     "unary": build_unary_multiplier,
-    "brittle": build_brittle_multiplier,
     "robust": build_robust_multiplier,
     "chain-1": lambda c, a, b, eps: build_multiplication_chain(c, [a], eps, "log"),
     "chain-2": lambda c, a, b, eps: build_multiplication_chain(c, [a, b], eps, "log"),
@@ -531,7 +529,6 @@ EVERY_COMPOSITE = {
     "median": lambda c, a, b, d: c.build_median(a, b, d),
     "bit_extract": lambda c, a, b, d: c.build_bit_extract(a, 3),
     "unary_mult": lambda c, a, b, d: build_unary_multiplier(c, a, b, R(1, 10)),
-    "brittle_mult": lambda c, a, b, d: build_brittle_multiplier(c, a, b, R(1, 1000)),
     "robust_mult": lambda c, a, b, d: build_robust_multiplier(c, a, b, R(1, 1000)),
     "mult_chain": lambda c, a, b, d: build_multiplication_chain(c, [a, b, d], R(1, 1000), "log"),
 }

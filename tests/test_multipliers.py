@@ -8,6 +8,7 @@ advertised error band around the true product.  Player counts are pinned to thei
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from nashreduce.multipliers import (
     MULT_PARAMS,
     UNARY_POLY,
     beta_for_eps,
-    build_brittle_multiplier,
     build_multiplication_chain,
     build_multiplier,
     build_robust_multiplier,
@@ -135,23 +135,16 @@ def test_unary_player_count(eps, count):
 
 
 @pytest.mark.parametrize(
-    "eps,brittle,robust",
+    "eps,robust",
     [
-        (R(1, 1000), 45, 192),
-        (R(1, 10**4), 63, 246),
-        (R(1, 10**6), 90, 327),
-        (R(1, 10**8), 126, 435),
+        (R(1, 1000), 192),
+        (R(1, 10**4), 246),
+        (R(1, 10**6), 327),
+        (R(1, 10**8), 435),
     ],
 )
-def test_log_player_counts(eps, brittle, robust):
-    assert predicted_player_count("brittle", eps) == brittle
+def test_log_player_counts(eps, robust):
     assert predicted_player_count("log", eps) == robust
-    c = GadgetCircuit()
-    a, b = c.add_input(), c.add_input()
-    build_brittle_multiplier(c, a, b, eps)
-    assert c.num_players - 2 == brittle
-    if eps > R(1, 1000):
-        return
     c = GadgetCircuit()
     a, b = c.add_input(), c.add_input()
     build_robust_multiplier(c, a, b, eps)
@@ -207,12 +200,24 @@ def test_robust_rejects_out_of_range_eps():
         build_robust_multiplier(c, a, b, R(1, 999))
 
 
-def test_brittle_rejects_coarse_eps():
-    # beta = 5 digits but 6 * 5 * eps * 32 >= 1
+@pytest.mark.parametrize(
+    "d,builds",
+    [(1000, True), (1024, True), (2305, True), (4096, True), (5377, True)]
+    + [(1025, False), (2304, False), (4097, False), (5376, False)],
+)
+def test_robust_builds_exactly_outside_its_coarse_eps_ranges(d, builds):
+    # below 1/1000 only 1/2304 <= eps < 1/1024 (beta = 6) and
+    # 1/5376 <= eps < 1/4096 (beta = 7) give 6 * beta * eps * 2^beta >= 1
+    eps = R(1, d)
     c = GadgetCircuit()
     a, b = c.add_input(), c.add_input()
-    with pytest.raises(ParameterError):
-        build_brittle_multiplier(c, a, b, R(11, 10000))
+    if builds:
+        build_robust_multiplier(c, a, b, eps)
+        return
+    beta = beta_for_eps(eps)
+    message = f"eps={eps} is too coarse for beta={beta} binary digits (need 6*beta*eps < 2^-beta)"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build_robust_multiplier(c, a, b, eps)
 
 
 def test_chain_rejects_empty_and_unknown():
@@ -240,13 +245,28 @@ def test_unary_lift_matches_oracle(v1, v2, eps):
 
 @settings(max_examples=25, deadline=None)
 @given(rationals_01(), rationals_01())
-def test_brittle_lift_matches_oracle(v1, v2):
+def test_robust_votes_match_brittle_oracle(v1, v2):
+    # each vote of the median, a scaled_sum over one copy's masked digits,
+    # is a brittle product at its staggered first input
     eps = R(1, 10**4)
-    got = lift_output(build_brittle_multiplier, v1, v2, eps)
-    assert got == brittle_lift_value(v1, v2, eps)
-    # on exact lifted inputs the digit code is the true floor, so the
-    # output sits within one digit of the product
-    assert abs(got - v1 * v2) <= R(1, 2**7)
+    beta = beta_for_eps(eps)
+    delta = 7 * beta * eps
+    raised = max(v1, 2 * delta + 7 * eps)
+    staggered = (raised, max(R(0), raised - delta), max(R(0), raised - 2 * delta))
+    c = GadgetCircuit()
+    a, b = c.add_input(), c.add_input()
+    build_robust_multiplier(c, a, b, eps)
+    profile = c.lift({a.player: v1, b.player: v2})
+    assert c.combine().verify_wsne(profile, R(0), clamped={a.player, b.player}).ok
+    _, product = c.specs[0].internal
+    votes = [inner.output.player for inner in product.internal if inner.kind == "scaled_sum"]
+    assert len(votes) == 3
+    for x, vote in zip(staggered, votes):
+        got = profile[vote][1]
+        assert got == brittle_lift_value(x, v2, eps)
+        # on exact lifted inputs the digit code is the true floor, so the
+        # vote sits within one digit of its input's product
+        assert abs(got - x * v2) <= R(1, 2**7)
 
 
 @settings(max_examples=15, deadline=None)

@@ -283,10 +283,10 @@ SHARED_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(SHARED_FAULTS))
 @pytest.mark.parametrize("copy_at", [None, 1, 5])
-def test_a_shared_tuple_is_scaled_once_and_faults_name_the_first_player(fault, copy_at, monkeypatch):
-    """A tuple object that several players hold is scaled once; an error
-    is the one that the same profile of distinct copies raises, naming
-    the first player at fault."""
+def test_a_shared_tuple_is_scaled_in_one_pass_and_faults_name_the_first_player(fault, copy_at, monkeypatch):
+    """A profile whose players share tuple objects is scaled in one pass
+    over all its entries; an error is the one that the same profile of
+    distinct copies raises, naming the first player at fault."""
     gm = random_polymatrix(1, (2,) * 9, lo=R(-1), hi=R(2))
     shared = SHARED_FAULTS[fault]
     profile = [(F(1, 2), F(1, 2))] * 9
@@ -303,9 +303,8 @@ def test_a_shared_tuple_is_scaled_once_and_faults_name_the_first_player(fault, c
     first = min(i for i in (3, copy_at) if i is not None)
     if fault != "good":
         assert want[1].startswith(f"player {first} strategy")
-    # the shared objects, the copy and the common (1/2, 1/2) are scaled once each
-    assert lengths[::2] == [2 * (2 + (copy_at is not None))] * 2
-    assert lengths[1::2] == [2 * 9] * 2
+    # each call scales all 18 entries in one pass, shared objects or not
+    assert lengths == [2 * 9] * 4
 
 
 def test_a_zero_block_fails_for_scaled_and_plain_alike():

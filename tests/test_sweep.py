@@ -12,13 +12,15 @@ sweep's outputs at two grids.
 
 import hashlib
 import itertools
+from collections import Counter
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
 from nashreduce import ParameterError, R, sweep
 from nashreduce._rational import rational_str
-from nashreduce.gadgets import GADGET_KINDS, GadgetCircuit
+from nashreduce.gadgets import GADGET_INFO, GADGET_KINDS, GadgetCircuit
 from nashreduce.sweep import (
     SweepCase,
     _accepted_mask,
@@ -149,6 +151,60 @@ def test_max_closed_form_matches_built_game():
         assert accepted_values("max", g, eps, inputs) == direct_accepted(
             "max", inputs, None, eps, g
         )
+
+
+# ---------------------------------------------------------------------------
+# the sweep's composite masks against the wiring the builders record
+
+
+COMPOSITE_BUILDS = {
+    "max": lambda c, ins: c.build_max(*ins),
+    "min": lambda c, ins: c.build_min(*ins),
+    "median": lambda c, ins: c.build_median(*ins),
+    "bit_extract": lambda c, ins: c.build_bit_extract(*ins, 1),  # beta = 1, as the sweep evaluates it
+}
+
+
+def spec_walk_masks(units, spec, sources, memo):
+    """Accepted masks of ``spec.outputs`` when each input tap ``t`` may carry
+    the values ``sources[t]``, by walking the recorded spec tree with the
+    sweep's primitive closed forms.  A composite whose gadgets read one of
+    its inputs more than once is evaluated pointwise over that input's
+    values and united, since those reads see one value."""
+    if not spec.internal:
+        zeta = spec.param("zeta") if GADGET_INFO[spec.kind].takes_zeta else None
+        key = (spec.kind, zeta, tuple(sources[t] for t in spec.inputs))
+        if key not in memo:
+            memo[key] = sweep._primitive_mask(units, spec.kind, key[2], zeta)
+        return (memo[key],)
+    reads = Counter(t for inner in spec.internal for t in inner.inputs)
+    shared = [t for t in spec.inputs if reads[t] > 1]
+    masks = dict.fromkeys(spec.outputs, 0)
+    for point in itertools.product(*(units.points(sources[t]) for t in shared)):
+        local = {**sources, **{t: ((x, x),) for t, x in zip(shared, point)}}
+        for inner in spec.internal:
+            for tap, mask in zip(inner.outputs, spec_walk_masks(units, inner, local, memo)):
+                local[tap] = units.spans(mask)
+                if tap in masks:
+                    masks[tap] |= mask
+    return tuple(masks[t] for t in spec.outputs)
+
+
+@pytest.mark.parametrize("kind", COMPOSITE_BUILDS)
+def test_sweep_composites_match_the_built_wiring(kind):
+    eps, g_in, g = R(1, 20), 4, 50
+    c = GadgetCircuit()
+    ins = [c.add_input() for _ in range(GADGET_INFO[kind].arity)]
+    COMPOSITE_BUILDS[kind](c, ins)
+    (spec,) = c.specs
+    units = sweep._Units(g, eps, lcm(g, g_in))
+    points = [((x, x),) for x in range(0, units.scale + 1, units.scale // g_in)]
+    memo = {}
+    for index in itertools.product(range(g_in + 1), repeat=len(ins)):
+        sources = [points[i] for i in index]
+        assert spec_walk_masks(units, spec, dict(zip(ins, sources)), memo) == (
+            sweep._accepted(units, kind, sources, None),
+        ), index
 
 
 # ---------------------------------------------------------------------------
