@@ -51,17 +51,18 @@ def brittle_lift_value(v1: Rat, v2: Rat, eps: Rat) -> Rat:
     return v2 * rational(code, scale)
 
 
+def staggered_inputs(v1: Rat, eps: Rat) -> tuple[Rat, Rat, Rat]:
+    """The robust multiplier's three staggered first inputs: v1 raised to
+    the staggering floor, then lowered by 0, delta and 2 * delta."""
+    delta = 7 * beta_for_eps(eps) * eps
+    raised = max(v1, 2 * delta + 7 * eps)
+    return raised, max(rational(0), raised - delta), max(rational(0), raised - 2 * delta)
+
+
 def robust_lift_value(v1: Rat, v2: Rat, eps: Rat) -> Rat:
     """Output value of the lifted robust multiplier: the median of three
     brittle outputs at staggered first inputs."""
-    beta = beta_for_eps(eps)
-    delta = 7 * beta * eps
-    raised = max(v1, 2 * delta + 7 * eps)
-    votes = [
-        brittle_lift_value(x, v2, eps)
-        for x in (raised, max(rational(0), raised - delta), max(rational(0), raised - 2 * delta))
-    ]
-    return sorted(votes)[1]
+    return sorted(brittle_lift_value(x, v2, eps) for x in staggered_inputs(v1, eps))[1]
 
 
 def chain_lift_value(values: Sequence[Rat], eps: Rat, construction: str = "unary") -> Rat:

@@ -36,6 +36,7 @@ from lift_oracles import (
     chain_lift_value,
     robust_lift_value,
     spec_walk_lift,
+    staggered_inputs,
     unary_lift_value,
 )
 
@@ -249,10 +250,6 @@ def test_robust_votes_match_brittle_oracle(v1, v2):
     # each vote of the median, a scaled_sum over one copy's masked digits,
     # is a brittle product at its staggered first input
     eps = R(1, 10**4)
-    beta = beta_for_eps(eps)
-    delta = 7 * beta * eps
-    raised = max(v1, 2 * delta + 7 * eps)
-    staggered = (raised, max(R(0), raised - delta), max(R(0), raised - 2 * delta))
     c = GadgetCircuit()
     a, b = c.add_input(), c.add_input()
     build_robust_multiplier(c, a, b, eps)
@@ -261,7 +258,7 @@ def test_robust_votes_match_brittle_oracle(v1, v2):
     _, product = c.specs[0].internal
     votes = [inner.output.player for inner in product.internal if inner.kind == "scaled_sum"]
     assert len(votes) == 3
-    for x, vote in zip(staggered, votes):
+    for x, vote in zip(staggered_inputs(v1, eps), votes):
         got = profile[vote][1]
         assert got == brittle_lift_value(x, v2, eps)
         # on exact lifted inputs the digit code is the true floor, so the
