@@ -351,9 +351,10 @@ class GadgetCircuit:
     Edges share frozen templates, one per shape of tap read; only an edge
     two gadgets write is an accumulator.  A gadget that a circuit repeats,
     such as the multiplier behind every mediator of a reduction, is built
-    once and its later copies are stamped from a recording of that build
-    (:meth:`_build_repeated`): the same players and edges, and specs kept
-    as a reference to the recording, laid out when :attr:`specs` is read.
+    once, and its second copy records that build: that copy and every
+    later one are stamped from the recording (:meth:`_build_repeated`),
+    the same players and edges, and specs kept as a reference to the
+    recording, laid out when :attr:`specs` is read.
     A recording is over any list of input slots and outputs, so a log
     multiplier stamps its first input's digits and its product apart.
     """
@@ -369,6 +370,8 @@ class GadgetCircuit:
         self._frames: list[tuple[str, list[GadgetSpec | _Stamp]]] = [("", self._specs)]
         self._inputs: set[int] = set()
         self._driven: set[int] = set()
+        # a repeated gadget's first build: (base, stop, taps, slots, spec, edges written)
+        self._firsts: dict[tuple, tuple] = {}
         self._recordings: dict[tuple, _Recording] = {}
         # outputs a composite shares with every later reader, by its key (a
         # log multiplier's digits; see nashreduce.multipliers)
@@ -551,28 +554,38 @@ class GadgetCircuit:
     def _build_repeated(
         self, key: tuple, build: Callable[..., tuple[Tap, ...]], inputs: Sequence[Tap], out: Tap | None
     ) -> tuple[Tap, ...]:
-        """``build(inputs, out)``, a composite over ``inputs`` (its spec's
-        inputs, in order) that returns its outputs, and whose gadgets depend
-        only on ``key``, on whether ``out`` is given and on the scope.  The
-        first call records what ``build`` added; later ones make its checks
+        """``build(inputs, out)``, a composite over the resolved taps
+        ``inputs`` (its spec's inputs, in order) that returns its outputs, and
+        whose gadgets depend only on ``key``, on whether ``out`` is given and
+        on the scope.  The first call builds and notes what ``build`` added;
+        the second records that, and it and every later call check ``out``
         and stamp the recording at their own players, laying out an edge that
         reads an input once per input size and tapped strategy.  Inputs that
         share a player are always built.
         """
+        taps = {tap.player: tap.strategy for tap in inputs}
+        if len(taps) < len(inputs):
+            return build(inputs, out)
         key = (key, out is not None, self._frames[-1][0])
         rec = self._recordings.get(key)
-        if rec is None:
+        if rec is None and key not in self._firsts:
             base, outer, self._edges = self.num_players, self._edges, {}
             try:
                 outputs = build(inputs, out)
             finally:
                 delta, self._edges = self._edges, outer
-                for edge, acc in delta.items():
-                    self._merge(edge, acc)
-            spec = self._frames[-1][1][-1]
-            taps = {tap.player: tap.strategy for tap in spec.inputs}
-            if len(taps) < len(spec.inputs):
-                return outputs
+                if out is None:  # only out can have had edges before
+                    outer.update(delta)
+                else:
+                    for edge, acc in delta.items():
+                        self._merge(edge, acc)
+            if list in map(type, delta.values()):  # note an accumulator as it was built
+                delta = {edge: make_matrix(acc) for edge, acc in delta.items()}
+            slots = (*taps, *([] if out is None else [Tap(*out).player]))
+            self._firsts[key] = (base, self.num_players, taps, slots, self._frames[-1][1][-1], delta)
+            return outputs
+        if rec is None:
+            base, stop, taps, slots, spec, delta = self._firsts.pop(key)
             interned: dict = {}
             edges = []
             for (i, j), acc in delta.items():
@@ -583,13 +596,9 @@ class GadgetCircuit:
                 else:
                     mat = interned.setdefault(_matrix_key(mat), mat)
                 edges.append(((i, j), mat))
-            slots = (*taps, *([] if out is None else [Tap(*out).player]))
-            counts, players = tuple(self._counts[base:]), tuple(self._players[base:])
-            self._recordings[key] = _Recording(base, slots, counts, players, tuple(edges), spec, tuple(_steps(spec)))
-            return outputs
-        inputs = self._resolve_taps(inputs)
-        if len({tap.player for tap in inputs}) < len(inputs):
-            return build(inputs, out)
+            counts, players = tuple(self._counts[base:stop]), tuple(self._players[base:stop])
+            rec = _Recording(base, slots, counts, players, tuple(edges), spec, tuple(_steps(spec)))
+            self._recordings[key] = rec
         self._reserve(len(rec.counts))
         if out is not None:
             out, _ = self._claim_output(out, rec.spec.kind)

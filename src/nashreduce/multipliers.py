@@ -23,6 +23,8 @@ at most one copy is unreliable, and the median discards it.  A circuit
 builds the first input's *digits* (the staggering and three digit
 extractions) once per first input and the *product* from them per
 multiplier; see :func:`build_robust_multiplier` for why sharing is sound.
+A unary multiplier and each log part are repeated gadgets: a circuit
+builds the first and stamps the rest (see ``GadgetCircuit._build_repeated``).
 
 Multiplying ``m`` values chains ``m - 1`` gadgets; the accumulated error is
 at most ``d * m * eps^c`` with ``(c, d) = (1, 19)`` for unary and
@@ -144,12 +146,14 @@ def build_unary_multiplier(
     cells = unary_cells(eps)
     one = rational(1)
     params = (("eps", eps), ("tau", tau), ("cells", cells))
-    with circuit._composite("unary_mult", (in1, in2), out, params) as outputs:
-        lit1 = [circuit.build_threshold(in1, min(i * tau, one)) for i in range(1, cells + 1)]
-        lit2 = [circuit.build_threshold(in2, min(i * tau, one)) for i in range(1, cells + 1)]
-        grid = [circuit.build_and(a, b) for a in lit1 for b in lit2]
-        outputs.append(circuit.build_scaled_sum(grid, tau * tau, out=out))
-    return outputs[0]
+    def grid(taps: Sequence[Tap], o: Tap | None) -> tuple[Tap]:
+        with circuit._composite("unary_mult", taps, o, params) as outputs:
+            lit1 = [circuit.build_threshold(taps[0], min(i * tau, one)) for i in range(1, cells + 1)]
+            lit2 = [circuit.build_threshold(taps[1], min(i * tau, one)) for i in range(1, cells + 1)]
+            ands = [circuit.build_and(a, b) for a in lit1 for b in lit2]
+            outputs.append(circuit.build_scaled_sum(ands, tau * tau, out=o))
+        return (outputs[0],)
+    return circuit._build_repeated(("unary", type(eps), eps), grid, circuit._resolve_taps((in1, in2)), out)[0]
 
 
 def _digit_product(circuit: GadgetCircuit, bits: Sequence[Tap], in2: Tap, out: Tap | None = None) -> Tap:
@@ -206,26 +210,6 @@ def _robust_params(eps: Rat) -> tuple[int, Rat]:
     return beta, delta
 
 
-def _robust_multiplier(circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None, stamp: bool) -> Tap:
-    """:func:`build_robust_multiplier`, stamping each part if ``stamp``; the
-    digits come from the circuit's table when an earlier multiplier built them."""
-    _check_exact((eps,), "eps")
-    beta, delta = _robust_params(eps)
-    repeat = circuit._build_repeated if stamp else lambda key, build, inputs, o: build(inputs, o)
-    params = (("eps", eps), ("beta", beta), ("delta", delta))
-    with circuit._composite("robust_mult", (in1, in2), out, params) as outputs:
-        key = (Tap(*in1), type(eps), eps, circuit._scope(""))
-        bits = circuit._shared.get(key)
-        if bits is None:
-            digits = ("robust_digits", type(eps), eps)
-            bits = repeat(digits, lambda taps, _: _robust_digits(circuit, taps[0], eps, beta, delta), (in1,), None)
-        product = ("robust_product", type(eps), eps)
-        outputs += repeat(product, lambda taps, o: _robust_product(circuit, taps, eps, beta, o), (in1, in2, *bits), out)
-    # a multiplier that raised recorded no digits, so it shares none
-    circuit._shared[key] = bits
-    return outputs[0]
-
-
 def build_robust_multiplier(
     circuit: GadgetCircuit, in1: Tap, in2: Tap, eps: Rat, out: Tap | None = None
 ) -> Tap:
@@ -249,7 +233,21 @@ def build_robust_multiplier(
     payoffs, and a chain of ``m`` values still errs by at most
     ``d * m * eps^c``.
     """
-    return _robust_multiplier(circuit, in1, in2, eps, out, stamp=False)
+    _check_exact((eps,), "eps")
+    beta, delta = _robust_params(eps)
+    params = (("eps", eps), ("beta", beta), ("delta", delta))
+    with circuit._composite("robust_mult", (in1, in2), out, params) as outputs:
+        in1, in2 = Tap(*in1), Tap(*in2)  # resolved by the composite
+        key = (in1, type(eps), eps, circuit._scope(""))
+        bits = circuit._shared.get(key)
+        if bits is None:
+            digits = lambda taps, _: _robust_digits(circuit, taps[0], eps, beta, delta)
+            bits = circuit._build_repeated(("robust_digits", type(eps), eps), digits, (in1,), None)
+        product = lambda taps, o: _robust_product(circuit, taps, eps, beta, o)
+        outputs += circuit._build_repeated(("robust_product", type(eps), eps), product, (in1, in2, *bits), out)
+    # a multiplier that raised shares no digits
+    circuit._shared[key] = bits
+    return outputs[0]
 
 
 def build_multiplier(
@@ -260,18 +258,10 @@ def build_multiplier(
     construction: str = "unary",
     out: Tap | None = None,
 ) -> Tap:
-    """Dispatch to the requested construction (``unary`` or ``log``).  A
-    repeated gadget is built once per circuit and stamped (the same
-    players, edges and specs): a unary multiplier, or a log multiplier's
-    two parts, its first input's digits and the product built from them;
-    a builder called directly always builds."""
+    """Dispatch to the requested construction (``unary`` or ``log``)."""
     get_params(construction)
-    if construction == "log":
-        return _robust_multiplier(circuit, in1, in2, eps, out, stamp=True)
-    key = (construction, type(eps), eps)
-    return circuit._build_repeated(
-        key, lambda taps, o: (build_unary_multiplier(circuit, *taps, eps, out=o),), (in1, in2), out
-    )[0]
+    build = build_robust_multiplier if construction == "log" else build_unary_multiplier
+    return build(circuit, in1, in2, eps, out)
 
 
 def build_multiplication_chain(

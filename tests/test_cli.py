@@ -748,11 +748,14 @@ def test_gadget_list_json(runner):
 
 
 @pytest.mark.parametrize(
-    "construction,eps",
+    "construction,eps,sha256",
     # the log construction needs eps fine enough for reliable digits
-    [("unary", R(1, 4)), ("log", R(1, 1000))],
+    [
+        ("unary", R(1, 4), "458327887edb62ac0507951881bd82bd9ba2d249eae9bbe8cf3cb1af767e9bd2"),
+        ("log", R(1, 1000), "4bad9fccae727b875e1ffbe587e537f800e82093b82c4d1ea808dc3dd06d8188"),
+    ],
 )
-def test_gadget_build_mult(runner, tmp_path, construction, eps):
+def test_gadget_build_mult(runner, tmp_path, construction, eps, sha256):
     out = tmp_path / "mult.json"
     result = invoke(
         runner, "gadget", "build-mult",
@@ -762,6 +765,7 @@ def test_gadget_build_mult(runner, tmp_path, construction, eps):
     assert result.exit_code == 0
     game = read_game(out)
     assert game.m == predicted_player_count(construction, eps) + 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_gadget_test_threshold(runner):

@@ -33,6 +33,7 @@ from nashreduce.multipliers import (
     build_robust_multiplier,
     build_unary_multiplier,
 )
+from stamp_oracles import always_build, assert_same
 
 I2 = ((R(1), R(0)), (R(0), R(1)))
 
@@ -538,26 +539,39 @@ def three_inputs(c):
     return Tap(c.add_input(n=3).player, 2), c.add_input(), Tap(c.add_input().player, 0)
 
 
+# the composites built through GadgetCircuit._build_repeated
+STAMPED = ("unary_mult", "robust_mult", "mult_chain")
+
+
 @pytest.mark.parametrize("kind", EVERY_COMPOSITE)
-def test_a_composite_that_runs_out_of_players_pops_its_scopes(kind):
-    full = GadgetCircuit()
-    EVERY_COMPOSITE[kind](full, *three_inputs(full))
-    c = GadgetCircuit(player_budget=5 + (full.num_players - 3) // 2)  # half the composite's players
-    inputs = three_inputs(c)
-    c.build_copy(inputs[0])  # players 3 and 4
-    specs = c.specs
-    with pytest.raises(SizeBudgetExceeded):
+def test_a_composite_that_runs_out_of_players_pops_its_scopes(kind, monkeypatch, tmp_path):
+    def script():
+        full = GadgetCircuit()
+        EVERY_COMPOSITE[kind](full, *three_inputs(full))
+        c = GadgetCircuit(player_budget=5 + (full.num_players - 3) // 2)  # half the composite's players
+        inputs = three_inputs(c)
+        c.build_copy(inputs[0])  # players 3 and 4
+        specs = c.specs
+        with pytest.raises(SizeBudgetExceeded):
+            EVERY_COMPOSITE[kind](c, *inputs)
+        assert c.num_players > 5
+        assert_no_frame_open(c)
+        assert c.specs == specs
+        c.player_budget = c.num_players + 1
+        c.build_threshold(inputs[1], R(1, 2))
+        assert c.combine().players[-1].scope == "threshold"
+        c.player_budget = 10**6
         EVERY_COMPOSITE[kind](c, *inputs)
-    assert c.num_players > 5
-    assert_no_frame_open(c)
-    assert c.specs == specs
-    c.player_budget = c.num_players + 1
-    c.build_threshold(inputs[1], R(1, 2))
-    assert c.combine().players[-1].scope == "threshold"
-    c.player_budget = 10**6
-    EVERY_COMPOSITE[kind](c, *inputs)
-    assert [spec.kind for spec in c.specs] == ["scale", "threshold", kind]
-    assert c.combine().players[-1].scope.startswith(kind + "/")
+        assert [spec.kind for spec in c.specs] == ["scale", "threshold", kind]
+        assert c.combine().players[-1].scope.startswith(kind + "/")
+        if kind in STAMPED:  # a second copy, stamped from the build that did not raise
+            EVERY_COMPOSITE[kind](c, *inputs)
+        return c
+
+    c = script()
+    if kind in STAMPED:
+        monkeypatch.setattr(GadgetCircuit, "_build_repeated", always_build)
+        assert_same(c, script(), tmp_path, lift=False)  # the players of the build that raised drive nothing
     assert_no_frame_open(c)
 
 

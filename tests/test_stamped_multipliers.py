@@ -1,15 +1,15 @@
 """Stamped multipliers.
 
-``build_multiplier`` builds a circuit's first multiplier per construction,
-eps and scope through the ordinary builder and stamps every later one from
-a recording of that build.  A log multiplier is stamped in two parts: its
-first input's digits, which a circuit holds once per first input tap, eps
-and scope, and the product built from them.  The oracle is the same call
-sequence made with ``build_unary_multiplier`` and
-``build_robust_multiplier`` directly, which always build (a direct log
-multiplier shares digits through the same table): both circuits must have
-the same players, specs, edges, lifted profiles and written files, and
-fail with the same errors.
+A circuit builds its first multiplier per construction, eps and scope
+through the ordinary builder, records that build when a second one asks
+for it, and stamps every later one from the recording.  A log multiplier
+is stamped in two parts: its first input's digits, which a circuit holds
+once per first input tap, eps and scope, and the product built from them.
+The oracle is the same call sequence with ``GadgetCircuit._build_repeated``
+replaced by :func:`stamp_oracles.always_build`, which always builds (a log
+multiplier still shares digits through the circuit's table): both circuits
+must have the same players, specs, edges, lifted profiles and written
+files, and fail with the same errors.
 """
 
 import math
@@ -21,78 +21,32 @@ import pytest
 
 from nashreduce import CycleDetected, DuplicateOutput, ParameterError, R, SizeBudgetExceeded
 from nashreduce import multipliers
-from nashreduce.fileio import write_game
 from nashreduce.gadgets import GadgetCircuit, Tap
 from nashreduce.model import pure_strategy, random_normal_form
 from nashreduce.multipliers import build_multiplication_chain, predicted_player_count
 from nashreduce.reductions import estimate_linearized_players, lift_to_polymatrix, linearize
+from stamp_oracles import always_build, assert_same
 
 EPS = {"unary": R(1, 4), "log": R(1, 1000)}
-BUILDERS = {"unary": "build_unary_multiplier", "log": "build_robust_multiplier"}
-
-
-# scripts call multipliers.build_multiplier, which the direct run replaces
-def direct_multiplier(circuit, in1, in2, eps, construction="unary", out=None):
-    return getattr(multipliers, BUILDERS[construction])(circuit, in1, in2, eps, out=out)
-
-
-# what builds a multiplier anew: a unary one, or a log one's product; and
-# what builds a log multiplier's digits anew
-PRODUCT_BUILDERS = ("build_unary_multiplier", "_robust_product")
-DIGITS_BUILDER = "_robust_digits"
-
 
 def run_both(monkeypatch, script):
-    """Run ``script()`` through ``build_multiplier`` and then with every
-    multiplier built directly (chains included).  Returns both results, how
-    many multipliers the stamped run built and the direct run built, and
-    the same pair for log digit sets."""
+    """Run ``script()`` stamping and then with every repeated gadget built
+    (chains included).  Returns both results, how many multipliers (a unary
+    one, or a log one's product) the stamped run built and the other run
+    built, and the same pair for log digit sets."""
     runs = []
-    for stamping in (True, False):
+    for repeat in (GadgetCircuit._build_repeated, always_build):
         calls = Counter()
+
+        def counted(self, key, build, inputs, out, repeat=repeat, calls=calls):
+            return repeat(self, key, lambda *args: calls.update([key[0]]) or build(*args), inputs, out)
+
         with monkeypatch.context() as m:
-            for name in (*PRODUCT_BUILDERS, DIGITS_BUILDER):
-                builder = getattr(multipliers, name)
-                m.setattr(multipliers, name, lambda *a, _n=name, _b=builder, **k: calls.update([_n]) or _b(*a, **k))
-            if not stamping:
-                m.setattr(multipliers, "build_multiplier", direct_multiplier)
+            m.setattr(GadgetCircuit, "_build_repeated", counted)
             result = script()
-        runs.append((result, sum(calls[name] for name in PRODUCT_BUILDERS), calls[DIGITS_BUILDER]))
+        runs.append((result, calls["unary"] + calls["robust_product"], calls["robust_digits"]))
     (stamped, built, digits_built), (direct, calls, digits) = runs
     return stamped, direct, built, calls, (digits_built, digits)
-
-
-def exact_repr(edges) -> str:
-    """Keys, values and entry types of every edge, in key order."""
-    return repr(sorted((key, [[(type(x), x) for x in row] for row in mat]) for key, mat in edges.items()))
-
-
-def free_values(circuit) -> dict:
-    """A value for every input and undriven player: 1/3 on a binary one,
-    (1/2, 1/3, 1/6, 0, ...) on a wider one."""
-    players = circuit.combine().players
-    free = {p for p, info in enumerate(players) if info.scope.startswith("input:")}
-    free.update(circuit.undriven_players())
-    return {
-        p: R(1, 3) if n == 2 else (R(1, 2), R(1, 3), R(1, 6), *[R(0)] * (n - 3))
-        for p, n in enumerate(circuit.strategy_counts)
-        if p in free
-    }
-
-
-def assert_same(stamped, direct, tmp_path):
-    assert stamped.strategy_counts == direct.strategy_counts
-    assert stamped.undriven_players() == direct.undriven_players()
-    assert repr(stamped.specs) == repr(direct.specs)
-    games = [stamped.combine(), direct.combine()]
-    assert games[0].players == games[1].players
-    assert exact_repr(games[0].edges) == exact_repr(games[1].edges)
-    for name, game in zip(("stamped", "direct"), games):
-        write_game(tmp_path / f"{name}.json", game)
-    assert (tmp_path / "stamped.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
-    values = free_values(stamped)
-    assert values == free_values(direct)
-    assert stamped.lift(values) == direct.lift(values)
 
 
 @pytest.mark.parametrize("construction", ["unary", "log"])
@@ -301,6 +255,71 @@ def test_a_repeated_gadget_adds_onto_edges_that_exist(tmp_path):
     assert_same(script(True), script(False), tmp_path)
 
 
+def doubled(c, taps, out):
+    """A composite whose scaled_sum reads twice a copy it made."""
+    with c._composite("doubled", taps, out) as outputs:
+        x = c.build_copy(taps[0])
+        outputs.append(c.build_scaled_sum([x, x, taps[1]], R(1, 3), out=out))
+    return tuple(outputs)
+
+
+def test_a_copy_is_stamped_from_the_first_build_as_it_was_built(monkeypatch, tmp_path):
+    # the first build holds an accumulator list edge (the scaled_sum's aux
+    # reading x twice); adding onto it and onto a template edge before the
+    # second copy must not reach that copy or the ones after it
+    added = [[R(1, 8), 0], [0, R(-1, 8)]]
+
+    def script():
+        c = GadgetCircuit()
+        a, b, d = (c.add_input() for _ in range(3))
+        built = []
+
+        def repeat(taps):
+            return c._build_repeated(("doubled",), lambda t, o: built.append(t) or doubled(c, t, o), taps, None)
+
+        w = repeat((a, b))[0].player + 1  # the scaled_sum's aux
+        accumulators = [edge for edge, mat in c._edges.items() if type(mat) is list]
+        assert accumulators == [(w, w - 3)]  # x is the copy's output, before its aux
+        assert type(c._edges[w, b.player]) is tuple
+        c.add_edge_matrix(*accumulators[0], added)
+        c.add_edge_matrix(w, b.player, added)
+        repeat((b, d))
+        repeat((d, a))
+        return c, len(built)
+
+    (stamped, built), (direct, calls), *_ = run_both(monkeypatch, script)
+    assert (built, calls) == (1, 3)
+    assert_same(stamped, direct, tmp_path)
+
+
+@pytest.mark.parametrize("construction, recordings", [("unary", 1), ("log", 2)])
+def test_a_gadget_is_recorded_only_when_it_repeats(construction, recordings):
+    eps = EPS[construction]
+    builder = getattr(multipliers, {"unary": "build_unary_multiplier", "log": "build_robust_multiplier"}[construction])
+    c = GadgetCircuit()
+    a, b, d, e = (c.add_input() for _ in range(4))
+    builder(c, a, b, eps)
+    assert c._recordings == {}
+    builder(c, d, e, eps)
+    # a log multiplier records its digits and its product
+    assert len(c._recordings) == recordings
+
+
+def test_a_stamp_resolves_no_tap_again(monkeypatch):
+    # a stamp's taps were resolved by its caller or made by the circuit
+    counted = Counter()
+    resolve = GadgetCircuit._resolve_taps
+
+    def counting(self, taps):
+        taps = resolve(self, taps)
+        counted.update(calls=1, taps=len(taps))
+        return taps
+
+    monkeypatch.setattr(GadgetCircuit, "_resolve_taps", counting)
+    linearize(random_normal_form(random.Random(7), (3, 2, 2)), R(9, 10), "log")
+    assert (counted["calls"], counted["taps"]) == (211, 374)
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
 def test_linearize_matches_direct_builds(monkeypatch, tmp_path, shape):
     source = random_normal_form(random.Random(7), shape)
@@ -330,7 +349,7 @@ def failure(monkeypatch, script):
     for stamping in (True, False):
         with monkeypatch.context() as m:
             if not stamping:
-                m.setattr(multipliers, "build_multiplier", direct_multiplier)
+                m.setattr(GadgetCircuit, "_build_repeated", always_build)
             with pytest.raises((ParameterError, SizeBudgetExceeded, CycleDetected, DuplicateOutput)) as err:
                 script()
         got.append((type(err.value), str(err.value)))
