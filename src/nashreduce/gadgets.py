@@ -448,7 +448,7 @@ class GadgetCircuit:
         acc = self._edges.get(key)
         if acc is None:
             acc = self._edges[key] = [[0] * self._counts[j] for _ in range(self._counts[i])]
-        elif type(acc) is tuple:  # a shared frozen matrix: add into a copy
+        else:  # a shared frozen matrix, or an accumulator a first build noted: add into a copy
             acc = self._edges[key] = [list(row) for row in acc]
         return acc
 
@@ -579,8 +579,6 @@ class GadgetCircuit:
                 else:
                     for edge, acc in delta.items():
                         self._merge(edge, acc)
-            if list in map(type, delta.values()):  # note an accumulator as it was built
-                delta = {edge: make_matrix(acc) for edge, acc in delta.items()}
             slots = (*taps, *([] if out is None else [Tap(*out).player]))
             self._firsts[key] = (base, self.num_players, taps, slots, self._frames[-1][1][-1], delta)
             return outputs

@@ -2,10 +2,10 @@
 
 ``GadgetCircuit._build_repeated`` builds a repeated gadget once and stamps
 its later copies.  :func:`always_build` stands in for it and calls the
-build every time, the path a circuit took before stamping; a log
-multiplier still shares its first input's digits through the circuit's
-table.  :func:`assert_same` checks that two circuits have the same players,
-specs, edges, written files and lifted profiles.
+build every time, so every copy is made anew; a log multiplier still
+shares its first input's digits through the circuit's table.
+:func:`assert_same` checks that two circuits have the same players, specs,
+edges, written files and lifted profiles.
 """
 
 from nashreduce import R
